@@ -12,11 +12,12 @@ divergence, or oracle mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .logic import stable_models_bruteforce
 from .runtime import (
+    _dump,
+    event_to_record,
     export_trace,
     events_from_export,
     rounds_to_fixpoint,
@@ -32,25 +33,34 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _dump(record) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 class _Output:
+    """Holds a command's output until ``close`` writes it, so a command
+    that fails part-way writes nothing."""
+
     def __init__(self, path):
         self.path = path
-        self.lines = []
+        self.chunks = []
 
     def emit(self, line: str):
-        self.lines.append(line)
+        self.chunks.append(line + "\n")
+
+    def emit_text(self, text: str):
+        """Append whole lines, each already ending in a newline."""
+        self.chunks.append(text)
 
     def close(self):
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
         if self.path:
             with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                self._write(fh)
         else:
-            sys.stdout.write(text)
+            self._write(sys.stdout)
+
+    def _write(self, fh):
+        # Slices keep the encoder from making a bytes copy of a whole trace.
+        step = 1 << 16
+        for chunk in self.chunks:
+            for i in range(0, len(chunk), step):
+                fh.write(chunk[i:i + step])
 
 
 def _load(args):
@@ -140,7 +150,7 @@ def cmd_run(args) -> int:
             "policy": args.policy,
             "max_rounds": args.max_rounds if args.max_rounds is not None else scenario.max_rounds,
         })))
-        out.emit(export_trace(trace, v).rstrip("\n"))
+        out.emit_text(export_trace(trace, v))
     out.close()
     if v.fixpoint_point is not None and not v.divergence:
         return EXIT_OK
@@ -157,8 +167,6 @@ def cmd_replay(args) -> int:
         events = scenario.script
     trace = run_scripted(system, events)
     if args.format == "table":
-        from .runtime import event_to_record
-
         for point in range(len(trace.states)):
             ev = event_to_record(trace.events[point]) if point < len(trace.events) else None
             out.emit(f"point {point}  event={ev}")
@@ -167,7 +175,7 @@ def cmd_replay(args) -> int:
                 out.emit(f"  {agent_id}: {model}")
     else:
         out.emit(_dump(_header(args, "replay", system, {"events": len(events)})))
-        out.emit(export_trace(trace).rstrip("\n"))
+        out.emit_text(export_trace(trace))
     out.close()
     return EXIT_OK
 
@@ -269,6 +277,21 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_INCONCLUSIVE
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agentlog",
@@ -283,13 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         p.add_argument("--format", choices=("ndrecords", "table"), default="ndrecords")
         if runnable:
-            p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
+            p.add_argument("--max-rounds", type=_int_at_least(0), default=None, dest="max_rounds")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--policy", choices=("round-robin", "shuffled"), default="round-robin")
 
     p = sub.add_parser("analyze", help="classification and IO-finiteness probe")
     common(p)
-    p.add_argument("--probe-delta", type=int, default=2, dest="probe_delta")
+    p.add_argument("--probe-delta", type=_int_at_least(1), default=2, dest="probe_delta")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="scripted prefix plus fair rounds, trace and verdict")

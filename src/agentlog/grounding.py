@@ -105,10 +105,6 @@ def _term_vars(term):
         yield term.name
 
 
-def format_term(term) -> str:
-    return str(term)
-
-
 @dataclass(frozen=True)
 class SchematicAtom:
     predicate: str
@@ -121,7 +117,7 @@ class SchematicAtom:
     def __str__(self):
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({','.join(format_term(t) for t in self.args)})"
+        return f"{self.predicate}({','.join(str(t) for t in self.args)})"
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class Less:
     right: object
 
     def __str__(self):
-        return f"{format_term(self.left)} < {format_term(self.right)}"
+        return f"{self.left} < {self.right}"
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ class Equal:
     right: object
 
     def __str__(self):
-        return f"{format_term(self.left)} = {format_term(self.right)}"
+        return f"{self.left} = {self.right}"
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ class NotEqual:
     right: object
 
     def __str__(self):
-        return f"{format_term(self.left)} != {format_term(self.right)}"
+        return f"{self.left} != {self.right}"
 
 
 def _constraint_vars(c):

@@ -13,12 +13,13 @@ share no mutable state and may execute concurrently.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass
 
 from .agents import AgentState, EnvChange, agent_model, message_payload, update_env, update_input
-from .logic import parse_atom
+from .logic import Atom, parse_atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent, superagent_model
 
 __all__ = [
@@ -102,9 +103,6 @@ class Trace:
     quiescence_point: object = 0
     rounds: tuple = ()
     horizon_exceeded: bool = False
-
-    def model_of(self, agent_idx: int, point: int) -> frozenset:
-        return self.models[point][agent_idx]
 
 
 def initial_state(sys: MultiAgentSystem) -> GlobalState:
@@ -531,16 +529,24 @@ def verdict(sys: MultiAgentSystem, trace: Trace, families=()) -> Verdict:
 # Trace export: one JSON record per line; schema in docs/trace-schema.md.
 
 
-def _atoms_list(atoms) -> list:
-    return [str(a) for a in sorted(atoms)]
+def _atoms_list(atoms, text: dict = None) -> list:
+    """``atoms`` as strings in atom order; ``text`` caches each atom's string."""
+    text = {} if text is None else text
+    out = []
+    for a in sorted(atoms, key=Atom.sort_key):
+        s = text.get(a)
+        if s is None:
+            s = text[a] = str(a)
+        out.append(s)
+    return out
 
 
-def event_to_record(event):
+def event_to_record(event, text: dict = None):
     if isinstance(event, EnvEvent):
         return {
             "type": "env",
-            "true": _atoms_list(event.change.became_true),
-            "false": _atoms_list(event.change.became_false),
+            "true": _atoms_list(event.change.became_true, text),
+            "false": _atoms_list(event.change.became_false, text),
         }
     return {"type": "send", "from": event.sender, "to": event.receiver}
 
@@ -562,16 +568,19 @@ def _dump(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def verdict_to_record(v: Verdict) -> dict:
+def verdict_to_record(v: Verdict, text: dict = None) -> dict:
+    def listed(atoms):
+        return None if atoms is None else _atoms_list(atoms, text)
+
     return {
         "record": "verdict",
         "fixpoint_point": v.fixpoint_point,
         "strongly_convergent": v.strongly_convergent,
         "horizon_exceeded": v.horizon_exceeded,
-        "convergence_model": None if v.convergence_model is None else _atoms_list(v.convergence_model),
-        "non_convergent": _atoms_list(v.non_convergent),
-        "stabilized_edb": None if v.stabilized_edb is None else _atoms_list(v.stabilized_edb),
-        "reference_model": None if v.reference_model is None else _atoms_list(v.reference_model),
+        "convergence_model": listed(v.convergence_model),
+        "non_convergent": listed(v.non_convergent),
+        "stabilized_edb": listed(v.stabilized_edb),
+        "reference_model": listed(v.reference_model),
         "reference_note": v.reference_note,
         "weakly_stabilizing_witnessed": v.weakly_stabilizing_witnessed,
         "divergence": [
@@ -582,22 +591,42 @@ def verdict_to_record(v: Verdict) -> dict:
 
 
 def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
-    """Line-delimited records, one per point; verdict appended last."""
-    lines = []
+    """Line-delimited records, one per point; verdict appended last.
+
+    An event changes at most the agents it touches, and the trace shares
+    every other agent's set objects with the previous point.  So each
+    agent's ``edb``, ``in`` and ``model`` list is rendered again only when
+    its set object differs from the one rendered last.
+    """
+    text = {}
+    last = {}  # (agent index, field) -> (set object, its rendered list)
+
+    def listed(idx, field, atoms):
+        seen = last.get((idx, field))
+        if seen is None or seen[0] is not atoms:
+            seen = last[(idx, field)] = (atoms, _atoms_list(atoms, text))
+        return seen[1]
+
+    # One growing buffer: a list of lines plus their join would hold the
+    # whole text twice.
+    buf = io.StringIO()
     for point, gs in enumerate(trace.states):
+        row = trace.models[point]
         agents = {}
         for idx, agent_id in enumerate(trace.agent_ids):
             s = gs.agent_states[idx]
             agents[agent_id] = {
-                "edb": _atoms_list(s.edb),
-                "in": _atoms_list(s.indb),
-                "model": _atoms_list(trace.models[point][idx]),
+                "edb": listed(idx, "edb", s.edb),
+                "in": listed(idx, "in", s.indb),
+                "model": listed(idx, "model", row[idx]),
             }
-        event = event_to_record(trace.events[point]) if point < len(trace.events) else None
-        lines.append(_dump({"record": "point", "point": point, "event": event, "agents": agents}))
+        event = event_to_record(trace.events[point], text) if point < len(trace.events) else None
+        buf.write(_dump({"record": "point", "point": point, "event": event, "agents": agents}))
+        buf.write("\n")
     if verdict_value is not None:
-        lines.append(_dump(verdict_to_record(verdict_value)))
-    return "\n".join(lines) + "\n"
+        buf.write(_dump(verdict_to_record(verdict_value, text)))
+        buf.write("\n")
+    return buf.getvalue()
 
 
 def events_from_export(text: str) -> list:

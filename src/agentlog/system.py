@@ -156,13 +156,15 @@ class SuperAgent:
 
 
 def superagent(sys: MultiAgentSystem) -> SuperAgent:
-    program = GroundProgram.of(frozenset())
-    for a in sys.agents:
-        program = program.union(a.idb)
-    extras = sys.env_atoms | frozenset().union(*(a.hin for a in sys.agents)) if sys.agents else frozenset()
-    program = GroundProgram(program.clauses, program.universe | extras)
-    initial = frozenset().union(*(a.initial.edb for a in sys.agents)) if sys.agents else frozenset()
-    return SuperAgent(program, initial)
+    """Every agent's rule base, atoms and initial EDB, united in one pass
+    so that the program's universe check scans the clauses once."""
+    agents = sys.agents
+    clauses = frozenset().union(*(a.idb.clauses for a in agents))
+    universe = frozenset().union(
+        *(a.idb.universe for a in agents), sys.env_atoms, *(a.hin for a in agents)
+    )
+    initial = frozenset().union(*(a.initial.edb for a in agents))
+    return SuperAgent(GroundProgram(clauses, universe), initial)
 
 
 def superagent_model(sa: SuperAgent, stabilized_edb: frozenset, cap: int = 20) -> frozenset:

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agentlog
 from agentlog.cli import main
 
 
@@ -165,6 +170,53 @@ def test_oracle_check_detects_injected_fault(capsys):
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["run", "example3", "--bogus"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "example3", "--max-rounds", "-1"],
+    ["sweep", "chain(1)", "--param", "n", "--range", "1:2", "--max-rounds", "-3"],
+    ["run", "example3", "--max-rounds", "two"],
+    ["analyze", "example3", "--probe-delta", "0"],
+    ["analyze", "example3", "--probe-delta", "-2"],
+])
+def test_out_of_range_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--max-rounds" in err or "--probe-delta" in err
+
+
+def test_smallest_flag_values_accepted(capsys):
+    code, out, _ = run_cli(capsys, "run", "example3", "--max-rounds", "0")
+    assert code == 3
+    assert records(out)[-1]["horizon_exceeded"] is True
+    code, out, _ = run_cli(capsys, "analyze", "example3", "--probe-delta", "1")
+    assert code == 0
+    assert [r["dmax"] for r in records(out) if r["record"] == "sweep"] == [0, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "routing5", "--policy", "shuffled", "--seed", "3"],
+    ["run", "chain(20)"],
+    ["analyze", "routing5-example6-script"],
+])
+def test_stdout_identical_across_hash_seeds(argv):
+    src = str(Path(agentlog.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = []
+    try:
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            procs.append(subprocess.Popen([sys.executable, "-m", "agentlog.cli", *argv],
+                                          stdout=subprocess.PIPE, env=env))
+        outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert all(proc.returncode in (0, 3) for proc in procs)
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_table_format(capsys):

@@ -1,5 +1,6 @@
 """Tests for transitions, runs, fixpoints, verdicts, and trace export."""
 
+import json
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from agentlog.logic import atom
 from agentlog.runtime import (
     CommEvent,
     EnvEvent,
+    GlobalState,
     InvalidEventError,
+    Trace,
     comm_transition,
     convergence_model,
     detect_fixpoint,
@@ -26,7 +29,7 @@ from agentlog.runtime import (
     stabilized_environment,
     verdict,
 )
-from agentlog.scenarios import output_projection
+from agentlog.scenarios import builtin_scenario, output_projection
 from agentlog.system import io_graph
 
 from .generators import random_system
@@ -307,6 +310,120 @@ def test_replay_determinism_shuffled_policy(example3_system):
     one = run_fair(example3_system, max_rounds=8, policy="shuffled", seed=42)
     two = run_fair(example3_system, max_rounds=8, policy="shuffled", seed=42)
     assert export_trace(one) == export_trace(two)
+
+
+def _naive_export(trace, v=None) -> str:
+    """Reference renderer: every list sorted and formatted afresh at every point."""
+
+    def listed(atoms):
+        return None if atoms is None else [str(x) for x in sorted(atoms)]
+
+    def dump(record):
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    lines = []
+    for point, gs in enumerate(trace.states):
+        agents = {
+            agent_id: {
+                "edb": listed(gs.agent_states[idx].edb),
+                "in": listed(gs.agent_states[idx].indb),
+                "model": listed(trace.models[point][idx]),
+            }
+            for idx, agent_id in enumerate(trace.agent_ids)
+        }
+        event = None
+        if point < len(trace.events):
+            ev = trace.events[point]
+            if isinstance(ev, EnvEvent):
+                event = {"type": "env", "true": listed(ev.change.became_true),
+                         "false": listed(ev.change.became_false)}
+            else:
+                event = {"type": "send", "from": ev.sender, "to": ev.receiver}
+        lines.append(dump({"record": "point", "point": point, "event": event, "agents": agents}))
+    if v is not None:
+        lines.append(dump({
+            "record": "verdict",
+            "fixpoint_point": v.fixpoint_point,
+            "strongly_convergent": v.strongly_convergent,
+            "horizon_exceeded": v.horizon_exceeded,
+            "convergence_model": listed(v.convergence_model),
+            "non_convergent": listed(v.non_convergent),
+            "stabilized_edb": listed(v.stabilized_edb),
+            "reference_model": listed(v.reference_model),
+            "reference_note": v.reference_note,
+            "weakly_stabilizing_witnessed": v.weakly_stabilizing_witnessed,
+            "divergence": [
+                {"family": r.family, "hits": [{"agent": a, "values": list(vs)} for a, vs in r.hits]}
+                for r in v.divergence
+            ],
+        }))
+    return "\n".join(lines) + "\n"
+
+
+def _first_difference(got: str, want: str):
+    """None when equal, else the first differing line; pytest's diff of
+    whole traces is too slow to be useful."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            return k, g, w
+    return len(got_lines), len(want_lines)
+
+
+def _scenario_run(name, policy="round-robin", seed=0):
+    scenario = builtin_scenario(name)
+    system = scenario.build_system()
+    trace = run_fair(system, env_schedule=scenario.schedule, max_rounds=scenario.max_rounds,
+                     policy=policy, seed=seed, prefix_events=scenario.script)
+    return trace, verdict(system, trace, families=scenario.families())
+
+
+@pytest.mark.parametrize("name", ["example3", "routing5", "routing5-example6-script"])
+def test_export_matches_naive_renderer_on_builtin_runs(name):
+    trace, v = _scenario_run(name)
+    assert _first_difference(export_trace(trace, v), _naive_export(trace, v)) is None
+
+
+def test_export_matches_naive_renderer_on_shuffled_chain():
+    trace, v = _scenario_run("chain(12)", policy="shuffled", seed=5)
+    assert _first_difference(export_trace(trace, v), _naive_export(trace, v)) is None
+    assert _first_difference(export_trace(trace), _naive_export(trace)) is None
+
+
+def test_export_matches_naive_renderer_on_scripted_replay():
+    scenario = builtin_scenario("routing5-example6-script")
+    trace = run_scripted(scenario.build_system(), scenario.script)
+    assert len(trace.events) > 0
+    assert _first_difference(export_trace(trace), _naive_export(trace)) is None
+
+
+def test_export_matches_naive_renderer_without_shared_sets(example3_system):
+    def fresh(atoms):
+        # frozenset(x) hands back x itself; a list forces a new object.
+        return frozenset(list(atoms))
+
+    shared = run_scripted(example3_system, EX3_SCRIPT)
+    copied = Trace(
+        agent_ids=shared.agent_ids,
+        states=tuple(
+            GlobalState(tuple(AgentState(fresh(s.edb), fresh(s.indb)) for s in gs.agent_states))
+            for gs in shared.states
+        ),
+        events=shared.events,
+        models=tuple(tuple(fresh(m) for m in row) for row in shared.models),
+    )
+    for k in range(1, len(copied.states)):
+        row = copied.models[k]
+        for idx, (before, after) in enumerate(
+            zip(copied.states[k - 1].agent_states, copied.states[k].agent_states)
+        ):
+            pairs = ((before.edb, after.edb), (before.indb, after.indb),
+                     (copied.models[k - 1][idx], row[idx]))
+            assert all(x is not y for x, y in pairs if x)
+    assert _first_difference(export_trace(copied), _naive_export(copied)) is None
+    assert _first_difference(export_trace(copied), export_trace(shared)) is None
 
 
 def test_fair_runs_converge_to_reference_on_random_acyclic_systems():
