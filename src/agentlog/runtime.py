@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 from .agents import AgentState, EnvChange, agent_model, message_payload, update_env, update_input
 from .logic import Atom, parse_atom
-from .system import MultiAgentSystem, NoUniqueModelError, superagent, superagent_model
+from .system import (
+    MultiAgentSystem,
+    NoUniqueModelError,
+    io_atom_count,
+    superagent,
+    superagent_model,
+)
 
 __all__ = [
     "EnvEvent",
@@ -242,9 +248,7 @@ def run_scripted(sys: MultiAgentSystem, script, start: GlobalState = None) -> Tr
 
 
 def default_max_rounds(sys: MultiAgentSystem) -> int:
-    from .system import io_graph
-
-    return 4 * len(io_graph(sys).nodes) + 16
+    return 4 * io_atom_count(sys) + 16
 
 
 def _round_order(sys: MultiAgentSystem, policy: str, rng):
@@ -321,12 +325,8 @@ def detect_fixpoint(trace: Trace):
     determinism then pins every continuation.  None when the trace holds
     no such certificate.
     """
-    if trace.quiescence_point is None:
-        return None
-    for r in trace.rounds:
-        if not r.changed and r.start >= trace.quiescence_point:
-            return r.start
-    return None
+    cert = _certifying_round(trace)
+    return None if cert is None else cert.start
 
 
 def _certifying_round(trace: Trace):
@@ -358,33 +358,34 @@ def rounds_after_quiescence_to_fixpoint(trace: Trace):
     )
 
 
+def _holders(sys: MultiAgentSystem) -> dict:
+    """Each atom of some agent's atom base -> indices of the agents whose
+    atom base holds it."""
+    table = {}
+    for idx, aid in enumerate(sys.ids):
+        for a in sys.hb(aid):
+            table.setdefault(a, []).append(idx)
+    return table
+
+
 def convergence_model(sys: MultiAgentSystem, trace: Trace, fixpoint: int) -> frozenset:
     """Atoms true, at the fixpoint, in the model of every agent whose
     atom base contains them."""
     if fixpoint is None:
         raise ValueError("no fixpoint: convergence model undefined")
     row = trace.models[fixpoint]
-    conv = set()
-    universe = frozenset().union(*(sys.hb(i) for i in sys.ids)) if sys.agents else frozenset()
-    for a in universe:
-        holders = [idx for idx, aid in enumerate(sys.ids) if a in sys.hb(aid)]
-        if holders and all(a in row[idx] for idx in holders):
-            conv.add(a)
-    return frozenset(conv)
+    return frozenset(
+        a for a, holders in _holders(sys).items() if all(a in row[idx] for idx in holders)
+    )
 
 
 def non_convergent_atoms(sys: MultiAgentSystem, trace: Trace, fixpoint: int) -> frozenset:
     """Atoms on which agents still disagree at the fixpoint; the run is
     convergent for neither truth value on these."""
     row = trace.models[fixpoint]
-    out = set()
-    universe = frozenset().union(*(sys.hb(i) for i in sys.ids)) if sys.agents else frozenset()
-    for a in universe:
-        holders = [idx for idx, aid in enumerate(sys.ids) if a in sys.hb(aid)]
-        values = {a in row[idx] for idx in holders}
-        if len(values) == 2:
-            out.add(a)
-    return frozenset(out)
+    return frozenset(
+        a for a, holders in _holders(sys).items() if len({a in row[idx] for idx in holders}) == 2
+    )
 
 
 def stabilized_environment(trace: Trace) -> frozenset:

@@ -202,8 +202,7 @@ def parse_scenario(text: str, name: str = "<scenario>", dmax=None) -> Scenario:
     if not any(kind == "agent" for kind, _, _ in sections):
         raise ScenarioError("no agents")
 
-    dom = _parse_domain(sections[0][2], dmax)
-    output = _domain_output(sections[0][2])
+    dom, output = _parse_domain(sections[0][2], dmax)
 
     agents = []
     script = []
@@ -255,6 +254,8 @@ def _collect_keys(lines, allowed):
 
 
 def _parse_domain(lines, dmax_override):
+    """The domain section's ``DomainSpec`` and its ``output:`` predicate
+    (None when absent)."""
     values = _collect_keys(lines, _DOMAIN_KEYS)
 
     def joined(key):
@@ -272,15 +273,10 @@ def _parse_domain(lines, dmax_override):
     int_vars = frozenset(t for t in re.split(r"[,\s]+", joined("var int")) if t)
     symmetric = frozenset(t for t in re.split(r"[,\s]+", joined("symmetric")) if t)
     try:
-        return DomainSpec(nodes, dmax, node_vars, int_vars, symmetric)
+        dom = DomainSpec(nodes, dmax, node_vars, int_vars, symmetric)
     except GroundingError as exc:
         raise ScenarioError(str(exc)) from None
-
-
-def _domain_output(lines):
-    values = _collect_keys(lines, _DOMAIN_KEYS)
-    out = " ".join(v for _, v in values.get("output", [])).strip()
-    return out or None
+    return dom, joined("output").strip() or None
 
 
 def _parse_agent(agent_id, lines, dom):

@@ -5,7 +5,9 @@ sensing everything; its stable model in a given environment is the
 correctness reference against which runs are judged.  The I/O graph is
 the superagent's atom dependency graph restricted to atoms relevant to
 some input atom; its acyclicity and (empirical) finiteness are the
-hypotheses of the stabilization guarantees.
+hypotheses of the stabilization guarantees.  Classification reads that
+graph straight off the agents' clauses; the superagent program itself is
+built only for the reference model.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from .logic import (
     CyclicProgramError,
     DependencyGraph,
     GroundProgram,
-    dependency_graph,
     head_set,
-    is_acyclic,
     least_model,
     stable_model_acyclic,
     stable_models_bruteforce,
@@ -36,6 +36,7 @@ __all__ = [
     "superagent",
     "superagent_model",
     "io_graph",
+    "io_atom_count",
     "classify",
 ]
 
@@ -194,23 +195,63 @@ def superagent_model(sa: SuperAgent, stabilized_edb: frozenset, cap: int = 20) -
     )
 
 
-def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
-    """Dependency graph of the union rule base, restricted to atoms
-    relevant to some input atom.  Input atoms themselves stay in."""
-    sa = superagent(sys)
-    g = dependency_graph(sa.idb_all)
-    inputs = frozenset().union(*(a.hin for a in sys.agents)) if sys.agents else frozenset()
-    adj = g.successors()
-    keep = set(inputs & g.nodes)
+def _dependencies(sys: MultiAgentSystem) -> dict:
+    """Each clause head of any agent -> the atoms in the bodies of its
+    clauses: the union rule base's dependency graph, read straight off
+    the agents' clauses."""
+    deps = {}
+    for a in sys.agents:
+        for c in a.idb.clauses:
+            body = deps.get(c.head)
+            if body is None:
+                body = deps[c.head] = set()
+            body.update(lit.atom for lit in c.body)
+    return deps
+
+
+def _io_atoms(sys: MultiAgentSystem, deps: dict) -> set:
+    """The input atoms and every atom reachable from one: the I/O graph's
+    nodes.  The set is closed under ``deps``."""
+    keep = set().union(*(a.hin for a in sys.agents))
     frontier = list(keep)
     while frontier:
-        a = frontier.pop()
-        for b in adj.get(a, ()):
+        for b in deps.get(frontier.pop(), ()):
             if b not in keep:
                 keep.add(b)
                 frontier.append(b)
-    edges = frozenset((a, b) for a, b in g.edges if a in keep and b in keep)
+    return keep
+
+
+def _cyclic_atoms(deps: dict) -> set:
+    """Atoms from which a cycle can be reached: what is left after
+    repeatedly removing atoms whose every body atom is removed."""
+    waiting = {h: len(body) for h, body in deps.items()}
+    parents = {}
+    for h, body in deps.items():
+        for b in body:
+            parents.setdefault(b, []).append(h)
+    sinks = [a for a in parents if a not in deps]
+    sinks.extend(h for h, n in waiting.items() if not n)
+    while sinks:
+        for h in parents.get(sinks.pop(), ()):
+            waiting[h] -= 1
+            if not waiting[h]:
+                sinks.append(h)
+    return {h for h, n in waiting.items() if n}
+
+
+def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
+    """Dependency graph of the union rule base, restricted to atoms
+    relevant to some input atom.  Input atoms themselves stay in."""
+    deps = _dependencies(sys)
+    keep = _io_atoms(sys, deps)
+    edges = frozenset((a, b) for a in keep for b in deps.get(a, ()))
     return DependencyGraph(frozenset(keep), edges)
+
+
+def io_atom_count(sys: MultiAgentSystem) -> int:
+    """Number of nodes of ``io_graph(sys)``, without building its edges."""
+    return len(_io_atoms(sys, _dependencies(sys)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +281,11 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     Raises RuntimeError if the measurement ever contradicts the
     io-acyclic => idb-acyclic implication, which would be a bug.
     """
-    g_io = io_graph(sys)
-    io_acyclic = is_acyclic(g_io)
-    idb_acyclic = is_acyclic(dependency_graph(superagent(sys).idb_all))
+    deps = _dependencies(sys)
+    io_atoms = _io_atoms(sys, deps)
+    cyclic = _cyclic_atoms(deps)
+    idb_acyclic = not cyclic
+    io_acyclic = cyclic.isdisjoint(io_atoms)
     if io_acyclic and not idb_acyclic:
         raise RuntimeError("internal error: IO-acyclic system with cyclic union IDB")
 
@@ -252,8 +295,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     if reground is not None:
         if sys.dmax is None:
             raise ValueError("io-finiteness probe needs the system's dmax")
-        bigger = reground(sys.dmax + probe_delta)
-        probe_sizes = (len(g_io.nodes), len(io_graph(bigger).nodes))
+        probe_sizes = (len(io_atoms), io_atom_count(reground(sys.dmax + probe_delta)))
         io_finite = probe_sizes[0] == probe_sizes[1]
         probed = True
 
@@ -262,7 +304,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
         bounded=True,
         io_finite=io_finite,
         idb_acyclic=idb_acyclic,
-        io_nodes=len(g_io.nodes),
+        io_nodes=len(io_atoms),
         dmax=sys.dmax,
         probed=probed,
         probe_sizes=probe_sizes,

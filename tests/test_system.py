@@ -5,13 +5,33 @@ import random
 import pytest
 
 from agentlog.agents import AgentSpec, AgentState
-from agentlog.logic import Clause, GroundProgram, Literal, atom, head_set
-from agentlog.scenarios import FIG1_TOPOLOGY, bfs_oracle, chain_scenario
+from agentlog.logic import (
+    Clause,
+    DependencyGraph,
+    GroundProgram,
+    Literal,
+    atom,
+    dependency_graph,
+    head_set,
+    is_acyclic,
+)
+from agentlog.scenarios import (
+    FIG1_TOPOLOGY,
+    Topology,
+    bfs_oracle,
+    builtin_names,
+    builtin_scenario,
+    chain_scenario,
+    parse_scenario,
+    routing_scenario_text,
+)
 from agentlog.system import (
+    MultiAgentSystem,
     NoUniqueModelError,
     ValidationError,
     build_system,
     classify,
+    io_atom_count,
     io_graph,
     superagent,
     superagent_model,
@@ -228,3 +248,94 @@ def test_superagent_projection_consistent_with_agents():
         for spec in system.agents:
             state = AgentState(env & spec.hbe, reference & spec.hin)
             assert agent_model(spec, state) == reference & (spec.hb)
+
+
+def _definition_io(system):
+    """The I/O graph and the union IDB's acyclicity by the definitions:
+    superagent program, its full dependency graph, restriction to the
+    atoms reachable from an input atom."""
+    g = dependency_graph(superagent(system).idb_all)
+    adj = g.successors()
+    keep = set().union(*(s.hin for s in system.agents)) & g.nodes
+    frontier = list(keep)
+    while frontier:
+        for y in adj[frontier.pop()]:
+            if y not in keep:
+                keep.add(y)
+                frontier.append(y)
+    edges = frozenset((x, y) for x, y in g.edges if x in keep and y in keep)
+    return DependencyGraph(frozenset(keep), edges), is_acyclic(g)
+
+
+def _check_against_definition(system, bigger=None):
+    """Compare with the definition route and return whether the system is
+    IO-acyclic; ``bigger`` is the system regrounded at ``dmax + 2``."""
+    g_io, idb_acyclic = _definition_io(system)
+    io_acyclic = is_acyclic(g_io)
+    assert io_graph(system) == g_io
+    assert io_atom_count(system) == len(g_io.nodes)
+    asked = []
+    reground = None if bigger is None else lambda k: asked.append(k) or bigger
+    if io_acyclic and not idb_acyclic:
+        with pytest.raises(RuntimeError):
+            classify(system, reground=reground)
+        return io_acyclic
+    cls = classify(system, reground=reground)
+    assert (cls.io_nodes, cls.io_acyclic, cls.idb_acyclic) == (
+        len(g_io.nodes), io_acyclic, idb_acyclic)
+    if bigger is not None:
+        assert asked == [system.dmax + 2]
+        assert cls.probe_sizes == (len(g_io.nodes), len(_definition_io(bigger)[0].nodes))
+        assert cls.io_finite == (cls.probe_sizes[0] == cls.probe_sizes[1])
+    return io_acyclic
+
+
+def test_classify_and_io_graph_match_definition_route_on_random_systems():
+    rng = random.Random(2718)
+    seen = set()
+    for io_acyclic in (False, True):
+        for _ in range(200):
+            system, _ = random_system(rng, io_acyclic=io_acyclic)
+            seen.add(_check_against_definition(system))
+            # Another random system stands in for the regrounding probe.
+            other, _ = random_system(rng, io_acyclic=io_acyclic)
+            _check_against_definition(MultiAgentSystem(system.agents, dmax=0), other)
+    assert seen == {True, False}
+
+
+def test_classify_and_io_graph_match_definition_route_on_unvalidated_systems():
+    # Assembled without validation, so a rule base may be cyclic: once
+    # outside the I/O graph (which classify reports as a broken
+    # implication) and once as a self-loop inside it.
+    i, x, y = atom("i"), atom("x"), atom("y")
+    reader = AgentSpec("A1", GroundProgram.of([clause(y, i)]), hin=frozenset([i]))
+    outside = MultiAgentSystem([AgentSpec(
+        "A1", GroundProgram.of([clause(y, i), clause(a, b), clause(b, a)]), hin=frozenset([i]))])
+    inside = MultiAgentSystem([reader, AgentSpec("A2", GroundProgram.of([clause(i, x), clause(x, x)]))])
+    for system in (outside, inside):
+        _check_against_definition(system)
+    with pytest.raises(RuntimeError):
+        classify(outside)
+    assert io_graph(inside).edges == {(i, x), (x, x)}
+
+
+def _scenario(ref):
+    """A builtin or chain(N) by name, or ``ringN``: a routing ring of N nodes."""
+    if not ref.startswith("ring"):
+        return builtin_scenario(ref)
+    n = int(ref[4:])
+    nodes = tuple(f"R{i}" for i in range(n))
+    ring = Topology(nodes, frozenset((nodes[i], nodes[(i + 1) % n]) for i in range(n)))
+    return parse_scenario(routing_scenario_text(ring), name=ref)
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [name for name in builtin_names() if name != "chain(N)"]
+    + [f"chain({n})" for n in range(1, 9)]
+    + [f"ring{n}" for n in (4, 5, 6)],
+)
+def test_classify_and_io_graph_match_definition_route_on_scenarios(ref):
+    sc = _scenario(ref)
+    system = sc.build_system()
+    _check_against_definition(system, sc.build_system(dmax=system.dmax + 2))
