@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .logic import GroundProgram, head_set, stable_model_acyclic
+from .logic import GroundProgram, head_set, stable_model_acyclic, update_model_acyclic
 
 __all__ = [
     "AgentState",
@@ -94,13 +94,21 @@ def _few(atoms) -> str:
     return listed + (", ..." if len(atoms) > 4 else "")
 
 
-def agent_model(a: AgentSpec, s: AgentState) -> frozenset:
+def agent_model(
+    a: AgentSpec, s: AgentState, prev: AgentState = None, prev_model: frozenset = None
+) -> frozenset:
     """Stable model of ``IDB + EDB + IN`` at state ``s``.
 
     Sensed and received atoms head no IDB clause, so adding them as facts
-    preserves acyclicity and the model is unique.
+    preserves acyclicity and the model is unique.  Given the model
+    ``prev_model`` at an earlier state ``prev``, only the heads downstream
+    of the facts that differ between the two states are re-derived.
     """
-    return stable_model_acyclic(a.idb, facts=s.edb | s.indb)
+    facts = s.edb | s.indb
+    if prev is None:
+        return stable_model_acyclic(a.idb, facts=facts)
+    old = prev.edb | prev.indb
+    return update_model_acyclic(a.idb, prev_model, facts - old, old - facts)
 
 
 def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:

@@ -26,7 +26,8 @@ from .runtime import (
     verdict,
 )
 from .scenarios import ScenarioError, chain_scenario, load_scenario
-from .system import ValidationError, classify, io_graph
+from .system import ValidationError, classify, io_atom_count
+from .system import io_graph  # noqa: F401  perfbench/layertrace.py traces it here
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -206,7 +207,7 @@ def cmd_sweep(args) -> int:
             "record": "sweep-row",
             "param": args.param,
             "value": value,
-            "io_nodes": len(io_graph(system).nodes),
+            "io_nodes": io_atom_count(system),
             "rounds_to_fixpoint": rounds_to_fixpoint(trace),
             "fixpoint": v.fixpoint_point is not None,
             "horizon_exceeded": v.horizon_exceeded,

@@ -5,14 +5,19 @@ every listing (trace exports, serialized programs, model dumps) is
 byte-stable across runs.  All operations are pure functions; nothing here
 holds shared mutable state, so programs may be evaluated concurrently.
 
-Two evaluation routes are provided on purpose and are cross-checked by
+Three evaluation routes are provided on purpose and are cross-checked by
 the test suite:
 
 * the definition-following route: ``gl_reduct`` + ``least_model`` give
   ``is_stable_model``, and ``stable_models_bruteforce`` enumerates every
   candidate interpretation;
 * the fast route for acyclic programs: ``stable_model_acyclic`` evaluates
-  atoms once, in reverse topological order of the atom dependency graph.
+  atoms once, in reverse topological order of the atom dependency graph;
+* the incremental route for acyclic programs: ``update_model_acyclic``
+  turns the model for one set of facts into the model for another by
+  re-deriving, in the same order, only the heads downstream of the facts
+  that changed.  Tests check it against ``stable_model_acyclic`` on the
+  full facts and against ``stable_models_bruteforce``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import total_ordering
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -39,6 +45,7 @@ __all__ = [
     "is_stable_model",
     "stable_models_bruteforce",
     "stable_model_acyclic",
+    "update_model_acyclic",
     "dependency_graph",
     "is_acyclic",
     "height",
@@ -418,7 +425,7 @@ def _evaluation_plan(p: GroundProgram):
     if plan is not None:
         return plan
 
-    atoms = sorted(p.universe)
+    atoms = sorted(p.universe, key=Atom.sort_key)
     index = {a: i for i, a in enumerate(atoms)}
     by_head: dict = defaultdict(list)
     for c in p.clauses:
@@ -489,6 +496,89 @@ def stable_model_acyclic(p: GroundProgram, facts: Interpretation = frozenset()) 
     model = set(facts)
     model.update(a for a, t in zip(atoms, truth) if t)
     return frozenset(model)
+
+
+_CONE_ATTR = "_update_cone"
+
+
+def _update_cone(p: GroundProgram) -> tuple:
+    """For each atom index, the plan positions of the heads whose clauses
+    mention it.
+
+    Cached on the program, and built on its first update rather than with
+    the plan: validation builds a plan for every agent, and a system that
+    is only classified never updates a model.
+    """
+    cone = p.__dict__.get(_CONE_ATTR)
+    if cone is not None:
+        return cone
+    atoms, _, sequence, by_head, _ = _evaluation_plan(p)
+    users = [[] for _ in atoms]
+    for k, h in enumerate(sequence):
+        for i in {i for pos, neg in by_head[h] for i in pos + neg}:
+            users[i].append(k)
+    cone = tuple(map(tuple, users))
+    object.__setattr__(p, _CONE_ATTR, cone)
+    return cone
+
+
+def update_model_acyclic(
+    p: GroundProgram,
+    model: Interpretation,
+    added: frozenset = frozenset(),
+    removed: frozenset = frozenset(),
+) -> Interpretation:
+    """``stable_model_acyclic(p, facts - removed | added)``, given
+    ``model == stable_model_acyclic(p, facts)``.
+
+    Only heads with a clause that mentions an atom whose truth changed
+    are re-derived, each once, in plan order: a head is popped only after
+    every head it depends on has its final truth, so the update is exact
+    without over-deletion.  A head's users are queued only when its truth
+    flips.  ``model`` itself is returned when no truth changes.
+    """
+    atoms, index, sequence, by_head, headed = _evaluation_plan(p)
+    clash = added & headed
+    if clash:
+        raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
+    gained = [a for a in added if a not in model]
+    lost = [a for a in removed if a in model and a not in added]
+    if not gained and not lost:
+        return model
+
+    users = _update_cone(p)
+    flipped = {}  # atom index -> truth after the update, for atoms that changed
+    queued = set()  # plan positions of the heads to re-derive
+    for changed, value in ((gained, True), (lost, False)):
+        for a in changed:
+            i = index.get(a)
+            if i is not None:
+                flipped[i] = value
+                queued.update(users[i])
+    queue = sorted(queued)  # a sorted list is a heap
+
+    def holds(i):
+        value = flipped.get(i)
+        return atoms[i] in model if value is None else value
+
+    while queue:
+        h = sequence[heappop(queue)]
+        now = any(
+            all(holds(i) for i in pos) and not any(holds(i) for i in neg)
+            for pos, neg in by_head[h]
+        )
+        if now != (atoms[h] in model):
+            flipped[h] = now
+            (gained if now else lost).append(atoms[h])
+            for k in users[h]:
+                if k not in queued:
+                    queued.add(k)
+                    heappush(queue, k)
+    if lost:
+        model = model.difference(lost)
+    if gained:
+        model = model.union(gained)
+    return model
 
 
 # ---------------------------------------------------------------------------

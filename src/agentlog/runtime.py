@@ -162,7 +162,8 @@ def comm_transition(
 
 class _Recorder:
     """Accumulates states, events and per-point models incrementally;
-    only agents touched by an event get their model recomputed."""
+    only agents touched by an event get their model updated, from their
+    model at the point before."""
 
     def __init__(self, sys: MultiAgentSystem, start: GlobalState):
         self.sys = sys
@@ -189,7 +190,7 @@ class _Recorder:
             zip(self.sys.agents, gs.agent_states, nxt.agent_states)
         ):
             if before != after:
-                row[i] = agent_model(a, after)
+                row[i] = agent_model(a, after, before, row[i])
         self.events.append(EnvEvent(change))
         self.last_env_index = len(self.events) - 1
         self.states.append(nxt)
@@ -203,8 +204,9 @@ class _Recorder:
         row = self.models[-1]
         if changed:
             r_idx = self.sys.index(receiver)
+            before, after = gs.agent_states[r_idx], nxt.agent_states[r_idx]
             row = list(row)
-            row[r_idx] = agent_model(self.sys.agents[r_idx], nxt.agent_states[r_idx])
+            row[r_idx] = agent_model(self.sys.agents[r_idx], after, before, row[r_idx])
             row = tuple(row)
         self.events.append(CommEvent(sender, receiver))
         self.states.append(nxt)
