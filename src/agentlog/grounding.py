@@ -71,14 +71,6 @@ class DomainSpec:
             return range(self.distance_max + 1)
         raise GroundingError(f"variable {name} has no declared type")
 
-    def canonical(self, a: Atom) -> Atom:
-        """Sort the node arguments of symmetric binary predicates."""
-        if a.predicate in self.symmetric and len(a.args) == 2:
-            order = {n: i for i, n in enumerate(self.node_constants)}
-            x, y = a.args
-            if x in order and y in order and order[y] < order[x]:
-                return Atom(a.predicate, (y, x))
-        return a
 
 
 @dataclass(frozen=True)

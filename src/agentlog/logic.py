@@ -2,8 +2,12 @@
 
 Atoms, clauses and programs are immutable values, totally ordered so that
 every listing (trace exports, serialized programs, model dumps) is
-byte-stable across runs.  All operations are pure functions; nothing here
-holds shared mutable state, so programs may be evaluated concurrently.
+byte-stable across runs.  All operations are pure functions.  The only
+shared mutable state is the two process-wide intern tables of ``Atom`` and
+``Literal``: each value is made once and reused, so equality and hashing
+are by identity.  The tables never shrink, and they grow only through
+``dict.setdefault``, which under the GIL gives every caller the same
+object for a value.
 
 Three evaluation routes are provided on purpose and are cross-checked by
 the test suite:
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
 from heapq import heappop, heappush
 from typing import Iterable, Iterator
@@ -74,31 +78,58 @@ def _arg_key(value) -> tuple:
     return (1, value, 0)
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Atom:
-    """A fully ground atom: predicate symbol plus constant arguments."""
+class _Interned:
+    """Immutable value objects made once per value, so that ``==`` and
+    ``hash`` are the inherited identity versions, which run in C.
 
-    predicate: str
-    args: tuple = ()
+    ``__new__`` of each subclass looks its value up in the subclass's
+    ``_table`` and makes the object only when the value is new.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Atom(_Interned):
+    """A fully ground atom: predicate symbol plus constant arguments.
+
+    Interned: ``Atom(p, args)`` returns the one object with that predicate
+    and ``tuple(args)``, so equal atoms are the same object.
+    """
+
+    __slots__ = ("predicate", "args", "_key")
+    _table: dict = {}
+
+    def __new__(cls, predicate: str, args=()):
+        value = (predicate, tuple(args))
+        self = cls._table.get(value)
+        if self is None:
+            predicate, args = value
+            self = object.__new__(cls)
+            object.__setattr__(self, "predicate", predicate)
+            object.__setattr__(self, "args", args)
+            key = (predicate, len(args), tuple(_arg_key(a) for a in args))
+            object.__setattr__(self, "_key", key)
+            self = cls._table.setdefault(value, self)
+        return self
+
+    def __reduce__(self):
+        return (Atom, (self.predicate, self.args))
 
     def sort_key(self) -> tuple:
-        # Atoms are iterated in sorted order all over; memoize the key.
-        key = self.__dict__.get("_key")
-        if key is None:
-            key = (self.predicate, len(self.args), tuple(_arg_key(a) for a in self.args))
-            object.__setattr__(self, "_key", key)
-        return key
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.predicate, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._key
 
     def __lt__(self, other: "Atom") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
+
+    def __repr__(self) -> str:
+        return f"Atom(predicate={self.predicate!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return format_atom(self)
@@ -106,18 +137,34 @@ class Atom:
 
 def atom(predicate: str, *args) -> Atom:
     """Convenience constructor: ``atom("sp", "A1", 2)``."""
-    return Atom(predicate, tuple(args))
+    return Atom(predicate, args)
 
 
-@dataclass(frozen=True)
-class Literal:
-    """An atom or its negation-as-failure."""
+class Literal(_Interned):
+    """An atom or its negation-as-failure; interned like ``Atom``."""
 
-    atom: Atom
-    positive: bool = True
+    __slots__ = ("atom", "positive", "_key")
+    _table: dict = {}
+
+    def __new__(cls, atom: Atom, positive: bool = True):
+        value = (atom, positive)
+        self = cls._table.get(value)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "atom", atom)
+            object.__setattr__(self, "positive", positive)
+            object.__setattr__(self, "_key", (atom.sort_key(), not positive))
+            self = cls._table.setdefault(value, self)
+        return self
+
+    def __reduce__(self):
+        return (Literal, (self.atom, self.positive))
 
     def sort_key(self) -> tuple:
-        return (self.atom.sort_key(), not self.positive)
+        return self._key
+
+    def __repr__(self) -> str:
+        return f"Literal(atom={self.atom!r}, positive={self.positive!r})"
 
     def __str__(self) -> str:
         return format_atom(self.atom) if self.positive else f"not {format_atom(self.atom)}"
@@ -180,19 +227,28 @@ class GroundProgram:
             raise ValueError(f"clause atoms outside universe: {missing}")
 
     @classmethod
+    def _unchecked(cls, clauses: frozenset, universe: frozenset) -> "GroundProgram":
+        """Build without the universe scan of ``__post_init__``.  Only for
+        callers whose universe covers every clause atom by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "clauses", clauses)
+        object.__setattr__(p, "universe", universe)
+        return p
+
+    @classmethod
     def of(cls, clauses: Iterable[Clause], extra_atoms: Iterable[Atom] = ()) -> "GroundProgram":
         clauses = frozenset(clauses)
         universe = {a for c in clauses for a in c.atoms()}
         universe.update(extra_atoms)
-        return cls(clauses, frozenset(universe))
+        return cls._unchecked(clauses, frozenset(universe))
 
     def union(self, other: "GroundProgram") -> "GroundProgram":
-        return GroundProgram(self.clauses | other.clauses, self.universe | other.universe)
+        return GroundProgram._unchecked(self.clauses | other.clauses, self.universe | other.universe)
 
     def with_facts(self, atoms: Iterable[Atom]) -> "GroundProgram":
         atoms = frozenset(atoms)
         facts = {Clause(a) for a in atoms}
-        return GroundProgram(self.clauses | facts, self.universe | atoms)
+        return GroundProgram._unchecked(self.clauses | facts, self.universe | atoms)
 
 
 # An interpretation is just a set of true atoms.
@@ -220,7 +276,7 @@ def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
         if any((not l.positive) and l.atom in s for l in c.body):
             continue
         kept.add(Clause(c.head, tuple(l for l in c.body if l.positive)))
-    return GroundProgram(frozenset(kept), p.universe)
+    return GroundProgram._unchecked(frozenset(kept), p.universe)
 
 
 def least_model(p: GroundProgram) -> Interpretation:

@@ -157,15 +157,16 @@ class SuperAgent:
 
 
 def superagent(sys: MultiAgentSystem) -> SuperAgent:
-    """Every agent's rule base, atoms and initial EDB, united in one pass
-    so that the program's universe check scans the clauses once."""
+    """Every agent's rule base, atoms and initial EDB, united in one pass.
+    Each rule base is a checked program, so the union needs no universe
+    scan."""
     agents = sys.agents
     clauses = frozenset().union(*(a.idb.clauses for a in agents))
     universe = frozenset().union(
         *(a.idb.universe for a in agents), sys.env_atoms, *(a.hin for a in agents)
     )
     initial = frozenset().union(*(a.initial.edb for a in agents))
-    return SuperAgent(GroundProgram(clauses, universe), initial)
+    return SuperAgent(GroundProgram._unchecked(clauses, universe), initial)
 
 
 def superagent_model(sa: SuperAgent, stabilized_edb: frozenset, cap: int = 20) -> frozenset:

@@ -200,8 +200,14 @@ def test_smallest_flag_values_accepted(capsys):
     ["run", "routing5", "--policy", "shuffled", "--seed", "3"],
     ["run", "chain(20)"],
     ["analyze", "routing5-example6-script"],
+    ["replay", "routing5-example6-script"],
+    ["run", "routing5-example6-script"],
+    ["sweep", "chain(1)", "--param", "n", "--range", "1:20", "--policy", "shuffled"],
+    ["oracle-check", "routing5"],
 ])
 def test_stdout_identical_across_hash_seeds(argv):
+    # Atoms hash by address, so set order can differ between processes
+    # even at one PYTHONHASHSEED; every listing must still be sorted.
     src = str(Path(agentlog.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     procs = []

@@ -1,10 +1,14 @@
 """Unit tests for ground programs, reducts, stable models, and graphs."""
 
+import copy
 import math
+import pickle
+import random
 
 import pytest
 
 from agentlog.logic import (
+    Atom,
     Clause,
     CyclicProgramError,
     GroundProgram,
@@ -17,6 +21,7 @@ from agentlog.logic import (
     is_acyclic,
     is_stable_model,
     least_model,
+    _arg_key,
     parse_atom,
     parse_clause,
     program_from_text,
@@ -59,8 +64,23 @@ def test_clause_normalizes_body():
 
 
 def test_universe_must_cover_clause_atoms():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clause atoms outside universe: b"):
         GroundProgram(frozenset([clause(a, b)]), frozenset([a]))
+
+
+def test_derived_programs_pass_the_universe_check():
+    # of/union/with_facts/gl_reduct skip the scan; what they build must
+    # still pass it when rebuilt through the checked constructor.
+    p = GroundProgram.of([nclause(a, [b], [c]), clause(d, e)], extra_atoms=[f])
+    derived = [
+        p,
+        p.union(IDB1),
+        p.with_facts([atom("x", 1), a]),
+        gl_reduct(p, frozenset([c])),
+        gl_reduct(p, frozenset()),
+    ]
+    for q in derived:
+        assert GroundProgram(q.clauses, q.universe) == q
 
 
 def test_gl_reduct_unblocked():
@@ -243,3 +263,71 @@ def test_program_text_roundtrip():
 def test_program_text_reports_line():
     with pytest.raises(ValueError, match="line 2"):
         program_from_text("a.\nb :- ???.\n")
+
+
+def test_atoms_are_interned():
+    x = Atom("sp", ("A1", 2))
+    assert Atom("sp", ["A1", 2]) is x
+    assert Atom("sp", iter(("A1", 2))) is x
+    assert atom("sp", "A1", 2) is x
+    assert parse_atom("sp(A1,2)") is x
+    assert Atom("sp", ("A1", 3)) is not x
+    assert Atom("a") is a and Atom("a", []) is a
+
+
+def test_literals_are_interned():
+    assert Literal(a, False) is Literal(a, False)
+    assert Literal(atom("a")) is Literal(a, True)
+    assert Literal(a, True) is not Literal(a, False)
+    assert parse_clause("x :- a, not b.").body == (Literal(a), Literal(b, False))
+
+
+@pytest.mark.parametrize("value", [
+    atom("sp", "A1", "A5", 2),
+    atom("a"),
+    Literal(atom("r", 0), False),
+    Literal(a),
+])
+def test_interned_values_survive_pickle_and_copy(value):
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value])[0] is value
+
+
+def test_interned_values_are_immutable():
+    x = atom("r", 0)
+    lit = Literal(x, False)
+    for obj, name, value in ((x, "predicate", "s"), (x, "args", (1,)),
+                             (x, "other", 1), (lit, "positive", True)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    with pytest.raises(AttributeError):
+        del x.args
+    assert x.predicate == "r" and x.args == (0,) and lit.positive is False
+
+
+def test_interned_repr():
+    x = atom("sp", "A1", 2)
+    assert repr(x) == "Atom(predicate='sp', args=('A1', 2))"
+    assert repr(Literal(x, False)) == (
+        "Literal(atom=Atom(predicate='sp', args=('A1', 2)), positive=False)"
+    )
+    assert str(Literal(x, False)) == "not sp(A1,2)"
+
+
+def test_atom_order_matches_definitional_key():
+    rng = random.Random(7)
+    symbols = ["A1", "A2", "B", "a", "z9", "_x"]
+    atoms = []
+    for _ in range(500):
+        args = tuple(
+            rng.randrange(-3, 30) if rng.random() < 0.5 else rng.choice(symbols)
+            for _ in range(rng.randrange(4))
+        )
+        atoms.append(Atom(rng.choice(["p", "q", "sp", "link"]), args))
+    expected = sorted(
+        atoms, key=lambda x: (x.predicate, len(x.args), tuple(_arg_key(v) for v in x.args))
+    )
+    assert sorted(atoms) == expected
+    assert sorted(atoms, key=Atom.sort_key) == expected

@@ -118,6 +118,9 @@ def test_superagent_routing_initial_edb(routing5_system):
     links = {atom("link", u, v) for u, v in FIG1_TOPOLOGY.edges}
     assert sa.initial_edb == links
     assert len(links) == 6
+    # superagent skips the universe scan; the checked constructor must agree.
+    p = sa.idb_all
+    assert GroundProgram(p.clauses, p.universe) == p
 
 
 def test_superagent_head_union(example3_system):
