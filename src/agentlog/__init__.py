@@ -19,6 +19,7 @@ from .agents import (
 )
 from .grounding import DomainSpec, GroundingError, Pattern, SchematicClause, ground_program
 from .logic import (
+    AcyclicPlan,
     Atom,
     Clause,
     CyclicProgramError,
@@ -32,8 +33,6 @@ from .logic import (
     is_acyclic,
     is_stable_model,
     least_model,
-    program_from_text,
-    program_to_text,
     stable_model_acyclic,
     stable_models_bruteforce,
 )

@@ -13,8 +13,9 @@ mutating, so traces can retain every intermediate state cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .logic import GroundProgram, head_set, stable_model_acyclic, update_model_acyclic
+from .logic import AcyclicPlan, GroundProgram, _dependencies, _peel, head_set
 
 __all__ = [
     "AgentState",
@@ -43,7 +44,8 @@ class AgentSpec:
 
     Construction is permissive so that malformed specs can be inspected;
     ``validate_agent`` reports every invariant breach, and system assembly
-    refuses specs with violations.
+    refuses specs with violations.  The IDB's head set and compiled plan
+    are built on first use and kept with the spec.
     """
 
     id: str
@@ -52,31 +54,44 @@ class AgentSpec:
     hin: frozenset = frozenset()
     initial: AgentState = field(default_factory=AgentState)
 
+    @cached_property
+    def heads(self) -> frozenset:
+        """The atoms the IDB's clauses define."""
+        return head_set(self.idb)
+
+    @cached_property
+    def plan(self) -> AcyclicPlan:
+        """The compiled IDB; raises CyclicProgramError for a cyclic one."""
+        return AcyclicPlan(self.idb)
+
     @property
     def hb(self) -> frozenset:
         """The atoms this agent has an opinion about."""
-        return head_set(self.idb) | self.hbe | self.hin
+        return self.heads | self.hbe | self.hin
 
 
-def validate_agent(a: AgentSpec) -> list:
-    """All invariant violations of the spec, as human-readable strings."""
-    from .logic import CyclicProgramError, _evaluation_plan
+def validate_agent(a: AgentSpec, cyclic: frozenset = None) -> list:
+    """All invariant violations of the spec, as human-readable strings.
 
+    ``cyclic``, when given, holds the atoms that can reach a cycle of a
+    rule base containing this agent's clauses, such as the union of every
+    agent's.  A cycle of the agent's own IDB runs through its heads and
+    is a cycle of that rule base too, so an agent none of whose heads is
+    in ``cyclic`` is acyclic without a check of its own.
+    """
     violations = []
-    try:
-        _evaluation_plan(a.idb)  # proves acyclicity; cached for later evaluation
-    except CyclicProgramError:
-        violations.append(f"agent {a.id}: IDB is not acyclic")
+    if cyclic is None or not a.heads.isdisjoint(cyclic):
+        if _peel(_dependencies([a.idb]))[1]:
+            violations.append(f"agent {a.id}: IDB is not acyclic")
     overlap = a.hin & a.hbe
     if overlap:
         violations.append(
             f"agent {a.id}: HIN and HBE overlap on {_few(overlap)}"
         )
-    headed = head_set(a.idb)
-    bad_heads = (a.hin | a.hbe) & headed
-    if bad_heads:
+    headed_inputs = (a.hin | a.hbe) & a.heads
+    if headed_inputs:
         violations.append(
-            f"agent {a.id}: input/environment atoms appear as clause heads: {_few(bad_heads)}"
+            f"agent {a.id}: input/environment atoms appear as clause heads: {_few(headed_inputs)}"
         )
     if not a.initial.edb <= a.hbe:
         violations.append(
@@ -106,14 +121,14 @@ def agent_model(
     """
     facts = s.edb | s.indb
     if prev is None:
-        return stable_model_acyclic(a.idb, facts=facts)
+        return a.plan.model(facts)
     old = prev.edb | prev.indb
-    return update_model_acyclic(a.idb, prev_model, facts - old, old - facts)
+    return a.plan.update(prev_model, facts - old, old - facts)
 
 
 def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
     """Atoms the receiver needs that the sender can produce or sense."""
-    return receiver.hin & (head_set(sender.idb) | sender.hbe)
+    return receiver.hin & (sender.heads | sender.hbe)
 
 
 def message_payload(sender_model: frozenset, dep: frozenset) -> frozenset:

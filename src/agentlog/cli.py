@@ -5,8 +5,8 @@ a human view).  Identical command lines on identical inputs produce
 byte-identical output; the only randomness is the seeded shuffled
 schedule, and the seed is echoed in the header record.
 
-Exit codes: 0 success/fixpoint, 2 input error, 3 inconclusive horizon,
-divergence, or oracle mismatch.
+Exit codes: 0 success/fixpoint, 1 internal error, 2 input error,
+3 inconclusive horizon, divergence, or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .logic import stable_models_bruteforce
+from .logic import CyclicProgramError, stable_models_bruteforce
 from .runtime import (
     _dump,
     event_to_record,
@@ -30,6 +30,7 @@ from .system import ValidationError, classify, io_atom_count
 from .system import io_graph  # noqa: F401  perfbench/layertrace.py traces it here
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
@@ -347,6 +348,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    # A cycle met where validation proved none, or a broken invariant
+    # (a RuntimeError), is a fault of the program, not of its input.
+    except (CyclicProgramError, RuntimeError) as exc:
+        print(f"agentlog: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ScenarioError, ValidationError, ValueError, OSError) as exc:
         print(f"agentlog: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,7 +1,7 @@
 """Ground logic programs with negation and their stable-model semantics.
 
 Atoms, clauses and programs are immutable values, totally ordered so that
-every listing (trace exports, serialized programs, model dumps) is
+every listing (trace exports, model dumps, error messages) is
 byte-stable across runs.  All operations are pure functions.  The only
 shared mutable state is the two process-wide intern tables of ``Atom`` and
 ``Literal``: each value is made once and reused, so equality and hashing
@@ -15,18 +15,19 @@ the test suite:
 * the definition-following route: ``gl_reduct`` + ``least_model`` give
   ``is_stable_model``, and ``stable_models_bruteforce`` enumerates every
   candidate interpretation;
-* the fast route for acyclic programs: ``stable_model_acyclic`` evaluates
-  atoms once, in reverse topological order of the atom dependency graph;
-* the incremental route for acyclic programs: ``update_model_acyclic``
-  turns the model for one set of facts into the model for another by
+* the fast route for acyclic programs: ``AcyclicPlan(p)`` compiles the
+  program once (atom table, clauses as index tuples, heads in topological
+  order of the atom dependency graph), and its ``model`` evaluates each
+  head once, in that order;
+* the incremental route for acyclic programs: the plan's ``update`` turns
+  the model for one set of facts into the model for another by
   re-deriving, in the same order, only the heads downstream of the facts
-  that changed.  Tests check it against ``stable_model_acyclic`` on the
-  full facts and against ``stable_models_bruteforce``.
+  that changed.  Tests check it against ``model`` on the full facts and
+  against ``stable_models_bruteforce``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import defaultdict, deque
 from dataclasses import FrozenInstanceError, dataclass
@@ -42,6 +43,7 @@ __all__ = [
     "DependencyGraph",
     "Interpretation",
     "CyclicProgramError",
+    "AcyclicPlan",
     "atom",
     "head_set",
     "gl_reduct",
@@ -49,17 +51,13 @@ __all__ = [
     "is_stable_model",
     "stable_models_bruteforce",
     "stable_model_acyclic",
-    "update_model_acyclic",
     "dependency_graph",
     "is_acyclic",
-    "height",
     "relevant_atoms",
     "format_atom",
     "parse_atom",
     "format_clause",
     "parse_clause",
-    "program_to_text",
-    "program_from_text",
 ]
 
 Constant = "str | int"
@@ -185,13 +183,6 @@ class Clause:
         normalized = tuple(sorted(set(self.body), key=Literal.sort_key))
         object.__setattr__(self, "body", normalized)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.head, self.body))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def is_fact(self) -> bool:
         return not self.body
@@ -256,12 +247,8 @@ Interpretation = frozenset
 
 
 def head_set(p: GroundProgram) -> frozenset:
-    """The set of clause heads of ``p`` (memoized on the program)."""
-    heads = p.__dict__.get("_heads")
-    if heads is None:
-        heads = frozenset(c.head for c in p.clauses)
-        object.__setattr__(p, "_heads", heads)
-    return heads
+    """The set of clause heads of ``p``."""
+    return frozenset(c.head for c in p.clauses)
 
 
 def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
@@ -408,43 +395,6 @@ def is_acyclic(g: DependencyGraph) -> bool:
     return seen == len(g.nodes)
 
 
-def height(g: DependencyGraph, a: Atom):
-    """Length of a longest path starting at ``a``; ``math.inf`` when a
-    cycle is reachable from ``a``."""
-    if a not in g.nodes:
-        raise ValueError(f"unknown atom: {a}")
-    adj = g.successors()
-    NEW, ACTIVE, DONE = 0, 1, 2
-    state = defaultdict(int)
-    value: dict = {}
-    stack = [(a, iter(adj[a]))]
-    state[a] = ACTIVE
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for child in it:
-            if state[child] == ACTIVE:
-                value[child] = math.inf  # back edge: a cycle is reachable
-                continue
-            if state[child] == NEW:
-                state[child] = ACTIVE
-                stack.append((child, iter(adj[child])))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            best = -1
-            for child in adj[node]:
-                h = value.get(child, math.inf if state[child] == ACTIVE else -1)
-                if h == math.inf:
-                    best = math.inf
-                    break
-                best = max(best, h)
-            value[node] = math.inf if best == math.inf else best + 1
-            state[node] = DONE
-    return value[a]
-
-
 def relevant_atoms(g: DependencyGraph, a: Atom) -> frozenset:
     """Atoms reachable from ``a`` by a nonempty path.
 
@@ -464,177 +414,182 @@ def relevant_atoms(g: DependencyGraph, a: Atom) -> frozenset:
     return frozenset(reached)
 
 
-# ---------------------------------------------------------------------------
-# Fast path for acyclic programs
+def _dependencies(programs) -> dict:
+    """Each clause head of the programs -> the atoms in the bodies of its
+    clauses: the dependency graph of their union, read straight off the
+    clauses."""
+    deps = {}
+    for p in programs:
+        for c in p.clauses:
+            body = deps.get(c.head)
+            if body is None:
+                body = deps[c.head] = set()
+            body.update(lit.atom for lit in c.body)
+    return deps
 
-_PLAN_ATTR = "_acyclic_plan"
 
+def _peel(deps: dict) -> tuple:
+    """Peel ``deps`` (head -> body atoms) from its sinks, repeatedly
+    removing the atoms whose every body atom is removed.
 
-def _evaluation_plan(p: GroundProgram):
-    """Reverse-topological evaluation plan, cached on the program object.
-
-    Raises CyclicProgramError when the atom dependency graph has a cycle
-    (cycles necessarily run through headed atoms, so the check is
-    restricted to those).
+    Returns the removed heads in removal order, which puts every head
+    after the heads in its body, and the set of heads left: the atoms
+    from which a cycle can be reached.
     """
-    plan = p.__dict__.get(_PLAN_ATTR)
-    if plan is not None:
-        return plan
+    waiting = {h: len(body) for h, body in deps.items()}
+    parents = {}
+    for h, body in deps.items():
+        for b in body:
+            parents.setdefault(b, []).append(h)
+    order = []
+    sinks = [a for a in parents if a not in deps]
+    sinks.extend(h for h, n in waiting.items() if not n)
+    while sinks:
+        a = sinks.pop()
+        if a in waiting:
+            order.append(a)
+        for h in parents.get(a, ()):
+            waiting[h] -= 1
+            if not waiting[h]:
+                sinks.append(h)
+    return order, frozenset(h for h, n in waiting.items() if n)
 
-    atoms = sorted(p.universe, key=Atom.sort_key)
-    index = {a: i for i, a in enumerate(atoms)}
-    by_head: dict = defaultdict(list)
-    for c in p.clauses:
-        pos = tuple(index[l.atom] for l in c.body if l.positive)
-        neg = tuple(index[l.atom] for l in c.body if not l.positive)
-        by_head[index[c.head]].append((pos, neg))
 
-    headed = set(by_head)
-    deps: dict = {h: set() for h in headed}
-    dependents: dict = defaultdict(list)
-    for h, cs in by_head.items():
-        for pos, neg in cs:
-            for b in pos + neg:
-                if b in headed and b != h and b not in deps[h]:
-                    deps[h].add(b)
-                    dependents[b].append(h)
-        for pos, neg in cs:  # self-loop check (e.g. a <- not a)
-            if h in pos or h in neg:
-                raise CyclicProgramError(f"cycle through {atoms[h]}")
+# ---------------------------------------------------------------------------
+# Compiled form of an acyclic program
 
-    pending = {h: len(d) for h, d in deps.items()}
-    order = deque(h for h, n in pending.items() if n == 0)
-    sequence = []
-    while order:
-        h = order.popleft()
-        sequence.append(h)
-        for d in dependents[h]:
-            pending[d] -= 1
-            if pending[d] == 0:
-                order.append(d)
-    if len(sequence) != len(headed):
-        cyclic = sorted(atoms[h] for h, n in pending.items() if n > 0)[:3]
-        raise CyclicProgramError("cycle through " + ", ".join(map(str, cyclic)))
 
-    plan = (
-        tuple(atoms),
-        index,
-        tuple(sequence),
-        {h: tuple(cs) for h, cs in by_head.items()},
-        frozenset(atoms[h] for h in headed),
-    )
-    object.__setattr__(p, _PLAN_ATTR, plan)
-    return plan
+class AcyclicPlan:
+    """An acyclic ground program compiled for evaluation.
+
+    ``atoms`` is the universe in sort order and ``index`` maps each atom
+    to its position there.  ``by_head`` maps a head's index to its
+    clauses, each a ``(positive, negative)`` pair of body index tuples.
+    ``sequence`` lists the head indices in topological order, every head
+    after the heads it depends on, and ``heads`` is the set of head
+    atoms.  ``users[i]`` holds the positions in ``sequence`` of the heads
+    whose clauses mention atom ``i``.
+
+    Raises CyclicProgramError when the atom dependency graph has a cycle.
+    """
+
+    __slots__ = ("atoms", "index", "by_head", "sequence", "heads", "users")
+
+    def __init__(self, p: GroundProgram):
+        atoms = tuple(sorted(p.universe, key=Atom.sort_key))
+        index = {a: i for i, a in enumerate(atoms)}
+        by_head: dict = defaultdict(list)
+        for c in p.clauses:
+            pos = tuple(index[l.atom] for l in c.body if l.positive)
+            neg = tuple(index[l.atom] for l in c.body if not l.positive)
+            by_head[index[c.head]].append((pos, neg))
+
+        bodies = {h: {i for pos, neg in cs for i in pos + neg} for h, cs in by_head.items()}
+        sequence, cyclic = _peel(bodies)
+        if cyclic:
+            listed = sorted(atoms[h] for h in cyclic)[:3]
+            raise CyclicProgramError("cycle through " + ", ".join(map(str, listed)))
+
+        users = [[] for _ in atoms]
+        for k, h in enumerate(sequence):
+            for i in bodies[h]:
+                users[i].append(k)
+        self.atoms = atoms
+        self.index = index
+        self.by_head = {h: tuple(cs) for h, cs in by_head.items()}
+        self.sequence = tuple(sequence)
+        self.heads = frozenset(atoms[h] for h in sequence)
+        self.users = tuple(map(tuple, users))
+
+    def model(self, facts: Interpretation = frozenset()) -> Interpretation:
+        """The unique stable model of the program extended with ``facts``,
+        in one pass.
+
+        ``facts`` are extra atoms taken as unconditionally true (sensed or
+        received inputs); none of them may head a clause.
+        """
+        clash = facts & self.heads
+        if clash:
+            raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
+        atoms, index, by_head = self.atoms, self.index, self.by_head
+        truth = bytearray(len(atoms))
+        for f in facts:
+            i = index.get(f)
+            if i is not None:
+                truth[i] = 1
+        for h in self.sequence:
+            for pos, neg in by_head[h]:
+                if all(truth[i] for i in pos) and not any(truth[i] for i in neg):
+                    truth[h] = 1
+                    break
+        model = set(facts)
+        model.update(a for a, t in zip(atoms, truth) if t)
+        return frozenset(model)
+
+    def update(
+        self,
+        model: Interpretation,
+        added: frozenset = frozenset(),
+        removed: frozenset = frozenset(),
+    ) -> Interpretation:
+        """``self.model(facts - removed | added)``, given
+        ``model == self.model(facts)``.
+
+        Only heads with a clause that mentions an atom whose truth changed
+        are re-derived, each once, in plan order: a head is popped only
+        after every head it depends on has its final truth, so the update
+        is exact without over-deletion.  A head's users are queued only
+        when its truth flips.  ``model`` itself is returned when no truth
+        changes.
+        """
+        clash = added & self.heads
+        if clash:
+            raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
+        gained = [a for a in added if a not in model]
+        lost = [a for a in removed if a in model and a not in added]
+        if not gained and not lost:
+            return model
+
+        atoms, index, by_head = self.atoms, self.index, self.by_head
+        sequence, users = self.sequence, self.users
+        flipped = {}  # atom index -> truth after the update, for atoms that changed
+        queued = set()  # plan positions of the heads to re-derive
+        for changed, value in ((gained, True), (lost, False)):
+            for a in changed:
+                i = index.get(a)
+                if i is not None:
+                    flipped[i] = value
+                    queued.update(users[i])
+        queue = sorted(queued)  # a sorted list is a heap
+
+        def holds(i):
+            value = flipped.get(i)
+            return atoms[i] in model if value is None else value
+
+        while queue:
+            h = sequence[heappop(queue)]
+            now = any(
+                all(holds(i) for i in pos) and not any(holds(i) for i in neg)
+                for pos, neg in by_head[h]
+            )
+            if now != (atoms[h] in model):
+                flipped[h] = now
+                (gained if now else lost).append(atoms[h])
+                for k in users[h]:
+                    if k not in queued:
+                        queued.add(k)
+                        heappush(queue, k)
+        if lost:
+            model = model.difference(lost)
+        if gained:
+            model = model.union(gained)
+        return model
 
 
 def stable_model_acyclic(p: GroundProgram, facts: Interpretation = frozenset()) -> Interpretation:
-    """The unique stable model of an acyclic program, in one pass.
-
-    ``facts`` are extra atoms taken as unconditionally true (sensed or
-    received inputs); none of them may head a clause of ``p``.  The
-    result is the stable model of ``p`` extended with those facts.
-    """
-    atoms, index, sequence, by_head, headed = _evaluation_plan(p)
-    clash = facts & headed
-    if clash:
-        raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
-
-    truth = bytearray(len(atoms))
-    for f in facts:
-        i = index.get(f)
-        if i is not None:
-            truth[i] = 1
-    for h in sequence:
-        for pos, neg in by_head[h]:
-            if all(truth[i] for i in pos) and not any(truth[i] for i in neg):
-                truth[h] = 1
-                break
-    model = set(facts)
-    model.update(a for a, t in zip(atoms, truth) if t)
-    return frozenset(model)
-
-
-_CONE_ATTR = "_update_cone"
-
-
-def _update_cone(p: GroundProgram) -> tuple:
-    """For each atom index, the plan positions of the heads whose clauses
-    mention it.
-
-    Cached on the program, and built on its first update rather than with
-    the plan: validation builds a plan for every agent, and a system that
-    is only classified never updates a model.
-    """
-    cone = p.__dict__.get(_CONE_ATTR)
-    if cone is not None:
-        return cone
-    atoms, _, sequence, by_head, _ = _evaluation_plan(p)
-    users = [[] for _ in atoms]
-    for k, h in enumerate(sequence):
-        for i in {i for pos, neg in by_head[h] for i in pos + neg}:
-            users[i].append(k)
-    cone = tuple(map(tuple, users))
-    object.__setattr__(p, _CONE_ATTR, cone)
-    return cone
-
-
-def update_model_acyclic(
-    p: GroundProgram,
-    model: Interpretation,
-    added: frozenset = frozenset(),
-    removed: frozenset = frozenset(),
-) -> Interpretation:
-    """``stable_model_acyclic(p, facts - removed | added)``, given
-    ``model == stable_model_acyclic(p, facts)``.
-
-    Only heads with a clause that mentions an atom whose truth changed
-    are re-derived, each once, in plan order: a head is popped only after
-    every head it depends on has its final truth, so the update is exact
-    without over-deletion.  A head's users are queued only when its truth
-    flips.  ``model`` itself is returned when no truth changes.
-    """
-    atoms, index, sequence, by_head, headed = _evaluation_plan(p)
-    clash = added & headed
-    if clash:
-        raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
-    gained = [a for a in added if a not in model]
-    lost = [a for a in removed if a in model and a not in added]
-    if not gained and not lost:
-        return model
-
-    users = _update_cone(p)
-    flipped = {}  # atom index -> truth after the update, for atoms that changed
-    queued = set()  # plan positions of the heads to re-derive
-    for changed, value in ((gained, True), (lost, False)):
-        for a in changed:
-            i = index.get(a)
-            if i is not None:
-                flipped[i] = value
-                queued.update(users[i])
-    queue = sorted(queued)  # a sorted list is a heap
-
-    def holds(i):
-        value = flipped.get(i)
-        return atoms[i] in model if value is None else value
-
-    while queue:
-        h = sequence[heappop(queue)]
-        now = any(
-            all(holds(i) for i in pos) and not any(holds(i) for i in neg)
-            for pos, neg in by_head[h]
-        )
-        if now != (atoms[h] in model):
-            flipped[h] = now
-            (gained if now else lost).append(atoms[h])
-            for k in users[h]:
-                if k not in queued:
-                    queued.add(k)
-                    heappush(queue, k)
-    if lost:
-        model = model.difference(lost)
-    if gained:
-        model = model.union(gained)
-    return model
+    """The unique stable model of an acyclic program extended with
+    ``facts``; see ``AcyclicPlan.model``."""
+    return AcyclicPlan(p).model(facts)
 
 
 # ---------------------------------------------------------------------------
@@ -712,32 +667,3 @@ def parse_clause(text: str) -> Clause:
                 body.append(Literal(parse_atom(item)))
         return Clause(parse_atom(head_text), tuple(body))
     return Clause(parse_atom(text))
-
-
-def program_to_text(p: GroundProgram) -> str:
-    """Serialize; `#external` lines declare universe atoms no clause uses."""
-    lines = [format_clause(c) for c in sorted(p.clauses, key=Clause.sort_key)]
-    mentioned = {a for c in p.clauses for a in c.atoms()}
-    for a in sorted(p.universe - mentioned):
-        lines.append(f"#external {format_atom(a)}.")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def program_from_text(text: str) -> GroundProgram:
-    clauses = []
-    externals = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#external"):
-                body = line[len("#external"):].strip()
-                if not body.endswith("."):
-                    raise ValueError("missing '.' terminator")
-                externals.append(parse_atom(body[:-1]))
-            else:
-                clauses.append(parse_clause(line))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return GroundProgram.of(clauses, externals)

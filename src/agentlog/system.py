@@ -5,21 +5,23 @@ sensing everything; its stable model in a given environment is the
 correctness reference against which runs are judged.  The I/O graph is
 the superagent's atom dependency graph restricted to atoms relevant to
 some input atom; its acyclicity and (empirical) finiteness are the
-hypotheses of the stabilization guarantees.  Classification reads that
-graph straight off the agents' clauses; the superagent program itself is
-built only for the reference model.
+hypotheses of the stabilization guarantees.  A system reads that graph
+straight off the agents' clauses once, when it is assembled, and keeps
+its I/O atoms and the atoms that reach a cycle; the superagent program
+itself is built only for the reference model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import AgentSpec, validate_agent
+from .agents import AgentSpec, dependency, validate_agent
 from .logic import (
     CyclicProgramError,
     DependencyGraph,
     GroundProgram,
-    head_set,
+    _dependencies,
+    _peel,
     least_model,
     stable_model_acyclic,
     stable_models_bruteforce,
@@ -52,7 +54,13 @@ class NoUniqueModelError(ValueError):
 
 
 class MultiAgentSystem:
-    """A validated collection of agents plus derived lookup tables."""
+    """A collection of agents plus derived lookup tables.
+
+    ``io_atoms`` are the nodes of the I/O graph, and ``cyclic`` the atoms
+    from which a cycle of the union rule base can be reached; both come
+    from one head -> body-atoms map of every agent's clauses, which is
+    not kept.
+    """
 
     def __init__(self, agents, dmax=None):
         self.agents = tuple(agents)
@@ -61,8 +69,9 @@ class MultiAgentSystem:
         self._index = {a.id: i for i, a in enumerate(self.agents)}
         self.env_atoms = frozenset().union(*(a.hbe for a in self.agents)) if self.agents else frozenset()
         self._hb = {a.id: a.hb for a in self.agents}
-        from .agents import dependency
-
+        deps = _dependencies(a.idb for a in self.agents)
+        self.io_atoms = _io_atoms(self.agents, deps)
+        self.cyclic = _peel(deps)[1]
         self._deps = {}
         for recv in self.agents:
             for sender in self.agents:
@@ -97,16 +106,23 @@ class MultiAgentSystem:
         return hash((self.agents, self.dmax))
 
 
-def system_violations(specs) -> list:
-    """Every agent-level and system-level invariant breach, exhaustively."""
+def system_violations(specs, cyclic=None) -> list:
+    """Every agent-level and system-level invariant breach, exhaustively.
+
+    ``cyclic`` is the set of atoms that reach a cycle of the specs' union
+    rule base, as ``MultiAgentSystem.cyclic`` holds it; it is worked out
+    here when not given.
+    """
     specs = tuple(specs)
+    if cyclic is None:
+        cyclic = _peel(_dependencies(a.idb for a in specs))[1]
     violations = []
     seen = set()
     for a in specs:
         if a.id in seen:
             violations.append(f"duplicate agent id: {a.id}")
         seen.add(a.id)
-        violations.extend(validate_agent(a))
+        violations.extend(validate_agent(a, cyclic))
 
     definitions = {}
     for a in specs:
@@ -122,7 +138,7 @@ def system_violations(specs) -> list:
                 definitions.setdefault(h, (a.id, cs))
 
     producible = frozenset().union(
-        *(head_set(a.idb) | a.hbe for a in specs)
+        *(a.heads | a.hbe for a in specs)
     ) if specs else frozenset()
     for a in specs:
         uncovered = a.hin - producible
@@ -132,7 +148,7 @@ def system_violations(specs) -> list:
 
     env = frozenset().union(*(a.hbe for a in specs)) if specs else frozenset()
     for a in specs:
-        headed_env = env & head_set(a.idb)
+        headed_env = env & a.heads
         if headed_env:
             listed = ", ".join(str(x) for x in sorted(headed_env)[:4])
             violations.append(f"agent {a.id}: environment atoms appear as heads: {listed}")
@@ -141,11 +157,11 @@ def system_violations(specs) -> list:
 
 def build_system(specs, dmax=None) -> MultiAgentSystem:
     """Assemble and validate; raises ValidationError listing all breaches."""
-    specs = tuple(specs)
-    violations = system_violations(specs)
+    system = MultiAgentSystem(specs, dmax=dmax)
+    violations = system_violations(system.agents, system.cyclic)
     if violations:
         raise ValidationError(violations)
-    return MultiAgentSystem(specs, dmax=dmax)
+    return system
 
 
 @dataclass(frozen=True)
@@ -196,63 +212,30 @@ def superagent_model(sa: SuperAgent, stabilized_edb: frozenset, cap: int = 20) -
     )
 
 
-def _dependencies(sys: MultiAgentSystem) -> dict:
-    """Each clause head of any agent -> the atoms in the bodies of its
-    clauses: the union rule base's dependency graph, read straight off
-    the agents' clauses."""
-    deps = {}
-    for a in sys.agents:
-        for c in a.idb.clauses:
-            body = deps.get(c.head)
-            if body is None:
-                body = deps[c.head] = set()
-            body.update(lit.atom for lit in c.body)
-    return deps
-
-
-def _io_atoms(sys: MultiAgentSystem, deps: dict) -> set:
-    """The input atoms and every atom reachable from one: the I/O graph's
-    nodes.  The set is closed under ``deps``."""
-    keep = set().union(*(a.hin for a in sys.agents))
+def _io_atoms(agents, deps: dict) -> frozenset:
+    """The input atoms and every atom reachable from one in ``deps``: the
+    I/O graph's nodes.  The set is closed under ``deps``."""
+    keep = set().union(*(a.hin for a in agents))
     frontier = list(keep)
     while frontier:
         for b in deps.get(frontier.pop(), ()):
             if b not in keep:
                 keep.add(b)
                 frontier.append(b)
-    return keep
-
-
-def _cyclic_atoms(deps: dict) -> set:
-    """Atoms from which a cycle can be reached: what is left after
-    repeatedly removing atoms whose every body atom is removed."""
-    waiting = {h: len(body) for h, body in deps.items()}
-    parents = {}
-    for h, body in deps.items():
-        for b in body:
-            parents.setdefault(b, []).append(h)
-    sinks = [a for a in parents if a not in deps]
-    sinks.extend(h for h, n in waiting.items() if not n)
-    while sinks:
-        for h in parents.get(sinks.pop(), ()):
-            waiting[h] -= 1
-            if not waiting[h]:
-                sinks.append(h)
-    return {h for h, n in waiting.items() if n}
+    return frozenset(keep)
 
 
 def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
     """Dependency graph of the union rule base, restricted to atoms
     relevant to some input atom.  Input atoms themselves stay in."""
-    deps = _dependencies(sys)
-    keep = _io_atoms(sys, deps)
-    edges = frozenset((a, b) for a in keep for b in deps.get(a, ()))
-    return DependencyGraph(frozenset(keep), edges)
+    deps = _dependencies(a.idb for a in sys.agents)
+    edges = frozenset((a, b) for a in sys.io_atoms for b in deps.get(a, ()))
+    return DependencyGraph(sys.io_atoms, edges)
 
 
 def io_atom_count(sys: MultiAgentSystem) -> int:
-    """Number of nodes of ``io_graph(sys)``, without building its edges."""
-    return len(_io_atoms(sys, _dependencies(sys)))
+    """Number of nodes of ``io_graph(sys)``."""
+    return len(sys.io_atoms)
 
 
 @dataclass(frozen=True)
@@ -282,13 +265,10 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     Raises RuntimeError if the measurement ever contradicts the
     io-acyclic => idb-acyclic implication, which would be a bug.
     """
-    deps = _dependencies(sys)
-    io_atoms = _io_atoms(sys, deps)
-    cyclic = _cyclic_atoms(deps)
-    idb_acyclic = not cyclic
-    io_acyclic = cyclic.isdisjoint(io_atoms)
+    idb_acyclic = not sys.cyclic
+    io_acyclic = sys.cyclic.isdisjoint(sys.io_atoms)
     if io_acyclic and not idb_acyclic:
-        raise RuntimeError("internal error: IO-acyclic system with cyclic union IDB")
+        raise RuntimeError("IO-acyclic system with cyclic union IDB")
 
     probed = False
     probe_sizes = ()
@@ -296,7 +276,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     if reground is not None:
         if sys.dmax is None:
             raise ValueError("io-finiteness probe needs the system's dmax")
-        probe_sizes = (len(io_atoms), io_atom_count(reground(sys.dmax + probe_delta)))
+        probe_sizes = (len(sys.io_atoms), io_atom_count(reground(sys.dmax + probe_delta)))
         io_finite = probe_sizes[0] == probe_sizes[1]
         probed = True
 
@@ -305,7 +285,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
         bounded=True,
         io_finite=io_finite,
         idb_acyclic=idb_acyclic,
-        io_nodes=len(io_atoms),
+        io_nodes=len(sys.io_atoms),
         dmax=sys.dmax,
         probed=probed,
         probe_sizes=probe_sizes,

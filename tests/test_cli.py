@@ -10,6 +10,7 @@ import pytest
 
 import agentlog
 from agentlog.cli import main
+from agentlog.logic import AcyclicPlan, CyclicProgramError
 
 
 def run_cli(capsys, *argv):
@@ -229,3 +230,35 @@ def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "analyze", "example3", "--format", "table")
     assert code == 0
     assert "io_acyclic" in out
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+def test_runtime_error_exits_as_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(agentlog.cli, "classify", _raise(RuntimeError("broken invariant")))
+    code, out, err = run_cli(capsys, "analyze", "example3")
+    assert (code, out, err) == (1, "", "agentlog: internal error: broken invariant\n")
+
+
+def test_cyclic_program_error_exits_as_internal_error(monkeypatch, capsys):
+    # A ValueError subclass, yet a cycle past validation is the program's fault.
+    monkeypatch.setattr(agentlog.cli, "run_fair", _raise(CyclicProgramError("cycle through a")))
+    code, out, err = run_cli(capsys, "run", "example3")
+    assert (code, out, err) == (1, "", "agentlog: internal error: cycle through a\n")
+
+
+def test_analyze_compiles_no_plan(monkeypatch, capsys):
+    _, expected, _ = run_cli(capsys, "analyze", "routing5-example6-script")
+
+    def refuse(self, p):
+        raise AssertionError("an AcyclicPlan was compiled")
+
+    monkeypatch.setattr(AcyclicPlan, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        main(["run", "example3"])  # the patch does reach model evaluation
+    capsys.readouterr()
+    assert run_cli(capsys, "analyze", "routing5-example6-script") == (0, expected, "")

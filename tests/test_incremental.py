@@ -1,28 +1,26 @@
 """Incremental model maintenance against full evaluation and brute force.
 
-``update_model_acyclic`` must give, for every change of facts, the model
-``stable_model_acyclic`` gives on the new facts.  The run tests check
-every point of seeded fair runs, whose per-event models all come from
-the incremental route; a mutant that re-derives only the direct users
-of the changed facts must fail them.
+``AcyclicPlan.update`` must give, for every change of facts, the model
+``AcyclicPlan.model`` gives on the new facts.  The run tests check every
+point of seeded fair runs, whose per-event models all come from the
+incremental route; a mutant that re-derives only the direct users of the
+changed facts must fail them.
 """
 
 import random
 
 import pytest
 
-import agentlog.agents
 from agentlog.logic import (
     BRUTEFORCE_CAP,
+    AcyclicPlan,
     Clause,
     GroundProgram,
     Literal,
-    _evaluation_plan,
     atom,
     head_set,
     stable_model_acyclic,
     stable_models_bruteforce,
-    update_model_acyclic,
 )
 from agentlog.runtime import run_fair
 from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
@@ -42,7 +40,7 @@ def neg(t):
 
 def _check_update(p, facts, new_facts):
     model = stable_model_acyclic(p, facts)
-    got = update_model_acyclic(p, model, new_facts - facts, facts - new_facts)
+    got = AcyclicPlan(p).update(model, new_facts - facts, facts - new_facts)
     assert got == stable_model_acyclic(p, new_facts)
     return got
 
@@ -53,10 +51,11 @@ def _check_update(p, facts, new_facts):
 
 def test_empty_delta_returns_the_model_itself():
     p = GroundProgram.of([clause(b, a), clause(c, neg(b))], [a])
-    model = stable_model_acyclic(p, frozenset([a]))
-    assert update_model_acyclic(p, model, frozenset(), frozenset()) is model
+    plan = AcyclicPlan(p)
+    model = plan.model(frozenset([a]))
+    assert plan.update(model, frozenset(), frozenset()) is model
     # An added fact that already holds changes nothing either.
-    assert update_model_acyclic(p, model, frozenset([a]), frozenset()) is model
+    assert plan.update(model, frozenset([a]), frozenset()) is model
 
 
 def test_removing_a_fact_makes_a_negative_literal_true():
@@ -81,9 +80,10 @@ def test_propagation_stops_where_a_head_keeps_its_truth():
 
 def test_added_fact_heading_a_clause_is_rejected():
     p = GroundProgram.of([clause(b, a)], [a])
-    model = stable_model_acyclic(p, frozenset())
+    plan = AcyclicPlan(p)
+    model = plan.model(frozenset())
     with pytest.raises(ValueError):
-        update_model_acyclic(p, model, frozenset([b]), frozenset())
+        plan.update(model, frozenset([b]), frozenset())
 
 
 def test_facts_outside_the_universe_enter_and_leave_the_model():
@@ -97,11 +97,12 @@ def test_updates_match_full_evaluation_and_bruteforce_on_random_programs():
     for _ in range(300):
         p = random_acyclic_program(rng)
         inputs = sorted(p.universe - head_set(p))
+        plan = AcyclicPlan(p)
         facts = frozenset()
-        model = stable_model_acyclic(p, facts)
+        model = plan.model(facts)
         for _ in range(6):
             new_facts = frozenset(t for t in inputs if rng.random() < 0.5)
-            model = update_model_acyclic(p, model, new_facts - facts, facts - new_facts)
+            model = plan.update(model, new_facts - facts, facts - new_facts)
             assert model == stable_model_acyclic(p, new_facts)
             assert [model] == stable_models_bruteforce(p.with_facts(new_facts))
             facts = new_facts
@@ -184,13 +185,14 @@ def test_incremental_models_on_scenario_runs(ref, policy):
     assert wrong == 0
 
 
-def _direct_users_only(p, model, added=frozenset(), removed=frozenset()):
-    """A wrong update: re-derives, in plan order, the heads whose clauses
-    mention a changed fact, but none of the heads downstream of those."""
-    atoms, index, sequence, by_head, _ = _evaluation_plan(p)
+def _direct_users_only(plan, model, added=frozenset(), removed=frozenset()):
+    """A wrong ``AcyclicPlan.update``: re-derives, in plan order, the heads
+    whose clauses mention a changed fact, but none of the heads
+    downstream of those."""
+    atoms, index, by_head = plan.atoms, plan.index, plan.by_head
     changed = {index[t] for t in added | removed if t in index}
     new = (model - removed) | added
-    for h in sequence:
+    for h in plan.sequence:
         if any(i in changed for pos, neg in by_head[h] for i in pos + neg):
             holds = any(
                 all(atoms[i] in new for i in pos) and not any(atoms[i] in new for i in neg)
@@ -201,7 +203,7 @@ def _direct_users_only(p, model, added=frozenset(), removed=frozenset()):
 
 
 def test_direct_users_only_mutant_fails_the_run_checks(monkeypatch):
-    monkeypatch.setattr(agentlog.agents, "update_model_acyclic", _direct_users_only)
+    monkeypatch.setattr(AcyclicPlan, "update", _direct_users_only)
     sc = builtin_scenario("example3")
     assert _wrong_models(sc.build_system(), env_schedule=sc.schedule)[0]
     assert any(_wrong_models(system, **run_args)[0] for system, run_args in _random_runs(99, 10))

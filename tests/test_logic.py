@@ -1,7 +1,6 @@
 """Unit tests for ground programs, reducts, stable models, and graphs."""
 
 import copy
-import math
 import pickle
 import random
 
@@ -17,15 +16,12 @@ from agentlog.logic import (
     dependency_graph,
     gl_reduct,
     head_set,
-    height,
     is_acyclic,
     is_stable_model,
     least_model,
     _arg_key,
     parse_atom,
     parse_clause,
-    program_from_text,
-    program_to_text,
     relevant_atoms,
     stable_model_acyclic,
     stable_models_bruteforce,
@@ -177,21 +173,6 @@ def test_is_acyclic():
     assert is_acyclic(dependency_graph(single))
 
 
-def test_height_demo():
-    g = dependency_graph(IDB1.union(IDB2))
-    assert height(g, c) == 0
-    assert height(g, f) == math.inf  # f -> a -> b -> a -> ...
-    with pytest.raises(ValueError):
-        height(g, atom("zzz"))
-
-
-def test_height_dag():
-    p = GroundProgram.of([clause(a, b), clause(b, c)])
-    g = dependency_graph(p)
-    assert height(g, a) == 2
-    assert height(g, b) == 1
-
-
 def test_relevant_atoms_demo():
     g = dependency_graph(IDB1.union(IDB2))
     assert relevant_atoms(g, a) == {a, b, c, d, e}
@@ -246,23 +227,6 @@ def test_clause_text_roundtrip():
     c1 = nclause(atom("spt", "A1", "A5", "A4", 3), [atom("link", "A1", "A4")], [atom("spl", "A1", "A5", 3)])
     assert parse_clause(str(c1)) == c1
     assert parse_clause("a.") == Clause(a)
-
-
-def test_program_text_roundtrip():
-    p = GroundProgram.of(
-        [nclause(a, [b], [c]), Clause(d)],
-        extra_atoms=[atom("ext", "A1", 7)],
-    )
-    text = program_to_text(p)
-    assert "#external ext(A1,7)." in text
-    again = program_from_text(text)
-    assert again == p
-    assert program_to_text(again) == text
-
-
-def test_program_text_reports_line():
-    with pytest.raises(ValueError, match="line 2"):
-        program_from_text("a.\nb :- ???.\n")
 
 
 def test_atoms_are_interned():

@@ -1,6 +1,7 @@
 """Tests for system assembly, superagent, I/O graph, and classification."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -206,6 +207,44 @@ def test_classify_chain():
     cls = classify(sc.build_system(), reground=lambda k: sc.build_system(dmax=k))
     assert cls.io_acyclic
     assert not cls.io_finite
+
+
+def _with_own_cycle(rng, spec):
+    """``spec`` unchanged, or with a self-loop or a two-cycle through one of
+    its heads added to its IDB."""
+    kind = rng.choice(("none", "none", "self", "pair"))
+    h = rng.choice(sorted(spec.heads)) if spec.heads else atom(f"own_{spec.id}")
+    if kind == "self":
+        extra = [Clause(h, (Literal(h, False),))]
+    elif kind == "pair":
+        y = atom(f"loop_{spec.id}")
+        extra = [clause(h, y), clause(y, h)]
+    else:
+        return spec
+    return replace(spec, idb=spec.idb.union(GroundProgram.of(extra)))
+
+
+def test_acyclicity_violations_match_definition_route():
+    # Validation reads agent acyclicity off the union rule base's cyclic
+    # atoms and checks only the agents whose heads reach one; cross-agent
+    # cycles (io_acyclic=False) put acyclic agents among those.
+    rng = random.Random(1618)
+    flagged = shared = 0
+    for k in range(300):
+        system, _ = random_system(rng, io_acyclic=k % 2 == 0)
+        specs = [_with_own_cycle(rng, spec) for spec in system.agents]
+        expected = [f"agent {s.id}: IDB is not acyclic" for s in specs
+                    if not is_acyclic(dependency_graph(s.idb))]
+        violations = system_violations(specs)
+        assert [v for v in violations if v.endswith("IDB is not acyclic")] == expected
+        if violations:
+            with pytest.raises(ValidationError) as info:
+                build_system(specs)
+            assert info.value.violations == violations
+        cyclic = MultiAgentSystem(specs).cyclic
+        flagged += len(expected)
+        shared += sum(not s.heads.isdisjoint(cyclic) for s in specs) - len(expected)
+    assert flagged > 20 and shared > 20
 
 
 def test_proposition_io_acyclic_implies_idb_acyclic():
