@@ -7,6 +7,29 @@ ground clauses never carry constraints.  Instantiations producing an
 integer outside ``0..distance_max`` are silently dropped; on a bounded
 universe such ground atoms simply do not exist.
 
+Each clause compiles once into a nested loop with one level per variable;
+a pattern is a clause with a head only.  The loop binds, narrows, checks
+and instantiates as early as it can:
+
+* Order.  A variable bounded by ``V = t`` or ``V < t`` is bound after the
+  variables of ``t``.  Otherwise the next variable is the one that
+  completes the most atoms and constraints, then the one with the smaller
+  range, then the smaller name.  ``spl(A1,Y,D+1) :- link(A1,X),
+  sp(X,Y,D2), D2 < D`` binds X, Y, D, D2.
+* Narrowing.  The largest ``V+k`` anywhere in the clause caps an integer
+  variable at ``dmax - k``, so no term can leave ``0..dmax``; a constant
+  outside that range leaves the clause without instances.  ``V < t``
+  gives ``V`` the range below the value of ``t``, and ``V = t`` that one
+  value.
+* Checks.  Every other constraint is checked, and every atom
+  instantiated, at the first level where all its variables are bound.  A
+  failed check skips the whole subtree.
+
+The order changes the work, not the output: the ground clauses, and so
+the program universes, are those of enumerating the full product of the
+variable domains and filtering it.  The tests keep that grounder as the
+reference.
+
 Predicates listed in ``DomainSpec.symmetric`` have their two node
 arguments put in canonical (declared) order, so both orientations of an
 undirected edge denote the same atom.
@@ -14,7 +37,7 @@ undirected edge denote the same atom.
 
 from __future__ import annotations
 
-import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -187,130 +210,203 @@ class Pattern:
         return f"{self.atom} where {', '.join(str(c) for c in self.constraints)}"
 
 
-class _Instantiator:
-    """Precompiled enumeration of one schematic clause or pattern.
+_OPS = {Less: operator.lt, Equal: operator.eq, NotEqual: operator.ne}
 
-    Terms compile to ``(kind, payload, offset)`` triples: a constant, an
-    index into the variable-assignment tuple, or an indexed variable plus
-    offset.  The assignment loop then avoids per-term dispatch and reuses
-    ground atoms across instantiations.
+
+def _narrowed(k, dom: DomainSpec):
+    """``(variable, operator, term)`` when constraint ``k`` can cut the
+    range of a plain variable: ``V = t`` or ``t = V`` to the value of
+    ``t``, and ``V < t`` over integers to the values below it.  ``t`` must
+    not mention ``V``.  Otherwise None."""
+    if isinstance(k, Equal):
+        sides = ((k.left, k.right), (k.right, k.left))
+    elif isinstance(k, Less):
+        sides = ((k.left, k.right),)
+    else:
+        return None
+    for mine, other in sides:
+        if isinstance(mine, Var) and mine.name not in _term_vars(other):
+            if isinstance(k, Equal):
+                return mine.name, operator.eq, other
+            if isinstance(other, Var):
+                int_term = other.name in dom.int_vars
+            else:
+                int_term = isinstance(other, Shift) or type(other) is int
+            if mine.name in dom.int_vars and int_term:
+                return mine.name, operator.lt, other
+    return None
+
+
+def _tuple_getter(slots):
+    """The function that reads the values at ``slots`` as one tuple."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda values: (values[s],)
+    if not slots:
+        return lambda values: ()
+    return operator.itemgetter(*slots)
+
+
+class _Enumeration:
+    """One schematic clause compiled to one nested loop per variable.
+
+    Every term reads a slot of one value array: a slot per variable, per
+    ``VAR+k`` shift and per constant, and one per ground atom.  Level 0
+    binds nothing and holds what mentions no variable; level ``i`` binds
+    the ``i``-th variable of the order over its narrowed range, fills its
+    shift slots, checks the constraints whose variables are then all bound
+    and instantiates the atoms whose variables are then all bound.  The
+    innermost level emits the ground clause.
     """
 
-    CONST, VAR, SHIFT = 0, 1, 2
+    def __init__(self, c: SchematicClause, dom: DomainSpec):
+        dmax = dom.distance_max
+        names = sorted(c.variables())
+        declared = [dom.var_domain(n) for n in names]
+        atoms = [c.head] + [l.atom for l in c.body]
+        terms = [t for a in atoms for t in a.args]
+        terms += [t for k in c.constraints for t in (k.left, k.right)]
+        self.levels = ()
+        # A term outside 0..dmax fails the assignment.  A constant there
+        # fails them all; a ``V+k`` there narrows the range of ``V``.
+        if any(type(t) is int and not 0 <= t <= dmax for t in terms):
+            return
+        static = {}
+        for n, domain in zip(names, declared):
+            if n in dom.int_vars:
+                offsets = [t.offset for t in terms if isinstance(t, Shift) and t.name == n]
+                lo = max([0] + [-k for k in offsets])
+                hi = min([dmax] + [dmax - k for k in offsets])
+                domain = range(lo, max(lo, hi + 1))
+            static[n] = domain
+        order = _binding_order(names, static, atoms, c.constraints, dom)
 
-    def __init__(self, names, constraints, dom: DomainSpec):
-        self.names = sorted(names)
-        self.domains = [dom.var_domain(n) for n in self.names]
-        self.pos = {n: i for i, n in enumerate(self.names)}
-        self.dmax = dom.distance_max
-        self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
-        self.symmetric = dom.symmetric
-        self.constraints = [self._compile_constraint(c) for c in constraints]
-        self.atom_cache: dict = {}
+        # Variable ``order[i]`` is bound at level ``i + 1`` into slot ``i + 1``.
+        position = {n: i + 1 for i, n in enumerate(order)}
+        slot = {None: 0}
+        slot.update((Var(n), i) for n, i in position.items())
+        for t in terms:
+            slot.setdefault(t, len(slot))
+        atom_slot = len(slot)
+        env = [None] * (atom_slot + len(atoms))
+        for t, s in slot.items():
+            if not isinstance(t, (Var, Shift)):
+                env[s] = t
 
-    def _compile_term(self, t):
-        if isinstance(t, Var):
-            return (self.VAR, self.pos[t.name], 0)
-        if isinstance(t, Shift):
-            return (self.SHIFT, self.pos[t.name], t.offset)
-        return (self.CONST, t, 0)
+        def level_of(variables) -> int:
+            return max((position[n] for n in variables), default=0)
 
-    def compile_atom(self, sa: SchematicAtom):
-        symmetric = sa.predicate in self.symmetric and len(sa.args) == 2
-        return (sa.predicate, tuple(self._compile_term(t) for t in sa.args), symmetric)
-
-    def _compile_constraint(self, c):
-        if isinstance(c, Less):
-            op = lambda a, b: a < b
-        elif isinstance(c, Equal):
-            op = lambda a, b: a == b
-        else:
-            op = lambda a, b: a != b
-        return (op, self._compile_term(c.left), self._compile_term(c.right))
-
-    def _value(self, term, combo):
-        kind, payload, offset = term
-        if kind == self.CONST:
-            return payload
-        v = combo[payload]
-        if kind == self.SHIFT:
-            v += offset
-        return v
-
-    def admissible(self, combo) -> bool:
-        """Constraints hold and no constraint term leaves the int domain."""
-        for op, left, right in self.constraints:
-            a = self._value(left, combo)
-            b = self._value(right, combo)
-            if type(a) is int and not 0 <= a <= self.dmax:
-                return False
-            if type(b) is int and not 0 <= b <= self.dmax:
-                return False
-            if not op(a, b):
-                return False
-        return True
-
-    def instantiate(self, compiled_atom, combo):
-        """Ground atom, or None when an integer argument leaves the domain."""
-        predicate, terms, symmetric = compiled_atom
-        values = []
-        for kind, payload, offset in terms:
-            if kind == self.CONST:
-                v = payload
+        # slot, values, narrowing, shifts, checks, atoms
+        levels = [[0, (None,), None, [], [], []]]
+        levels += [[position[n], static[n], None, [], [], []] for n in order]
+        for t, s in slot.items():
+            if isinstance(t, Shift):
+                levels[level_of([t.name])][3].append((s, t.offset))
+        for k in c.constraints:
+            i = level_of(_constraint_vars(k))
+            narrowed = _narrowed(k, dom)
+            if narrowed is not None and narrowed[0] == order[i - 1] and levels[i][2] is None:
+                levels[i][2] = (narrowed[1], slot[narrowed[2]])
             else:
-                v = combo[payload]
-                if kind == self.SHIFT:
-                    v += offset
-            if type(v) is int and not 0 <= v <= self.dmax:
-                return None
-            values.append(v)
-        if symmetric:
-            x, y = values
-            ix = self.node_order.get(x)
-            iy = self.node_order.get(y)
-            if ix is not None and iy is not None and iy < ix:
-                values = [y, x]
-        key = (predicate, tuple(values))
-        cached = self.atom_cache.get(key)
-        if cached is None:
-            cached = Atom(predicate, key[1])
-            self.atom_cache[key] = cached
-        return cached
+                levels[i][4].append((_OPS[type(k)], slot[k.left], slot[k.right]))
+        for j, sa in enumerate(atoms):
+            symmetric = sa.predicate in dom.symmetric and len(sa.args) == 2
+            positive = None if j == 0 else c.body[j - 1].positive
+            args = _tuple_getter([slot[t] for t in sa.args])
+            levels[level_of(sa.variables())][5].append(
+                (atom_slot + j, sa.predicate, args, symmetric, positive)
+            )
+        self.levels = [tuple(level) for level in levels]
+        self.env = env
+        self.head = atom_slot
+        # Literals of distinct predicates or arities sort by those alone, so
+        # such a body can be read off in a fixed order and skip the sort.
+        body = sorted(range(1, len(atoms)), key=lambda j: (atoms[j].predicate, len(atoms[j].args)))
+        distinct = len({(sa.predicate, len(sa.args)) for sa in atoms[1:]}) == len(body)
+        self.body = _tuple_getter([atom_slot + j for j in body])
+        self.clause = Clause._sorted if distinct else Clause
+        self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
 
-    def assignments(self):
-        return itertools.product(*self.domains)
+    def clauses(self) -> set:
+        out = set()
+        if self.levels:
+            self._descend(0, out)
+        return out
+
+    def _descend(self, i: int, out: set):
+        env = self.env
+        var_slot, values, narrowing, shifts, checks, atoms = self.levels[i]
+        if narrowing is not None:
+            op, s = narrowing
+            if op is operator.eq:
+                values = (env[s],) if env[s] in values else ()
+            else:
+                values = range(values.start, min(values.stop, env[s]))
+        innermost = i + 1 == len(self.levels)
+        for v in values:
+            env[var_slot] = v
+            for s, k in shifts:
+                env[s] = v + k
+            for op, a, b in checks:
+                if not op(env[a], env[b]):
+                    break
+            else:
+                for s, predicate, args, symmetric, positive in atoms:
+                    ga = args(env)
+                    if symmetric:
+                        ga = self._canonical(ga)
+                    ga = Atom(predicate, ga)
+                    env[s] = ga if positive is None else Literal(ga, positive)
+                if innermost:
+                    out.add(self.clause(env[self.head], self.body(env)))
+                else:
+                    self._descend(i + 1, out)
+
+    def _canonical(self, pair: tuple) -> tuple:
+        """Symmetric arguments in declared node order."""
+        x, y = pair
+        ix = self.node_order.get(x)
+        iy = self.node_order.get(y)
+        if ix is not None and iy is not None and iy < ix:
+            return (y, x)
+        return pair
+
+
+def _binding_order(names, static, atoms, constraints, dom) -> list:
+    """The variables in the order the enumeration binds them.
+
+    A variable that a constraint can narrow (``V = t``, ``V < t``) follows
+    the variables of ``t``.  Among the rest, the next one completes the
+    most atoms and constraints, then has the smaller range, then the
+    smaller name.
+    """
+    groups = [set(sa.variables()) for sa in atoms]
+    groups += [set(_constraint_vars(k)) for k in constraints]
+    after = {n: set() for n in names}
+    for k in constraints:
+        narrowed = _narrowed(k, dom)
+        if narrowed is not None:
+            after[narrowed[0]].update(_term_vars(narrowed[2]))
+    order, bound = [], set()
+
+    def rank(n):
+        completes = sum(1 for g in groups if n in g and g - bound == {n})
+        return (-completes, len(static[n]), n)
+
+    while len(order) < len(names):
+        free = [n for n in names if n not in bound]
+        pick = min([n for n in free if after[n] <= bound] or free, key=rank)
+        order.append(pick)
+        bound.add(pick)
+    return order
 
 
 def ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset:
     """All ground instances of ``c`` over ``dom``.
 
-    Every variable ranges over its full declared domain; constraints
-    filter assignments and never survive into ground clauses.
+    Constraints select instances and never survive into ground clauses.
     """
-    inst = _Instantiator(c.variables(), c.constraints, dom)
-    chead = inst.compile_atom(c.head)
-    cbody = [(inst.compile_atom(l.atom), l.positive) for l in c.body]
-    literal_cache: dict = {}
-    out = set()
-    for combo in inst.assignments():
-        if inst.constraints and not inst.admissible(combo):
-            continue
-        head = inst.instantiate(chead, combo)
-        if head is None:
-            continue
-        body = []
-        for compiled_atom, positive in cbody:
-            ga = inst.instantiate(compiled_atom, combo)
-            if ga is None:
-                break
-            lit = literal_cache.get((ga, positive))
-            if lit is None:
-                lit = Literal(ga, positive)
-                literal_cache[(ga, positive)] = lit
-            body.append(lit)
-        else:
-            out.add(Clause(head, tuple(body)))
-    return frozenset(out)
+    return frozenset(_Enumeration(c, dom).clauses())
 
 
 def ground_program(
@@ -321,25 +417,14 @@ def ground_program(
     """Union of all instantiations, with declared extra atoms in the universe."""
     ground = set()
     for c in clauses:
-        ground |= ground_clause(c, dom)
+        ground |= _Enumeration(c, dom).clauses()
     return GroundProgram.of(ground, extra_atoms)
 
 
 def expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
     """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets)."""
-    names = set(p.atom.variables())
-    for c in p.constraints:
-        names.update(_constraint_vars(c))
-    inst = _Instantiator(names, p.constraints, dom)
-    compiled = inst.compile_atom(p.atom)
-    out = set()
-    for combo in inst.assignments():
-        if inst.constraints and not inst.admissible(combo):
-            continue
-        ga = inst.instantiate(compiled, combo)
-        if ga is not None:
-            out.add(ga)
-    return frozenset(out)
+    facts = _Enumeration(SchematicClause(p.atom, (), p.constraints), dom).clauses()
+    return frozenset(c.head for c in facts)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +520,8 @@ def parse_ground_atom(text: str, dom: DomainSpec) -> Atom:
     sa = parse_schematic_atom(text, dom)
     if set(sa.variables()):
         raise GroundingError(f"atom must be ground: {text!r}")
-    inst = _Instantiator((), (), dom)
-    ga = inst.instantiate(inst.compile_atom(sa), ())
-    if ga is None:
+    facts = _Enumeration(SchematicClause(sa), dom).clauses()
+    if not facts:
         raise GroundingError(f"integer argument out of range in {text!r}")
-    return ga
+    (fact,) = facts
+    return fact.head

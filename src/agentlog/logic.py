@@ -183,6 +183,15 @@ class Clause:
         normalized = tuple(sorted(set(self.body), key=Literal.sort_key))
         object.__setattr__(self, "body", normalized)
 
+    @classmethod
+    def _sorted(cls, head: Atom, body: tuple) -> "Clause":
+        """Build without ``__post_init__``.  Only for a ``body`` tuple that
+        is already deduplicated and in ``Literal.sort_key`` order."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "head", head)
+        object.__setattr__(c, "body", body)
+        return c
+
     @property
     def is_fact(self) -> bool:
         return not self.body

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .agents import AgentState, EnvChange, agent_model, message_payload, update_env, update_input
@@ -532,16 +533,37 @@ def verdict(sys: MultiAgentSystem, trace: Trace, families=()) -> Verdict:
 # Trace export: one JSON record per line; schema in docs/trace-schema.md.
 
 
-def _atoms_list(atoms, text: dict = None) -> list:
-    """``atoms`` as strings in atom order; ``text`` caches each atom's string."""
-    text = {} if text is None else text
+def _strings(atoms, text: dict) -> list:
+    """The string of each atom, in order; ``text`` caches each atom's string."""
     out = []
-    for a in sorted(atoms, key=Atom.sort_key):
+    for a in atoms:
         s = text.get(a)
         if s is None:
             s = text[a] = str(a)
         out.append(s)
     return out
+
+
+def _atoms_list(atoms, text: dict = None) -> list:
+    """``atoms`` as strings in atom order."""
+    return _strings(sorted(atoms, key=Atom.sort_key), {} if text is None else text)
+
+
+def _relisted(listing: tuple, atoms, text: dict) -> tuple:
+    """The listing ``(atoms, atoms in order, their strings)`` of ``atoms``,
+    made by editing the lists of an earlier set's listing in place: each
+    atom removed or added since is found by bisection and deleted or
+    inserted there."""
+    before, ordered, strings = listing
+    for a in before - atoms:
+        i = bisect_left(ordered, a.sort_key(), key=Atom.sort_key)
+        del ordered[i], strings[i]
+    added = list(atoms - before)
+    for a, s in zip(added, _strings(added, text)):
+        i = bisect_left(ordered, a.sort_key(), key=Atom.sort_key)
+        ordered.insert(i, a)
+        strings.insert(i, s)
+    return atoms, ordered, strings
 
 
 def event_to_record(event, text: dict = None):
@@ -599,16 +621,22 @@ def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
     An event changes at most the agents it touches, and the trace shares
     every other agent's set objects with the previous point.  So each
     agent's ``edb``, ``in`` and ``model`` list is rendered again only when
-    its set object differs from the one rendered last.
+    its set object differs from the one rendered last, and then by editing
+    that rendering with the atoms added and removed, not by a new sort.
     """
     text = {}
-    last = {}  # (agent index, field) -> (set object, its rendered list)
+    # (agent index, field) -> (set object, its atoms in order, their
+    # strings).  Each record is written before the next point edits a list.
+    last = {}
 
     def listed(idx, field, atoms):
         seen = last.get((idx, field))
-        if seen is None or seen[0] is not atoms:
-            seen = last[(idx, field)] = (atoms, _atoms_list(atoms, text))
-        return seen[1]
+        if seen is None:
+            ordered = sorted(atoms, key=Atom.sort_key)
+            seen = last[(idx, field)] = (atoms, ordered, _strings(ordered, text))
+        elif seen[0] is not atoms:
+            seen = last[(idx, field)] = _relisted(seen, atoms, text)
+        return seen[2]
 
     # One growing buffer: a list of lines plus their join would hold the
     # whole text twice.

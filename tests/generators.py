@@ -9,6 +9,18 @@ from __future__ import annotations
 import random
 
 from agentlog.agents import AgentSpec, AgentState, EnvChange
+from agentlog.grounding import (
+    DomainSpec,
+    Equal,
+    Less,
+    NotEqual,
+    Pattern,
+    SchematicAtom,
+    SchematicClause,
+    SchematicLiteral,
+    Shift,
+    Var,
+)
 from agentlog.logic import Clause, GroundProgram, Literal, atom
 from agentlog.system import build_system
 
@@ -109,3 +121,65 @@ def random_system(rng: random.Random, io_acyclic: bool = True):
         if t or f:
             schedule.append((rng.randint(1, 3), EnvChange(t, f)))
     return build_system(specs), tuple(schedule)
+
+
+# Schematic scenarios: a typed domain plus clauses and patterns over it.
+_NODE_VARS = ("X", "Y", "Z")
+_INT_VARS = ("D", "E", "F")
+# predicate -> argument types ("n" node, "i" integer); "link" is symmetric.
+_SIGNATURES = {"t": "", "p": "n", "s": "i", "link": "nn", "q": "ni", "r": "nni", "u": "nii"}
+
+
+def random_schematic_scenario(rng: random.Random):
+    """A random ``(DomainSpec, clauses, patterns)``.
+
+    Terms mix node and integer variables, constants (some integers outside
+    ``0..dmax``) and ``VAR+k`` shifts.  Constraints use ``<``, ``=`` and
+    ``!=`` with either side a variable, and may mention variables that no
+    atom has.  ``<`` only compares terms of one type, as the full-product
+    grounder would raise on mixed ones.
+    """
+    dmax = rng.randint(0, 6)
+    nodes = tuple(f"N{i}" for i in range(rng.choice((0, 1, 2, 3, 3, 4))))
+    dom = DomainSpec(nodes, dmax, frozenset(_NODE_VARS), frozenset(_INT_VARS), frozenset(["link"]))
+
+    def term(kind):
+        roll = rng.random()
+        if kind == "n":
+            if roll < 0.75 or not nodes:
+                return Var(rng.choice(_NODE_VARS))
+            return rng.choice(nodes)
+        if roll < 0.5:
+            return Var(rng.choice(_INT_VARS))
+        if roll < 0.8:
+            # Parsed shifts are never negative; built ones may be.
+            return Shift(rng.choice(_INT_VARS), rng.choice((1, 1, 2, 3, -1)))
+        return rng.randint(0, dmax + 2)
+
+    def schematic_atom():
+        predicate = rng.choice(sorted(_SIGNATURES))
+        return SchematicAtom(predicate, tuple(term(k) for k in _SIGNATURES[predicate]))
+
+    def constraint():
+        kind = rng.choice("nii")
+        left, right = term(kind), term(kind)
+        op = rng.choice((Less, Equal, NotEqual))
+        if op is not Less and rng.random() < 0.15:
+            right = term("i" if kind == "n" else "n")
+        if rng.random() < 0.5:
+            left, right = right, left
+        return op(left, right)
+
+    def constraints():
+        return tuple(constraint() for _ in range(rng.choice((0, 1, 1, 2, 3))))
+
+    clauses = tuple(
+        SchematicClause(
+            schematic_atom(),
+            tuple(SchematicLiteral(schematic_atom(), rng.random() > 0.3) for _ in range(rng.randint(0, 3))),
+            constraints(),
+        )
+        for _ in range(rng.randint(1, 4))
+    )
+    patterns = tuple(Pattern(schematic_atom(), constraints()) for _ in range(rng.randint(0, 2)))
+    return dom, clauses, patterns

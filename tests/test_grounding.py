@@ -1,17 +1,32 @@
 """Tests for schematic-clause instantiation."""
 
+import itertools
+import random
+from typing import Iterable
+
 import pytest
 
 from agentlog.grounding import (
     DomainSpec,
+    Equal,
     GroundingError,
+    Less,
+    Pattern,
+    SchematicAtom,
+    SchematicClause,
+    Shift,
+    Var,
+    _constraint_vars,
     expand_pattern,
     ground_clause,
     ground_program,
     parse_pattern,
     parse_schematic_clause,
 )
-from agentlog.logic import Literal, atom, dependency_graph, is_acyclic, parse_clause
+from agentlog.logic import Atom, Clause, GroundProgram, Literal, atom, dependency_graph, is_acyclic, parse_clause
+from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
+
+from .generators import random_schematic_scenario
 
 DOM2 = DomainSpec(
     node_constants=("A1", "A2"),
@@ -133,3 +148,230 @@ def test_pattern_expansion_with_disequality():
 def test_pattern_ground_atom():
     p = parse_pattern("link(A2,A1)", DOM2)
     assert expand_pattern(p, DOM2) == {atom("link", "A1", "A2")}
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the full-product grounder.
+#
+# The reference below enumerates the whole product of the variable domains
+# and only then filters.  It is the grounder as it was before the nested
+# enumeration, kept verbatim apart from its names.
+
+class _FullProductInstantiator:
+    """Precompiled enumeration of one schematic clause or pattern.
+
+    Terms compile to ``(kind, payload, offset)`` triples: a constant, an
+    index into the variable-assignment tuple, or an indexed variable plus
+    offset.  The assignment loop then avoids per-term dispatch and reuses
+    ground atoms across instantiations.
+    """
+
+    CONST, VAR, SHIFT = 0, 1, 2
+
+    def __init__(self, names, constraints, dom: DomainSpec):
+        self.names = sorted(names)
+        self.domains = [dom.var_domain(n) for n in self.names]
+        self.pos = {n: i for i, n in enumerate(self.names)}
+        self.dmax = dom.distance_max
+        self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
+        self.symmetric = dom.symmetric
+        self.constraints = [self._compile_constraint(c) for c in constraints]
+        self.atom_cache: dict = {}
+
+    def _compile_term(self, t):
+        if isinstance(t, Var):
+            return (self.VAR, self.pos[t.name], 0)
+        if isinstance(t, Shift):
+            return (self.SHIFT, self.pos[t.name], t.offset)
+        return (self.CONST, t, 0)
+
+    def compile_atom(self, sa: SchematicAtom):
+        symmetric = sa.predicate in self.symmetric and len(sa.args) == 2
+        return (sa.predicate, tuple(self._compile_term(t) for t in sa.args), symmetric)
+
+    def _compile_constraint(self, c):
+        if isinstance(c, Less):
+            op = lambda a, b: a < b
+        elif isinstance(c, Equal):
+            op = lambda a, b: a == b
+        else:
+            op = lambda a, b: a != b
+        return (op, self._compile_term(c.left), self._compile_term(c.right))
+
+    def _value(self, term, combo):
+        kind, payload, offset = term
+        if kind == self.CONST:
+            return payload
+        v = combo[payload]
+        if kind == self.SHIFT:
+            v += offset
+        return v
+
+    def admissible(self, combo) -> bool:
+        """Constraints hold and no constraint term leaves the int domain."""
+        for op, left, right in self.constraints:
+            a = self._value(left, combo)
+            b = self._value(right, combo)
+            if type(a) is int and not 0 <= a <= self.dmax:
+                return False
+            if type(b) is int and not 0 <= b <= self.dmax:
+                return False
+            if not op(a, b):
+                return False
+        return True
+
+    def instantiate(self, compiled_atom, combo):
+        """Ground atom, or None when an integer argument leaves the domain."""
+        predicate, terms, symmetric = compiled_atom
+        values = []
+        for kind, payload, offset in terms:
+            if kind == self.CONST:
+                v = payload
+            else:
+                v = combo[payload]
+                if kind == self.SHIFT:
+                    v += offset
+            if type(v) is int and not 0 <= v <= self.dmax:
+                return None
+            values.append(v)
+        if symmetric:
+            x, y = values
+            ix = self.node_order.get(x)
+            iy = self.node_order.get(y)
+            if ix is not None and iy is not None and iy < ix:
+                values = [y, x]
+        key = (predicate, tuple(values))
+        cached = self.atom_cache.get(key)
+        if cached is None:
+            cached = Atom(predicate, key[1])
+            self.atom_cache[key] = cached
+        return cached
+
+    def assignments(self):
+        return itertools.product(*self.domains)
+
+
+def full_product_ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset:
+    """All ground instances of ``c`` over ``dom``.
+
+    Every variable ranges over its full declared domain; constraints
+    filter assignments and never survive into ground clauses.
+    """
+    inst = _FullProductInstantiator(c.variables(), c.constraints, dom)
+    chead = inst.compile_atom(c.head)
+    cbody = [(inst.compile_atom(l.atom), l.positive) for l in c.body]
+    literal_cache: dict = {}
+    out = set()
+    for combo in inst.assignments():
+        if inst.constraints and not inst.admissible(combo):
+            continue
+        head = inst.instantiate(chead, combo)
+        if head is None:
+            continue
+        body = []
+        for compiled_atom, positive in cbody:
+            ga = inst.instantiate(compiled_atom, combo)
+            if ga is None:
+                break
+            lit = literal_cache.get((ga, positive))
+            if lit is None:
+                lit = Literal(ga, positive)
+                literal_cache[(ga, positive)] = lit
+            body.append(lit)
+        else:
+            out.add(Clause(head, tuple(body)))
+    return frozenset(out)
+
+
+def full_product_ground_program(
+    clauses: Iterable[SchematicClause],
+    dom: DomainSpec,
+    extra_atoms: Iterable[Atom] = (),
+) -> GroundProgram:
+    """Union of all instantiations, with declared extra atoms in the universe."""
+    ground = set()
+    for c in clauses:
+        ground |= full_product_ground_clause(c, dom)
+    return GroundProgram.of(ground, extra_atoms)
+
+
+def full_product_expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
+    """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets)."""
+    names = set(p.atom.variables())
+    for c in p.constraints:
+        names.update(_constraint_vars(c))
+    inst = _FullProductInstantiator(names, p.constraints, dom)
+    compiled = inst.compile_atom(p.atom)
+    out = set()
+    for combo in inst.assignments():
+        if inst.constraints and not inst.admissible(combo):
+            continue
+        ga = inst.instantiate(compiled, combo)
+        if ga is not None:
+            out.add(ga)
+    return frozenset(out)
+
+
+def _agree(clauses, patterns, dom):
+    for c in clauses:
+        assert ground_clause(c, dom) == full_product_ground_clause(c, dom), str(c)
+    extra = set()
+    for p in patterns:
+        atoms = expand_pattern(p, dom)
+        assert atoms == full_product_expand_pattern(p, dom), str(p)
+        extra |= atoms
+    got = ground_program(clauses, dom, extra)
+    want = full_product_ground_program(clauses, dom, extra)
+    assert got.clauses == want.clauses
+    assert got.universe == want.universe
+
+
+def test_grounder_matches_full_product_on_random_schematic_scenarios():
+    rng = random.Random(2024)
+    clauses = patterns = 0
+    while clauses + patterns < 300:
+        dom, cs, ps = random_schematic_scenario(rng)
+        _agree(cs, ps, dom)
+        clauses += len(cs)
+        patterns += len(ps)
+
+
+def _scenario_cases(scenario, dmax):
+    d = scenario.domain
+    dom = DomainSpec(d.node_constants, dmax, d.node_vars, d.int_vars, d.symmetric)
+    for ad in scenario.agents:
+        yield ad.idb, ad.hbe + ad.hin + ad.edb0 + ad.in0, dom
+
+
+@pytest.mark.parametrize("name", ["example3", "routing5", "routing5-example6-script", "chain(6)"])
+def test_grounder_matches_full_product_on_builtins(name):
+    scenario = builtin_scenario(name)
+    for dmax in (scenario.domain.distance_max, scenario.domain.distance_max + 2):
+        for clauses, patterns, dom in _scenario_cases(scenario, dmax):
+            _agree(clauses, patterns, dom)
+
+
+def _ring(n):
+    nodes = tuple(f"R{i}" for i in range(n))
+    return Topology(nodes, frozenset((nodes[i], nodes[(i + 1) % n]) for i in range(n)))
+
+
+def _grid(k):
+    nodes = tuple(f"G{r}{c}" for r in range(k) for c in range(k))
+    edges = {(f"G{r}{c}", f"G{r}{c + 1}") for r in range(k) for c in range(k - 1)}
+    edges |= {(f"G{r}{c}", f"G{r + 1}{c}") for r in range(k - 1) for c in range(k)}
+    return Topology(nodes, frozenset(edges))
+
+
+@pytest.mark.parametrize("topology", [_ring(n) for n in range(4, 9)] + [_grid(3)], ids=lambda t: f"{len(t.nodes)}-nodes-{len(t.edges)}-edges")
+def test_grounder_matches_full_product_on_routing_topologies(topology):
+    scenario = parse_scenario(routing_scenario_text(topology))
+    for clauses, patterns, dom in _scenario_cases(scenario, scenario.domain.distance_max):
+        _agree(clauses, patterns, dom)
+
+
+def test_shift_only_in_a_constraint_is_range_checked():
+    # D+3 lies outside 0..2 for every D, so no D qualifies, although 3 < 5.
+    assert expand_pattern(parse_pattern("s(D) where D+3 < 5", DOM2), DOM2) == frozenset()
+    # D2+1 <= 2 caps D2 at 1, so D < D2+1 leaves D at 0 or 1.
+    assert expand_pattern(parse_pattern("s(D) where D < D2+1", DOM2), DOM2) == {atom("s", 0), atom("s", 1)}

@@ -426,6 +426,32 @@ def test_export_matches_naive_renderer_without_shared_sets(example3_system):
     assert _first_difference(export_trace(copied), export_trace(shared)) is None
 
 
+def test_export_matches_naive_renderer_when_a_set_gains_and_loses_atoms():
+    # Each point both adds atoms to and removes atoms from every set of
+    # the previous point, at its ends and in its middle.
+    p = [atom("p", x) for x in (0, 1, 2, 10, "A", "B")]
+    q = [atom("q", "A", x) for x in range(4)]
+    sets = [
+        {p[1], p[3], q[0], q[2], c},
+        {p[0], p[2], p[3], q[1], c, d},
+        {p[3], p[4], q[0], q[3], a},
+        {p[5], q[2]},
+        set(),
+        {p[0], p[5], q[1], b},
+    ]
+    points = [frozenset(x) for x in sets]
+    trace = Trace(
+        agent_ids=("A1", "A2"),
+        states=tuple(
+            GlobalState((AgentState(s, points[k - 1]), AgentState(points[k - 2], s)))
+            for k, s in enumerate(points)
+        ),
+        events=tuple(CommEvent("A1", "A2") for _ in points[1:]),
+        models=tuple((s, points[k - 3]) for k, s in enumerate(points)),
+    )
+    assert _first_difference(export_trace(trace), _naive_export(trace)) is None
+
+
 def test_fair_runs_converge_to_reference_on_random_acyclic_systems():
     rng = random.Random(777)
     for _ in range(40):
