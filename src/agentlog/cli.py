@@ -26,7 +26,7 @@ from .runtime import (
     verdict,
 )
 from .scenarios import ScenarioError, chain_scenario, load_scenario
-from .system import ValidationError, classify, io_atom_count
+from .system import ValidationError, classify
 from .system import io_graph  # noqa: F401  perfbench/layertrace.py traces it here
 
 EXIT_OK = 0
@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
             "record": "sweep-row",
             "param": args.param,
             "value": value,
-            "io_nodes": io_atom_count(system),
+            "io_nodes": len(system.io_atoms),
             "rounds_to_fixpoint": rounds_to_fixpoint(trace),
             "fixpoint": v.fixpoint_point is not None,
             "horizon_exceeded": v.horizon_exceeded,
@@ -301,12 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, runnable=False):
+    def common(p, runnable=False, formatted=True):
         p.add_argument("scenario", help="builtin name (example3, routing5, "
                        "routing5-example6-script, chain(N)) or scenario file path")
         p.add_argument("--dmax", type=int, default=None, help="override the domain bound")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        p.add_argument("--format", choices=("ndrecords", "table"), default="ndrecords")
+        if formatted:
+            p.add_argument("--format", choices=("ndrecords", "table"), default="ndrecords")
         if runnable:
             p.add_argument("--max-rounds", type=_int_at_least(0), default=None, dest="max_rounds")
             p.add_argument("--seed", type=int, default=0)
@@ -333,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check", help="cross-check agent models against brute force")
-    common(p)
+    common(p, formatted=False)  # its output is always records
     p.add_argument("--cap", type=int, default=20)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)

@@ -468,6 +468,11 @@ def parse_schematic_atom(text: str, dom: DomainSpec) -> SchematicAtom:
     return SchematicAtom(name, args)
 
 
+def _integer_typed(term, dom: DomainSpec) -> bool:
+    """Whether a parsed term ranges over integers rather than nodes."""
+    return isinstance(term, (int, Shift)) or (isinstance(term, Var) and term.name in dom.int_vars)
+
+
 def parse_constraint(text: str, dom: DomainSpec):
     m = _CONSTRAINT_RE.match(text.strip())
     if not m:
@@ -475,6 +480,8 @@ def parse_constraint(text: str, dom: DomainSpec):
     left, op, right = m.groups()
     lt, rt = parse_term(left, dom), parse_term(right, dom)
     if op == "<":
+        if _integer_typed(lt, dom) != _integer_typed(rt, dom):
+            raise GroundingError(f"'<' between an integer and a node: {text.strip()!r}")
         return Less(lt, rt)
     if op == "=":
         return Equal(lt, rt)

@@ -201,9 +201,6 @@ class Clause:
         for lit in self.body:
             yield lit.atom
 
-    def sort_key(self) -> tuple:
-        return (self.head.sort_key(), tuple(l.sort_key() for l in self.body))
-
     def __str__(self) -> str:
         return format_clause(self)
 

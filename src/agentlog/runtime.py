@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 from .agents import AgentState, EnvChange, agent_model, message_payload, update_env, update_input
 from .logic import Atom, parse_atom
-from .system import (
-    MultiAgentSystem,
-    NoUniqueModelError,
-    io_atom_count,
-    superagent,
-    superagent_model,
-)
+from .system import MultiAgentSystem, NoUniqueModelError, superagent, superagent_model
 
 __all__ = [
     "EnvEvent",
@@ -180,9 +174,6 @@ class _Recorder:
     def current(self) -> GlobalState:
         return self.states[-1]
 
-    def current_models(self) -> tuple:
-        return self.models[-1]
-
     def apply_env(self, change: EnvChange):
         gs = self.current()
         nxt = env_transition(self.sys, gs, change)
@@ -251,7 +242,7 @@ def run_scripted(sys: MultiAgentSystem, script, start: GlobalState = None) -> Tr
 
 
 def default_max_rounds(sys: MultiAgentSystem) -> int:
-    return 4 * io_atom_count(sys) + 16
+    return 4 * len(sys.io_atoms) + 16
 
 
 def _round_order(sys: MultiAgentSystem, policy: str, rng):
@@ -365,8 +356,8 @@ def _holders(sys: MultiAgentSystem) -> dict:
     """Each atom of some agent's atom base -> indices of the agents whose
     atom base holds it."""
     table = {}
-    for idx, aid in enumerate(sys.ids):
-        for a in sys.hb(aid):
+    for idx, agent in enumerate(sys.agents):
+        for a in agent.hb:
             table.setdefault(a, []).append(idx)
     return table
 
@@ -407,12 +398,15 @@ class DivergenceReport:
     hits: tuple  # (agent_id, observed strictly increasing values)
 
 
-def divergence_probe(trace: Trace, family, min_streak: int = 3):
+MIN_STREAK = 3
+
+
+def divergence_probe(trace: Trace, family):
     """Watch the integer slot of a one-slot atom family across the run.
 
     ``family`` is ``(predicate, args)`` with exactly one ``None`` marking
     the integer slot.  For each agent the per-point values are collapsed
-    to their changes; ``min_streak`` consecutive strict increases count
+    to their changes; ``MIN_STREAK`` consecutive strict increases count
     as divergence.  A point where several family atoms occur in one model
     is ambiguous and rejected.
     """
@@ -458,7 +452,7 @@ def divergence_probe(trace: Trace, family, min_streak: int = 3):
             else:
                 streak, ramp = 0, [value]
             last = value
-            if streak >= min_streak and len(ramp) > len(best):
+            if streak >= MIN_STREAK and len(ramp) > len(best):
                 best = tuple(ramp)
         if best:
             hits.append((agent_id, best))

@@ -9,6 +9,13 @@ hypotheses of the stabilization guarantees.  A system reads that graph
 straight off the agents' clauses once, when it is assembled, and keeps
 its I/O atoms and the atoms that reach a cycle; the superagent program
 itself is built only for the reference model.
+
+Validation reads the assembled system: its cyclic atoms, its environment
+atoms and each agent's heads.  The union rule base is well defined only
+when agents that define the same atom define it the same way, so the
+clauses of exactly those heads are compared, and that check walks no
+clause when no head is shared.  Each kind of violation comes in agent
+order, and within an agent by sorted atom.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 
 from .agents import AgentSpec, dependency, validate_agent
 from .logic import (
+    BRUTEFORCE_CAP,
     CyclicProgramError,
     DependencyGraph,
     GroundProgram,
@@ -38,7 +46,6 @@ __all__ = [
     "superagent",
     "superagent_model",
     "io_graph",
-    "io_atom_count",
     "classify",
 ]
 
@@ -68,7 +75,6 @@ class MultiAgentSystem:
         self.ids = tuple(a.id for a in self.agents)
         self._index = {a.id: i for i, a in enumerate(self.agents)}
         self.env_atoms = frozenset().union(*(a.hbe for a in self.agents)) if self.agents else frozenset()
-        self._hb = {a.id: a.hb for a in self.agents}
         deps = _dependencies(a.idb for a in self.agents)
         self.io_atoms = _io_atoms(self.agents, deps)
         self.cyclic = _peel(deps)[1]
@@ -89,9 +95,6 @@ class MultiAgentSystem:
     def agent(self, agent_id: str) -> AgentSpec:
         return self.agents[self._index[agent_id]]
 
-    def hb(self, agent_id: str) -> frozenset:
-        return self._hb[agent_id]
-
     def dependency(self, receiver_id: str, sender_id: str) -> frozenset:
         return self._deps.get((receiver_id, sender_id), frozenset())
 
@@ -106,49 +109,46 @@ class MultiAgentSystem:
         return hash((self.agents, self.dmax))
 
 
-def system_violations(specs, cyclic=None) -> list:
-    """Every agent-level and system-level invariant breach, exhaustively.
-
-    ``cyclic`` is the set of atoms that reach a cycle of the specs' union
-    rule base, as ``MultiAgentSystem.cyclic`` holds it; it is worked out
-    here when not given.
-    """
-    specs = tuple(specs)
-    if cyclic is None:
-        cyclic = _peel(_dependencies(a.idb for a in specs))[1]
+def system_violations(system: MultiAgentSystem) -> list:
+    """Every agent-level and system-level invariant breach, exhaustively,
+    read off the assembled system's tables, in a fixed order."""
+    agents = system.agents
     violations = []
-    seen = set()
-    for a in specs:
+    seen, defined, shared = set(), set(), set()
+    for a in agents:
         if a.id in seen:
             violations.append(f"duplicate agent id: {a.id}")
         seen.add(a.id)
-        violations.extend(validate_agent(a, cyclic))
+        violations.extend(validate_agent(a, system.cyclic))
+        shared |= defined & a.heads
+        defined |= a.heads
 
-    definitions = {}
-    for a in specs:
+    # Only heads that several agents define can be defined differently;
+    # each later definer's clauses for one are compared with the first's.
+    first = {}
+    for a in agents:
+        mine = shared & a.heads
+        if not mine:
+            continue
         by_head = {}
         for c in a.idb.clauses:
-            by_head.setdefault(c.head, set()).add(c)
-        for h, cs in by_head.items():
-            if h in definitions and definitions[h][1] != cs:
-                violations.append(
-                    f"atom {h} has different definitions in {definitions[h][0]} and {a.id}"
-                )
-            else:
-                definitions.setdefault(h, (a.id, cs))
+            if c.head in mine:
+                by_head.setdefault(c.head, set()).add(c)
+        for h in sorted(mine):
+            if h not in first:
+                first[h] = (a.id, by_head[h])
+            elif first[h][1] != by_head[h]:
+                violations.append(f"atom {h} has different definitions in {first[h][0]} and {a.id}")
 
-    producible = frozenset().union(
-        *(a.heads | a.hbe for a in specs)
-    ) if specs else frozenset()
-    for a in specs:
+    producible = system.env_atoms | defined
+    for a in agents:
         uncovered = a.hin - producible
         if uncovered:
             listed = ", ".join(str(x) for x in sorted(uncovered)[:4])
             violations.append(f"agent {a.id}: no producer for input atoms: {listed}")
 
-    env = frozenset().union(*(a.hbe for a in specs)) if specs else frozenset()
-    for a in specs:
-        headed_env = env & a.heads
+    for a in agents:
+        headed_env = system.env_atoms & a.heads
         if headed_env:
             listed = ", ".join(str(x) for x in sorted(headed_env)[:4])
             violations.append(f"agent {a.id}: environment atoms appear as heads: {listed}")
@@ -158,7 +158,7 @@ def system_violations(specs, cyclic=None) -> list:
 def build_system(specs, dmax=None) -> MultiAgentSystem:
     """Assemble and validate; raises ValidationError listing all breaches."""
     system = MultiAgentSystem(specs, dmax=dmax)
-    violations = system_violations(system.agents, system.cyclic)
+    violations = system_violations(system)
     if violations:
         raise ValidationError(violations)
     return system
@@ -185,13 +185,13 @@ def superagent(sys: MultiAgentSystem) -> SuperAgent:
     return SuperAgent(GroundProgram._unchecked(clauses, universe), initial)
 
 
-def superagent_model(sa: SuperAgent, stabilized_edb: frozenset, cap: int = 20) -> frozenset:
+def superagent_model(sa: SuperAgent, stabilized_edb: frozenset) -> frozenset:
     """The reference model: stable model of ``IDB_all + EDB``.
 
     Acyclic programs are evaluated directly.  A cyclic but negation-free
     program still has a unique stable model (its least model).  Otherwise
-    brute force is attempted below ``cap`` atoms; several or zero models
-    raise NoUniqueModelError.
+    brute force is attempted up to ``BRUTEFORCE_CAP`` atoms; several or
+    zero models raise NoUniqueModelError.
     """
     try:
         return stable_model_acyclic(sa.idb_all, facts=stabilized_edb)
@@ -200,8 +200,8 @@ def superagent_model(sa: SuperAgent, stabilized_edb: frozenset, cap: int = 20) -
     combined = sa.idb_all.with_facts(stabilized_edb)
     if all(l.positive for c in combined.clauses for l in c.body):
         return least_model(combined)
-    if len(combined.universe) <= cap:
-        models = stable_models_bruteforce(combined, cap=cap)
+    if len(combined.universe) <= BRUTEFORCE_CAP:
+        models = stable_models_bruteforce(combined)
         if len(models) == 1:
             return models[0]
         raise NoUniqueModelError(
@@ -231,11 +231,6 @@ def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
     deps = _dependencies(a.idb for a in sys.agents)
     edges = frozenset((a, b) for a in sys.io_atoms for b in deps.get(a, ()))
     return DependencyGraph(sys.io_atoms, edges)
-
-
-def io_atom_count(sys: MultiAgentSystem) -> int:
-    """Number of nodes of ``io_graph(sys)``."""
-    return len(sys.io_atoms)
 
 
 @dataclass(frozen=True)
@@ -276,7 +271,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     if reground is not None:
         if sys.dmax is None:
             raise ValueError("io-finiteness probe needs the system's dmax")
-        probe_sizes = (len(sys.io_atoms), io_atom_count(reground(sys.dmax + probe_delta)))
+        probe_sizes = (len(sys.io_atoms), len(reground(sys.dmax + probe_delta).io_atoms))
         io_finite = probe_sizes[0] == probe_sizes[1]
         probed = True
 

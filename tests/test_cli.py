@@ -50,6 +50,21 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("sp(X,Y,D2), D2 < D.", "sp(X,Y,D2), D2 < X.", "line 11: agent A1: "),
+    ("hin: sp(A2,Y,D) where Y != A1;", "hin: sp(A2,Y,D) where Y < D;", "line 17: "),
+], ids=("clause", "where"))
+def test_less_than_between_integer_and_node_rejected(tmp_path, capsys, old, new, where):
+    text = (Path(agentlog.__file__).parent / "data" / "routing5.scenario").read_text()
+    assert old in text
+    bad = tmp_path / "mixed.scenario"
+    bad.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"agentlog: error: {where}'<' between an integer and a node")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_example3_not_weakly_stabilizing(capsys):
     code, out, _ = run_cli(capsys, "run", "example3")
     assert code == 0  # fixpoint reached, no divergence tracked
@@ -173,6 +188,14 @@ def test_unknown_flag_rejected(capsys):
         main(["run", "example3", "--bogus"])
 
 
+def test_oracle_check_takes_no_format(capsys):
+    # Its output is records whatever --format says, so the flag is refused.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "example3", "--format", "table"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format table" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "example3", "--max-rounds", "-1"],
     ["sweep", "chain(1)", "--param", "n", "--range", "1:2", "--max-rounds", "-3"],
@@ -224,6 +247,50 @@ def test_stdout_identical_across_hash_seeds(argv):
             proc.wait()
     assert all(proc.returncode in (0, 3) for proc in procs)
     assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+_DIFFERENT_DEFINITIONS = """\
+[domain]
+nodes:
+dmax: 0
+
+[agent A1]
+idb:
+  p1 :- c.
+  p2 :- c.
+  p3 :- c.
+  p4 :- c.
+  p5 :- c.
+hbe: c
+edb: c
+
+[agent A2]
+idb:
+  p1 :- d.
+  p2 :- d.
+  p3 :- d.
+  p4 :- d.
+  p5 :- d.
+hbe: d
+edb: d
+"""
+
+
+def test_validation_errors_identical_across_hash_seeds(tmp_path):
+    # Five atoms defined differently by two agents: the violations must be
+    # listed in one order, whatever the set order of the process.
+    path = tmp_path / "defs.scenario"
+    path.write_text(_DIFFERENT_DEFINITIONS)
+    src = str(Path(agentlog.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    results = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-m", "agentlog.cli", "analyze", str(path)],
+                              capture_output=True, env=env, timeout=120)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    expected = "; ".join(f"atom p{i} has different definitions in A1 and A2" for i in range(1, 6))
+    assert results == [(2, b"", f"agentlog: error: {expected}\n".encode())] * 3
 
 
 def test_table_format(capsys):

@@ -32,7 +32,6 @@ from agentlog.system import (
     ValidationError,
     build_system,
     classify,
-    io_atom_count,
     io_graph,
     superagent,
     superagent_model,
@@ -60,7 +59,7 @@ def test_shared_definition_violation():
     x = atom("x")
     one = AgentSpec("A1", GroundProgram.of([clause(x, a)], [a]), frozenset([a]))
     two = AgentSpec("A2", GroundProgram.of([clause(x, b)], [b]), frozenset([b]))
-    assert any("different definitions" in v for v in system_violations([one, two]))
+    assert any("different definitions" in v for v in system_violations(MultiAgentSystem([one, two])))
 
 
 def test_shared_definition_identical_is_fine():
@@ -89,7 +88,7 @@ def test_duplicate_ids_rejected():
 def test_environment_atom_as_head_rejected():
     one = AgentSpec("A1", GroundProgram.of([Clause(a)]))
     two = AgentSpec("A2", GroundProgram.of([], [a]), frozenset([a]), frozenset(), AgentState())
-    violations = system_violations([one, two])
+    violations = system_violations(MultiAgentSystem([one, two]))
     assert any("environment atoms appear as heads" in v for v in violations)
 
 
@@ -235,7 +234,7 @@ def test_acyclicity_violations_match_definition_route():
         specs = [_with_own_cycle(rng, spec) for spec in system.agents]
         expected = [f"agent {s.id}: IDB is not acyclic" for s in specs
                     if not is_acyclic(dependency_graph(s.idb))]
-        violations = system_violations(specs)
+        violations = system_violations(MultiAgentSystem(specs))
         assert [v for v in violations if v.endswith("IDB is not acyclic")] == expected
         if violations:
             with pytest.raises(ValidationError) as info:
@@ -245,6 +244,71 @@ def test_acyclicity_violations_match_definition_route():
         flagged += len(expected)
         shared += sum(not s.heads.isdisjoint(cyclic) for s in specs) - len(expected)
     assert flagged > 20 and shared > 20
+
+
+def _perturbed(rng, clauses, k):
+    """``clauses`` unchanged, or with one clause added, one dropped, or one
+    body literal negated."""
+    clauses = sorted(clauses, key=str)
+    kind = rng.choice(("same", "same", "add", "drop", "negate"))
+    negatable = [c for c in clauses if c.body]
+    if kind == "drop" and len(clauses) > 1:
+        clauses.pop(rng.randrange(len(clauses)))
+    elif kind == "negate" and negatable:
+        c = rng.choice(negatable)
+        i = rng.randrange(len(c.body))
+        flipped = Literal(c.body[i].atom, not c.body[i].positive)
+        clauses[clauses.index(c)] = Clause(c.head, c.body[:i] + (flipped,) + c.body[i + 1:])
+    elif kind != "same":
+        clauses.append(clause(clauses[0].head, atom(f"extra{k}")))
+    return clauses
+
+
+def _definition_route(specs):
+    """(agent index, atom, message) for every definition breach: every
+    agent's clauses grouped by head, each later definer compared with the
+    first."""
+    first, found = {}, []
+    for i, s in enumerate(specs):
+        by_head = {}
+        for c in s.idb.clauses:
+            by_head.setdefault(c.head, set()).add(c)
+        for h, cs in by_head.items():
+            if h not in first:
+                first[h] = (s.id, cs)
+            elif first[h][1] != cs:
+                found.append((i, h, f"atom {h} has different definitions in {first[h][0]} and {s.id}"))
+    return found
+
+
+def test_definition_violations_match_definition_route():
+    # random_system gives each head one agent; here some heads get two or
+    # three, with the same clauses or with one clause added, dropped or
+    # negated in a copy.
+    rng = random.Random(2718)
+    differing = alike = 0
+    for k in range(300):
+        system, _ = random_system(rng)
+        specs = list(system.agents)
+        extra = [[] for _ in specs]
+        for owner, spec in enumerate(specs):
+            for h in sorted(spec.heads):
+                if rng.random() < 0.6:
+                    continue
+                own = [c for c in spec.idb.clauses if c.head == h]
+                others = [i for i in range(len(specs)) if i != owner]
+                for i in rng.sample(others, min(len(others), rng.choice((1, 1, 2)))):
+                    extra[i] += _perturbed(rng, own, k)
+        specs = [replace(s, idb=s.idb.union(GroundProgram.of(more)))
+                 for s, more in zip(specs, extra)]
+        expected = _definition_route(specs)
+        violations = [v for v in system_violations(MultiAgentSystem(specs))
+                      if "different definitions" in v]
+        assert set(violations) == {m for _, _, m in expected}
+        assert violations == [m for _, _, m in sorted(expected)]
+        differing += len(expected)
+        alike += bool(any(extra)) and not expected
+    assert differing > 100 and alike > 20
 
 
 def test_proposition_io_acyclic_implies_idb_acyclic():
@@ -315,7 +379,7 @@ def _check_against_definition(system, bigger=None):
     g_io, idb_acyclic = _definition_io(system)
     io_acyclic = is_acyclic(g_io)
     assert io_graph(system) == g_io
-    assert io_atom_count(system) == len(g_io.nodes)
+    assert len(system.io_atoms) == len(g_io.nodes)
     asked = []
     reground = None if bigger is None else lambda k: asked.append(k) or bigger
     if io_acyclic and not idb_acyclic:
