@@ -25,7 +25,7 @@ from .runtime import (
     run_scripted,
     verdict,
 )
-from .scenarios import ScenarioError, chain_scenario, load_scenario
+from .scenarios import _CHAIN_RE, ScenarioError, chain_scenario, load_scenario
 from .system import ValidationError, classify
 from .system import io_graph  # noqa: F401  perfbench/layertrace.py traces it here
 
@@ -194,6 +194,8 @@ def _parse_range(spec: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.param == "n" and not _CHAIN_RE.match(args.scenario.strip()):
+        raise ScenarioError(f"--param n sweeps a chain(N) scenario, got {args.scenario!r}")
     out = _Output(args.out)
     rows = []
     for value in _parse_range(args.range):
@@ -335,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="cross-check agent models against brute force")
     common(p, formatted=False)  # its output is always records
-    p.add_argument("--cap", type=int, default=20)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--cap", type=_int_at_least(0), default=20)
+    p.add_argument("--rounds", type=_int_at_least(0), default=2)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
     return parser

@@ -458,7 +458,7 @@ def _peel(deps: dict) -> tuple:
             waiting[h] -= 1
             if not waiting[h]:
                 sinks.append(h)
-    return order, frozenset(h for h, n in waiting.items() if n)
+    return tuple(order), frozenset(h for h, n in waiting.items() if n)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ class AcyclicPlan:
         self.atoms = atoms
         self.index = index
         self.by_head = {h: tuple(cs) for h, cs in by_head.items()}
-        self.sequence = tuple(sequence)
+        self.sequence = sequence
         self.heads = frozenset(atoms[h] for h in sequence)
         self.users = tuple(map(tuple, users))
 

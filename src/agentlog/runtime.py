@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .agents import AgentState, EnvChange, agent_model, message_payload, update_env, update_input
 from .logic import Atom, parse_atom
-from .system import MultiAgentSystem, NoUniqueModelError, superagent, superagent_model
+from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
+from .system import superagent  # noqa: F401  perfbench/layertrace.py traces it here
 
 __all__ = [
     "EnvEvent",
@@ -498,7 +499,7 @@ def verdict(sys: MultiAgentSystem, trace: Trace, families=()) -> Verdict:
     if trace.quiescence_point is not None:
         stab = stabilized_environment(trace)
         try:
-            reference = superagent_model(superagent(sys), stab)
+            reference = superagent_model(sys, stab)
         except NoUniqueModelError as exc:
             note = str(exc)
 

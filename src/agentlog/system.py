@@ -7,8 +7,10 @@ the superagent's atom dependency graph restricted to atoms relevant to
 some input atom; its acyclicity and (empirical) finiteness are the
 hypotheses of the stabilization guarantees.  A system reads that graph
 straight off the agents' clauses once, when it is assembled, and keeps
-its I/O atoms and the atoms that reach a cycle; the superagent program
-itself is built only for the reference model.
+its I/O atoms, the atoms that reach a cycle, and the order in which its
+heads peel off.  The reference model of an acyclic union is read through
+the agents' compiled plans in that order; the superagent program itself
+is built only when the union is cyclic.
 
 Validation reads the assembled system: its cyclic atoms, its environment
 atoms and each agent's heads.  The union rule base is well defined only
@@ -25,13 +27,11 @@ from dataclasses import dataclass
 from .agents import AgentSpec, dependency, validate_agent
 from .logic import (
     BRUTEFORCE_CAP,
-    CyclicProgramError,
     DependencyGraph,
     GroundProgram,
     _dependencies,
     _peel,
     least_model,
-    stable_model_acyclic,
     stable_models_bruteforce,
 )
 
@@ -63,10 +63,11 @@ class NoUniqueModelError(ValueError):
 class MultiAgentSystem:
     """A collection of agents plus derived lookup tables.
 
-    ``io_atoms`` are the nodes of the I/O graph, and ``cyclic`` the atoms
-    from which a cycle of the union rule base can be reached; both come
-    from one head -> body-atoms map of every agent's clauses, which is
-    not kept.
+    ``io_atoms`` are the nodes of the I/O graph, ``cyclic`` the atoms
+    from which a cycle of the union rule base can be reached, and
+    ``order`` the other heads of the union, each after the heads in its
+    clauses' bodies; all three come from one head -> body-atoms map of
+    every agent's clauses, which is not kept.
     """
 
     def __init__(self, agents, dmax=None):
@@ -77,7 +78,7 @@ class MultiAgentSystem:
         self.env_atoms = frozenset().union(*(a.hbe for a in self.agents)) if self.agents else frozenset()
         deps = _dependencies(a.idb for a in self.agents)
         self.io_atoms = _io_atoms(self.agents, deps)
-        self.cyclic = _peel(deps)[1]
+        self.order, self.cyclic = _peel(deps)
         self._deps = {}
         for recv in self.agents:
             for sender in self.agents:
@@ -185,19 +186,38 @@ def superagent(sys: MultiAgentSystem) -> SuperAgent:
     return SuperAgent(GroundProgram._unchecked(clauses, universe), initial)
 
 
-def superagent_model(sa: SuperAgent, stabilized_edb: frozenset) -> frozenset:
+def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozenset:
     """The reference model: stable model of ``IDB_all + EDB``.
 
-    Acyclic programs are evaluated directly.  A cyclic but negation-free
-    program still has a unique stable model (its least model).  Otherwise
-    brute force is attempted up to ``BRUTEFORCE_CAP`` atoms; several or
-    zero models raise NoUniqueModelError.
+    An acyclic union is evaluated in one pass over ``sys.order``: a head
+    is true when some clause of some agent that defines it fires, read
+    from that agent's compiled plan, so each plan must hold every clause
+    of its IDB.  Every definer is tried, as the agents of an unvalidated
+    system may define a shared head differently.  Otherwise the
+    superagent program is built: a negation-free one still has a unique
+    stable model (its least model), and the rest are tried by brute force
+    up to ``BRUTEFORCE_CAP`` atoms; several or zero models raise
+    NoUniqueModelError.
     """
-    try:
-        return stable_model_acyclic(sa.idb_all, facts=stabilized_edb)
-    except CyclicProgramError:
-        pass
-    combined = sa.idb_all.with_facts(stabilized_edb)
+    if not sys.cyclic:
+        definitions = {}
+        for a in sys.agents:
+            atoms = a.plan.atoms
+            for h, clauses in a.plan.by_head.items():
+                definitions.setdefault(atoms[h], []).append((atoms, clauses))
+        clash = [f for f in stabilized_edb if f in definitions]
+        if clash:
+            raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
+        true = set(stabilized_edb)
+        for h in sys.order:
+            if any(
+                all(atoms[i] in true for i in pos) and not any(atoms[i] in true for i in neg)
+                for atoms, clauses in definitions[h]
+                for pos, neg in clauses
+            ):
+                true.add(h)
+        return frozenset(true)
+    combined = superagent(sys).idb_all.with_facts(stabilized_edb)
     if all(l.positive for c in combined.clauses for l in c.body):
         return least_model(combined)
     if len(combined.universe) <= BRUTEFORCE_CAP:

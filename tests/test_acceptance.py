@@ -254,9 +254,7 @@ def test_criterion_4_routing_correct_at_quiescence():
                 assert got == want, f"agent {agent_id}"
 
         check((), ())
-        assert sp("A1", "A3", 2) in superagent_model(
-            superagent(system), superagent(system).initial_edb
-        )
+        assert sp("A1", "A3", 2) in superagent_model(system, superagent(system).initial_edb)
         failure = [(2, EnvChange(frozenset(), frozenset([lk("A1", "A2")])))]
         check(failure, [("A1", "A2")])
     report(4, "fixpoint outputs equal BFS distances, intact and after one failure", t)
@@ -330,8 +328,8 @@ def test_criterion_6_theorem_1_and_3_property_suite():
                 assert fix is not None, "no fixpoint on an IO-acyclic finite system"
                 assert rounds_after_quiescence_to_fixpoint(trace) <= io_nodes + 1
                 v = verdict(system, trace)
-                assert v.reference_model == superagent_model(
-                    sa, v.stabilized_edb
+                assert v.reference_model == stable_model_acyclic(
+                    sa.idb_all, facts=v.stabilized_edb
                 )
                 assert v.convergence_model == v.reference_model
                 assert v.non_convergent == frozenset()
@@ -380,7 +378,7 @@ def test_criterion_8_chain_non_stabilization_trend():
                     assert q in trace.models[r.end][i1], f"q lost early at n={n}"
             assert q not in trace.models[fix][i1]
 
-            reference = superagent_model(superagent(system), frozenset())
+            reference = superagent_model(system, frozenset())
             assert q not in reference
             assert reference == frozenset(
                 {atom("r", k) for k in range(n + 1)}

@@ -11,6 +11,7 @@ import pytest
 import agentlog
 from agentlog.cli import main
 from agentlog.logic import AcyclicPlan, CyclicProgramError
+from agentlog.scenarios import load_scenario
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,15 @@ def test_sweep_chain_rounds_increase(capsys):
     assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
 
 
+@pytest.mark.parametrize("name", ["routing5", "example3"])
+def test_sweep_param_n_needs_a_chain(capsys, name):
+    # --param n builds chain(N) systems, so any other scenario is refused
+    # rather than named in a header above chain rows.
+    code, out, err = run_cli(capsys, "sweep", name, "--param", "n", "--range", "1:2")
+    assert (code, out) == (2, "")
+    assert err == f"agentlog: error: --param n sweeps a chain(N) scenario, got {name!r}\n"
+
+
 def test_sweep_routing_dmax_constant_outputs(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "routing5", "--param", "dmax", "--range", "4:6", "--max-rounds", "10"
@@ -202,13 +212,15 @@ def test_oracle_check_takes_no_format(capsys):
     ["run", "example3", "--max-rounds", "two"],
     ["analyze", "example3", "--probe-delta", "0"],
     ["analyze", "example3", "--probe-delta", "-2"],
+    ["oracle-check", "example3", "--cap", "-1"],
+    ["oracle-check", "example3", "--rounds", "-3"],
 ])
 def test_out_of_range_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     _, err = capsys.readouterr()
-    assert "--max-rounds" in err or "--probe-delta" in err
+    assert any(flag in err for flag in ("--max-rounds", "--probe-delta", "--cap", "--rounds"))
 
 
 def test_smallest_flag_values_accepted(capsys):
@@ -316,6 +328,25 @@ def test_cyclic_program_error_exits_as_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(agentlog.cli, "run_fair", _raise(CyclicProgramError("cycle through a")))
     code, out, err = run_cli(capsys, "run", "example3")
     assert (code, out, err) == (1, "", "agentlog: internal error: cycle through a\n")
+
+
+@pytest.mark.parametrize("name", ["routing5", "chain(20)"])
+def test_run_compiles_one_plan_per_agent(monkeypatch, capsys, name):
+    # The verdict's reference model reads the agents' plans; the union
+    # of their rule bases gets no plan of its own.
+    compiled = []
+    init = AcyclicPlan.__init__
+
+    def counting(self, p):
+        compiled.append(p.clauses)
+        init(self, p)
+
+    monkeypatch.setattr(AcyclicPlan, "__init__", counting)
+    code, out, _ = run_cli(capsys, "run", name)
+    assert code == 0 and records(out)[-1]["weakly_stabilizing_witnessed"] is True
+    monkeypatch.undo()
+    agents = load_scenario(name).build_system().agents
+    assert sorted(compiled, key=len) == sorted((a.idb.clauses for a in agents), key=len)
 
 
 def test_analyze_compiles_no_plan(monkeypatch, capsys):

@@ -19,7 +19,7 @@ from agentlog.scenarios import (
     routing_system,
     serialize_scenario,
 )
-from agentlog.system import classify, superagent, superagent_model
+from agentlog.system import classify, superagent_model
 
 
 def test_builtin_example3_matches_paper_shape(example3_system):
@@ -176,8 +176,7 @@ def test_chain_bound_zero():
 
 def test_chain_superagent_model():
     system = chain_system(3)
-    sa = superagent(system)
-    model = superagent_model(sa, frozenset())
+    model = superagent_model(system, frozenset())
     assert model == frozenset(
         {atom("r", k) for k in range(4)} | {atom("s", k) for k in range(4)}
     )

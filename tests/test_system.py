@@ -7,6 +7,8 @@ import pytest
 
 from agentlog.agents import AgentSpec, AgentState
 from agentlog.logic import (
+    BRUTEFORCE_CAP,
+    AcyclicPlan,
     Clause,
     DependencyGraph,
     GroundProgram,
@@ -15,7 +17,10 @@ from agentlog.logic import (
     dependency_graph,
     head_set,
     is_acyclic,
+    stable_model_acyclic,
+    stable_models_bruteforce,
 )
+from agentlog.runtime import run_fair, verdict
 from agentlog.scenarios import (
     FIG1_TOPOLOGY,
     Topology,
@@ -132,19 +137,16 @@ def test_superagent_head_union(example3_system):
 
 
 def test_superagent_model_example3(example3_system):
-    sa = superagent(example3_system)
-    assert superagent_model(sa, frozenset([c, d])) == {c, d}
+    assert superagent_model(example3_system, frozenset([c, d])) == {c, d}
 
 
 def test_superagent_model_empty():
     spec = AgentSpec("A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]))
-    sa = superagent(build_system([spec]))
-    assert superagent_model(sa, frozenset()) == frozenset()
+    assert superagent_model(build_system([spec]), frozenset()) == frozenset()
 
 
 def test_superagent_model_routing_matches_bfs(routing5_system):
-    sa = superagent(routing5_system)
-    model = superagent_model(sa, sa.initial_edb)
+    model = superagent_model(routing5_system, superagent(routing5_system).initial_edb)
     dist = bfs_oracle(FIG1_TOPOLOGY)
     assert frozenset(x for x in model if x.predicate == "sp") == {
         atom("sp", u, v, k) for (u, v), k in dist.items()
@@ -154,12 +156,14 @@ def test_superagent_model_routing_matches_bfs(routing5_system):
 
 
 def test_superagent_model_no_unique_for_negative_loop():
-    p = GroundProgram.of([Clause(a, (Literal(a, False),))])
-    one = AgentSpec("A1", p)
-    from agentlog.system import SuperAgent
-
+    # a :- not b in one agent and b :- not a in the other: each rule base
+    # is acyclic, the union has two stable models.
+    one = AgentSpec("A1", GroundProgram.of([Clause(a, (Literal(b, False),))]), hin=frozenset([b]))
+    two = AgentSpec("A2", GroundProgram.of([Clause(b, (Literal(a, False),))]), hin=frozenset([a]))
+    system = build_system([one, two])
+    assert system.cyclic == {a, b}
     with pytest.raises(NoUniqueModelError):
-        superagent_model(SuperAgent(p, frozenset()), frozenset())
+        superagent_model(system, frozenset())
 
 
 def test_io_graph_example3(example3_system):
@@ -350,7 +354,7 @@ def test_superagent_projection_consistent_with_agents():
         system, _ = random_system(rng, io_acyclic=True)
         sa = superagent(system)
         env = sa.initial_edb
-        reference = superagent_model(sa, env)
+        reference = stable_model_acyclic(sa.idb_all, facts=env)
         for spec in system.agents:
             state = AgentState(env & spec.hbe, reference & spec.hin)
             assert agent_model(spec, state) == reference & (spec.hb)
@@ -445,3 +449,130 @@ def test_classify_and_io_graph_match_definition_route_on_scenarios(ref):
     sc = _scenario(ref)
     system = sc.build_system()
     _check_against_definition(system, sc.build_system(dmax=system.dmax + 2))
+
+
+def _with_copied_heads(rng, specs):
+    """``specs`` with some heads' clauses copied unchanged into one other
+    agent, which then defines each such head as its first definer does."""
+    extra = [[] for _ in specs]
+    for owner, spec in enumerate(specs):
+        for h in sorted(spec.heads):
+            if rng.random() < 0.5:
+                continue
+            target = rng.choice([i for i in range(len(specs)) if i != owner])
+            extra[target] += [c for c in spec.idb.clauses if c.head == h]
+    return [replace(s, idb=s.idb.union(GroundProgram.of(more))) for s, more in zip(specs, extra)]
+
+
+def _union_oracle(system, edb):
+    """The reference model by the definition, from the superagent program:
+    its own compiled plan when acyclic, else its unique stable model by
+    brute force; NoUniqueModelError when it has none or several."""
+    program = superagent(system).idb_all
+    if is_acyclic(dependency_graph(program)):
+        return stable_model_acyclic(program, facts=edb)
+    models = stable_models_bruteforce(program.with_facts(edb))
+    if len(models) != 1:
+        raise NoUniqueModelError(f"{len(models)} stable models")
+    return models[0]
+
+
+def test_superagent_model_matches_union_program_on_random_systems():
+    # The acyclic route reads the agents' plans in the union order; the
+    # union program, compiled on its own and enumerated by brute force, is
+    # the oracle.  A third of the systems have heads that two agents define.
+    rng = random.Random(3141)
+    acyclic = brute = shared = 0
+    for k in range(300):
+        system, _ = random_system(rng, io_acyclic=k % 2 == 0)
+        if k % 3 == 0:
+            system = MultiAgentSystem(_with_copied_heads(rng, system.agents))
+        edb = frozenset(x for x in sorted(system.env_atoms) if rng.random() < 0.5)
+        program = superagent(system).idb_all
+        combined = program.with_facts(edb)
+        if is_acyclic(dependency_graph(program)):
+            assert superagent_model(system, edb) == stable_model_acyclic(program, facts=edb)
+            acyclic += 1
+            heads = [h for s in system.agents for h in s.heads]
+            shared += len(heads) > len(set(heads))
+        if len(combined.universe) <= BRUTEFORCE_CAP:
+            models = stable_models_bruteforce(combined)
+            if len(models) == 1:
+                assert superagent_model(system, edb) == models[0]
+            else:
+                with pytest.raises(NoUniqueModelError):
+                    superagent_model(system, edb)
+            brute += 1
+    assert acyclic > 150 and brute > 250 and shared > 40
+
+
+def test_superagent_model_reads_every_definer_on_unvalidated_systems():
+    # Some heads get a second definer with a different clause whose body
+    # only mentions lower derived atoms and environment atoms, so the union
+    # stays acyclic but the system would fail validation.  A head is true
+    # when any definer's clause fires.
+    rng = random.Random(2236)
+    differing = 0
+    for _ in range(200):
+        system, _ = random_system(rng, io_acyclic=True)
+        specs = list(system.agents)
+        derived = sorted(set().union(*(s.heads for s in specs)))
+        extra = [[] for _ in specs]
+        for owner, spec in enumerate(specs):
+            for h in sorted(spec.heads):
+                if rng.random() < 0.5:
+                    continue
+                rank = int(h.predicate[1:])
+                pool = sorted(system.env_atoms) + [x for x in derived if int(x.predicate[1:]) < rank]
+                body = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+                target = rng.choice([i for i in range(len(specs)) if i != owner])
+                extra[target].append(Clause(h, tuple(Literal(x, rng.random() > 0.3) for x in body)))
+        specs = [replace(s, idb=s.idb.union(GroundProgram.of(more))) for s, more in zip(specs, extra)]
+        system = MultiAgentSystem(specs)
+        assert not system.cyclic
+        differing += sum("different definitions" in v for v in system_violations(system))
+        for _ in range(3):
+            edb = frozenset(x for x in sorted(system.env_atoms) if rng.random() < 0.5)
+            assert superagent_model(system, edb) == _union_oracle(system, edb)
+    assert differing > 100
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [name for name in builtin_names() if name != "chain(N)"]
+    + ["chain(4)", "chain(12)"]
+    + [f"ring{n}" for n in range(4, 9)],
+)
+def test_superagent_model_matches_union_program_on_scenarios(ref):
+    # In the initial environment and, on routing systems, with one link failed.
+    system = _scenario(ref).build_system()
+    initial = superagent(system).initial_edb
+    links = sorted(x for x in initial if x.predicate == "link")
+    for edb in [initial] + [initial - {x} for x in links[len(links) // 2:][:1]]:
+        assert superagent_model(system, edb) == _union_oracle(system, edb)
+
+
+def test_superagent_model_rejects_a_fact_that_heads_a_clause(routing5_system):
+    head = min(routing5_system.order)
+    with pytest.raises(ValueError, match="fact atoms may not head clauses"):
+        superagent_model(routing5_system, frozenset([head]))
+
+
+def test_reference_model_compiles_nothing_new(monkeypatch):
+    # On an acyclic union the verdict reads the agents' own plans: no
+    # further plan is compiled and the superagent program is not built.
+    scenario = builtin_scenario("routing5")
+    system = scenario.build_system()
+    trace = run_fair(system, env_schedule=scenario.schedule, max_rounds=scenario.max_rounds)
+    initial = superagent(system).initial_edb
+
+    def refuse(*args):
+        raise AssertionError("built beyond the agents' own plans")
+
+    with monkeypatch.context() as m:
+        m.setattr(AcyclicPlan, "__init__", refuse)
+        m.setattr("agentlog.system.superagent", refuse)
+        model = superagent_model(system, initial)
+        v = verdict(system, trace)
+    assert model == _union_oracle(system, initial)
+    assert v.reference_model == _union_oracle(system, v.stabilized_edb) == v.convergence_model
