@@ -25,7 +25,6 @@ from .logic import (
     CyclicProgramError,
     DependencyGraph,
     GroundProgram,
-    Literal,
     atom,
     dependency_graph,
     gl_reduct,

@@ -25,7 +25,7 @@ from .runtime import (
     run_scripted,
     verdict,
 )
-from .scenarios import _CHAIN_RE, ScenarioError, chain_scenario, load_scenario
+from .scenarios import _CHAIN_RE, ScenarioError, load_scenario
 from .system import ValidationError, classify
 from .system import io_graph  # noqa: F401  perfbench/layertrace.py traces it here
 
@@ -199,10 +199,9 @@ def cmd_sweep(args) -> int:
     out = _Output(args.out)
     rows = []
     for value in _parse_range(args.range):
-        if args.param == "n":
-            scenario = chain_scenario(value)
-        else:
-            scenario = load_scenario(args.scenario, dmax=value)
+        # A chain(N) scenario's bound is its length, so both parameters
+        # load the same scenario.
+        scenario = load_scenario(args.scenario, dmax=value)
         system = scenario.build_system()
         trace = _run_trace(scenario, system, args)
         v = verdict(system, trace, families=scenario.families())

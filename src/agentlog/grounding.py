@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .logic import Atom, Clause, GroundProgram, Literal, split_top_level
+from .logic import Atom, Clause, GroundProgram, split_top_level
 
 __all__ = [
     "GroundingError",
@@ -311,20 +311,25 @@ class _Enumeration:
                 levels[i][4].append((_OPS[type(k)], slot[k.left], slot[k.right]))
         for j, sa in enumerate(atoms):
             symmetric = sa.predicate in dom.symmetric and len(sa.args) == 2
-            positive = None if j == 0 else c.body[j - 1].positive
             args = _tuple_getter([slot[t] for t in sa.args])
-            levels[level_of(sa.variables())][5].append(
-                (atom_slot + j, sa.predicate, args, symmetric, positive)
-            )
+            levels[level_of(sa.variables())][5].append((atom_slot + j, sa.predicate, args, symmetric))
         self.levels = [tuple(level) for level in levels]
         self.env = env
         self.head = atom_slot
-        # Literals of distinct predicates or arities sort by those alone, so
-        # such a body can be read off in a fixed order and skip the sort.
-        body = sorted(range(1, len(atoms)), key=lambda j: (atoms[j].predicate, len(atoms[j].args)))
-        distinct = len({(sa.predicate, len(sa.args)) for sa in atoms[1:]}) == len(body)
-        self.body = _tuple_getter([atom_slot + j for j in body])
-        self.clause = Clause._sorted if distinct else Clause
+
+        def body_getter(positive):
+            # Atoms of distinct predicates or arities sort by those alone, so
+            # such a sign's atoms can be read off in a fixed order; the
+            # others are deduplicated and sorted per instance.
+            js = [j for j in range(1, len(atoms)) if c.body[j - 1].positive == positive]
+            js.sort(key=lambda j: (atoms[j].predicate, len(atoms[j].args)))
+            get = _tuple_getter([atom_slot + j for j in js])
+            if len({(atoms[j].predicate, len(atoms[j].args)) for j in js}) == len(js):
+                return get
+            return lambda env: tuple(sorted(set(get(env)), key=Atom.sort_key))
+
+        self.pos = body_getter(True)
+        self.neg = body_getter(False)
         self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
 
     def clauses(self) -> set:
@@ -351,14 +356,13 @@ class _Enumeration:
                 if not op(env[a], env[b]):
                     break
             else:
-                for s, predicate, args, symmetric, positive in atoms:
+                for s, predicate, args, symmetric in atoms:
                     ga = args(env)
                     if symmetric:
                         ga = self._canonical(ga)
-                    ga = Atom(predicate, ga)
-                    env[s] = ga if positive is None else Literal(ga, positive)
+                    env[s] = Atom(predicate, ga)
                 if innermost:
-                    out.add(self.clause(env[self.head], self.body(env)))
+                    out.add(Clause._sorted(env[self.head], self.pos(env), self.neg(env)))
                 else:
                     self._descend(i + 1, out)
 

@@ -2,12 +2,13 @@
 
 Atoms, clauses and programs are immutable values, totally ordered so that
 every listing (trace exports, model dumps, error messages) is
-byte-stable across runs.  All operations are pure functions.  The only
-shared mutable state is the two process-wide intern tables of ``Atom`` and
-``Literal``: each value is made once and reused, so equality and hashing
-are by identity.  The tables never shrink, and they grow only through
-``dict.setdefault``, which under the GIL gives every caller the same
-object for a value.
+byte-stable across runs.  A clause is a head plus two tuples of body
+atoms, ``pos`` and ``neg``: the positive atoms and the negated ones.  All
+operations are pure functions.  The only shared mutable state is the
+process-wide intern table of ``Atom``: each atom is made once and reused,
+so equality and hashing of atoms are by identity.  The table never
+shrinks, and it grows only through ``dict.setdefault``, which under the
+GIL gives every caller the same object for a value.
 
 Three evaluation routes are provided on purpose and are cross-checked by
 the test suite:
@@ -37,7 +38,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Atom",
-    "Literal",
     "Clause",
     "GroundProgram",
     "DependencyGraph",
@@ -76,29 +76,13 @@ def _arg_key(value) -> tuple:
     return (1, value, 0)
 
 
-class _Interned:
-    """Immutable value objects made once per value, so that ``==`` and
-    ``hash`` are the inherited identity versions, which run in C.
-
-    ``__new__`` of each subclass looks its value up in the subclass's
-    ``_table`` and makes the object only when the value is new.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 @total_ordering
-class Atom(_Interned):
+class Atom:
     """A fully ground atom: predicate symbol plus constant arguments.
 
     Interned: ``Atom(p, args)`` returns the one object with that predicate
-    and ``tuple(args)``, so equal atoms are the same object.
+    and ``tuple(args)``, so equal atoms are the same object, and ``==``
+    and ``hash`` are the inherited identity versions, which run in C.
     """
 
     __slots__ = ("predicate", "args", "_key")
@@ -116,6 +100,12 @@ class Atom(_Interned):
             object.__setattr__(self, "_key", key)
             self = cls._table.setdefault(value, self)
         return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Atom, (self.predicate, self.args))
@@ -138,68 +128,42 @@ def atom(predicate: str, *args) -> Atom:
     return Atom(predicate, args)
 
 
-class Literal(_Interned):
-    """An atom or its negation-as-failure; interned like ``Atom``."""
-
-    __slots__ = ("atom", "positive", "_key")
-    _table: dict = {}
-
-    def __new__(cls, atom: Atom, positive: bool = True):
-        value = (atom, positive)
-        self = cls._table.get(value)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "atom", atom)
-            object.__setattr__(self, "positive", positive)
-            object.__setattr__(self, "_key", (atom.sort_key(), not positive))
-            self = cls._table.setdefault(value, self)
-        return self
-
-    def __reduce__(self):
-        return (Literal, (self.atom, self.positive))
-
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def __repr__(self) -> str:
-        return f"Literal(atom={self.atom!r}, positive={self.positive!r})"
-
-    def __str__(self) -> str:
-        return format_atom(self.atom) if self.positive else f"not {format_atom(self.atom)}"
-
-
 @dataclass(frozen=True)
 class Clause:
-    """``head <- body``; an empty body makes the clause a fact.
+    """``head :- pos, not neg``; an empty body makes the clause a fact.
 
-    Body literals are deduplicated and canonically ordered on
+    ``pos`` holds the positive body atoms and ``neg`` the negated ones.
+    Each is deduplicated and put in ``Atom.sort_key`` order on
     construction, so structurally equal clauses compare equal.
     """
 
     head: Atom
-    body: tuple = ()
+    pos: tuple = ()
+    neg: tuple = ()
 
     def __post_init__(self):
-        normalized = tuple(sorted(set(self.body), key=Literal.sort_key))
-        object.__setattr__(self, "body", normalized)
+        object.__setattr__(self, "pos", tuple(sorted(set(self.pos), key=Atom.sort_key)))
+        object.__setattr__(self, "neg", tuple(sorted(set(self.neg), key=Atom.sort_key)))
 
     @classmethod
-    def _sorted(cls, head: Atom, body: tuple) -> "Clause":
-        """Build without ``__post_init__``.  Only for a ``body`` tuple that
-        is already deduplicated and in ``Literal.sort_key`` order."""
+    def _sorted(cls, head: Atom, pos: tuple, neg: tuple) -> "Clause":
+        """Build without ``__post_init__``.  Only for ``pos`` and ``neg``
+        tuples that are already deduplicated and in ``Atom.sort_key``
+        order."""
         c = object.__new__(cls)
         object.__setattr__(c, "head", head)
-        object.__setattr__(c, "body", body)
+        object.__setattr__(c, "pos", pos)
+        object.__setattr__(c, "neg", neg)
         return c
 
     @property
     def is_fact(self) -> bool:
-        return not self.body
+        return not (self.pos or self.neg)
 
     def atoms(self) -> Iterator[Atom]:
         yield self.head
-        for lit in self.body:
-            yield lit.atom
+        yield from self.pos
+        yield from self.neg
 
     def __str__(self) -> str:
         return format_clause(self)
@@ -260,23 +224,19 @@ def head_set(p: GroundProgram) -> frozenset:
 def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
     """The reduct of ``p`` relative to ``s``.
 
-    Clauses with a negative body literal whose atom lies in ``s`` are
-    dropped; the surviving clauses keep only their positive literals, so
-    the result is negation-free.  The universe is unchanged.
+    Clauses with a negated body atom in ``s`` are dropped; the surviving
+    clauses keep only their positive body atoms, so the result is
+    negation-free.  The universe is unchanged.
     """
-    kept = set()
-    for c in p.clauses:
-        if any((not l.positive) and l.atom in s for l in c.body):
-            continue
-        kept.add(Clause(c.head, tuple(l for l in c.body if l.positive)))
-    return GroundProgram._unchecked(frozenset(kept), p.universe)
+    kept = frozenset(Clause._sorted(c.head, c.pos, ()) for c in p.clauses if s.isdisjoint(c.neg))
+    return GroundProgram._unchecked(kept, p.universe)
 
 
 def least_model(p: GroundProgram) -> Interpretation:
     """Least model of a negation-free program (iterated consequences)."""
     clauses = []
     for c in p.clauses:
-        if any(not l.positive for l in c.body):
+        if c.neg:
             raise ValueError(f"least_model requires a negation-free program, got: {c}")
         clauses.append(c)
 
@@ -284,11 +244,11 @@ def least_model(p: GroundProgram) -> Interpretation:
     watchers = defaultdict(list)
     queue = deque()
     for i, c in enumerate(clauses):
-        remaining[i] = len(c.body)
-        if not c.body:
+        remaining[i] = len(c.pos)
+        if not c.pos:
             queue.append(i)
-        for lit in c.body:
-            watchers[lit.atom].append(i)
+        for b in c.pos:
+            watchers[b].append(i)
 
     true: set = set()
     while queue:
@@ -321,24 +281,16 @@ def stable_models_bruteforce(p: GroundProgram, cap: int = BRUTEFORCE_CAP):
         raise ValueError(f"universe has {n} atoms, above the brute-force cap {cap}")
 
     heads = sorted(head_set(p))
-    pos = {a: i for i, a in enumerate(heads)}
+    bit = {a: i for i, a in enumerate(heads)}
 
     compiled = []
     for c in p.clauses:
-        dead = False
-        pos_mask = 0
-        neg_mask = 0
-        for lit in c.body:
-            i = pos.get(lit.atom)
-            if lit.positive:
-                if i is None:  # positive body atom nobody derives: clause never fires
-                    dead = True
-                    break
-                pos_mask |= 1 << i
-            elif i is not None:  # negation of an underivable atom always holds
-                neg_mask |= 1 << i
-        if not dead:
-            compiled.append((1 << pos[c.head], pos_mask, neg_mask))
+        # A positive body atom nobody derives makes the clause dead; the
+        # negation of an underivable atom always holds.
+        if all(b in bit for b in c.pos):
+            pos_mask = sum(1 << bit[b] for b in c.pos)
+            neg_mask = sum(1 << bit[b] for b in c.neg if b in bit)
+            compiled.append((1 << bit[c.head], pos_mask, neg_mask))
 
     models = []
     for mask in range(1 << len(heads)):
@@ -351,7 +303,7 @@ def stable_models_bruteforce(p: GroundProgram, cap: int = BRUTEFORCE_CAP):
                     m |= head_bit
                     changed = True
         if m == mask:
-            models.append(frozenset(a for a in heads if mask >> pos[a] & 1))
+            models.append(frozenset(a for a in heads if mask >> bit[a] & 1))
     models.sort(key=lambda s: tuple(sorted(a.sort_key() for a in s)))
     return models
 
@@ -376,11 +328,8 @@ class DependencyGraph:
 
 
 def dependency_graph(p: GroundProgram) -> DependencyGraph:
-    edges = set()
-    for c in p.clauses:
-        for lit in c.body:
-            edges.add((c.head, lit.atom))
-    return DependencyGraph(p.universe, frozenset(edges))
+    edges = frozenset((c.head, b) for c in p.clauses for b in c.pos + c.neg)
+    return DependencyGraph(p.universe, edges)
 
 
 def is_acyclic(g: DependencyGraph) -> bool:
@@ -430,7 +379,8 @@ def _dependencies(programs) -> dict:
             body = deps.get(c.head)
             if body is None:
                 body = deps[c.head] = set()
-            body.update(lit.atom for lit in c.body)
+            body.update(c.pos)
+            body.update(c.neg)
     return deps
 
 
@@ -486,8 +436,8 @@ class AcyclicPlan:
         index = {a: i for i, a in enumerate(atoms)}
         by_head: dict = defaultdict(list)
         for c in p.clauses:
-            pos = tuple(index[l.atom] for l in c.body if l.positive)
-            neg = tuple(index[l.atom] for l in c.body if not l.positive)
+            pos = tuple(index[b] for b in c.pos)
+            neg = tuple(index[b] for b in c.neg)
             by_head[index[c.head]].append((pos, neg))
 
         bodies = {h: {i for pos, neg in cs for i in pos + neg} for h, cs in by_head.items()}
@@ -651,9 +601,13 @@ def parse_atom(text: str) -> Atom:
 
 
 def format_clause(c: Clause) -> str:
+    """``head :- b1, not b2.``: body items in atom order, a positive atom
+    before its own negation."""
     if c.is_fact:
         return f"{format_atom(c.head)}."
-    body = ", ".join(str(l) for l in c.body)
+    items = [(b.sort_key(), 0, format_atom(b)) for b in c.pos]
+    items += [(b.sort_key(), 1, f"not {format_atom(b)}") for b in c.neg]
+    body = ", ".join(text for _, _, text in sorted(items))
     return f"{format_atom(c.head)} :- {body}."
 
 
@@ -664,12 +618,12 @@ def parse_clause(text: str) -> Clause:
     text = text[:-1]
     if ":-" in text:
         head_text, body_text = text.split(":-", 1)
-        body = []
+        pos, neg = [], []
         for item in split_top_level(body_text):
             item = item.strip()
             if item.startswith("not ") or item.startswith("not("):
-                body.append(Literal(parse_atom(item[3:].strip()), positive=False))
+                neg.append(parse_atom(item[3:].strip()))
             else:
-                body.append(Literal(parse_atom(item)))
-        return Clause(parse_atom(head_text), tuple(body))
+                pos.append(parse_atom(item))
+        return Clause(parse_atom(head_text), tuple(pos), tuple(neg))
     return Clause(parse_atom(text))

@@ -19,7 +19,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .agents import AgentState, EnvChange, agent_model, message_payload, update_env, update_input
+from .agents import AgentState, EnvChange, _few, agent_model, message_payload, update_env, update_input
 from .logic import Atom, parse_atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
 from .system import superagent  # noqa: F401  perfbench/layertrace.py traces it here
@@ -120,8 +120,7 @@ def env_transition(sys: MultiAgentSystem, gs: GlobalState, change: EnvChange) ->
     keep their state untouched (inputs never move here)."""
     outside = change.touched - sys.env_atoms
     if outside:
-        listed = ", ".join(str(a) for a in sorted(outside)[:4])
-        raise InvalidEventError(f"environment change touches non-environment atoms: {listed}")
+        raise InvalidEventError(f"environment change touches non-environment atoms: {_few(outside)}")
     new_states = []
     for a, s in zip(sys.agents, gs.agent_states):
         if a.hbe & change.touched:
@@ -572,15 +571,19 @@ def event_to_record(event, text: dict = None):
 
 
 def event_from_record(record):
-    if record["type"] == "env":
-        return EnvEvent(
-            EnvChange(
-                frozenset(parse_atom(a) for a in record["true"]),
-                frozenset(parse_atom(a) for a in record["false"]),
-            )
-        )
-    if record["type"] == "send":
-        return CommEvent(record["from"], record["to"])
+    """The event an exported record describes; ValueError for a record of
+    any other shape."""
+    kind = record.get("type") if isinstance(record, dict) else None
+    if kind == "env":
+        lists = (record.get("true"), record.get("false"))
+        if not all(isinstance(xs, list) and all(isinstance(x, str) for x in xs) for xs in lists):
+            raise ValueError(f"env event needs 'true' and 'false' lists of atoms: {record!r}")
+        return EnvEvent(EnvChange(*(frozenset(map(parse_atom, xs)) for xs in lists)))
+    if kind == "send":
+        ends = (record.get("from"), record.get("to"))
+        if not all(isinstance(end, str) for end in ends):
+            raise ValueError(f"send event needs 'from' and 'to' agent ids: {record!r}")
+        return CommEvent(*ends)
     raise ValueError(f"unknown event record: {record!r}")
 
 
@@ -656,12 +659,21 @@ def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
 
 
 def events_from_export(text: str) -> list:
-    """Recover the event list from an exported trace."""
+    """Recover the event list from an exported trace.
+
+    Raises ValueError, naming the line, for a line that is not a JSON
+    object or a point whose event is malformed.
+    """
     events = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        if record.get("record") == "point" and record.get("event") is not None:
-            events.append(event_from_record(record["event"]))
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {line.strip()!r}")
+            if record.get("record") == "point" and record.get("event") is not None:
+                events.append(event_from_record(record["event"]))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return events

@@ -347,6 +347,8 @@ def _parse_events(lines, dom, agent_ids, script, schedule):
                     max_rounds = int(rest)
                 except ValueError:
                     raise ScenarioError(f"max_rounds must be an integer: {rest!r}", line_no) from None
+                if max_rounds < 0:
+                    raise ScenarioError(f"max_rounds must be at least 0, got {max_rounds}", line_no)
             else:
                 try:
                     track.append(parse_pattern(rest, dom))

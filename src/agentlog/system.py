@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import AgentSpec, dependency, validate_agent
+from .agents import AgentSpec, _few, dependency, validate_agent
 from .logic import (
     BRUTEFORCE_CAP,
     DependencyGraph,
@@ -145,14 +145,12 @@ def system_violations(system: MultiAgentSystem) -> list:
     for a in agents:
         uncovered = a.hin - producible
         if uncovered:
-            listed = ", ".join(str(x) for x in sorted(uncovered)[:4])
-            violations.append(f"agent {a.id}: no producer for input atoms: {listed}")
+            violations.append(f"agent {a.id}: no producer for input atoms: {_few(uncovered)}")
 
     for a in agents:
         headed_env = system.env_atoms & a.heads
         if headed_env:
-            listed = ", ".join(str(x) for x in sorted(headed_env)[:4])
-            violations.append(f"agent {a.id}: environment atoms appear as heads: {listed}")
+            violations.append(f"agent {a.id}: environment atoms appear as heads: {_few(headed_env)}")
     return violations
 
 
@@ -218,7 +216,7 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
                 true.add(h)
         return frozenset(true)
     combined = superagent(sys).idb_all.with_facts(stabilized_edb)
-    if all(l.positive for c in combined.clauses for l in c.body):
+    if not any(c.neg for c in combined.clauses):
         return least_model(combined)
     if len(combined.universe) <= BRUTEFORCE_CAP:
         models = stable_models_bruteforce(combined)

@@ -21,8 +21,13 @@ from agentlog.grounding import (
     Shift,
     Var,
 )
-from agentlog.logic import Clause, GroundProgram, Literal, atom
+from agentlog.logic import Clause, GroundProgram, atom
 from agentlog.system import build_system
+
+
+def signed_clause(head, body) -> Clause:
+    """The clause ``head`` over ``(atom, positive)`` pairs."""
+    return Clause(head, [b for b, positive in body if positive], [b for b, positive in body if not positive])
 
 
 def random_acyclic_program(rng: random.Random, max_atoms: int = 12) -> GroundProgram:
@@ -35,8 +40,7 @@ def random_acyclic_program(rng: random.Random, max_atoms: int = 12) -> GroundPro
         for _ in range(rng.choice((0, 1, 1, 2))):
             k = rng.randint(0, min(3, i))
             picks = rng.sample(atoms[:i], k) if k else []
-            body = tuple(Literal(b, rng.random() > 0.3) for b in picks)
-            clauses.append(Clause(head, body))
+            clauses.append(signed_clause(head, [(b, rng.random() > 0.3) for b in picks]))
     return GroundProgram.of(clauses, atoms)
 
 
@@ -49,8 +53,7 @@ def random_program(rng: random.Random, max_atoms: int = 10) -> GroundProgram:
         for _ in range(rng.choice((0, 1, 1, 2))):
             k = rng.randint(0, 3)
             picks = rng.sample(atoms, min(k, n))
-            body = tuple(Literal(b, rng.random() > 0.3) for b in picks)
-            clauses.append(Clause(head, body))
+            clauses.append(signed_clause(head, [(b, rng.random() > 0.3) for b in picks]))
     return GroundProgram.of(clauses, atoms)
 
 
@@ -95,9 +98,9 @@ def random_system(rng: random.Random, io_acyclic: bool = True):
                 if not pool:
                     break
                 b = rng.choice(pool)
-                body.append(Literal(b, rng.random() > 0.3))
+                body.append((b, rng.random() > 0.3))
                 used[owner].add(b)
-            clauses[owner].append(Clause(head, tuple(body)))
+            clauses[owner].append(signed_clause(head, body))
 
     true_env = frozenset(e for e in env if rng.random() < 0.5)
     specs = []

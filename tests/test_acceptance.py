@@ -295,7 +295,7 @@ def test_criterion_5_stable_model_oracle_equivalence():
         rng = random.Random(50002)
         for _ in range(300):
             p = random_program(rng, max_atoms=9)
-            rows = [(cl.head, [(l.atom, l.positive) for l in cl.body]) for cl in p.clauses]
+            rows = [(cl.head, [(x, True) for x in cl.pos] + [(x, False) for x in cl.neg]) for cl in p.clauses]
             atoms = sorted(p.universe)
             for k in range(len(atoms) + 1):
                 for combo in itertools.combinations(atoms, k):

@@ -15,13 +15,13 @@ from agentlog.agents import (
     update_input,
     validate_agent,
 )
-from agentlog.logic import Clause, GroundProgram, Literal, atom, stable_models_bruteforce
+from agentlog.logic import Clause, GroundProgram, atom, stable_models_bruteforce
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
 def clause(head, *body):
-    return Clause(head, tuple(Literal(x) for x in body))
+    return Clause(head, body)
 
 
 def agent1():

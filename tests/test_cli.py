@@ -127,6 +127,39 @@ def test_replay_from_exported_trace(tmp_path, capsys):
     assert replayed_points == original_points
 
 
+@pytest.mark.parametrize("event", [
+    {"from": "A2", "to": "A1"},
+    {"type": "send", "from": "A2"},
+    {"type": "env", "true": [5], "false": []},
+    None,
+])
+def test_replay_rejects_malformed_events(tmp_path, capsys, event):
+    # The second line holds an event without a type, a send without a
+    # receiver, an env event whose atom is a number, or no object at all.
+    good = {"record": "point", "point": 0, "event": {"type": "send", "from": "A2", "to": "A1"}}
+    bad = [1] if event is None else dict(good, point=1, event=event)
+    path = tmp_path / "events.ndjson"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code, out, err = run_cli(capsys, "replay", "example3", "--events", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("agentlog: error: line 2: ")
+
+
+def test_negative_max_rounds_in_a_file_rejected(tmp_path, capsys):
+    from agentlog.scenarios import builtin_scenario, serialize_scenario
+
+    text = serialize_scenario(builtin_scenario("routing5-example6-script"))
+    line = text.splitlines().index("max_rounds: 8") + 1
+    path = tmp_path / "negative.scenario"
+    path.write_text(text.replace("max_rounds: 8", "max_rounds: -4"))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"agentlog: error: line {line}: max_rounds must be at least 0, got -4\n"
+    path.write_text(text.replace("max_rounds: 8", "max_rounds: 0"))
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 3 and records(out)[0]["max_rounds"] == 0
+
+
 def test_byte_identical_reruns(capsys):
     _, out1, _ = run_cli(capsys, "run", "routing5", "--max-rounds", "8", "--policy", "shuffled", "--seed", "3")
     _, out2, _ = run_cli(capsys, "run", "routing5", "--max-rounds", "8", "--policy", "shuffled", "--seed", "3")
@@ -139,6 +172,18 @@ def test_sweep_chain_rounds_increase(capsys):
     rows = [r for r in records(out) if r["record"] == "sweep-row"]
     rounds = [r["rounds_to_fixpoint"] for r in rows]
     assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
+
+
+def test_sweep_chain_same_rows_under_either_param(capsys):
+    # A chain(N) scenario's bound is its length, so --param n and --param
+    # dmax build the same systems.
+    rows = {}
+    for param in ("n", "dmax"):
+        code, out, _ = run_cli(capsys, "sweep", "chain(1)", "--param", param, "--range", "1:6")
+        assert code == 0
+        rows[param] = [{k: v for k, v in r.items() if k != "param"} for r in records(out)]
+    assert len(rows["n"]) == 7
+    assert rows["n"] == rows["dmax"]
 
 
 @pytest.mark.parametrize("name", ["routing5", "example3"])

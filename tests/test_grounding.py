@@ -23,7 +23,7 @@ from agentlog.grounding import (
     parse_pattern,
     parse_schematic_clause,
 )
-from agentlog.logic import Atom, Clause, GroundProgram, Literal, atom, dependency_graph, is_acyclic, parse_clause
+from agentlog.logic import Atom, Clause, GroundProgram, atom, dependency_graph, is_acyclic, parse_clause
 from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_schematic_scenario
@@ -57,7 +57,7 @@ def test_range_filter_forces_d_zero():
     assert ground  # some instances survive
     for g in ground:
         assert g.head.args[3] == 1  # head always D+1 = 1
-        sp_args = [l.atom.args for l in g.body if l.atom.predicate == "sp"]
+        sp_args = [x.args for x in g.pos if x.predicate == "sp"]
         assert sp_args and all(args[2] == 0 for args in sp_args)
 
 
@@ -70,7 +70,7 @@ def test_constraint_enumeration_dmax2():
     assert ground
     for g in ground:
         assert g.head.args[2] == 2
-        sp_args = [l.atom.args for l in g.body if l.atom.predicate == "sp"]
+        sp_args = [x.args for x in g.pos if x.predicate == "sp"]
         assert all(args[2] == 0 for args in sp_args)
     assert len(ground) == 4  # X, Y over two nodes
 
@@ -80,16 +80,16 @@ def test_no_constraints_survive_grounding():
     grounded = ground_clause(c, DOM2)
     assert grounded
     for g in grounded:
-        assert all(isinstance(l, Literal) for l in g.body)
+        assert all(isinstance(x, Atom) for x in g.pos + g.neg)
 
 
 def test_symmetric_canonicalization():
     c = parse_schematic_clause("spt(A2,Y,X,D+1) :- link(A2,X), sp(X,Y,D).", DOM2)
     links = {
-        l.atom
+        x
         for g in ground_clause(c, DOM2)
-        for l in g.body
-        if l.atom.predicate == "link"
+        for x in g.pos
+        if x.predicate == "link"
     }
     # link(A2,A1) is written in the schema but the ground atom is link(A1,A2).
     assert atom("link", "A1", "A2") in links
@@ -260,7 +260,6 @@ def full_product_ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset
     inst = _FullProductInstantiator(c.variables(), c.constraints, dom)
     chead = inst.compile_atom(c.head)
     cbody = [(inst.compile_atom(l.atom), l.positive) for l in c.body]
-    literal_cache: dict = {}
     out = set()
     for combo in inst.assignments():
         if inst.constraints and not inst.admissible(combo):
@@ -268,18 +267,14 @@ def full_product_ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset
         head = inst.instantiate(chead, combo)
         if head is None:
             continue
-        body = []
+        pos, neg = [], []
         for compiled_atom, positive in cbody:
             ga = inst.instantiate(compiled_atom, combo)
             if ga is None:
                 break
-            lit = literal_cache.get((ga, positive))
-            if lit is None:
-                lit = Literal(ga, positive)
-                literal_cache[(ga, positive)] = lit
-            body.append(lit)
+            (pos if positive else neg).append(ga)
         else:
-            out.add(Clause(head, tuple(body)))
+            out.add(Clause(head, pos, neg))
     return frozenset(out)
 
 

@@ -16,7 +16,6 @@ from agentlog.logic import (
     AcyclicPlan,
     Clause,
     GroundProgram,
-    Literal,
     atom,
     head_set,
     stable_model_acyclic,
@@ -31,11 +30,7 @@ a, b, c, d, e, x = (atom(n) for n in "abcdex")
 
 
 def clause(head, *body):
-    return Clause(head, tuple(l if isinstance(l, Literal) else Literal(l) for l in body))
-
-
-def neg(t):
-    return Literal(t, positive=False)
+    return Clause(head, body)
 
 
 def _check_update(p, facts, new_facts):
@@ -50,7 +45,7 @@ def _check_update(p, facts, new_facts):
 
 
 def test_empty_delta_returns_the_model_itself():
-    p = GroundProgram.of([clause(b, a), clause(c, neg(b))], [a])
+    p = GroundProgram.of([clause(b, a), Clause(c, (), (b,))], [a])
     plan = AcyclicPlan(p)
     model = plan.model(frozenset([a]))
     assert plan.update(model, frozenset(), frozenset()) is model
@@ -59,14 +54,14 @@ def test_empty_delta_returns_the_model_itself():
 
 
 def test_removing_a_fact_makes_a_negative_literal_true():
-    p = GroundProgram.of([clause(b, neg(a)), clause(c, b)], [a])
+    p = GroundProgram.of([Clause(b, (), (a,)), clause(c, b)], [a])
     assert _check_update(p, frozenset([a]), frozenset()) == {b, c}
     assert _check_update(p, frozenset(), frozenset([a])) == {a}
 
 
 def test_flip_propagates_more_than_one_level():
     p = GroundProgram.of(
-        [clause(b, a), clause(c, b), clause(d, c, neg(e)), clause(x, neg(d))], [a, e]
+        [clause(b, a), clause(c, b), Clause(d, (c,), (e,)), Clause(x, (), (d,))], [a, e]
     )
     assert _check_update(p, frozenset(), frozenset([a])) == {a, b, c, d}
     assert _check_update(p, frozenset([a]), frozenset()) == {x}

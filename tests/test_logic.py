@@ -11,7 +11,6 @@ from agentlog.logic import (
     Clause,
     CyclicProgramError,
     GroundProgram,
-    Literal,
     atom,
     dependency_graph,
     gl_reduct,
@@ -31,14 +30,7 @@ a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
 def clause(head, *body):
-    return Clause(head, tuple(Literal(x, True) for x in body))
-
-
-def nclause(head, pos, neg):
-    return Clause(
-        head,
-        tuple(Literal(x, True) for x in pos) + tuple(Literal(x, False) for x in neg),
-    )
+    return Clause(head, body)
 
 
 # The two rule bases of the cyclic two-agent demo system.
@@ -53,10 +45,10 @@ def test_head_set():
 
 
 def test_clause_normalizes_body():
-    c1 = Clause(a, (Literal(c), Literal(b), Literal(c)))
-    c2 = Clause(a, (Literal(b), Literal(c)))
+    c1 = Clause(a, (c, b, c), (d, d))
+    c2 = Clause(a, [b, c], [d])
     assert c1 == c2
-    assert len(c1.body) == 2
+    assert (c1.pos, c1.neg) == ((b, c), (d,))
 
 
 def test_universe_must_cover_clause_atoms():
@@ -67,7 +59,7 @@ def test_universe_must_cover_clause_atoms():
 def test_derived_programs_pass_the_universe_check():
     # of/union/with_facts/gl_reduct skip the scan; what they build must
     # still pass it when rebuilt through the checked constructor.
-    p = GroundProgram.of([nclause(a, [b], [c]), clause(d, e)], extra_atoms=[f])
+    p = GroundProgram.of([Clause(a, [b], [c]), clause(d, e)], extra_atoms=[f])
     derived = [
         p,
         p.union(IDB1),
@@ -80,14 +72,14 @@ def test_derived_programs_pass_the_universe_check():
 
 
 def test_gl_reduct_unblocked():
-    p = GroundProgram.of([nclause(a, [], [b]), clause(b, c)])
+    p = GroundProgram.of([Clause(a, [], [b]), clause(b, c)])
     r = gl_reduct(p, frozenset())
     assert r.clauses == {Clause(a), clause(b, c)}
     assert r.universe == p.universe
 
 
 def test_gl_reduct_deletes_blocked_rule():
-    p = GroundProgram.of([nclause(a, [], [b]), clause(b, c)])
+    p = GroundProgram.of([Clause(a, [], [b]), clause(b, c)])
     r = gl_reduct(p, frozenset([b]))
     assert r.clauses == {clause(b, c)}
 
@@ -110,7 +102,7 @@ def test_least_model_demo_agent2():
 
 def test_least_model_rejects_negation():
     with pytest.raises(ValueError):
-        least_model(GroundProgram.of([nclause(a, [], [b])]))
+        least_model(GroundProgram.of([Clause(a, [], [b])]))
 
 
 def test_is_stable_model_definite_cyclic():
@@ -121,18 +113,18 @@ def test_is_stable_model_definite_cyclic():
 
 
 def test_is_stable_model_negative_selfloop():
-    p = GroundProgram.of([nclause(a, [], [a])])
+    p = GroundProgram.of([Clause(a, [], [a])])
     assert not is_stable_model(p, frozenset())
     assert not is_stable_model(p, frozenset([a]))
 
 
 def test_is_stable_model_simple_negation():
-    p = GroundProgram.of([nclause(a, [], [b])])
+    p = GroundProgram.of([Clause(a, [], [b])])
     assert is_stable_model(p, frozenset([a]))
 
 
 def test_bruteforce_even_odd():
-    p = GroundProgram.of([nclause(a, [], [b]), nclause(b, [], [a])])
+    p = GroundProgram.of([Clause(a, [], [b]), Clause(b, [], [a])])
     assert stable_models_bruteforce(p) == [frozenset([a]), frozenset([b])]
 
 
@@ -144,7 +136,7 @@ def test_bruteforce_matches_acyclic_demo():
 
 
 def test_bruteforce_no_model():
-    p = GroundProgram.of([nclause(a, [], [a])])
+    p = GroundProgram.of([Clause(a, [], [a])])
     assert stable_models_bruteforce(p) == []
 
 
@@ -163,7 +155,7 @@ def test_dependency_graph_demo():
 
 def test_dependency_graph_empty_and_negative():
     assert dependency_graph(GroundProgram.of([])).edges == frozenset()
-    g = dependency_graph(GroundProgram.of([nclause(a, [], [b])]))
+    g = dependency_graph(GroundProgram.of([Clause(a, [], [b])]))
     assert g.edges == {(a, b)}
 
 
@@ -198,7 +190,7 @@ def test_stable_model_acyclic_rejects_cycles():
     with pytest.raises(CyclicProgramError):
         stable_model_acyclic(IDB1.union(IDB2))
     with pytest.raises(CyclicProgramError):
-        stable_model_acyclic(GroundProgram.of([nclause(a, [], [a])]))
+        stable_model_acyclic(GroundProgram.of([Clause(a, [], [a])]))
 
 
 def test_stable_model_acyclic_rejects_headed_facts():
@@ -224,9 +216,13 @@ def test_atom_text_roundtrip():
 
 
 def test_clause_text_roundtrip():
-    c1 = nclause(atom("spt", "A1", "A5", "A4", 3), [atom("link", "A1", "A4")], [atom("spl", "A1", "A5", 3)])
+    c1 = Clause(atom("spt", "A1", "A5", "A4", 3), [atom("link", "A1", "A4")], [atom("spl", "A1", "A5", 3)])
     assert parse_clause(str(c1)) == c1
     assert parse_clause("a.") == Clause(a)
+    x = parse_clause("x :- not b, a, not a.")
+    assert (x.head, x.pos, x.neg) == (atom("x"), (a,), (a, b))
+    assert str(x) == "x :- a, not a, not b."
+    assert parse_clause(str(x)) == x
 
 
 def test_atoms_are_interned():
@@ -239,18 +235,9 @@ def test_atoms_are_interned():
     assert Atom("a") is a and Atom("a", []) is a
 
 
-def test_literals_are_interned():
-    assert Literal(a, False) is Literal(a, False)
-    assert Literal(atom("a")) is Literal(a, True)
-    assert Literal(a, True) is not Literal(a, False)
-    assert parse_clause("x :- a, not b.").body == (Literal(a), Literal(b, False))
-
-
 @pytest.mark.parametrize("value", [
     atom("sp", "A1", "A5", 2),
     atom("a"),
-    Literal(atom("r", 0), False),
-    Literal(a),
 ])
 def test_interned_values_survive_pickle_and_copy(value):
     assert pickle.loads(pickle.dumps(value)) is value
@@ -261,23 +248,17 @@ def test_interned_values_survive_pickle_and_copy(value):
 
 def test_interned_values_are_immutable():
     x = atom("r", 0)
-    lit = Literal(x, False)
-    for obj, name, value in ((x, "predicate", "s"), (x, "args", (1,)),
-                             (x, "other", 1), (lit, "positive", True)):
+    for name, value in (("predicate", "s"), ("args", (1,)), ("other", 1)):
         with pytest.raises(AttributeError):
-            setattr(obj, name, value)
+            setattr(x, name, value)
     with pytest.raises(AttributeError):
         del x.args
-    assert x.predicate == "r" and x.args == (0,) and lit.positive is False
+    assert x.predicate == "r" and x.args == (0,)
 
 
 def test_interned_repr():
     x = atom("sp", "A1", 2)
     assert repr(x) == "Atom(predicate='sp', args=('A1', 2))"
-    assert repr(Literal(x, False)) == (
-        "Literal(atom=Atom(predicate='sp', args=('A1', 2)), positive=False)"
-    )
-    assert str(Literal(x, False)) == "not sp(A1,2)"
 
 
 def test_atom_order_matches_definitional_key():

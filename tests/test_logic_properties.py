@@ -43,7 +43,7 @@ def naive_is_stable(program_rows, universe, s):
 
 def rows_of(p):
     return [
-        (c.head, [(l.atom, l.positive) for l in c.body])
+        (c.head, [(x, True) for x in c.pos] + [(x, False) for x in c.neg])
         for c in p.clauses
     ]
 
@@ -82,9 +82,8 @@ def test_clause_support_property():
             for x in p.universe:
                 supported = any(
                     c.head == x
-                    and all(
-                        (l.atom in m) == l.positive for l in c.body
-                    )
+                    and all(x in m for x in c.pos)
+                    and not any(x in m for x in c.neg)
                     for c in p.clauses
                 )
                 assert (x in m) == supported
@@ -95,7 +94,7 @@ def test_least_model_monotone_in_facts():
     for _ in range(100):
         p = random_acyclic_program(rng, max_atoms=8)
         positive = GroundProgram.of(
-            [Clause(c.head, tuple(l for l in c.body if l.positive)) for c in p.clauses],
+            [Clause(c.head, c.pos) for c in p.clauses],
             p.universe,
         )
         base = least_model(positive)
@@ -109,7 +108,7 @@ def test_dependency_graph_is_exactly_head_body_incidence():
         p = random_program(rng, max_atoms=8)
         g = dependency_graph(p)
         expected = {
-            (c.head, l.atom) for c in p.clauses for l in c.body
+            (c.head, x) for c in p.clauses for x in c.pos + c.neg
         }
         assert g.edges == frozenset(expected)
         assert g.nodes == p.universe

@@ -37,12 +37,6 @@ from .generators import random_system
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
-def atom_lit(x):
-    from agentlog.logic import Literal
-
-    return Literal(x)
-
-
 EX3_SCRIPT = (
     CommEvent("A2", "A1"),
     CommEvent("A1", "A2"),
@@ -89,6 +83,9 @@ def test_env_transition_empty_change_is_identity(example3_system):
 def test_env_transition_rejects_foreign_atoms(example3_system):
     with pytest.raises(InvalidEventError):
         env_transition(example3_system, initial_state(example3_system), EnvChange(frozenset([atom("zzz")]), frozenset()))
+    foreign = frozenset(atom("zzz", k) for k in range(5))
+    with pytest.raises(InvalidEventError, match=r": zzz\(0\), zzz\(1\), zzz\(2\), zzz\(3\), \.\.\.$"):
+        env_transition(example3_system, initial_state(example3_system), EnvChange(foreign, frozenset()))
 
 
 def test_env_transition_shared_link_sensed_by_both(routing5_system):
@@ -221,7 +218,7 @@ def test_run_fair_no_dependencies_fixpoint_immediately():
 
     spec = AgentSpec(
         "A1",
-        GroundProgram.of([Clause(a, (atom_lit(c),))], [c]),
+        GroundProgram.of([Clause(a, (c,))], [c]),
         frozenset([c]),
         frozenset(),
         AgentState(frozenset([c])),
@@ -253,12 +250,12 @@ def test_quiescence_none_when_schedule_pending(example3_system):
 
 def test_convergence_model_single_agent():
     from agentlog.agents import AgentSpec
-    from agentlog.logic import Clause, GroundProgram, Literal
+    from agentlog.logic import Clause, GroundProgram
     from agentlog.system import build_system
 
     spec = AgentSpec(
         "A1",
-        GroundProgram.of([Clause(a, (Literal(c),))], [c]),
+        GroundProgram.of([Clause(a, (c,))], [c]),
         frozenset([c]),
         frozenset(),
         AgentState(frozenset([c])),

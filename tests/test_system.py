@@ -12,7 +12,6 @@ from agentlog.logic import (
     Clause,
     DependencyGraph,
     GroundProgram,
-    Literal,
     atom,
     dependency_graph,
     head_set,
@@ -43,13 +42,13 @@ from agentlog.system import (
     system_violations,
 )
 
-from .generators import random_system
+from .generators import random_system, signed_clause
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
 def clause(head, *body):
-    return Clause(head, tuple(Literal(x) for x in body))
+    return Clause(head, body)
 
 
 def test_build_example3_system(example3_system):
@@ -95,6 +94,17 @@ def test_environment_atom_as_head_rejected():
     two = AgentSpec("A2", GroundProgram.of([], [a]), frozenset([a]), frozenset(), AgentState())
     violations = system_violations(MultiAgentSystem([one, two]))
     assert any("environment atoms appear as heads" in v for v in violations)
+
+
+def test_long_violation_listings_are_cut_after_four_atoms():
+    ins = [atom("i", k) for k in range(5)]
+    env = [atom("e", k) for k in range(5)]
+    one = AgentSpec("A1", GroundProgram.of([Clause(x) for x in env]), hin=frozenset(ins))
+    two = AgentSpec("A2", GroundProgram.of([], env), frozenset(env))
+    assert system_violations(MultiAgentSystem([one, two])) == [
+        "agent A1: no producer for input atoms: i(0), i(1), i(2), i(3), ...",
+        "agent A1: environment atoms appear as heads: e(0), e(1), e(2), e(3), ...",
+    ]
 
 
 def test_superagent_example3(example3_system):
@@ -158,8 +168,8 @@ def test_superagent_model_routing_matches_bfs(routing5_system):
 def test_superagent_model_no_unique_for_negative_loop():
     # a :- not b in one agent and b :- not a in the other: each rule base
     # is acyclic, the union has two stable models.
-    one = AgentSpec("A1", GroundProgram.of([Clause(a, (Literal(b, False),))]), hin=frozenset([b]))
-    two = AgentSpec("A2", GroundProgram.of([Clause(b, (Literal(a, False),))]), hin=frozenset([a]))
+    one = AgentSpec("A1", GroundProgram.of([Clause(a, (), (b,))]), hin=frozenset([b]))
+    two = AgentSpec("A2", GroundProgram.of([Clause(b, (), (a,))]), hin=frozenset([a]))
     system = build_system([one, two])
     assert system.cyclic == {a, b}
     with pytest.raises(NoUniqueModelError):
@@ -218,7 +228,7 @@ def _with_own_cycle(rng, spec):
     kind = rng.choice(("none", "none", "self", "pair"))
     h = rng.choice(sorted(spec.heads)) if spec.heads else atom(f"own_{spec.id}")
     if kind == "self":
-        extra = [Clause(h, (Literal(h, False),))]
+        extra = [Clause(h, (), (h,))]
     elif kind == "pair":
         y = atom(f"loop_{spec.id}")
         extra = [clause(h, y), clause(y, h)]
@@ -255,14 +265,17 @@ def _perturbed(rng, clauses, k):
     body literal negated."""
     clauses = sorted(clauses, key=str)
     kind = rng.choice(("same", "same", "add", "drop", "negate"))
-    negatable = [c for c in clauses if c.body]
+    negatable = [c for c in clauses if not c.is_fact]
     if kind == "drop" and len(clauses) > 1:
         clauses.pop(rng.randrange(len(clauses)))
     elif kind == "negate" and negatable:
         c = rng.choice(negatable)
-        i = rng.randrange(len(c.body))
-        flipped = Literal(c.body[i].atom, not c.body[i].positive)
-        clauses[clauses.index(c)] = Clause(c.head, c.body[:i] + (flipped,) + c.body[i + 1:])
+        # The body items in text order: by atom, a positive one first.
+        body = [(x, True) for x in c.pos] + [(x, False) for x in c.neg]
+        body.sort(key=lambda item: (item[0].sort_key(), not item[1]))
+        i = rng.randrange(len(body))
+        body[i] = (body[i][0], not body[i][1])
+        clauses[clauses.index(c)] = signed_clause(c.head, body)
     elif kind != "same":
         clauses.append(clause(clauses[0].head, atom(f"extra{k}")))
     return clauses
@@ -526,7 +539,7 @@ def test_superagent_model_reads_every_definer_on_unvalidated_systems():
                 pool = sorted(system.env_atoms) + [x for x in derived if int(x.predicate[1:]) < rank]
                 body = rng.sample(pool, rng.randint(0, min(2, len(pool))))
                 target = rng.choice([i for i in range(len(specs)) if i != owner])
-                extra[target].append(Clause(h, tuple(Literal(x, rng.random() > 0.3) for x in body)))
+                extra[target].append(signed_clause(h, [(x, rng.random() > 0.3) for x in body]))
         specs = [replace(s, idb=s.idb.union(GroundProgram.of(more))) for s, more in zip(specs, extra)]
         system = MultiAgentSystem(specs)
         assert not system.cyclic
