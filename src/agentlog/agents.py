@@ -20,6 +20,7 @@ from .logic import AcyclicPlan, GroundProgram, _dependencies, _peel, head_set
 __all__ = [
     "AgentState",
     "AgentSpec",
+    "AgentTables",
     "EnvChange",
     "validate_agent",
     "agent_model",
@@ -65,13 +66,37 @@ class AgentSpec:
         return AcyclicPlan(self.idb)
 
     @property
+    def deps(self) -> dict:
+        """Each head of the IDB -> the atoms in the bodies of its clauses."""
+        return _dependencies([self.idb])
+
+    @property
     def hb(self) -> frozenset:
         """The atoms this agent has an opinion about."""
         return self.heads | self.hbe | self.hin
 
 
+@dataclass(frozen=True, eq=False)
+class AgentTables:
+    """An agent as validation and the I/O search read it, without its
+    clauses: each head's body atoms, the sensable and input atoms, and
+    the initial state."""
+
+    id: str
+    deps: dict
+    hbe: frozenset
+    hin: frozenset
+    initial: AgentState
+
+    @cached_property
+    def heads(self) -> frozenset:
+        """The atoms the agent's clauses define."""
+        return frozenset(self.deps)
+
+
 def validate_agent(a: AgentSpec, cyclic: frozenset = None) -> list:
-    """All invariant violations of the spec, as human-readable strings.
+    """All invariant violations of the spec (or of its ``AgentTables``),
+    as human-readable strings.
 
     ``cyclic``, when given, holds the atoms that can reach a cycle of a
     rule base containing this agent's clauses, such as the union of every
@@ -81,7 +106,7 @@ def validate_agent(a: AgentSpec, cyclic: frozenset = None) -> list:
     """
     violations = []
     if cyclic is None or not a.heads.isdisjoint(cyclic):
-        if _peel(_dependencies([a.idb]))[1]:
+        if _peel(a.deps)[1]:
             violations.append(f"agent {a.id}: IDB is not acyclic")
     overlap = a.hin & a.hbe
     if overlap:

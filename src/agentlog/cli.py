@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
     out = _Output(args.out)
     cls = classify(
         system,
-        reground=lambda d: scenario.build_system(dmax=d),
+        reground=scenario.io_atoms,
         probe_delta=args.probe_delta,
     )
     record = {
@@ -302,10 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, runnable=False, formatted=True):
+    def common(p, runnable=False, formatted=True, bounded=True):
         p.add_argument("scenario", help="builtin name (example3, routing5, "
                        "routing5-example6-script, chain(N)) or scenario file path")
-        p.add_argument("--dmax", type=int, default=None, help="override the domain bound")
+        if bounded:
+            p.add_argument("--dmax", type=int, default=None, help="override the domain bound")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         if formatted:
             p.add_argument("--format", choices=("ndrecords", "table"), default="ndrecords")
@@ -329,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("sweep", help="rerun across a parameter range")
-    common(p, runnable=True)
+    common(p, runnable=True, bounded=False)  # --range sets each row's bound
     p.add_argument("--param", choices=("dmax", "n"), required=True)
     p.add_argument("--range", required=True, help="inclusive range A:B")
     p.set_defaults(func=cmd_sweep)

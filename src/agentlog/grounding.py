@@ -28,7 +28,8 @@ and instantiates as early as it can:
 The order changes the work, not the output: the ground clauses, and so
 the program universes, are those of enumerating the full product of the
 variable domains and filtering it.  The tests keep that grounder as the
-reference.
+reference.  ``ground_stream`` runs the same loops but hands each
+instance's head and body atoms to a callback, building no ``Clause``.
 
 Predicates listed in ``DomainSpec.symmetric`` have their two node
 arguments put in canonical (declared) order, so both orientations of an
@@ -58,6 +59,7 @@ __all__ = [
     "Pattern",
     "ground_clause",
     "ground_program",
+    "ground_stream",
     "expand_pattern",
 ]
 
@@ -256,7 +258,7 @@ class _Enumeration:
     the ``i``-th variable of the order over its narrowed range, fills its
     shift slots, checks the constraints whose variables are then all bound
     and instantiates the atoms whose variables are then all bound.  The
-    innermost level emits the ground clause.
+    innermost level passes the instance to a sink.
     """
 
     def __init__(self, c: SchematicClause, dom: DomainSpec):
@@ -334,11 +336,16 @@ class _Enumeration:
 
     def clauses(self) -> set:
         out = set()
-        if self.levels:
-            self._descend(0, out)
+        add, make = out.add, Clause._sorted
+        self.stream(lambda head, pos, neg: add(make(head, pos, neg)))
         return out
 
-    def _descend(self, i: int, out: set):
+    def stream(self, sink):
+        """Pass every ground instance to ``sink``, as ``ground_stream``."""
+        if self.levels:
+            self._descend(0, sink)
+
+    def _descend(self, i: int, sink):
         env = self.env
         var_slot, values, narrowing, shifts, checks, atoms = self.levels[i]
         if narrowing is not None:
@@ -362,9 +369,9 @@ class _Enumeration:
                         ga = self._canonical(ga)
                     env[s] = Atom(predicate, ga)
                 if innermost:
-                    out.add(Clause._sorted(env[self.head], self.pos(env), self.neg(env)))
+                    sink(env[self.head], self.pos(env), self.neg(env))
                 else:
-                    self._descend(i + 1, out)
+                    self._descend(i + 1, sink)
 
     def _canonical(self, pair: tuple) -> tuple:
         """Symmetric arguments in declared node order."""
@@ -423,6 +430,16 @@ def ground_program(
     for c in clauses:
         ground |= _Enumeration(c, dom).clauses()
     return GroundProgram.of(ground, extra_atoms)
+
+
+def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink) -> None:
+    """Call ``sink(head, pos, neg)`` for each ground instance of
+    ``clauses`` over ``dom``, building no ``Clause``: ``pos`` and ``neg``
+    are the positive and negated body atoms, deduplicated and sorted as
+    in a ``Clause``.  An instance that several clauses or bindings yield
+    is passed once for each."""
+    for c in clauses:
+        _Enumeration(c, dom).stream(sink)
 
 
 def expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:

@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .agents import AgentSpec, AgentState, EnvChange
+from .agents import AgentSpec, AgentState, AgentTables, EnvChange
 from .grounding import (
     DomainSpec,
     GroundingError,
@@ -49,13 +49,14 @@ from .grounding import (
     Var,
     expand_pattern,
     ground_program,
+    ground_stream,
     parse_ground_atom,
     parse_pattern,
     parse_schematic_clause,
 )
 from .logic import split_top_level
 from .runtime import CommEvent, EnvEvent
-from .system import MultiAgentSystem, build_system
+from .system import MultiAgentSystem, build_system, validated_io_atoms
 
 __all__ = [
     "ScenarioError",
@@ -108,20 +109,37 @@ class Scenario:
     output: object = None
 
     def build_system(self, dmax=None) -> MultiAgentSystem:
-        dom = self.domain
-        if dmax is not None:
-            dom = DomainSpec(
-                dom.node_constants, dmax, dom.node_vars, dom.int_vars, dom.symmetric
-            )
+        dom = self._domain(dmax)
         specs = []
         for ad in self.agents:
-            hbe = frozenset().union(*(expand_pattern(p, dom) for p in ad.hbe)) if ad.hbe else frozenset()
-            hin = frozenset().union(*(expand_pattern(p, dom) for p in ad.hin)) if ad.hin else frozenset()
-            edb = frozenset().union(*(expand_pattern(p, dom) for p in ad.edb0)) if ad.edb0 else frozenset()
-            indb = frozenset().union(*(expand_pattern(p, dom) for p in ad.in0)) if ad.in0 else frozenset()
+            hbe, hin, edb, indb = _atom_sets(ad, dom)
             idb = ground_program(ad.idb, dom, extra_atoms=hbe | hin)
             specs.append(AgentSpec(ad.id, idb, hbe, hin, AgentState(edb, indb)))
         return build_system(specs, dmax=dom.distance_max)
+
+    def io_atoms(self, dmax: int) -> frozenset:
+        """The I/O atoms of ``build_system(dmax)``, without building it.
+
+        Each agent's grounding is streamed into its head -> body-atoms
+        map, and validation reads those maps; only agents that define a
+        head another agent defines too are grounded into clauses, so
+        their definitions can be compared.  Raises ValidationError where
+        ``build_system`` would, with the same breaches.
+        """
+        dom = self._domain(dmax)
+        tables = []
+        for ad in self.agents:
+            hbe, hin, edb, indb = _atom_sets(ad, dom)
+            deps = _ground_dependencies(ad.idb, dom)
+            tables.append(AgentTables(ad.id, deps, hbe, hin, AgentState(edb, indb)))
+        return validated_io_atoms(tables, lambda i: ground_program(self.agents[i].idb, dom).clauses)
+
+    def _domain(self, dmax) -> DomainSpec:
+        """The domain with its bound replaced by ``dmax`` when one is given."""
+        dom = self.domain
+        if dmax is None:
+            return dom
+        return DomainSpec(dom.node_constants, dmax, dom.node_vars, dom.int_vars, dom.symmetric)
 
     def families(self) -> tuple:
         return tuple(family_of(p) for p in self.track)
@@ -130,6 +148,30 @@ class Scenario:
         if self.output is None:
             raise ScenarioError(f"scenario {self.name} declares no output predicate")
         return output_projection(agent_id, model, self.output)
+
+
+def _atom_sets(ad: AgentDef, dom: DomainSpec) -> tuple:
+    """An agent block's HBE, HIN, initial EDB and initial IN over ``dom``."""
+    return tuple(
+        frozenset().union(*(expand_pattern(p, dom) for p in patterns))
+        for patterns in (ad.hbe, ad.hin, ad.edb0, ad.in0)
+    )
+
+
+def _ground_dependencies(clauses, dom: DomainSpec) -> dict:
+    """Each head of the ground instances of ``clauses`` over ``dom`` ->
+    the atoms in those instances' bodies."""
+    deps = {}
+
+    def sink(head, pos, neg):
+        body = deps.get(head)
+        if body is None:
+            body = deps[head] = set()
+        body.update(pos)
+        body.update(neg)
+
+    ground_stream(clauses, dom, sink)
+    return deps
 
 
 def family_of(p: Pattern) -> tuple:

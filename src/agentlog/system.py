@@ -17,7 +17,9 @@ atoms and each agent's heads.  The union rule base is well defined only
 when agents that define the same atom define it the same way, so the
 clauses of exactly those heads are compared, and that check walks no
 clause when no head is shared.  Each kind of violation comes in agent
-order, and within an agent by sorted atom.
+order, and within an agent by sorted atom.  The same checks run on
+``AgentTables``, each agent's head -> body-atoms map without its
+clauses, when only a system's I/O atoms are wanted.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "ValidationError",
     "NoUniqueModelError",
     "build_system",
+    "validated_io_atoms",
     "system_violations",
     "superagent",
     "superagent_model",
@@ -114,25 +117,33 @@ def system_violations(system: MultiAgentSystem) -> list:
     """Every agent-level and system-level invariant breach, exhaustively,
     read off the assembled system's tables, in a fixed order."""
     agents = system.agents
+    return _violations(agents, system.env_atoms, system.cyclic, lambda i: agents[i].idb.clauses)
+
+
+def _violations(agents, env_atoms: frozenset, cyclic: frozenset, clauses_of) -> list:
+    """The breaches ``system_violations`` lists, for ``AgentSpec``s or
+    ``AgentTables``.  ``clauses_of(i)`` gives the ground clauses of the
+    ``i``-th agent; it is called only for agents that define a head some
+    other agent defines too."""
     violations = []
     seen, defined, shared = set(), set(), set()
     for a in agents:
         if a.id in seen:
             violations.append(f"duplicate agent id: {a.id}")
         seen.add(a.id)
-        violations.extend(validate_agent(a, system.cyclic))
+        violations.extend(validate_agent(a, cyclic))
         shared |= defined & a.heads
         defined |= a.heads
 
     # Only heads that several agents define can be defined differently;
     # each later definer's clauses for one are compared with the first's.
     first = {}
-    for a in agents:
+    for i, a in enumerate(agents):
         mine = shared & a.heads
         if not mine:
             continue
         by_head = {}
-        for c in a.idb.clauses:
+        for c in clauses_of(i):
             if c.head in mine:
                 by_head.setdefault(c.head, set()).add(c)
         for h in sorted(mine):
@@ -141,14 +152,14 @@ def system_violations(system: MultiAgentSystem) -> list:
             elif first[h][1] != by_head[h]:
                 violations.append(f"atom {h} has different definitions in {first[h][0]} and {a.id}")
 
-    producible = system.env_atoms | defined
+    producible = env_atoms | defined
     for a in agents:
         uncovered = a.hin - producible
         if uncovered:
             violations.append(f"agent {a.id}: no producer for input atoms: {_few(uncovered)}")
 
     for a in agents:
-        headed_env = system.env_atoms & a.heads
+        headed_env = env_atoms & a.heads
         if headed_env:
             violations.append(f"agent {a.id}: environment atoms appear as heads: {_few(headed_env)}")
     return violations
@@ -161,6 +172,23 @@ def build_system(specs, dmax=None) -> MultiAgentSystem:
     if violations:
         raise ValidationError(violations)
     return system
+
+
+def validated_io_atoms(tables, clauses_of) -> frozenset:
+    """The I/O atoms of the system of ``tables`` (``AgentTables``), as
+    ``build_system`` would assemble it, and raises ValidationError where
+    it would, with the same breaches.  ``clauses_of(i)`` grounds the
+    ``i``-th agent's clauses, for the one check that compares clauses."""
+    deps = {}
+    for a in tables:
+        for h, body in a.deps.items():
+            mine = deps.get(h)
+            deps[h] = body if mine is None else mine | body
+    env_atoms = frozenset().union(*(a.hbe for a in tables))
+    violations = _violations(tables, env_atoms, _peel(deps)[1], clauses_of)
+    if violations:
+        raise ValidationError(violations)
+    return _io_atoms(tables, deps)
 
 
 @dataclass(frozen=True)
@@ -256,9 +284,9 @@ class Classification:
     """IO-acyclicity and friends, as measured on this grounding.
 
     ``bounded`` is per-atom definition finiteness, vacuously true on a
-    ground slice.  ``io_finite`` is empirical: when a regrounding probe is
-    available, the I/O graph is grounded again at ``dmax + probe_delta``
-    and growth counts as not IO-finite.
+    ground slice.  ``io_finite`` is empirical: when a probe is available,
+    the I/O atoms are counted again at ``dmax + probe_delta`` and growth
+    counts as not IO-finite.
     """
 
     io_acyclic: bool
@@ -273,7 +301,8 @@ class Classification:
 
 
 def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Classification:
-    """Classify a system; ``reground(dmax)`` rebuilds it at another bound.
+    """Classify a system; ``reground(dmax)`` gives its I/O atoms at
+    another bound, such as ``Scenario.io_atoms``.
 
     Raises RuntimeError if the measurement ever contradicts the
     io-acyclic => idb-acyclic implication, which would be a bug.
@@ -289,7 +318,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     if reground is not None:
         if sys.dmax is None:
             raise ValueError("io-finiteness probe needs the system's dmax")
-        probe_sizes = (len(sys.io_atoms), len(reground(sys.dmax + probe_delta).io_atoms))
+        probe_sizes = (len(sys.io_atoms), len(reground(sys.dmax + probe_delta)))
         io_finite = probe_sizes[0] == probe_sizes[1]
         probed = True
 

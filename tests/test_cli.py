@@ -66,6 +66,65 @@ def test_less_than_between_integer_and_node_rejected(tmp_path, capsys, old, new,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+_PROBE_INVALID = {
+    "cyclic": ("""\
+[domain]
+nodes:
+dmax: 4
+
+[agent A1]
+idb:
+  p(5) :- p(5).
+""", "agent A1: IDB is not acyclic"),
+    "producer": ("""\
+[domain]
+nodes:
+dmax: 4
+var int: X
+
+[agent A1]
+idb:
+  q :- r(X).
+hin: r(X); t(5)
+
+[agent A2]
+idb:
+  r(X) :- s(X).
+hbe: s(X)
+""", "agent A1: no producer for input atoms: t(5)"),
+    "definitions": ("""\
+[domain]
+nodes:
+dmax: 4
+var int: X
+
+[agent A1]
+idb:
+  p(X) :- q(X).
+hbe: q(X)
+
+[agent A2]
+idb:
+  p(X) :- q(X).
+  p(5) :- r(5).
+hbe: q(X); r(X)
+""", "atom p(5) has different definitions in A1 and A2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROBE_INVALID))
+def test_analyze_refuses_a_probe_bound_that_breaks_validation(tmp_path, capsys, case):
+    # Each scenario is valid at dmax 4 and breaks one check once the
+    # constant 5 is in range, so only the probe at dmax + delta sees it.
+    text, violation = _PROBE_INVALID[case]
+    path = tmp_path / f"{case}.scenario"
+    path.write_text(text)
+    assert run_cli(capsys, "analyze", str(path), "--dmax", "3", "--probe-delta", "1")[0] == 0
+    for argv in ([], ["--probe-delta", "1"], ["--format", "table"]):
+        code, out, err = run_cli(capsys, "analyze", str(path), *argv)
+        assert (code, out, err) == (2, "", f"agentlog: error: {violation}\n")
+
+
 def test_run_example3_not_weakly_stabilizing(capsys):
     code, out, _ = run_cli(capsys, "run", "example3")
     assert code == 0  # fixpoint reached, no divergence tracked
@@ -206,6 +265,14 @@ def test_sweep_routing_dmax_constant_outputs(capsys):
     # I/O graph keeps growing with dmax even though outputs are stable.
     sizes = [r["io_nodes"] for r in rows]
     assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+
+def test_sweep_refuses_dmax(capsys):
+    # --range sets each row's bound, so a --dmax would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "routing5", "--param", "dmax", "--range", "3:3", "--dmax", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dmax 9" in capsys.readouterr().err
 
 
 def test_sweep_single_value(capsys):

@@ -20,6 +20,7 @@ from agentlog.grounding import (
     expand_pattern,
     ground_clause,
     ground_program,
+    ground_stream,
     parse_pattern,
     parse_schematic_clause,
 )
@@ -319,6 +320,9 @@ def _agree(clauses, patterns, dom):
     want = full_product_ground_program(clauses, dom, extra)
     assert got.clauses == want.clauses
     assert got.universe == want.universe
+    streamed = set()
+    ground_stream(clauses, dom, lambda head, pos, neg: streamed.add((head, pos, neg)))
+    assert streamed == {(c.head, c.pos, c.neg) for c in want.clauses}
 
 
 def test_grounder_matches_full_product_on_random_schematic_scenarios():

@@ -22,6 +22,8 @@ from agentlog.logic import (
 from agentlog.runtime import run_fair, verdict
 from agentlog.scenarios import (
     FIG1_TOPOLOGY,
+    AgentDef,
+    Scenario,
     Topology,
     bfs_oracle,
     builtin_names,
@@ -42,7 +44,7 @@ from agentlog.system import (
     system_violations,
 )
 
-from .generators import random_system, signed_clause
+from .generators import random_schematic_scenario, random_system, signed_clause
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -199,7 +201,7 @@ def test_io_graph_chain_grows_linearly():
 
 
 def test_classify_example3(example3_scenario, example3_system):
-    cls = classify(example3_system, reground=lambda k: example3_scenario.build_system(dmax=k))
+    cls = classify(example3_system, reground=example3_scenario.io_atoms)
     assert not cls.io_acyclic
     assert cls.bounded
     assert cls.io_finite  # no integer domain: regrounding changes nothing
@@ -207,7 +209,7 @@ def test_classify_example3(example3_scenario, example3_system):
 
 
 def test_classify_routing(routing5_scenario, routing5_system):
-    cls = classify(routing5_system, reground=lambda k: routing5_scenario.build_system(dmax=k))
+    cls = classify(routing5_system, reground=routing5_scenario.io_atoms)
     assert cls.io_acyclic
     assert cls.bounded
     assert not cls.io_finite  # I/O graph grows with the domain bound
@@ -217,7 +219,7 @@ def test_classify_routing(routing5_scenario, routing5_system):
 
 def test_classify_chain():
     sc = chain_scenario(4)
-    cls = classify(sc.build_system(), reground=lambda k: sc.build_system(dmax=k))
+    cls = classify(sc.build_system(), reground=sc.io_atoms)
     assert cls.io_acyclic
     assert not cls.io_finite
 
@@ -392,13 +394,14 @@ def _definition_io(system):
 
 def _check_against_definition(system, bigger=None):
     """Compare with the definition route and return whether the system is
-    IO-acyclic; ``bigger`` is the system regrounded at ``dmax + 2``."""
+    IO-acyclic; the probe gives the I/O atoms of ``bigger``, which stands
+    for the system regrounded at ``dmax + 2``."""
     g_io, idb_acyclic = _definition_io(system)
     io_acyclic = is_acyclic(g_io)
     assert io_graph(system) == g_io
     assert len(system.io_atoms) == len(g_io.nodes)
     asked = []
-    reground = None if bigger is None else lambda k: asked.append(k) or bigger
+    reground = None if bigger is None else lambda k: asked.append(k) or bigger.io_atoms
     if io_acyclic and not idb_acyclic:
         with pytest.raises(RuntimeError):
             classify(system, reground=reground)
@@ -443,13 +446,16 @@ def test_classify_and_io_graph_match_definition_route_on_unvalidated_systems():
 
 
 def _scenario(ref):
-    """A builtin or chain(N) by name, or ``ringN``: a routing ring of N nodes."""
+    """A builtin or chain(N) by name, ``ringN``: a routing ring of N nodes,
+    or ``ringN+chord``: that ring with a link from R0 to R2."""
     if not ref.startswith("ring"):
         return builtin_scenario(ref)
-    n = int(ref[4:])
+    n = int(ref[4:].removesuffix("+chord"))
     nodes = tuple(f"R{i}" for i in range(n))
-    ring = Topology(nodes, frozenset((nodes[i], nodes[(i + 1) % n]) for i in range(n)))
-    return parse_scenario(routing_scenario_text(ring), name=ref)
+    links = {(nodes[i], nodes[(i + 1) % n]) for i in range(n)}
+    if ref.endswith("+chord"):
+        links.add((nodes[0], nodes[2]))
+    return parse_scenario(routing_scenario_text(Topology(nodes, frozenset(links))), name=ref)
 
 
 @pytest.mark.parametrize(
@@ -462,6 +468,68 @@ def test_classify_and_io_graph_match_definition_route_on_scenarios(ref):
     sc = _scenario(ref)
     system = sc.build_system()
     _check_against_definition(system, sc.build_system(dmax=system.dmax + 2))
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [name for name in builtin_names() if name != "chain(N)"]
+    + [f"chain({n})" for n in range(1, 9)]
+    + [f"ring{n}{chord}" for n in range(4, 9) for chord in ("", "+chord")],
+)
+def test_streamed_io_atoms_equal_the_built_systems(ref):
+    sc = _scenario(ref)
+    for delta in (0, 1, 2, 3):
+        dmax = sc.domain.distance_max + delta
+        assert sc.io_atoms(dmax) == sc.build_system(dmax=dmax).io_atoms
+
+
+_BREACHES = (
+    "duplicate agent id",
+    "IDB is not acyclic",
+    "HIN and HBE overlap",
+    "appear as clause heads",
+    "initial EDB outside HBE",
+    "initial IN outside HIN",
+    "different definitions",
+    "no producer",
+    "environment atoms appear as heads",
+)
+
+
+def _outcome(build):
+    """The value ``build()`` returns, or the breaches it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return exc.violations
+
+
+def test_streamed_io_atoms_validate_as_build_system_on_random_scenarios():
+    # Random agents over shared random clauses and patterns: ids repeat,
+    # heads are shared and defined differently, inputs go unproduced.
+    rng = random.Random(1618)
+    seen = set()
+    for _ in range(300):
+        dom, clauses, patterns = random_schematic_scenario(rng)
+
+        def some(items):
+            return tuple(x for x in items if rng.random() < 0.5)
+
+        agents = []
+        for _ in range(rng.randint(1, 3)):
+            hbe = some(patterns)
+            hin = some(p for p in patterns if p not in hbe)
+            agents.append(AgentDef(f"A{rng.randint(1, 3)}", some(clauses), hbe, hin,
+                                   some(hbe + hin), some(hin + hbe)))
+        sc = Scenario(domain=dom, agents=tuple(agents))
+        for dmax in (dom.distance_max, dom.distance_max + 2):
+            want = _outcome(lambda: sc.build_system(dmax).io_atoms)
+            assert _outcome(lambda: sc.io_atoms(dmax)) == want
+            if isinstance(want, frozenset):
+                seen.add("I/O atoms" if want else "no I/O atoms")
+            else:
+                seen.update(kind for v in want for kind in _BREACHES if kind in v)
+    assert seen == {"I/O atoms", "no I/O atoms", *_BREACHES}
 
 
 def _with_copied_heads(rng, specs):
