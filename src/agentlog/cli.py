@@ -84,13 +84,9 @@ def _header(args, command, system, extra=None):
 
 
 def cmd_analyze(args) -> int:
-    scenario, system = _load(args)
+    scenario = load_scenario(args.scenario, dmax=args.dmax)
     out = _Output(args.out)
-    cls = classify(
-        system,
-        reground=scenario.io_atoms,
-        probe_delta=args.probe_delta,
-    )
+    cls = classify(scenario.shape(), reground=scenario.shape, probe_delta=args.probe_delta)
     record = {
         "record": "classification",
         "scenario": args.scenario,

@@ -24,6 +24,9 @@ and instantiates as early as it can:
 * Checks.  Every other constraint is checked, and every atom
   instantiated, at the first level where all its variables are bound.  A
   failed check skips the whole subtree.
+* Atoms.  An atom below a level whose variable it does not mention, as
+  ``sp(X,Y,D2)`` below ``D``, meets the same arguments again; the
+  compiled clause keeps each such atom it builds by its arguments.
 
 The order changes the work, not the output: the ground clauses, and so
 the program universes, are those of enumerating the full product of the
@@ -314,7 +317,11 @@ class _Enumeration:
         for j, sa in enumerate(atoms):
             symmetric = sa.predicate in dom.symmetric and len(sa.args) == 2
             args = _tuple_getter([slot[t] for t in sa.args])
-            levels[level_of(sa.variables())][5].append((atom_slot + j, sa.predicate, args, symmetric))
+            i = level_of(sa.variables())
+            # Under an enclosing variable it does not mention, the atom
+            # recurs with the same arguments: remember each one built.
+            memo = {} if len(set(sa.variables())) < i else None
+            levels[i][5].append((atom_slot + j, sa.predicate, args, symmetric, memo))
         self.levels = [tuple(level) for level in levels]
         self.env = env
         self.head = atom_slot
@@ -363,11 +370,15 @@ class _Enumeration:
                 if not op(env[a], env[b]):
                     break
             else:
-                for s, predicate, args, symmetric in atoms:
+                for s, predicate, args, symmetric, memo in atoms:
                     ga = args(env)
-                    if symmetric:
-                        ga = self._canonical(ga)
-                    env[s] = Atom(predicate, ga)
+                    if memo is not None:
+                        a = memo.get(ga)
+                        if a is None:
+                            a = memo[ga] = Atom(predicate, self._canonical(ga) if symmetric else ga)
+                        env[s] = a
+                    else:
+                        env[s] = Atom(predicate, self._canonical(ga) if symmetric else ga)
                 if innermost:
                     sink(env[self.head], self.pos(env), self.neg(env))
                 else:

@@ -56,7 +56,7 @@ from .grounding import (
 )
 from .logic import split_top_level
 from .runtime import CommEvent, EnvEvent
-from .system import MultiAgentSystem, build_system, validated_io_atoms
+from .system import MultiAgentSystem, SystemShape, build_system, validated_shape
 
 __all__ = [
     "ScenarioError",
@@ -117,8 +117,8 @@ class Scenario:
             specs.append(AgentSpec(ad.id, idb, hbe, hin, AgentState(edb, indb)))
         return build_system(specs, dmax=dom.distance_max)
 
-    def io_atoms(self, dmax: int) -> frozenset:
-        """The I/O atoms of ``build_system(dmax)``, without building it.
+    def shape(self, dmax=None) -> SystemShape:
+        """The ``SystemShape`` of ``build_system(dmax)``, without building it.
 
         Each agent's grounding is streamed into its head -> body-atoms
         map, and validation reads those maps; only agents that define a
@@ -132,7 +132,9 @@ class Scenario:
             hbe, hin, edb, indb = _atom_sets(ad, dom)
             deps = _ground_dependencies(ad.idb, dom)
             tables.append(AgentTables(ad.id, deps, hbe, hin, AgentState(edb, indb)))
-        return validated_io_atoms(tables, lambda i: ground_program(self.agents[i].idb, dom).clauses)
+        return validated_shape(
+            tables, lambda i: ground_program(self.agents[i].idb, dom).clauses, dom.distance_max
+        )
 
     def _domain(self, dmax) -> DomainSpec:
         """The domain with its bound replaced by ``dmax`` when one is given."""

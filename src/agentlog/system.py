@@ -17,9 +17,13 @@ atoms and each agent's heads.  The union rule base is well defined only
 when agents that define the same atom define it the same way, so the
 clauses of exactly those heads are compared, and that check walks no
 clause when no head is shared.  Each kind of violation comes in agent
-order, and within an agent by sorted atom.  The same checks run on
-``AgentTables``, each agent's head -> body-atoms map without its
-clauses, when only a system's I/O atoms are wanted.
+order, and within an agent by sorted atom.
+
+Classification reads only three things of a system: its I/O atoms, its
+cyclic atoms and its bound.  ``validated_shape`` gives those as a
+``SystemShape`` from ``AgentTables``, each agent's head -> body-atoms map
+without its clauses, after the same checks; ``classify`` takes either a
+system or a shape.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ __all__ = [
     "Classification",
     "ValidationError",
     "NoUniqueModelError",
+    "SystemShape",
     "build_system",
-    "validated_io_atoms",
+    "validated_shape",
     "system_violations",
     "superagent",
     "superagent_model",
@@ -174,21 +179,33 @@ def build_system(specs, dmax=None) -> MultiAgentSystem:
     return system
 
 
-def validated_io_atoms(tables, clauses_of) -> frozenset:
-    """The I/O atoms of the system of ``tables`` (``AgentTables``), as
-    ``build_system`` would assemble it, and raises ValidationError where
-    it would, with the same breaches.  ``clauses_of(i)`` grounds the
-    ``i``-th agent's clauses, for the one check that compares clauses."""
+@dataclass(frozen=True)
+class SystemShape:
+    """What ``classify`` reads of a ``MultiAgentSystem``: its I/O atoms,
+    the atoms that reach a cycle of its union rule base, and its bound."""
+
+    io_atoms: frozenset
+    cyclic: frozenset
+    dmax: object
+
+
+def validated_shape(tables, clauses_of, dmax) -> SystemShape:
+    """The shape of the system of ``tables`` (``AgentTables``) at bound
+    ``dmax``, as ``build_system`` would assemble it, and raises
+    ValidationError where it would, with the same breaches.
+    ``clauses_of(i)`` grounds the ``i``-th agent's clauses, for the one
+    check that compares clauses."""
     deps = {}
     for a in tables:
         for h, body in a.deps.items():
             mine = deps.get(h)
             deps[h] = body if mine is None else mine | body
     env_atoms = frozenset().union(*(a.hbe for a in tables))
-    violations = _violations(tables, env_atoms, _peel(deps)[1], clauses_of)
+    cyclic = _peel(deps)[1]
+    violations = _violations(tables, env_atoms, cyclic, clauses_of)
     if violations:
         raise ValidationError(violations)
-    return _io_atoms(tables, deps)
+    return SystemShape(_io_atoms(tables, deps), cyclic, dmax)
 
 
 @dataclass(frozen=True)
@@ -281,7 +298,8 @@ def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
 
 @dataclass(frozen=True)
 class Classification:
-    """IO-acyclicity and friends, as measured on this grounding.
+    """IO-acyclicity and friends, as measured on one grounding of a
+    system, built or read as a ``SystemShape``.
 
     ``bounded`` is per-atom definition finiteness, vacuously true on a
     ground slice.  ``io_finite`` is empirical: when a probe is available,
@@ -300,9 +318,11 @@ class Classification:
     probe_delta: int = 0
 
 
-def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Classification:
-    """Classify a system; ``reground(dmax)`` gives its I/O atoms at
-    another bound, such as ``Scenario.io_atoms``.
+def classify(sys, reground=None, probe_delta: int = 2) -> Classification:
+    """Classify a ``MultiAgentSystem`` or its ``SystemShape``; only
+    ``io_atoms``, ``cyclic`` and ``dmax`` are read.  ``reground(dmax)``
+    gives the system or shape at another bound, such as
+    ``Scenario.shape``, whose I/O atoms are counted.
 
     Raises RuntimeError if the measurement ever contradicts the
     io-acyclic => idb-acyclic implication, which would be a bug.
@@ -318,7 +338,7 @@ def classify(sys: MultiAgentSystem, reground=None, probe_delta: int = 2) -> Clas
     if reground is not None:
         if sys.dmax is None:
             raise ValueError("io-finiteness probe needs the system's dmax")
-        probe_sizes = (len(sys.io_atoms), len(reground(sys.dmax + probe_delta)))
+        probe_sizes = (len(sys.io_atoms), len(reground(sys.dmax + probe_delta).io_atoms))
         io_finite = probe_sizes[0] == probe_sizes[1]
         probed = True
 

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import agentlog
+from agentlog import scenarios
+from agentlog.agents import AgentSpec
 from agentlog.cli import main
 from agentlog.logic import AcyclicPlan, CyclicProgramError
 from agentlog.scenarios import load_scenario
+from agentlog.system import MultiAgentSystem
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +126,28 @@ def test_analyze_refuses_a_probe_bound_that_breaks_validation(tmp_path, capsys, 
     for argv in ([], ["--probe-delta", "1"], ["--format", "table"]):
         code, out, err = run_cli(capsys, "analyze", str(path), *argv)
         assert (code, out, err) == (2, "", f"agentlog: error: {violation}\n")
+
+
+def test_ambiguous_track_family_is_an_input_error(tmp_path, capsys):
+    # The family comes from the scenario's ``track:`` line, and here it
+    # matches p(0) and p(1) in A1's model at the first point.
+    path = tmp_path / "ambiguous.scenario"
+    path.write_text("""\
+[domain]
+nodes:
+dmax: 2
+var int: D
+
+[agent A1]
+idb:
+  p(0).
+  p(1).
+
+[events]
+track: p(D)
+""")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "agentlog: error: ambiguous family p(*): [0, 1] at one point\n")
 
 
 def test_run_example3_not_weakly_stabilizing(capsys):
@@ -472,3 +497,23 @@ def test_analyze_compiles_no_plan(monkeypatch, capsys):
         main(["run", "example3"])  # the patch does reach model evaluation
     capsys.readouterr()
     assert run_cli(capsys, "analyze", "routing5-example6-script") == (0, expected, "")
+
+
+def test_analyze_builds_no_system(monkeypatch, capsys):
+    # No two agents of these scenarios define one head, so neither bound
+    # grounds a clause set or assembles a system.
+    names = ("example3", "routing5-example6-script", "chain(3)")
+    expected = {name: run_cli(capsys, "analyze", name) for name in names}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ground program or system was built")
+
+    monkeypatch.setattr(scenarios, "ground_program", refuse)
+    monkeypatch.setattr(scenarios, "build_system", refuse)
+    monkeypatch.setattr(MultiAgentSystem, "__init__", refuse)
+    monkeypatch.setattr(AgentSpec, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        main(["run", "example3"])  # the patch does reach system building
+    capsys.readouterr()
+    for name in names:
+        assert run_cli(capsys, "analyze", name) == expected[name]

@@ -369,6 +369,31 @@ def test_grounder_matches_full_product_on_routing_topologies(topology):
         _agree(clauses, patterns, dom)
 
 
+def test_atom_below_a_variable_it_does_not_mention():
+    # sp(X,Y,D2+1) is bound at D2's level, below D, which it does not
+    # mention, so it meets the same arguments once for each D.
+    dom = dom_at(4, nodes=("A1", "A2", "A3"))
+    c = parse_schematic_clause("spl(A1,Y,D+1) :- link(A1,X), sp(X,Y,D2+1), D2 < D.", dom)
+    _agree([c], [], dom)
+    assert atom("sp", "A2", "A3", 3) in {x for g in ground_clause(c, dom) for x in g.pos}
+
+
+def test_symmetric_atom_below_a_variable_it_does_not_mention():
+    # link(X,Y) is bound at Y's level, below D and D2; both orientations
+    # of an edge are one atom.
+    dom = dom_at(2, nodes=("A1", "A2", "A3"))
+    c = parse_schematic_clause("far(X,D+1) :- near(X,D2), D2 < D, link(X,Y).", dom)
+    _agree([c], [], dom)
+    links = {}
+    for g in ground_clause(c, dom):
+        (near,) = [x for x in g.pos if x.predicate == "near"]
+        (link,) = [x for x in g.pos if x.predicate == "link"]
+        links.setdefault(link, set()).add(near.args[0])
+    assert links[atom("link", "A1", "A2")] == {"A1", "A2"}
+    assert atom("link", "A2", "A1") not in links
+    assert len(links) == 6  # three self-links and three edges
+
+
 def test_shift_only_in_a_constraint_is_range_checked():
     # D+3 lies outside 0..2 for every D, so no D qualifies, although 3 < 5.
     assert expand_pattern(parse_pattern("s(D) where D+3 < 5", DOM2), DOM2) == frozenset()

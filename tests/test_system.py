@@ -201,7 +201,7 @@ def test_io_graph_chain_grows_linearly():
 
 
 def test_classify_example3(example3_scenario, example3_system):
-    cls = classify(example3_system, reground=example3_scenario.io_atoms)
+    cls = classify(example3_system, reground=example3_scenario.shape)
     assert not cls.io_acyclic
     assert cls.bounded
     assert cls.io_finite  # no integer domain: regrounding changes nothing
@@ -209,7 +209,7 @@ def test_classify_example3(example3_scenario, example3_system):
 
 
 def test_classify_routing(routing5_scenario, routing5_system):
-    cls = classify(routing5_system, reground=routing5_scenario.io_atoms)
+    cls = classify(routing5_system, reground=routing5_scenario.shape)
     assert cls.io_acyclic
     assert cls.bounded
     assert not cls.io_finite  # I/O graph grows with the domain bound
@@ -219,7 +219,7 @@ def test_classify_routing(routing5_scenario, routing5_system):
 
 def test_classify_chain():
     sc = chain_scenario(4)
-    cls = classify(sc.build_system(), reground=sc.io_atoms)
+    cls = classify(sc.build_system(), reground=sc.shape)
     assert cls.io_acyclic
     assert not cls.io_finite
 
@@ -394,14 +394,14 @@ def _definition_io(system):
 
 def _check_against_definition(system, bigger=None):
     """Compare with the definition route and return whether the system is
-    IO-acyclic; the probe gives the I/O atoms of ``bigger``, which stands
-    for the system regrounded at ``dmax + 2``."""
+    IO-acyclic; the probe gives ``bigger``, which stands for the system
+    regrounded at ``dmax + 2``."""
     g_io, idb_acyclic = _definition_io(system)
     io_acyclic = is_acyclic(g_io)
     assert io_graph(system) == g_io
     assert len(system.io_atoms) == len(g_io.nodes)
     asked = []
-    reground = None if bigger is None else lambda k: asked.append(k) or bigger.io_atoms
+    reground = None if bigger is None else lambda k: asked.append(k) or bigger
     if io_acyclic and not idb_acyclic:
         with pytest.raises(RuntimeError):
             classify(system, reground=reground)
@@ -470,17 +470,32 @@ def test_classify_and_io_graph_match_definition_route_on_scenarios(ref):
     _check_against_definition(system, sc.build_system(dmax=system.dmax + 2))
 
 
-@pytest.mark.parametrize(
-    "ref",
-    [name for name in builtin_names() if name != "chain(N)"]
+@pytest.fixture(
+    scope="module",
+    params=[name for name in builtin_names() if name != "chain(N)"]
     + [f"chain({n})" for n in range(1, 9)]
     + [f"ring{n}{chord}" for n in range(4, 9) for chord in ("", "+chord")],
 )
-def test_streamed_io_atoms_equal_the_built_systems(ref):
-    sc = _scenario(ref)
-    for delta in (0, 1, 2, 3):
-        dmax = sc.domain.distance_max + delta
-        assert sc.io_atoms(dmax) == sc.build_system(dmax=dmax).io_atoms
+def built(request):
+    """A scenario and its built systems at its own bound plus 0..3; the
+    tests that take it run one scenario at a time, so each is built once."""
+    sc = _scenario(request.param)
+    dmax = sc.domain.distance_max
+    return sc, {d: sc.build_system(dmax=d) for d in range(dmax, dmax + 4)}
+
+
+def test_streamed_io_atoms_equal_the_built_systems(built):
+    sc, systems = built
+    for dmax, system in systems.items():
+        assert _shape(sc.shape(dmax)) == _shape(system)
+
+
+def test_classify_reads_a_shape_as_the_built_system(built):
+    sc, systems = built
+    shape, dmax = sc.shape(), sc.domain.distance_max
+    for delta in (1, 2, 3):
+        assert classify(shape, reground=sc.shape, probe_delta=delta) == classify(
+            systems[dmax], reground=systems.__getitem__, probe_delta=delta)
 
 
 _BREACHES = (
@@ -494,6 +509,11 @@ _BREACHES = (
     "no producer",
     "environment atoms appear as heads",
 )
+
+
+def _shape(system) -> tuple:
+    """What ``classify`` reads of a system or a shape."""
+    return system.io_atoms, system.cyclic, system.dmax
 
 
 def _outcome(build):
@@ -523,10 +543,10 @@ def test_streamed_io_atoms_validate_as_build_system_on_random_scenarios():
                                    some(hbe + hin), some(hin + hbe)))
         sc = Scenario(domain=dom, agents=tuple(agents))
         for dmax in (dom.distance_max, dom.distance_max + 2):
-            want = _outcome(lambda: sc.build_system(dmax).io_atoms)
-            assert _outcome(lambda: sc.io_atoms(dmax)) == want
-            if isinstance(want, frozenset):
-                seen.add("I/O atoms" if want else "no I/O atoms")
+            want = _outcome(lambda: _shape(sc.build_system(dmax)))
+            assert _outcome(lambda: _shape(sc.shape(dmax))) == want
+            if isinstance(want, tuple):
+                seen.add("I/O atoms" if want[0] else "no I/O atoms")
             else:
                 seen.update(kind for v in want for kind in _BREACHES if kind in v)
     assert seen == {"I/O atoms", "no I/O atoms", *_BREACHES}
