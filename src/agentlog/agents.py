@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .logic import AcyclicPlan, GroundProgram, _dependencies, _peel, head_set
+from .logic import AcyclicPlan, GroundProgram, _dependency_sink, _peel, head_set
 
 __all__ = [
     "AgentState",
@@ -68,7 +68,10 @@ class AgentSpec:
     @property
     def deps(self) -> dict:
         """Each head of the IDB -> the atoms in the bodies of its clauses."""
-        return _dependencies([self.idb])
+        deps, sink = _dependency_sink()
+        for c in self.idb.clauses:
+            sink(c.head, c.pos, c.neg)
+        return deps
 
     @property
     def hb(self) -> frozenset:
@@ -78,9 +81,10 @@ class AgentSpec:
 
 @dataclass(frozen=True, eq=False)
 class AgentTables:
-    """An agent as validation and the I/O search read it, without its
+    """An agent as system assembly and validation read it, without its
     clauses: each head's body atoms, the sensable and input atoms, and
-    the initial state."""
+    the initial state.  A system of these can be validated and
+    classified, but not run."""
 
     id: str
     deps: dict
@@ -95,8 +99,8 @@ class AgentTables:
 
 
 def validate_agent(a: AgentSpec, cyclic: frozenset = None) -> list:
-    """All invariant violations of the spec (or of its ``AgentTables``),
-    as human-readable strings.
+    """All invariant violations of the spec or of its ``AgentTables``, as
+    human-readable strings; only the tables are read, never the clauses.
 
     ``cyclic``, when given, holds the atoms that can reach a cycle of a
     rule base containing this agent's clauses, such as the union of every

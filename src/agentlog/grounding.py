@@ -455,8 +455,10 @@ def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink) -> 
 
 def expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
     """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets)."""
-    facts = _Enumeration(SchematicClause(p.atom, (), p.constraints), dom).clauses()
-    return frozenset(c.head for c in facts)
+    atoms = set()
+    add = atoms.add
+    _Enumeration(SchematicClause(p.atom, (), p.constraints), dom).stream(lambda h, pos, neg: add(h))
+    return frozenset(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +561,8 @@ def parse_ground_atom(text: str, dom: DomainSpec) -> Atom:
     sa = parse_schematic_atom(text, dom)
     if set(sa.variables()):
         raise GroundingError(f"atom must be ground: {text!r}")
-    facts = _Enumeration(SchematicClause(sa), dom).clauses()
-    if not facts:
+    atoms = expand_pattern(Pattern(sa), dom)
+    if not atoms:
         raise GroundingError(f"integer argument out of range in {text!r}")
-    (fact,) = facts
-    return fact.head
+    (a,) = atoms
+    return a

@@ -369,19 +369,20 @@ def relevant_atoms(g: DependencyGraph, a: Atom) -> frozenset:
     return frozenset(reached)
 
 
-def _dependencies(programs) -> dict:
-    """Each clause head of the programs -> the atoms in the bodies of its
-    clauses: the dependency graph of their union, read straight off the
-    clauses."""
+def _dependency_sink() -> tuple:
+    """An empty head -> body-atoms map, and the ``sink(head, pos, neg)``
+    that adds one clause's body atoms under its head: the dependency graph
+    of the clauses passed to it, read straight off them."""
     deps = {}
-    for p in programs:
-        for c in p.clauses:
-            body = deps.get(c.head)
-            if body is None:
-                body = deps[c.head] = set()
-            body.update(c.pos)
-            body.update(c.neg)
-    return deps
+
+    def sink(head, pos, neg):
+        body = deps.get(head)
+        if body is None:
+            body = deps[head] = set()
+        body.update(pos)
+        body.update(neg)
+
+    return deps, sink
 
 
 def _peel(deps: dict) -> tuple:

@@ -54,9 +54,9 @@ from .grounding import (
     parse_pattern,
     parse_schematic_clause,
 )
-from .logic import split_top_level
+from .logic import _dependency_sink, split_top_level
 from .runtime import CommEvent, EnvEvent
-from .system import MultiAgentSystem, SystemShape, build_system, validated_shape
+from .system import MultiAgentSystem, SystemShape, build_system
 
 __all__ = [
     "ScenarioError",
@@ -110,31 +110,35 @@ class Scenario:
 
     def build_system(self, dmax=None) -> MultiAgentSystem:
         dom = self._domain(dmax)
-        specs = []
-        for ad in self.agents:
-            hbe, hin, edb, indb = _atom_sets(ad, dom)
-            idb = ground_program(ad.idb, dom, extra_atoms=hbe | hin)
-            specs.append(AgentSpec(ad.id, idb, hbe, hin, AgentState(edb, indb)))
-        return build_system(specs, dmax=dom.distance_max)
+        return build_system([_agent_spec(ad, dom) for ad in self.agents], dmax=dom.distance_max)
 
     def shape(self, dmax=None) -> SystemShape:
-        """The ``SystemShape`` of ``build_system(dmax)``, without building it.
+        """The ``SystemShape`` of ``build_system(dmax)``, from a system of
+        ``AgentTables``.
 
         Each agent's grounding is streamed into its head -> body-atoms
-        map, and validation reads those maps; only agents that define a
-        head another agent defines too are grounded into clauses, so
-        their definitions can be compared.  Raises ValidationError where
-        ``build_system`` would, with the same breaches.
+        map; only agents that define a head another agent defines too are
+        grounded into clauses, so their definitions can be compared.
+        Raises ValidationError where ``build_system`` would, with the same
+        breaches.  The system is summarised before it is returned, so its
+        tables are not kept.
         """
         dom = self._domain(dmax)
-        tables = []
+        tables, defined, shared = [], set(), set()
         for ad in self.agents:
             hbe, hin, edb, indb = _atom_sets(ad, dom)
-            deps = _ground_dependencies(ad.idb, dom)
+            deps, sink = _dependency_sink()
+            ground_stream(ad.idb, dom, sink)
+            shared |= defined.intersection(deps)
+            defined.update(deps)
             tables.append(AgentTables(ad.id, deps, hbe, hin, AgentState(edb, indb)))
-        return validated_shape(
-            tables, lambda i: ground_program(self.agents[i].idb, dom).clauses, dom.distance_max
-        )
+        del defined  # not kept through assembly, where memory peaks
+        agents = [
+            t if shared.isdisjoint(t.deps) else _agent_spec(ad, dom)
+            for ad, t in zip(self.agents, tables)
+        ]
+        system = build_system(agents, dmax=dom.distance_max)
+        return SystemShape(system.io_atoms, system.cyclic, system.dmax)
 
     def _domain(self, dmax) -> DomainSpec:
         """The domain with its bound replaced by ``dmax`` when one is given."""
@@ -160,20 +164,11 @@ def _atom_sets(ad: AgentDef, dom: DomainSpec) -> tuple:
     )
 
 
-def _ground_dependencies(clauses, dom: DomainSpec) -> dict:
-    """Each head of the ground instances of ``clauses`` over ``dom`` ->
-    the atoms in those instances' bodies."""
-    deps = {}
-
-    def sink(head, pos, neg):
-        body = deps.get(head)
-        if body is None:
-            body = deps[head] = set()
-        body.update(pos)
-        body.update(neg)
-
-    ground_stream(clauses, dom, sink)
-    return deps
+def _agent_spec(ad: AgentDef, dom: DomainSpec) -> AgentSpec:
+    """An agent block grounded over ``dom``."""
+    hbe, hin, edb, indb = _atom_sets(ad, dom)
+    idb = ground_program(ad.idb, dom, extra_atoms=hbe | hin)
+    return AgentSpec(ad.id, idb, hbe, hin, AgentState(edb, indb))
 
 
 def family_of(p: Pattern) -> tuple:

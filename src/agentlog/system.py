@@ -5,25 +5,25 @@ sensing everything; its stable model in a given environment is the
 correctness reference against which runs are judged.  The I/O graph is
 the superagent's atom dependency graph restricted to atoms relevant to
 some input atom; its acyclicity and (empirical) finiteness are the
-hypotheses of the stabilization guarantees.  A system reads that graph
-straight off the agents' clauses once, when it is assembled, and keeps
-its I/O atoms, the atoms that reach a cycle, and the order in which its
-heads peel off.  The reference model of an acyclic union is read through
-the agents' compiled plans in that order; the superagent program itself
-is built only when the union is cyclic.
+hypotheses of the stabilization guarantees.  A system is assembled from
+``AgentSpec``s, ``AgentTables`` or both, and reads that graph once, off
+the union of the agents' head -> body-atoms maps.  It keeps its I/O
+atoms, the atoms that reach a cycle, and the order in which its heads
+peel off.  The reference model of an acyclic union is read through the
+agents' compiled plans in that order; the superagent program itself is
+built only when the union is cyclic.  Both need ``AgentSpec``s.
 
 Validation reads the assembled system: its cyclic atoms, its environment
-atoms and each agent's heads.  The union rule base is well defined only
+atoms and each agent's tables.  The union rule base is well defined only
 when agents that define the same atom define it the same way, so the
-clauses of exactly those heads are compared, and that check walks no
-clause when no head is shared.  Each kind of violation comes in agent
-order, and within an agent by sorted atom.
+clauses of exactly those heads are compared: only their definers need
+clauses, and that check walks no clause when no head is shared.  Each
+kind of violation comes in agent order, and within an agent by sorted
+atom.
 
 Classification reads only three things of a system: its I/O atoms, its
-cyclic atoms and its bound.  ``validated_shape`` gives those as a
-``SystemShape`` from ``AgentTables``, each agent's head -> body-atoms map
-without its clauses, after the same checks; ``classify`` takes either a
-system or a shape.
+cyclic atoms and its bound, which a ``SystemShape`` holds without the
+system.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .logic import (
     BRUTEFORCE_CAP,
     DependencyGraph,
     GroundProgram,
-    _dependencies,
     _peel,
     least_model,
     stable_models_bruteforce,
@@ -49,7 +48,6 @@ __all__ = [
     "NoUniqueModelError",
     "SystemShape",
     "build_system",
-    "validated_shape",
     "system_violations",
     "superagent",
     "superagent_model",
@@ -69,13 +67,14 @@ class NoUniqueModelError(ValueError):
 
 
 class MultiAgentSystem:
-    """A collection of agents plus derived lookup tables.
+    """``AgentSpec``s, ``AgentTables`` or a mix, plus derived lookup tables.
 
     ``io_atoms`` are the nodes of the I/O graph, ``cyclic`` the atoms
     from which a cycle of the union rule base can be reached, and
     ``order`` the other heads of the union, each after the heads in its
-    clauses' bodies; all three come from one head -> body-atoms map of
-    every agent's clauses, which is not kept.
+    clauses' bodies; all three come from the union of the agents'
+    ``deps``, which is not kept.  Of an agent, only ``id``, ``deps``,
+    ``heads``, ``hbe`` and ``hin`` are read.
     """
 
     def __init__(self, agents, dmax=None):
@@ -84,9 +83,9 @@ class MultiAgentSystem:
         self.ids = tuple(a.id for a in self.agents)
         self._index = {a.id: i for i, a in enumerate(self.agents)}
         self.env_atoms = frozenset().union(*(a.hbe for a in self.agents)) if self.agents else frozenset()
-        deps = _dependencies(a.idb for a in self.agents)
-        self.io_atoms = _io_atoms(self.agents, deps)
+        deps = _union_dependencies(self.agents)
         self.order, self.cyclic = _peel(deps)
+        self.io_atoms = _io_atoms(self.agents, deps)
         self._deps = {}
         for recv in self.agents:
             for sender in self.agents:
@@ -120,35 +119,28 @@ class MultiAgentSystem:
 
 def system_violations(system: MultiAgentSystem) -> list:
     """Every agent-level and system-level invariant breach, exhaustively,
-    read off the assembled system's tables, in a fixed order."""
+    read off the assembled system's tables, in a fixed order; only agents
+    that define a head another agent defines too are read for clauses."""
     agents = system.agents
-    return _violations(agents, system.env_atoms, system.cyclic, lambda i: agents[i].idb.clauses)
-
-
-def _violations(agents, env_atoms: frozenset, cyclic: frozenset, clauses_of) -> list:
-    """The breaches ``system_violations`` lists, for ``AgentSpec``s or
-    ``AgentTables``.  ``clauses_of(i)`` gives the ground clauses of the
-    ``i``-th agent; it is called only for agents that define a head some
-    other agent defines too."""
     violations = []
     seen, defined, shared = set(), set(), set()
     for a in agents:
         if a.id in seen:
             violations.append(f"duplicate agent id: {a.id}")
         seen.add(a.id)
-        violations.extend(validate_agent(a, cyclic))
+        violations.extend(validate_agent(a, system.cyclic))
         shared |= defined & a.heads
         defined |= a.heads
 
     # Only heads that several agents define can be defined differently;
     # each later definer's clauses for one are compared with the first's.
     first = {}
-    for i, a in enumerate(agents):
+    for a in agents:
         mine = shared & a.heads
         if not mine:
             continue
         by_head = {}
-        for c in clauses_of(i):
+        for c in a.idb.clauses:
             if c.head in mine:
                 by_head.setdefault(c.head, set()).add(c)
         for h in sorted(mine):
@@ -157,14 +149,14 @@ def _violations(agents, env_atoms: frozenset, cyclic: frozenset, clauses_of) -> 
             elif first[h][1] != by_head[h]:
                 violations.append(f"atom {h} has different definitions in {first[h][0]} and {a.id}")
 
-    producible = env_atoms | defined
+    producible = system.env_atoms | defined
     for a in agents:
         uncovered = a.hin - producible
         if uncovered:
             violations.append(f"agent {a.id}: no producer for input atoms: {_few(uncovered)}")
 
     for a in agents:
-        headed_env = env_atoms & a.heads
+        headed_env = system.env_atoms & a.heads
         if headed_env:
             violations.append(f"agent {a.id}: environment atoms appear as heads: {_few(headed_env)}")
     return violations
@@ -182,30 +174,12 @@ def build_system(specs, dmax=None) -> MultiAgentSystem:
 @dataclass(frozen=True)
 class SystemShape:
     """What ``classify`` reads of a ``MultiAgentSystem``: its I/O atoms,
-    the atoms that reach a cycle of its union rule base, and its bound."""
+    the atoms that reach a cycle of its union rule base, and its bound,
+    without the agents and their tables."""
 
     io_atoms: frozenset
     cyclic: frozenset
     dmax: object
-
-
-def validated_shape(tables, clauses_of, dmax) -> SystemShape:
-    """The shape of the system of ``tables`` (``AgentTables``) at bound
-    ``dmax``, as ``build_system`` would assemble it, and raises
-    ValidationError where it would, with the same breaches.
-    ``clauses_of(i)`` grounds the ``i``-th agent's clauses, for the one
-    check that compares clauses."""
-    deps = {}
-    for a in tables:
-        for h, body in a.deps.items():
-            mine = deps.get(h)
-            deps[h] = body if mine is None else mine | body
-    env_atoms = frozenset().union(*(a.hbe for a in tables))
-    cyclic = _peel(deps)[1]
-    violations = _violations(tables, env_atoms, cyclic, clauses_of)
-    if violations:
-        raise ValidationError(violations)
-    return SystemShape(_io_atoms(tables, deps), cyclic, dmax)
 
 
 @dataclass(frozen=True)
@@ -275,6 +249,18 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
     )
 
 
+def _union_dependencies(agents) -> dict:
+    """Each head of the agents' union rule base -> the atoms in the bodies
+    of its clauses, united from each agent's ``deps``; a head that several
+    agents define gets a new set, so no agent's map changes."""
+    deps = {}
+    for a in agents:
+        for h, body in a.deps.items():
+            mine = deps.get(h)
+            deps[h] = body if mine is None else mine | body
+    return deps
+
+
 def _io_atoms(agents, deps: dict) -> frozenset:
     """The input atoms and every atom reachable from one in ``deps``: the
     I/O graph's nodes.  The set is closed under ``deps``."""
@@ -291,7 +277,7 @@ def _io_atoms(agents, deps: dict) -> frozenset:
 def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
     """Dependency graph of the union rule base, restricted to atoms
     relevant to some input atom.  Input atoms themselves stay in."""
-    deps = _dependencies(a.idb for a in sys.agents)
+    deps = _union_dependencies(sys.agents)
     edges = frozenset((a, b) for a in sys.io_atoms for b in deps.get(a, ()))
     return DependencyGraph(sys.io_atoms, edges)
 
@@ -299,7 +285,7 @@ def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
 @dataclass(frozen=True)
 class Classification:
     """IO-acyclicity and friends, as measured on one grounding of a
-    system, built or read as a ``SystemShape``.
+    system of either kind of agents, or of its ``SystemShape``.
 
     ``bounded`` is per-atom definition finiteness, vacuously true on a
     ground slice.  ``io_finite`` is empirical: when a probe is available,

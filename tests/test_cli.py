@@ -12,9 +12,8 @@ import agentlog
 from agentlog import scenarios
 from agentlog.agents import AgentSpec
 from agentlog.cli import main
-from agentlog.logic import AcyclicPlan, CyclicProgramError
+from agentlog.logic import AcyclicPlan, Clause, CyclicProgramError
 from agentlog.scenarios import load_scenario
-from agentlog.system import MultiAgentSystem
 
 
 def run_cli(capsys, *argv):
@@ -499,21 +498,22 @@ def test_analyze_compiles_no_plan(monkeypatch, capsys):
     assert run_cli(capsys, "analyze", "routing5-example6-script") == (0, expected, "")
 
 
-def test_analyze_builds_no_system(monkeypatch, capsys):
+def test_analyze_grounds_no_clause(monkeypatch, capsys):
     # No two agents of these scenarios define one head, so neither bound
-    # grounds a clause set or assembles a system.
+    # grounds a clause or builds an agent spec or plan: the system that
+    # ``analyze`` assembles holds each agent's streamed tables.
     names = ("example3", "routing5-example6-script", "chain(3)")
     expected = {name: run_cli(capsys, "analyze", name) for name in names}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a ground program or system was built")
+        raise AssertionError("a clause, agent spec or plan was built")
 
     monkeypatch.setattr(scenarios, "ground_program", refuse)
-    monkeypatch.setattr(scenarios, "build_system", refuse)
-    monkeypatch.setattr(MultiAgentSystem, "__init__", refuse)
     monkeypatch.setattr(AgentSpec, "__init__", refuse)
+    monkeypatch.setattr(Clause, "_sorted", refuse)
+    monkeypatch.setattr(AcyclicPlan, "__init__", refuse)
     with pytest.raises(AssertionError):
-        main(["run", "example3"])  # the patch does reach system building
+        main(["run", "example3"])  # the patch does reach grounding
     capsys.readouterr()
     for name in names:
         assert run_cli(capsys, "analyze", name) == expected[name]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from agentlog.agents import AgentSpec, AgentState
+from agentlog.agents import AgentSpec, AgentState, AgentTables
 from agentlog.logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
@@ -563,6 +563,48 @@ def _with_copied_heads(rng, specs):
             target = rng.choice([i for i in range(len(specs)) if i != owner])
             extra[target] += [c for c in spec.idb.clauses if c.head == h]
     return [replace(s, idb=s.idb.union(GroundProgram.of(more))) for s, more in zip(specs, extra)]
+
+
+def test_mixed_systems_derive_the_tables_of_their_spec_systems():
+    # Every agent that shares no head becomes ``AgentTables``, which hold
+    # no clauses; the system of the mix must read the same union off the
+    # agents' maps and report the same breaches, in the same order.
+    rng = random.Random(1442)
+    seen = set()
+    for k in range(300):
+        system, _ = random_system(rng, io_acyclic=k % 2 == 0)
+        specs = [_with_own_cycle(rng, spec) for spec in system.agents]
+        if k % 3 == 1:
+            specs = _with_copied_heads(rng, specs)
+        elif k % 3 == 2:
+            target = rng.randrange(len(specs))
+            h = rng.choice(sorted(set().union(*(s.heads for s in specs))))
+            body = rng.sample(sorted(system.env_atoms), min(1, len(system.env_atoms)))
+            extra = GroundProgram.of([clause(h, *body)])
+            specs[target] = replace(specs[target], idb=specs[target].idb.union(extra))
+        heads = [h for s in specs for h in s.heads]
+        shared = {h for h in heads if heads.count(h) > 1}
+        mixed = [
+            s if not shared.isdisjoint(s.heads) else AgentTables(s.id, s.deps, s.hbe, s.hin, s.initial)
+            for s in specs
+        ]
+        want, got = MultiAgentSystem(specs), MultiAgentSystem(mixed)
+        for name in ("env_atoms", "io_atoms", "cyclic", "dependent_pairs"):
+            assert getattr(got, name) == getattr(want, name)
+        assert set(got.order) == set(want.order)
+        position = {h: i for i, h in enumerate(got.order)}
+        for s in specs:
+            for c in s.idb.clauses:
+                if c.head in position:
+                    assert all(position[b] < position[c.head] for b in c.pos + c.neg if b in position)
+        violations = system_violations(got)
+        assert violations == system_violations(want)
+        seen.update(kind for v in violations for kind in _BREACHES if kind in v)
+        seen.add("tables" if any(isinstance(a, AgentTables) for a in mixed) else "no tables")
+        seen.add("specs" if any(isinstance(a, AgentSpec) for a in mixed) else "no specs")
+        seen.add("cyclic" if got.cyclic else "acyclic")
+    assert {"tables", "specs", "no specs", "cyclic", "acyclic", "different definitions",
+            "IDB is not acyclic"} <= seen
 
 
 def _union_oracle(system, edb):
