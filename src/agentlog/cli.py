@@ -251,8 +251,6 @@ def cmd_oracle_check(args) -> int:
                 continue
             models = stable_models_bruteforce(program, cap=args.cap)
             computed = trace.models[point][idx]
-            if args.inject_fault and computed:
-                computed = computed - {sorted(computed)[0]}
             checked += 1
             if len(models) != 1 or models[0] != computed:
                 mismatches += 1
@@ -335,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, formatted=False)  # its output is always records
     p.add_argument("--cap", type=_int_at_least(0), default=20)
     p.add_argument("--rounds", type=_int_at_least(0), default=2)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

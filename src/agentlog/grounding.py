@@ -1,11 +1,14 @@
 """Instantiation of schematic clauses into ground programs.
 
-A schematic clause may mention typed variables (node constants, or
-naturals bounded by ``distance_max``), ``VAR+k`` arithmetic in terms, and
-comparison constraints that are resolved entirely at grounding time:
-ground clauses never carry constraints.  Instantiations producing an
-integer outside ``0..distance_max`` are silently dropped; on a bounded
-universe such ground atoms simply do not exist.
+A schematic clause has the shape of a ground ``Clause``, a head and its
+positive (``pos``) and negated (``neg``) body atoms, plus ``Constraint``s
+``left op right`` with ``op`` one of ``<``, ``=`` and ``!=``.  Its atoms
+may mention typed variables (node constants, or naturals bounded by
+``distance_max``) and ``VAR+k`` arithmetic in terms.  Constraints are
+resolved entirely at grounding time: ground clauses never carry them.
+Instantiations producing an integer outside ``0..distance_max`` are
+silently dropped; on a bounded universe such ground atoms simply do not
+exist.
 
 Each clause compiles once into a nested loop with one level per variable;
 a pattern is a clause with a head only.  The loop binds, narrows, checks
@@ -31,8 +34,9 @@ and instantiates as early as it can:
 The order changes the work, not the output: the ground clauses, and so
 the program universes, are those of enumerating the full product of the
 variable domains and filtering it.  The tests keep that grounder as the
-reference.  ``ground_stream`` runs the same loops but hands each
-instance's head and body atoms to a callback, building no ``Clause``.
+reference.  A compiled clause hands each instance's head and body atoms
+to a callback (``ground_stream``); ``ground_clause`` and
+``ground_program`` collect them into ``Clause``s.
 
 Predicates listed in ``DomainSpec.symmetric`` have their two node
 arguments put in canonical (declared) order, so both orientations of an
@@ -54,10 +58,7 @@ __all__ = [
     "Var",
     "Shift",
     "SchematicAtom",
-    "SchematicLiteral",
-    "Less",
-    "Equal",
-    "NotEqual",
+    "Constraint",
     "SchematicClause",
     "Pattern",
     "ground_clause",
@@ -100,7 +101,6 @@ class DomainSpec:
         raise GroundingError(f"variable {name} has no declared type")
 
 
-
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -125,6 +125,11 @@ def _term_vars(term):
         yield term.name
 
 
+def _integer_typed(term, dom: DomainSpec) -> bool:
+    """Whether a parsed term ranges over integers rather than nodes."""
+    return isinstance(term, (int, Shift)) or (isinstance(term, Var) and term.name in dom.int_vars)
+
+
 @dataclass(frozen=True)
 class SchematicAtom:
     predicate: str
@@ -141,62 +146,37 @@ class SchematicAtom:
 
 
 @dataclass(frozen=True)
-class SchematicLiteral:
-    atom: SchematicAtom
-    positive: bool = True
+class Constraint:
+    """``left op right``, where ``op`` is ``<``, ``=`` or ``!=``."""
 
-    def __str__(self):
-        return str(self.atom) if self.positive else f"not {self.atom}"
-
-
-@dataclass(frozen=True)
-class Less:
+    op: str
     left: object
     right: object
 
-    def __str__(self):
-        return f"{self.left} < {self.right}"
-
-
-@dataclass(frozen=True)
-class Equal:
-    left: object
-    right: object
+    def variables(self):
+        yield from _term_vars(self.left)
+        yield from _term_vars(self.right)
 
     def __str__(self):
-        return f"{self.left} = {self.right}"
-
-
-@dataclass(frozen=True)
-class NotEqual:
-    left: object
-    right: object
-
-    def __str__(self):
-        return f"{self.left} != {self.right}"
-
-
-def _constraint_vars(c):
-    yield from _term_vars(c.left)
-    yield from _term_vars(c.right)
+        return f"{self.left} {self.op} {self.right}"
 
 
 @dataclass(frozen=True)
 class SchematicClause:
+    """``head :- pos, not neg, constraints``, as a ground ``Clause`` plus
+    the constraints that select its instances."""
+
     head: SchematicAtom
-    body: tuple = ()
+    pos: tuple = ()
+    neg: tuple = ()
     constraints: tuple = ()
 
     def variables(self) -> frozenset:
-        names = set(self.head.variables())
-        for lit in self.body:
-            names.update(lit.atom.variables())
-        for c in self.constraints:
-            names.update(_constraint_vars(c))
-        return frozenset(names)
+        parts = (self.head, *self.pos, *self.neg, *self.constraints)
+        return frozenset(n for part in parts for n in part.variables())
 
     def __str__(self):
-        items = [str(l) for l in self.body] + [str(c) for c in self.constraints]
+        items = [*map(str, self.pos), *(f"not {a}" for a in self.neg), *map(str, self.constraints)]
         if not items:
             return f"{self.head}."
         return f"{self.head} :- {', '.join(items)}."
@@ -215,30 +195,20 @@ class Pattern:
         return f"{self.atom} where {', '.join(str(c) for c in self.constraints)}"
 
 
-_OPS = {Less: operator.lt, Equal: operator.eq, NotEqual: operator.ne}
+_OPS = {"<": operator.lt, "=": operator.eq, "!=": operator.ne}
 
 
-def _narrowed(k, dom: DomainSpec):
+def _narrowed(k: Constraint, dom: DomainSpec):
     """``(variable, operator, term)`` when constraint ``k`` can cut the
     range of a plain variable: ``V = t`` or ``t = V`` to the value of
     ``t``, and ``V < t`` over integers to the values below it.  ``t`` must
     not mention ``V``.  Otherwise None."""
-    if isinstance(k, Equal):
-        sides = ((k.left, k.right), (k.right, k.left))
-    elif isinstance(k, Less):
-        sides = ((k.left, k.right),)
-    else:
-        return None
-    for mine, other in sides:
-        if isinstance(mine, Var) and mine.name not in _term_vars(other):
-            if isinstance(k, Equal):
-                return mine.name, operator.eq, other
-            if isinstance(other, Var):
-                int_term = other.name in dom.int_vars
-            else:
-                int_term = isinstance(other, Shift) or type(other) is int
-            if mine.name in dom.int_vars and int_term:
-                return mine.name, operator.lt, other
+    sides = {"=": ((k.left, k.right), (k.right, k.left)), "<": ((k.left, k.right),)}
+    for mine, other in sides.get(k.op, ()):
+        if not isinstance(mine, Var) or mine.name in _term_vars(other):
+            continue
+        if k.op == "=" or (mine.name in dom.int_vars and _integer_typed(other, dom)):
+            return mine.name, _OPS[k.op], other
     return None
 
 
@@ -268,7 +238,7 @@ class _Enumeration:
         dmax = dom.distance_max
         names = sorted(c.variables())
         declared = [dom.var_domain(n) for n in names]
-        atoms = [c.head] + [l.atom for l in c.body]
+        atoms = [c.head, *c.pos, *c.neg]
         terms = [t for a in atoms for t in a.args]
         terms += [t for k in c.constraints for t in (k.left, k.right)]
         self.levels = ()
@@ -308,12 +278,12 @@ class _Enumeration:
             if isinstance(t, Shift):
                 levels[level_of([t.name])][3].append((s, t.offset))
         for k in c.constraints:
-            i = level_of(_constraint_vars(k))
+            i = level_of(k.variables())
             narrowed = _narrowed(k, dom)
             if narrowed is not None and narrowed[0] == order[i - 1] and levels[i][2] is None:
                 levels[i][2] = (narrowed[1], slot[narrowed[2]])
             else:
-                levels[i][4].append((_OPS[type(k)], slot[k.left], slot[k.right]))
+                levels[i][4].append((_OPS[k.op], slot[k.left], slot[k.right]))
         for j, sa in enumerate(atoms):
             symmetric = sa.predicate in dom.symmetric and len(sa.args) == 2
             args = _tuple_getter([slot[t] for t in sa.args])
@@ -326,26 +296,20 @@ class _Enumeration:
         self.env = env
         self.head = atom_slot
 
-        def body_getter(positive):
+        def body_getter(js):
             # Atoms of distinct predicates or arities sort by those alone, so
             # such a sign's atoms can be read off in a fixed order; the
             # others are deduplicated and sorted per instance.
-            js = [j for j in range(1, len(atoms)) if c.body[j - 1].positive == positive]
-            js.sort(key=lambda j: (atoms[j].predicate, len(atoms[j].args)))
+            js = sorted(js, key=lambda j: (atoms[j].predicate, len(atoms[j].args)))
             get = _tuple_getter([atom_slot + j for j in js])
             if len({(atoms[j].predicate, len(atoms[j].args)) for j in js}) == len(js):
                 return get
             return lambda env: tuple(sorted(set(get(env)), key=Atom.sort_key))
 
-        self.pos = body_getter(True)
-        self.neg = body_getter(False)
+        split = 1 + len(c.pos)
+        self.pos = body_getter(range(1, split))
+        self.neg = body_getter(range(split, len(atoms)))
         self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
-
-    def clauses(self) -> set:
-        out = set()
-        add, make = out.add, Clause._sorted
-        self.stream(lambda head, pos, neg: add(make(head, pos, neg)))
-        return out
 
     def stream(self, sink):
         """Pass every ground instance to ``sink``, as ``ground_stream``."""
@@ -403,7 +367,7 @@ def _binding_order(names, static, atoms, constraints, dom) -> list:
     smaller name.
     """
     groups = [set(sa.variables()) for sa in atoms]
-    groups += [set(_constraint_vars(k)) for k in constraints]
+    groups += [set(k.variables()) for k in constraints]
     after = {n: set() for n in names}
     for k in constraints:
         narrowed = _narrowed(k, dom)
@@ -423,12 +387,19 @@ def _binding_order(names, static, atoms, constraints, dom) -> list:
     return order
 
 
+def _ground(clauses: Iterable[SchematicClause], dom: DomainSpec) -> set:
+    out = set()
+    add, make = out.add, Clause._sorted
+    ground_stream(clauses, dom, lambda head, pos, neg: add(make(head, pos, neg)))
+    return out
+
+
 def ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset:
     """All ground instances of ``c`` over ``dom``.
 
     Constraints select instances and never survive into ground clauses.
     """
-    return frozenset(_Enumeration(c, dom).clauses())
+    return frozenset(_ground([c], dom))
 
 
 def ground_program(
@@ -437,10 +408,7 @@ def ground_program(
     extra_atoms: Iterable[Atom] = (),
 ) -> GroundProgram:
     """Union of all instantiations, with declared extra atoms in the universe."""
-    ground = set()
-    for c in clauses:
-        ground |= _Enumeration(c, dom).clauses()
-    return GroundProgram.of(ground, extra_atoms)
+    return GroundProgram.of(_ground(clauses, dom), extra_atoms)
 
 
 def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink) -> None:
@@ -457,7 +425,7 @@ def expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
     """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets)."""
     atoms = set()
     add = atoms.add
-    _Enumeration(SchematicClause(p.atom, (), p.constraints), dom).stream(lambda h, pos, neg: add(h))
+    ground_stream([SchematicClause(p.atom, constraints=p.constraints)], dom, lambda h, pos, neg: add(h))
     return frozenset(atoms)
 
 
@@ -502,24 +470,15 @@ def parse_schematic_atom(text: str, dom: DomainSpec) -> SchematicAtom:
     return SchematicAtom(name, args)
 
 
-def _integer_typed(term, dom: DomainSpec) -> bool:
-    """Whether a parsed term ranges over integers rather than nodes."""
-    return isinstance(term, (int, Shift)) or (isinstance(term, Var) and term.name in dom.int_vars)
-
-
 def parse_constraint(text: str, dom: DomainSpec):
     m = _CONSTRAINT_RE.match(text.strip())
     if not m:
         raise GroundingError(f"malformed constraint: {text!r}")
     left, op, right = m.groups()
     lt, rt = parse_term(left, dom), parse_term(right, dom)
-    if op == "<":
-        if _integer_typed(lt, dom) != _integer_typed(rt, dom):
-            raise GroundingError(f"'<' between an integer and a node: {text.strip()!r}")
-        return Less(lt, rt)
-    if op == "=":
-        return Equal(lt, rt)
-    return NotEqual(lt, rt)
+    if op == "<" and _integer_typed(lt, dom) != _integer_typed(rt, dom):
+        raise GroundingError(f"'<' between an integer and a node: {text.strip()!r}")
+    return Constraint(op, lt, rt)
 
 
 def _is_constraint(item: str) -> bool:
@@ -534,17 +493,17 @@ def parse_schematic_clause(text: str, dom: DomainSpec) -> SchematicClause:
     if ":-" not in text:
         return SchematicClause(parse_schematic_atom(text, dom))
     head_text, body_text = text.split(":-", 1)
-    body = []
-    constraints = []
+    pos, neg, constraints = [], [], []
     for item in split_top_level(body_text):
         item = item.strip()
         if _is_constraint(item):
             constraints.append(parse_constraint(item, dom))
         elif item.startswith("not ") or item.startswith("not("):
-            body.append(SchematicLiteral(parse_schematic_atom(item[3:].strip(), dom), False))
+            neg.append(parse_schematic_atom(item[3:].strip(), dom))
         else:
-            body.append(SchematicLiteral(parse_schematic_atom(item, dom)))
-    return SchematicClause(parse_schematic_atom(head_text, dom), tuple(body), tuple(constraints))
+            pos.append(parse_schematic_atom(item, dom))
+    head = parse_schematic_atom(head_text, dom)
+    return SchematicClause(head, tuple(pos), tuple(neg), tuple(constraints))
 
 
 def parse_pattern(text: str, dom: DomainSpec) -> Pattern:

@@ -60,8 +60,6 @@ __all__ = [
     "parse_clause",
 ]
 
-Constant = "str | int"
-
 BRUTEFORCE_CAP = 20
 
 

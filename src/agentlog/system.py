@@ -42,7 +42,6 @@ from .logic import (
 
 __all__ = [
     "MultiAgentSystem",
-    "SuperAgent",
     "Classification",
     "ValidationError",
     "NoUniqueModelError",
@@ -105,16 +104,6 @@ class MultiAgentSystem:
 
     def dependency(self, receiver_id: str, sender_id: str) -> frozenset:
         return self._deps.get((receiver_id, sender_id), frozenset())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiAgentSystem)
-            and self.agents == other.agents
-            and self.dmax == other.dmax
-        )
-
-    def __hash__(self):
-        return hash((self.agents, self.dmax))
 
 
 def system_violations(system: MultiAgentSystem) -> list:
@@ -182,25 +171,16 @@ class SystemShape:
     dmax: object
 
 
-@dataclass(frozen=True)
-class SuperAgent:
-    """Union rule base plus the union of the initial sensed facts."""
-
-    idb_all: GroundProgram
-    initial_edb: frozenset
-
-
-def superagent(sys: MultiAgentSystem) -> SuperAgent:
-    """Every agent's rule base, atoms and initial EDB, united in one pass.
-    Each rule base is a checked program, so the union needs no universe
-    scan."""
+def superagent(sys: MultiAgentSystem) -> GroundProgram:
+    """The union rule base: every agent's rule base and atoms, united in
+    one pass.  Each rule base is a checked program, so the union needs no
+    universe scan."""
     agents = sys.agents
     clauses = frozenset().union(*(a.idb.clauses for a in agents))
     universe = frozenset().union(
         *(a.idb.universe for a in agents), sys.env_atoms, *(a.hin for a in agents)
     )
-    initial = frozenset().union(*(a.initial.edb for a in agents))
-    return SuperAgent(GroundProgram._unchecked(clauses, universe), initial)
+    return GroundProgram._unchecked(clauses, universe)
 
 
 def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozenset:
@@ -234,7 +214,7 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
             ):
                 true.add(h)
         return frozenset(true)
-    combined = superagent(sys).idb_all.with_facts(stabilized_edb)
+    combined = superagent(sys).with_facts(stabilized_edb)
     if not any(c.neg for c in combined.clauses):
         return least_model(combined)
     if len(combined.universe) <= BRUTEFORCE_CAP:

@@ -10,14 +10,11 @@ import random
 
 from agentlog.agents import AgentSpec, AgentState, EnvChange
 from agentlog.grounding import (
+    Constraint,
     DomainSpec,
-    Equal,
-    Less,
-    NotEqual,
     Pattern,
     SchematicAtom,
     SchematicClause,
-    SchematicLiteral,
     Shift,
     Var,
 )
@@ -166,23 +163,23 @@ def random_schematic_scenario(rng: random.Random):
     def constraint():
         kind = rng.choice("nii")
         left, right = term(kind), term(kind)
-        op = rng.choice((Less, Equal, NotEqual))
-        if op is not Less and rng.random() < 0.15:
+        op = rng.choice(("<", "=", "!="))
+        if op != "<" and rng.random() < 0.15:
             right = term("i" if kind == "n" else "n")
         if rng.random() < 0.5:
             left, right = right, left
-        return op(left, right)
+        return Constraint(op, left, right)
 
     def constraints():
         return tuple(constraint() for _ in range(rng.choice((0, 1, 1, 2, 3))))
 
-    clauses = tuple(
-        SchematicClause(
-            schematic_atom(),
-            tuple(SchematicLiteral(schematic_atom(), rng.random() > 0.3) for _ in range(rng.randint(0, 3))),
-            constraints(),
-        )
-        for _ in range(rng.randint(1, 4))
-    )
+    def clause():
+        head = schematic_atom()
+        body = [(schematic_atom(), rng.random() > 0.3) for _ in range(rng.randint(0, 3))]
+        pos = tuple(a for a, positive in body if positive)
+        neg = tuple(a for a, positive in body if not positive)
+        return SchematicClause(head, pos, neg, constraints())
+
+    clauses = tuple(clause() for _ in range(rng.randint(1, 4)))
     patterns = tuple(Pattern(schematic_atom(), constraints()) for _ in range(rng.randint(0, 2)))
     return dom, clauses, patterns

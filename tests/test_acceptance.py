@@ -254,7 +254,8 @@ def test_criterion_4_routing_correct_at_quiescence():
                 assert got == want, f"agent {agent_id}"
 
         check((), ())
-        assert sp("A1", "A3", 2) in superagent_model(system, superagent(system).initial_edb)
+        initial = frozenset().union(*(a.initial.edb for a in system.agents))
+        assert sp("A1", "A3", 2) in superagent_model(system, initial)
         failure = [(2, EnvChange(frozenset(), frozenset([lk("A1", "A2")])))]
         check(failure, [("A1", "A2")])
     report(4, "fixpoint outputs equal BFS distances, intact and after one failure", t)
@@ -315,7 +316,7 @@ def test_criterion_6_theorem_1_and_3_property_suite():
             system, schedule = random_system(rng, io_acyclic=True)
             systems += 1
             io_nodes = len(io_graph(system).nodes)
-            sa = superagent(system)
+            union = superagent(system)
             for policy, seed in (("round-robin", 0), ("shuffled", 1), ("shuffled", 2)):
                 trace = run_fair(
                     system,
@@ -329,7 +330,7 @@ def test_criterion_6_theorem_1_and_3_property_suite():
                 assert rounds_after_quiescence_to_fixpoint(trace) <= io_nodes + 1
                 v = verdict(system, trace)
                 assert v.reference_model == stable_model_acyclic(
-                    sa.idb_all, facts=v.stabilized_edb
+                    union, facts=v.stabilized_edb
                 )
                 assert v.convergence_model == v.reference_model
                 assert v.non_convergent == frozenset()

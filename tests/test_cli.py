@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -322,11 +323,27 @@ def test_oracle_check_skips_large_universes(capsys):
     assert summary["checked"] == 0
 
 
-def test_oracle_check_detects_injected_fault(capsys):
-    code, out, _ = run_cli(capsys, "oracle-check", "example3", "--inject-fault")
+def test_oracle_check_detects_injected_fault(monkeypatch, capsys):
+    # A brute force that drops the least atom of each model disagrees with
+    # every nonempty computed model.
+    bruteforce = agentlog.cli.stable_models_bruteforce
+
+    def wrong(program, cap):
+        return [m - {min(m)} if m else m for m in bruteforce(program, cap=cap)]
+
+    monkeypatch.setattr(agentlog.cli, "stable_models_bruteforce", wrong)
+    code, out, _ = run_cli(capsys, "oracle-check", "example3")
     assert code == 3
     summary = next(r for r in records(out) if r["record"] == "oracle-check")
     assert summary["mismatches"] > 0
+    assert any(r["record"] == "mismatch" for r in records(out))
+
+
+def test_oracle_check_refuses_inject_fault(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "example3", "--inject-fault"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected(capsys):
@@ -395,6 +412,48 @@ def test_stdout_identical_across_hash_seeds(argv):
             proc.wait()
     assert all(proc.returncode in (0, 3) for proc in procs)
     assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# Exit code and sha256 of stdout of each command.  A refactor must leave
+# this table as it is; only a deliberate change of the output edits it.
+_PINNED_OUTPUT = [
+    ("analyze example3 --format ndrecords", 0, "7cbcc9b35b534758a706c23510578a9f455fbeba8d6053267fe99b50cd27d74d"),
+    ("analyze example3 --format table", 0, "e4576a61ceb3f1cc213801959d58712c3529087ddf67f7ebbc945baf93eb9102"),
+    ("run example3 --format ndrecords", 0, "d1a38f080ac1ff1d902c82de1f7be82040b75f9472fbf99efaf24248643674d7"),
+    ("run example3 --format table", 0, "59f72ad1d7820b3e93957139cffcd8a3fe9b77464dacaebf358ace4680eca3ec"),
+    ("replay example3 --format ndrecords", 0, "040a7012d0c5d61d0efcb00a6d37f97808d943c1fbc6893f6249c407d39dde34"),
+    ("replay example3 --format table", 0, "1f42c6004a395bea22332f84b23000eaf4597934da998469c5bd440878df3b38"),
+    ("analyze routing5 --format ndrecords", 0, "63ecc9424d10b1246326080d6cf5cbbc0128e1d9cb6047003bfa8fbed1377b0b"),
+    ("analyze routing5 --format table", 0, "bafe140f4f94fd3adcb00d9eaf5f9018e8917178dbf5f1902a52f8c0e5ac7f85"),
+    ("run routing5 --format ndrecords", 0, "3ac44551331ffcff5b8960a1c1fef579605293ceb386641cfa666b5d8d986fdc"),
+    ("run routing5 --format table", 0, "8db1873dc6d7ee79a26a97cbd25276cacbb83df3bbe0dff685dbd71cfa1dc113"),
+    ("replay routing5 --format ndrecords", 0, "a3e8decdd925bd98276b6c69141e07bfcbd759f0a9aaf2f93bdb1e5dc8c25276"),
+    ("replay routing5 --format table", 0, "94931a5f97d2ddcb3c99b96693bf56e8c12403608c07b01a156c7ce12899f46f"),
+    ("analyze routing5-example6-script --format ndrecords", 0, "85bfc7fc5e51cc34ce2e9ed2097c4b9f57972344cf5936ad53cc61d5d30ba609"),
+    ("analyze routing5-example6-script --format table", 0, "ba550feb6fb568d5a5cde4c025743275ff4aab38b05286e724f663eb75741399"),
+    # The slowest pair; its table forms are left out to keep the test short.
+    ("run routing5-example6-script --format ndrecords", 3, "f5162a34705dac2a624f9f2ceed3dcbc8b57acddee5a4bd086b9c609cd1a0d43"),
+    ("replay routing5-example6-script --format ndrecords", 0, "56458302b102648585482e974f95dabe6caa3aae83ca74caf0d2ad07107963be"),
+    ("analyze chain(4) --format ndrecords", 0, "000e361c29b869225dba10dc481320469ae855ff0116e611f0de76896ff17f2f"),
+    ("analyze chain(4) --format table", 0, "0b8efc5e4807f640d1c15ae42940ed7a45a0ecdd4b62e93dc3248e07b159abc4"),
+    ("run chain(4) --format ndrecords", 0, "e8770171079c2947ea8e24a937c8cb7532dfa7ead2fc75e471dc8dad4cd2517a"),
+    ("run chain(4) --format table", 0, "5c696f2ad4edd3ba33002743f3aba081e96d8221ece612c4424633af915f07d9"),
+    ("replay chain(4) --format ndrecords", 0, "6b935b79fc28922a6324780f4cd36565db74d250a7a49795f5c2ba2f390e88ca"),
+    ("replay chain(4) --format table", 0, "df9263b618561450d782ebfb1fe18877686ca47d10ee573a8109ad4b05c0233a"),
+    ("run routing5 --policy shuffled --seed 3", 0, "fc6b7a6949f647b6f9fe827700efb2cb05f3cc018f1012d27830086dea8a8760"),
+    ("oracle-check example3", 0, "300d664bf7cf75c17780e75d56c32d0f76050f14b39fd7f9f0530a0557d222ed"),
+    ("sweep chain(1) --param n --range 1:8", 0, "feacbc15fb7ff732cf8c44ff578a6a123105e731f4b23885140e3e0a9e7f6a4f"),
+    ("sweep routing5 --param dmax --range 3:5", 0, "0cd9b84bd211089878a33d097d67b7ac5911961e3a53005d818ee8b8a212f957"),
+]
+
+
+def test_stdout_bytes_pinned(capsys):
+    changed = []
+    for command, code, digest in _PINNED_OUTPUT:
+        got, out, _ = run_cli(capsys, *command.split())
+        if (got, hashlib.sha256(out.encode()).hexdigest()) != (code, digest):
+            changed.append(command)
+    assert changed == []
 
 
 _DIFFERENT_DEFINITIONS = """\

@@ -8,15 +8,12 @@ import pytest
 
 from agentlog.grounding import (
     DomainSpec,
-    Equal,
     GroundingError,
-    Less,
     Pattern,
     SchematicAtom,
     SchematicClause,
     Shift,
     Var,
-    _constraint_vars,
     expand_pattern,
     ground_clause,
     ground_program,
@@ -127,7 +124,7 @@ def test_routing_grounding_is_acyclic_at_dmax5():
     from agentlog.system import superagent
 
     system = routing_system(FIG1_TOPOLOGY, 5)
-    assert is_acyclic(dependency_graph(superagent(system).idb_all))
+    assert is_acyclic(dependency_graph(superagent(system)))
 
 
 def test_undeclared_variable_is_an_error():
@@ -191,9 +188,9 @@ class _FullProductInstantiator:
         return (sa.predicate, tuple(self._compile_term(t) for t in sa.args), symmetric)
 
     def _compile_constraint(self, c):
-        if isinstance(c, Less):
+        if c.op == "<":
             op = lambda a, b: a < b
-        elif isinstance(c, Equal):
+        elif c.op == "=":
             op = lambda a, b: a == b
         else:
             op = lambda a, b: a != b
@@ -260,7 +257,8 @@ def full_product_ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset
     """
     inst = _FullProductInstantiator(c.variables(), c.constraints, dom)
     chead = inst.compile_atom(c.head)
-    cbody = [(inst.compile_atom(l.atom), l.positive) for l in c.body]
+    cbody = [(inst.compile_atom(a), True) for a in c.pos]
+    cbody += [(inst.compile_atom(a), False) for a in c.neg]
     out = set()
     for combo in inst.assignments():
         if inst.constraints and not inst.admissible(combo):
@@ -295,7 +293,7 @@ def full_product_expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
     """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets)."""
     names = set(p.atom.variables())
     for c in p.constraints:
-        names.update(_constraint_vars(c))
+        names.update(c.variables())
     inst = _FullProductInstantiator(names, p.constraints, dom)
     compiled = inst.compile_atom(p.atom)
     out = set()
@@ -333,6 +331,25 @@ def test_grounder_matches_full_product_on_random_schematic_scenarios():
         _agree(cs, ps, dom)
         clauses += len(cs)
         patterns += len(ps)
+
+
+def test_schematic_clause_text_round_trips():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 300:
+        dom, cs, _ = random_schematic_scenario(rng)
+        # A built negative shift prints as ``D+-1``, which does not parse.
+        for c in (c for c in cs if "+-" not in str(c)):
+            assert parse_schematic_clause(str(c), dom) == c, str(c)
+            checked += 1
+    # The text form writes positive atoms, then negated ones, then
+    # constraints, whatever order the clause was written in.
+    c = parse_schematic_clause("q(X,D) :- not p(X), link(X,Y), D < 2, not s(D), X != Y.", DOM2)
+    assert c.pos == (SchematicAtom("link", (Var("X"), Var("Y"))),)
+    assert c.neg == (SchematicAtom("p", (Var("X"),)), SchematicAtom("s", (Var("D"),)))
+    assert [str(k) for k in c.constraints] == ["D < 2", "X != Y"]
+    assert str(c) == "q(X,D) :- link(X,Y), not p(X), not s(D), D < 2, X != Y."
+    assert parse_schematic_clause(str(c), DOM2) == c
 
 
 def _scenario_cases(scenario, dmax):

@@ -71,6 +71,24 @@ def test_scenario_roundtrip_routing5(routing5_scenario):
     assert parse_scenario(text) == routing5_scenario
 
 
+def test_scenario_roundtrip_negated_atom_written_first():
+    # The text form lists a clause's positive atoms before its negated ones.
+    sc = parse_scenario("""\
+[domain]
+nodes: a b
+dmax: 1
+var node: X
+
+[agent A1]
+idb:
+  p(X) :- not q(X), r(X), X != b.
+hbe: q(X); r(X)
+""")
+    text = serialize_scenario(sc)
+    assert "  p(X) :- r(X), not q(X), X != b." in text.splitlines()
+    assert parse_scenario(text) == sc
+
+
 def test_routing5_file_equals_generated(routing5_scenario):
     generated = parse_scenario(routing_scenario_text(FIG1_TOPOLOGY, 6))
     assert generated == routing5_scenario
@@ -121,8 +139,9 @@ def test_routing_rejects_dmax_zero():
 
 
 def test_routing_default_dmax_is_node_count_plus_one(routing5_system):
-    assert routing_system(FIG1_TOPOLOGY).dmax == 6
-    assert routing_system(FIG1_TOPOLOGY) == routing5_system
+    system = routing_system(FIG1_TOPOLOGY)
+    assert system.dmax == routing5_system.dmax == 6
+    assert system.agents == routing5_system.agents
 
 
 def test_topology_canonicalizes_edges():
@@ -229,7 +248,8 @@ def test_load_scenario_from_file(tmp_path, example3_scenario):
 def test_chain_builtin_name():
     sc = builtin_scenario("chain(4)")
     assert sc.domain.distance_max == 4
-    assert sc.build_system() == chain_scenario(4).build_system()
+    system, expected = sc.build_system(), chain_scenario(4).build_system()
+    assert (system.agents, system.dmax) == (expected.agents, expected.dmax)
 
 
 def test_gl_reduct_of_routing_slice_two_nodes_bruteforce():

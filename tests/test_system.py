@@ -49,6 +49,11 @@ from .generators import random_schematic_scenario, random_system, signed_clause
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
+def initial_edb(system):
+    """The union of the agents' initial sensed facts."""
+    return frozenset().union(*(a.initial.edb for a in system.agents))
+
+
 def clause(head, *body):
     return Clause(head, body)
 
@@ -74,7 +79,7 @@ def test_shared_definition_identical_is_fine():
     two = AgentSpec("A2", GroundProgram.of([clause(x, a), Clause(b)], [a]), frozenset([a]))
     system = build_system([one, two])
     # Duplicate clauses collapse in the union rule base.
-    assert clause(x, a) in superagent(system).idb_all.clauses
+    assert clause(x, a) in superagent(system).clauses
 
 
 def test_uncovered_input_violation():
@@ -110,14 +115,13 @@ def test_long_violation_listings_are_cut_after_four_atoms():
 
 
 def test_superagent_example3(example3_system):
-    sa = superagent(example3_system)
-    assert sa.idb_all.clauses == {
+    assert superagent(example3_system).clauses == {
         clause(a, b, c),
         clause(f, a),
         clause(b, a, d),
         clause(b, e),
     }
-    assert sa.initial_edb == {c, d, e}
+    assert initial_edb(example3_system) == {c, d, e}
 
 
 def test_superagent_single_agent():
@@ -125,27 +129,25 @@ def test_superagent_single_agent():
         "A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]), frozenset(),
         AgentState(frozenset([c])),
     )
-    sa = superagent(build_system([spec]))
-    assert sa.idb_all.clauses == {clause(a, c)}
-    assert sa.initial_edb == {c}
+    system = build_system([spec])
+    assert superagent(system).clauses == {clause(a, c)}
+    assert initial_edb(system) == {c}
 
 
 def test_superagent_routing_initial_edb(routing5_system):
-    sa = superagent(routing5_system)
     links = {atom("link", u, v) for u, v in FIG1_TOPOLOGY.edges}
-    assert sa.initial_edb == links
+    assert initial_edb(routing5_system) == links
     assert len(links) == 6
     # superagent skips the universe scan; the checked constructor must agree.
-    p = sa.idb_all
+    p = superagent(routing5_system)
     assert GroundProgram(p.clauses, p.universe) == p
 
 
 def test_superagent_head_union(example3_system):
-    sa = superagent(example3_system)
     union = frozenset()
     for spec in example3_system.agents:
         union |= head_set(spec.idb)
-    assert head_set(sa.idb_all) == union
+    assert head_set(superagent(example3_system)) == union
 
 
 def test_superagent_model_example3(example3_system):
@@ -158,7 +160,7 @@ def test_superagent_model_empty():
 
 
 def test_superagent_model_routing_matches_bfs(routing5_system):
-    model = superagent_model(routing5_system, superagent(routing5_system).initial_edb)
+    model = superagent_model(routing5_system, initial_edb(routing5_system))
     dist = bfs_oracle(FIG1_TOPOLOGY)
     assert frozenset(x for x in model if x.predicate == "sp") == {
         atom("sp", u, v, k) for (u, v), k in dist.items()
@@ -348,8 +350,7 @@ def test_io_graph_nodes_are_relevant(example3_system):
     rng = random.Random(808)
     systems = [example3_system] + [random_system(rng)[0] for _ in range(10)]
     for system in systems:
-        sa = superagent(system)
-        g_full = dependency_graph(sa.idb_all)
+        g_full = dependency_graph(superagent(system))
         inputs = frozenset().union(*(s.hin for s in system.agents))
         g_io = io_graph(system)
         assert g_io.nodes <= g_full.nodes
@@ -367,9 +368,8 @@ def test_superagent_projection_consistent_with_agents():
     rng = random.Random(111)
     for _ in range(60):
         system, _ = random_system(rng, io_acyclic=True)
-        sa = superagent(system)
-        env = sa.initial_edb
-        reference = stable_model_acyclic(sa.idb_all, facts=env)
+        env = initial_edb(system)
+        reference = stable_model_acyclic(superagent(system), facts=env)
         for spec in system.agents:
             state = AgentState(env & spec.hbe, reference & spec.hin)
             assert agent_model(spec, state) == reference & (spec.hb)
@@ -379,7 +379,7 @@ def _definition_io(system):
     """The I/O graph and the union IDB's acyclicity by the definitions:
     superagent program, its full dependency graph, restriction to the
     atoms reachable from an input atom."""
-    g = dependency_graph(superagent(system).idb_all)
+    g = dependency_graph(superagent(system))
     adj = g.successors()
     keep = set().union(*(s.hin for s in system.agents)) & g.nodes
     frontier = list(keep)
@@ -611,7 +611,7 @@ def _union_oracle(system, edb):
     """The reference model by the definition, from the superagent program:
     its own compiled plan when acyclic, else its unique stable model by
     brute force; NoUniqueModelError when it has none or several."""
-    program = superagent(system).idb_all
+    program = superagent(system)
     if is_acyclic(dependency_graph(program)):
         return stable_model_acyclic(program, facts=edb)
     models = stable_models_bruteforce(program.with_facts(edb))
@@ -631,7 +631,7 @@ def test_superagent_model_matches_union_program_on_random_systems():
         if k % 3 == 0:
             system = MultiAgentSystem(_with_copied_heads(rng, system.agents))
         edb = frozenset(x for x in sorted(system.env_atoms) if rng.random() < 0.5)
-        program = superagent(system).idb_all
+        program = superagent(system)
         combined = program.with_facts(edb)
         if is_acyclic(dependency_graph(program)):
             assert superagent_model(system, edb) == stable_model_acyclic(program, facts=edb)
@@ -689,7 +689,7 @@ def test_superagent_model_reads_every_definer_on_unvalidated_systems():
 def test_superagent_model_matches_union_program_on_scenarios(ref):
     # In the initial environment and, on routing systems, with one link failed.
     system = _scenario(ref).build_system()
-    initial = superagent(system).initial_edb
+    initial = initial_edb(system)
     links = sorted(x for x in initial if x.predicate == "link")
     for edb in [initial] + [initial - {x} for x in links[len(links) // 2:][:1]]:
         assert superagent_model(system, edb) == _union_oracle(system, edb)
@@ -707,7 +707,7 @@ def test_reference_model_compiles_nothing_new(monkeypatch):
     scenario = builtin_scenario("routing5")
     system = scenario.build_system()
     trace = run_fair(system, env_schedule=scenario.schedule, max_rounds=scenario.max_rounds)
-    initial = superagent(system).initial_edb
+    initial = initial_edb(system)
 
     def refuse(*args):
         raise AssertionError("built beyond the agents' own plans")
