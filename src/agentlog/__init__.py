@@ -9,6 +9,7 @@ judges runs against the superagent reference model.
 from .agents import (
     AgentSpec,
     AgentState,
+    CommEvent,
     EnvChange,
     agent_model,
     dependency,
@@ -36,8 +37,6 @@ from .logic import (
     stable_models_bruteforce,
 )
 from .runtime import (
-    CommEvent,
-    EnvEvent,
     Trace,
     Verdict,
     comm_transition,

@@ -4,7 +4,9 @@ An agent owns an acyclic rule base (its IDB), a set of environment atoms
 it can sense (HBE) and a set of input atoms it must be told about (HIN).
 Its state is the pair of currently sensed facts (EDB) and currently
 received facts (IN); the agent's beliefs are the stable model of
-``IDB + EDB + IN``.
+``IDB + EDB + IN``.  A run moves by two kinds of event: an ``EnvChange``
+that agents sense, and a ``CommEvent`` that pushes facts from a sender
+to a receiver.
 
 States are values: the two update operators return new sets instead of
 mutating, so traces can retain every intermediate state cheaply.
@@ -22,6 +24,7 @@ __all__ = [
     "AgentSpec",
     "AgentTables",
     "EnvChange",
+    "CommEvent",
     "validate_agent",
     "agent_model",
     "dependency",
@@ -191,6 +194,14 @@ class EnvChange:
     @property
     def touched(self) -> frozenset:
         return self.became_true | self.became_false
+
+
+@dataclass(frozen=True)
+class CommEvent:
+    """The sender pushes its dependency slice to the receiver."""
+
+    sender: str
+    receiver: str
 
 
 def update_env(edb: frozenset, change: EnvChange, hbe: frozenset) -> frozenset:

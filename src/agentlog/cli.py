@@ -244,8 +244,8 @@ def cmd_oracle_check(args) -> int:
     skipped = 0
     checked = 0
     for point, gs in enumerate(trace.states):
-        for idx, agent in enumerate(system.agents):
-            program = agent.idb.with_facts(gs.agent_states[idx].edb | gs.agent_states[idx].indb)
+        for idx, (agent, s) in enumerate(zip(system.agents, gs)):
+            program = agent.idb.with_facts(s.edb | s.indb)
             if len(program.universe) > args.cap:
                 skipped += 1
                 continue

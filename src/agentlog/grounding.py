@@ -92,6 +92,10 @@ class DomainSpec:
         if self.node_vars & self.int_vars:
             both = ", ".join(sorted(self.node_vars & self.int_vars))
             raise GroundingError(f"variables declared with two types: {both}")
+        named = (self.node_vars | self.int_vars).intersection(self.node_constants)
+        if named:
+            both = ", ".join(sorted(named))
+            raise GroundingError(f"names declared both as nodes and as variables: {both}")
 
     def var_domain(self, name: str):
         if name in self.node_vars:

@@ -1,5 +1,8 @@
 """Run execution: transitions, schedules, fixpoints, verdicts, traces.
 
+A global state is the tuple of the agents' ``AgentState``s in system
+order, and an event is an ``EnvChange`` or a ``CommEvent``.
+
 A run of the underlying model is an infinite sequence of transitions
 with fair communication and an eventually quiescent environment.  Here a
 run is represented by a finite prefix plus a fixpoint certificate: once a
@@ -19,15 +22,12 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .agents import AgentState, EnvChange, _few, agent_model, message_payload, update_env, update_input
+from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, message_payload, update_env, update_input
 from .logic import Atom, parse_atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
 from .system import superagent  # noqa: F401  perfbench/layertrace.py traces it here
 
 __all__ = [
-    "EnvEvent",
-    "CommEvent",
-    "GlobalState",
     "RoundRecord",
     "Trace",
     "Verdict",
@@ -57,27 +57,6 @@ class InvalidEventError(ValueError):
 
 
 @dataclass(frozen=True)
-class EnvEvent:
-    change: EnvChange
-
-
-@dataclass(frozen=True)
-class CommEvent:
-    sender: str
-    receiver: str
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """One agent state per system agent, in system order."""
-
-    agent_states: tuple
-
-    def state_of(self, sys: MultiAgentSystem, agent_id: str) -> AgentState:
-        return self.agent_states[sys.index(agent_id)]
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """One fair communication round: which trace slice it spans and
     whether any single event in it changed some agent state."""
@@ -92,8 +71,10 @@ class RoundRecord:
 class Trace:
     """A recorded run prefix.
 
-    ``states[k+1]`` is ``events[k]`` applied to ``states[k]``; ``models``
-    holds every agent's stable model at every point.  ``quiescence_point``
+    ``states`` holds one global state per point, a tuple of agent states
+    in system order, and ``models`` beside it every agent's stable model
+    at every point.  ``states[k+1]`` is ``events[k]``, an ``EnvChange``
+    or a ``CommEvent``, applied to ``states[k]``.  ``quiescence_point``
     is the first point from which the environment never changes again
     (None when scheduled changes were still pending at the horizon).
     """
@@ -107,52 +88,43 @@ class Trace:
     horizon_exceeded: bool = False
 
 
-def initial_state(sys: MultiAgentSystem) -> GlobalState:
-    return GlobalState(tuple(a.initial for a in sys.agents))
+def initial_state(sys: MultiAgentSystem) -> tuple:
+    return tuple(a.initial for a in sys.agents)
 
 
-def _models_row(sys: MultiAgentSystem, gs: GlobalState) -> tuple:
-    return tuple(agent_model(a, s) for a, s in zip(sys.agents, gs.agent_states))
-
-
-def env_transition(sys: MultiAgentSystem, gs: GlobalState, change: EnvChange) -> GlobalState:
+def env_transition(sys: MultiAgentSystem, gs: tuple, change: EnvChange) -> tuple:
     """Every agent sensing part of the change updates its EDB; the rest
     keep their state untouched (inputs never move here)."""
     outside = change.touched - sys.env_atoms
     if outside:
         raise InvalidEventError(f"environment change touches non-environment atoms: {_few(outside)}")
-    new_states = []
-    for a, s in zip(sys.agents, gs.agent_states):
-        if a.hbe & change.touched:
-            new_states.append(AgentState(update_env(s.edb, change, a.hbe), s.indb))
-        else:
-            new_states.append(s)
-    return GlobalState(tuple(new_states))
+    return tuple(
+        AgentState(update_env(s.edb, change, a.hbe), s.indb) if a.hbe & change.touched else s
+        for a, s in zip(sys.agents, gs)
+    )
 
 
 def comm_transition(
     sys: MultiAgentSystem,
-    gs: GlobalState,
+    gs: tuple,
     sender: str,
     receiver: str,
     sender_model: frozenset = None,
-) -> GlobalState:
+) -> tuple:
     """The sender pushes its dependency slice, computed from its current
     state, and the receiver replaces that slice of its input database."""
     dep = sys.dependency(receiver, sender)
     if not dep:
         raise InvalidEventError(f"{receiver} does not depend on {sender}")
     if sender_model is None:
-        sender_model = agent_model(sys.agent(sender), gs.state_of(sys, sender))
+        sender_model = agent_model(sys.agent(sender), gs[sys.index(sender)])
     payload = message_payload(sender_model, dep)
     r_idx = sys.index(receiver)
-    old = gs.agent_states[r_idx]
+    old = gs[r_idx]
     new_in = update_input(old.indb, dep, payload)
     if new_in == old.indb:
         return gs
-    states = list(gs.agent_states)
-    states[r_idx] = AgentState(old.edb, new_in)
-    return GlobalState(tuple(states))
+    return gs[:r_idx] + (AgentState(old.edb, new_in),) + gs[r_idx + 1:]
 
 
 class _Recorder:
@@ -160,63 +132,59 @@ class _Recorder:
     only agents touched by an event get their model updated, from their
     model at the point before."""
 
-    def __init__(self, sys: MultiAgentSystem, start: GlobalState):
+    def __init__(self, sys: MultiAgentSystem):
         self.sys = sys
+        start = initial_state(sys)
         self.states = [start]
         self.events = []
-        self.models = [_models_row(sys, start)]
-        self.last_env_index = None
+        self.models = [tuple(agent_model(a, s) for a, s in zip(sys.agents, start))]
+        self.quiet_from = 0  # the point after the last environment change
 
     @property
     def point(self) -> int:
         return len(self.states) - 1
 
-    def current(self) -> GlobalState:
-        return self.states[-1]
-
     def apply_env(self, change: EnvChange):
-        gs = self.current()
+        gs = self.states[-1]
         nxt = env_transition(self.sys, gs, change)
         row = list(self.models[-1])
-        for i, (a, before, after) in enumerate(
-            zip(self.sys.agents, gs.agent_states, nxt.agent_states)
-        ):
+        for i, (a, before, after) in enumerate(zip(self.sys.agents, gs, nxt)):
             if before != after:
                 row[i] = agent_model(a, after, before, row[i])
-        self.events.append(EnvEvent(change))
-        self.last_env_index = len(self.events) - 1
+        self.events.append(change)
+        self.quiet_from = len(self.events)
         self.states.append(nxt)
         self.models.append(tuple(row))
 
     def apply_comm(self, sender: str, receiver: str) -> bool:
-        gs = self.current()
+        gs = self.states[-1]
         s_idx = self.sys.index(sender)
         nxt = comm_transition(self.sys, gs, sender, receiver, sender_model=self.models[-1][s_idx])
         changed = nxt != gs
         row = self.models[-1]
         if changed:
             r_idx = self.sys.index(receiver)
-            before, after = gs.agent_states[r_idx], nxt.agent_states[r_idx]
             row = list(row)
-            row[r_idx] = agent_model(self.sys.agents[r_idx], after, before, row[r_idx])
+            row[r_idx] = agent_model(self.sys.agents[r_idx], nxt[r_idx], gs[r_idx], row[r_idx])
             row = tuple(row)
         self.events.append(CommEvent(sender, receiver))
         self.states.append(nxt)
         self.models.append(row)
         return changed
 
-    def apply(self, event):
-        if isinstance(event, EnvEvent):
-            self.apply_env(event.change)
-        elif isinstance(event, CommEvent):
-            self.apply_comm(event.sender, event.receiver)
-        else:
-            raise InvalidEventError(f"unknown event: {event!r}")
-
-    def quiescence_point(self, pending_env: bool):
-        if pending_env:
-            return None
-        return 0 if self.last_env_index is None else self.last_env_index + 1
+    def replay(self, events, label: str):
+        """Apply ``events`` in order; an invalid one raises
+        InvalidEventError naming it ``{label} {index}``."""
+        for i, event in enumerate(events):
+            try:
+                if isinstance(event, EnvChange):
+                    self.apply_env(event)
+                elif isinstance(event, CommEvent):
+                    self.apply_comm(event.sender, event.receiver)
+                else:
+                    raise InvalidEventError(f"unknown event: {event!r}")
+            except ValueError as exc:
+                raise InvalidEventError(f"{label} {i}: {exc}") from None
 
     def freeze(self, rounds=(), horizon_exceeded=False, pending_env=False) -> Trace:
         return Trace(
@@ -224,20 +192,16 @@ class _Recorder:
             states=tuple(self.states),
             events=tuple(self.events),
             models=tuple(self.models),
-            quiescence_point=self.quiescence_point(pending_env),
+            quiescence_point=None if pending_env else self.quiet_from,
             rounds=tuple(rounds),
             horizon_exceeded=horizon_exceeded,
         )
 
 
-def run_scripted(sys: MultiAgentSystem, script, start: GlobalState = None) -> Trace:
+def run_scripted(sys: MultiAgentSystem, script) -> Trace:
     """Fold an explicit event sequence over the initial state."""
-    rec = _Recorder(sys, start or initial_state(sys))
-    for i, event in enumerate(script):
-        try:
-            rec.apply(event)
-        except (InvalidEventError, ValueError) as exc:
-            raise InvalidEventError(f"event {i}: {exc}") from None
+    rec = _Recorder(sys)
+    rec.replay(script, "event")
     return rec.freeze()
 
 
@@ -275,12 +239,8 @@ def run_fair(
     if max_rounds is None:
         max_rounds = default_max_rounds(sys)
     rng = random.Random(seed)
-    rec = _Recorder(sys, initial_state(sys))
-    for i, event in enumerate(prefix_events):
-        try:
-            rec.apply(event)
-        except (InvalidEventError, ValueError) as exc:
-            raise InvalidEventError(f"prefix event {i}: {exc}") from None
+    rec = _Recorder(sys)
+    rec.replay(prefix_events, "prefix event")
 
     schedule = sorted(env_schedule, key=lambda e: e[0])
     pending = list(schedule)
@@ -386,8 +346,7 @@ def stabilized_environment(trace: Trace) -> frozenset:
     """Union of all agents' EDBs at the quiescence point."""
     if trace.quiescence_point is None:
         raise ValueError("environment never quiesced within the trace")
-    gs = trace.states[trace.quiescence_point]
-    return frozenset().union(*(s.edb for s in gs.agent_states)) if gs.agent_states else frozenset()
+    return frozenset().union(*(s.edb for s in trace.states[trace.quiescence_point]))
 
 
 @dataclass(frozen=True)
@@ -561,11 +520,11 @@ def _relisted(listing: tuple, atoms, text: dict) -> tuple:
 
 
 def event_to_record(event, text: dict = None):
-    if isinstance(event, EnvEvent):
+    if isinstance(event, EnvChange):
         return {
             "type": "env",
-            "true": _atoms_list(event.change.became_true, text),
-            "false": _atoms_list(event.change.became_false, text),
+            "true": _atoms_list(event.became_true, text),
+            "false": _atoms_list(event.became_false, text),
         }
     return {"type": "send", "from": event.sender, "to": event.receiver}
 
@@ -578,7 +537,7 @@ def event_from_record(record):
         lists = (record.get("true"), record.get("false"))
         if not all(isinstance(xs, list) and all(isinstance(x, str) for x in xs) for xs in lists):
             raise ValueError(f"env event needs 'true' and 'false' lists of atoms: {record!r}")
-        return EnvEvent(EnvChange(*(frozenset(map(parse_atom, xs)) for xs in lists)))
+        return EnvChange(*(frozenset(map(parse_atom, xs)) for xs in lists))
     if kind == "send":
         ends = (record.get("from"), record.get("to"))
         if not all(isinstance(end, str) for end in ends):
@@ -642,8 +601,7 @@ def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
     for point, gs in enumerate(trace.states):
         row = trace.models[point]
         agents = {}
-        for idx, agent_id in enumerate(trace.agent_ids):
-            s = gs.agent_states[idx]
+        for idx, (agent_id, s) in enumerate(zip(trace.agent_ids, gs)):
             agents[agent_id] = {
                 "edb": listed(idx, "edb", s.edb),
                 "in": listed(idx, "in", s.indb),

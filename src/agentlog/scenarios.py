@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .agents import AgentSpec, AgentState, AgentTables, EnvChange
+from .agents import AgentSpec, AgentState, AgentTables, CommEvent, EnvChange
 from .grounding import (
     DomainSpec,
     GroundingError,
@@ -55,7 +55,6 @@ from .grounding import (
     parse_schematic_clause,
 )
 from .logic import _dependency_sink, split_top_level
-from .runtime import CommEvent, EnvEvent
 from .system import MultiAgentSystem, SystemShape, build_system
 
 __all__ = [
@@ -148,7 +147,7 @@ class Scenario:
         return DomainSpec(dom.node_constants, dmax, dom.node_vars, dom.int_vars, dom.symmetric)
 
     def families(self) -> tuple:
-        return tuple(family_of(p) for p in self.track)
+        return tuple(family_of(p, self.domain) for p in self.track)
 
     def project(self, agent_id: str, model) -> frozenset:
         if self.output is None:
@@ -171,21 +170,17 @@ def _agent_spec(ad: AgentDef, dom: DomainSpec) -> AgentSpec:
     return AgentSpec(ad.id, idb, hbe, hin, AgentState(edb, indb))
 
 
-def family_of(p: Pattern) -> tuple:
-    """Turn a one-integer-variable pattern into a probe family."""
+def family_of(p: Pattern, dom: DomainSpec) -> tuple:
+    """Turn a pattern whose one variable slot holds an integer variable
+    into a probe family."""
     if p.constraints:
         raise ScenarioError(f"track pattern may not carry constraints: {p}")
-    args = []
-    open_slots = 0
-    for t in p.atom.args:
-        if isinstance(t, Var):
-            args.append(None)
-            open_slots += 1
-        else:
-            args.append(t)
-    if open_slots != 1:
+    slots = [t for t in p.atom.args if isinstance(t, Var)]
+    if len(slots) != 1:
         raise ScenarioError(f"track pattern needs exactly one variable slot: {p}")
-    return (p.atom.predicate, tuple(args))
+    if slots[0].name not in dom.int_vars:
+        raise ScenarioError(f"track pattern's variable {slots[0]} is not an integer variable: {p}")
+    return (p.atom.predicate, tuple(None if isinstance(t, Var) else t for t in p.atom.args))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +385,11 @@ def _parse_events(lines, dom, agent_ids, script, schedule):
                     raise ScenarioError(f"max_rounds must be at least 0, got {max_rounds}", line_no)
             else:
                 try:
-                    track.append(parse_pattern(rest, dom))
-                except GroundingError as exc:
+                    pattern = parse_pattern(rest, dom)
+                    family_of(pattern, dom)
+                except (GroundingError, ScenarioError) as exc:
                     raise ScenarioError(str(exc), line_no) from None
+                track.append(pattern)
             continue
         m = _AT_ROUND_RE.match(stripped)
         if m:
@@ -407,7 +404,7 @@ def _parse_events(lines, dom, agent_ids, script, schedule):
             script.append(CommEvent(sender, receiver))
             continue
         if stripped.startswith(("fail", "restore")):
-            script.append(EnvEvent(_parse_env_directive(stripped, dom, line_no)))
+            script.append(_parse_env_directive(stripped, dom, line_no))
             continue
         raise ScenarioError(f"malformed event line: {stripped!r}", line_no)
     return max_rounds, track
@@ -449,7 +446,7 @@ def serialize_scenario(sc: Scenario) -> str:
             if isinstance(ev, CommEvent):
                 out.append(f"send {ev.sender} -> {ev.receiver}.")
             else:
-                out.append(_env_line(ev.change) + ".")
+                out.append(_env_line(ev) + ".")
         for round_no, change in sc.schedule:
             out.append(f"@round {round_no}: " + _env_line(change))
     return "\n".join(out) + "\n"

@@ -81,7 +81,7 @@ class MultiAgentSystem:
         self.dmax = dmax
         self.ids = tuple(a.id for a in self.agents)
         self._index = {a.id: i for i, a in enumerate(self.agents)}
-        self.env_atoms = frozenset().union(*(a.hbe for a in self.agents)) if self.agents else frozenset()
+        self.env_atoms = frozenset().union(*(a.hbe for a in self.agents))
         deps = _union_dependencies(self.agents)
         self.order, self.cyclic = _peel(deps)
         self.io_atoms = _io_atoms(self.agents, deps)

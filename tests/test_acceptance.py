@@ -86,7 +86,7 @@ def test_criterion_1_example3_table_replay():
         trace = run_scripted(system, scenario.script)
         for point, rows in EX3_TABLE.items():
             for idx, (edb, indb, model) in enumerate(rows):
-                state = trace.states[point].agent_states[idx]
+                state = trace.states[point][idx]
                 assert state.edb == frozenset(edb)
                 assert state.indb == frozenset(indb)
                 assert trace.models[point][idx] == frozenset(model)
@@ -196,12 +196,12 @@ def test_criterion_3_example6_divergence():
         trace = run_scripted(system, scenario.script)
         i1, i4 = system.index("A1"), system.index("A4")
         for point, (edb, indb, out) in EX6_A1.items():
-            state = trace.states[point].agent_states[i1]
+            state = trace.states[point][i1]
             assert state.edb == frozenset(edb), f"A1 EDB at {point}"
             assert state.indb == frozenset(indb), f"A1 IN at {point}"
             assert output_projection("A1", trace.models[point][i1], "sp") == frozenset(out)
         for point, (edb, indb, out) in EX6_A4.items():
-            state = trace.states[point].agent_states[i4]
+            state = trace.states[point][i4]
             assert state.edb == frozenset(edb), f"A4 EDB at {point}"
             assert state.indb == frozenset(indb), f"A4 IN at {point}"
             assert output_projection("A4", trace.models[point][i4], "sp") == frozenset(out)

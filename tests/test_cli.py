@@ -150,6 +150,108 @@ track: p(D)
         2, "", "agentlog: error: ambiguous family p(*): [0, 1] at one point\n")
 
 
+# S senses which of B1..B4 holds q and passes it on as r; W derives p
+# from r.  The schedule moves q from B1 to B4 one node per round.
+_MOVING_TARGET = """\
+[domain]
+nodes: B1 B2 B3 B4
+dmax: 2
+var node: X
+var int: D
+
+[agent S]
+idb:
+  r(X) :- q(X).
+hbe: q(X)
+edb: q(B1)
+
+[agent W]
+idb:
+  p(X) :- r(X).
+hin: r(X)
+
+[events]
+@round 1: fail q(B1)
+@round 1: restore q(B2)
+@round 2: fail q(B2)
+@round 2: restore q(B3)
+@round 3: fail q(B3)
+@round 3: restore q(B4)
+"""
+
+
+def test_moving_target_run_reaches_the_reference_model(tmp_path, capsys):
+    path = tmp_path / "moving.scenario"
+    path.write_text(_MOVING_TARGET)
+    code, out, _ = run_cli(capsys, "run", str(path))
+    v = records(out)[-1]
+    assert code == 0 and v["divergence"] == []
+    assert v["convergence_model"] == v["reference_model"] == ["p(B4)", "q(B4)", "r(B4)"]
+
+
+@pytest.mark.parametrize("track, message", [
+    ("p(X)", "track pattern's variable X is not an integer variable: p(X)"),
+    ("p(X) where X != B1", "track pattern may not carry constraints: p(X) where X != B1"),
+    ("p(B1)", "track pattern needs exactly one variable slot: p(B1)"),
+], ids=("node-slot", "constraints", "no-slot"))
+@pytest.mark.parametrize("argv", [
+    ("analyze",), ("run",), ("replay",), ("oracle-check",), ("sweep", "--param", "dmax", "--range", "1:2"),
+], ids=lambda argv: argv[0])
+def test_bad_track_line_is_refused_by_every_command(tmp_path, capsys, track, message, argv):
+    # Over a node variable the probe would rank node names as strings
+    # and report the moving target as a divergence.
+    path = tmp_path / "track.scenario"
+    path.write_text(_MOVING_TARGET + f"track: {track}\n")
+    line = _MOVING_TARGET.count("\n") + 1
+    assert run_cli(capsys, argv[0], str(path), *argv[1:]) == (
+        2, "", f"agentlog: error: line {line}: {message}\n")
+
+
+def test_name_declared_as_node_and_variable_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "overlap.scenario"
+    path.write_text("""\
+[domain]
+nodes: A D
+dmax: 2
+var int: D
+
+[agent A]
+idb:
+  p(D) :- q(D).
+hbe: q(D)
+""")
+    for command in ("analyze", "run", "replay", "oracle-check"):
+        assert run_cli(capsys, command, str(path)) == (
+            2, "", "agentlog: error: names declared both as nodes and as variables: D\n")
+
+
+@pytest.mark.parametrize("command, label", [("replay", "event"), ("run", "prefix event")])
+def test_send_to_an_agent_that_does_not_depend_on_the_sender_is_refused(
+    tmp_path, capsys, command, label
+):
+    # A1 depends on A2, so the first send is valid; A2 depends on no one.
+    path = tmp_path / "bad-send.scenario"
+    path.write_text("""\
+[domain]
+nodes:
+
+[agent A1]
+idb:
+  a :- b.
+hin: b
+
+[agent A2]
+idb:
+  b.
+
+[events]
+send A2 -> A1.
+send A1 -> A2.
+""")
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", f"agentlog: error: {label} 1: A2 does not depend on A1\n")
+
+
 def test_run_example3_not_weakly_stabilizing(capsys):
     code, out, _ = run_cli(capsys, "run", "example3")
     assert code == 0  # fixpoint reached, no divergence tracked

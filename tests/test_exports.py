@@ -28,3 +28,10 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert hasattr(agentlog, alias.asname or alias.name)
+
+
+def test_runtime_comm_event_is_the_agents_type():
+    # perfbench/layertrace.py counts sends by the type it reads from runtime.
+    from agentlog import agents, runtime
+
+    assert runtime.CommEvent is agents.CommEvent

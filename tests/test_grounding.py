@@ -132,6 +132,14 @@ def test_undeclared_variable_is_an_error():
         parse_schematic_clause("p(Q) :- q(Q).", DOM2)
 
 
+@pytest.mark.parametrize("node_vars, int_vars", [({"D"}, set()), (set(), {"D", "E"})],
+                         ids=("node-var", "int-var"))
+def test_name_declared_as_node_and_variable_is_an_error(node_vars, int_vars):
+    # Otherwise a clause over D would ground once, over the node D.
+    with pytest.raises(GroundingError, match="^names declared both as nodes and as variables: D$"):
+        DomainSpec(("A", "D"), 2, frozenset(node_vars), frozenset(int_vars))
+
+
 def test_arithmetic_needs_integer_variable():
     with pytest.raises(GroundingError):
         parse_schematic_clause("p(X+1) :- q(X).", DOM2)  # X is a node variable

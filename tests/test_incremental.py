@@ -116,7 +116,7 @@ def _wrong_models(system, check_bruteforce=True, **run_args):
     full = {}
     wrong = bruteforced = 0
     for point, gs in enumerate(trace.states):
-        for idx, state in enumerate(gs.agent_states):
+        for idx, state in enumerate(gs):
             if (idx, state) not in full:
                 agent = system.agents[idx]
                 facts = state.edb | state.indb

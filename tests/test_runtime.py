@@ -5,12 +5,9 @@ import random
 
 import pytest
 
-from agentlog.agents import AgentState, EnvChange
+from agentlog.agents import AgentState, CommEvent, EnvChange
 from agentlog.logic import atom
 from agentlog.runtime import (
-    CommEvent,
-    EnvEvent,
-    GlobalState,
     InvalidEventError,
     Trace,
     comm_transition,
@@ -40,7 +37,7 @@ a, b, c, d, e, f = (atom(x) for x in "abcdef")
 EX3_SCRIPT = (
     CommEvent("A2", "A1"),
     CommEvent("A1", "A2"),
-    EnvEvent(EnvChange(frozenset(), frozenset([e]))),
+    EnvChange(frozenset(), frozenset([e])),
     CommEvent("A1", "A2"),
     CommEvent("A2", "A1"),
 )
@@ -70,9 +67,9 @@ def test_env_transition_only_touches_sensors(example3_system):
     gs = initial_state(system)
     change = EnvChange(frozenset(), frozenset([e]))
     nxt = env_transition(system, gs, change)
-    assert nxt.agent_states[0] is gs.agent_states[0]  # A1 senses nothing here
-    assert nxt.agent_states[1].edb == {d}
-    assert nxt.agent_states[1].indb == gs.agent_states[1].indb
+    assert nxt[0] is gs[0]  # A1 senses nothing here
+    assert nxt[1].edb == {d}
+    assert nxt[1].indb == gs[1].indb
 
 
 def test_env_transition_empty_change_is_identity(example3_system):
@@ -94,15 +91,15 @@ def test_env_transition_shared_link_sensed_by_both(routing5_system):
     change = EnvChange(frozenset(), frozenset([atom("link", "A1", "A2")]))
     nxt = env_transition(system, gs, change)
     i1, i2, i3 = system.index("A1"), system.index("A2"), system.index("A3")
-    assert atom("link", "A1", "A2") not in nxt.agent_states[i1].edb
-    assert atom("link", "A1", "A2") not in nxt.agent_states[i2].edb
-    assert nxt.agent_states[i3] is gs.agent_states[i3]
+    assert atom("link", "A1", "A2") not in nxt[i1].edb
+    assert atom("link", "A1", "A2") not in nxt[i2].edb
+    assert nxt[i3] is gs[i3]
 
 
 def test_comm_transition_example3_first_step(example3_system):
     system = example3_system
     nxt = comm_transition(system, initial_state(system), "A2", "A1")
-    assert nxt.agent_states[system.index("A1")].indb == {b}
+    assert nxt[system.index("A1")].indb == {b}
 
 
 def test_comm_transition_idempotent_resend(example3_system):
@@ -122,8 +119,8 @@ def test_frame_property_comm_only_receiver_input(example3_system):
     gs = initial_state(system)
     nxt = comm_transition(system, gs, "A2", "A1")
     i1, i2 = system.index("A1"), system.index("A2")
-    assert nxt.agent_states[i2] is gs.agent_states[i2]
-    assert nxt.agent_states[i1].edb == gs.agent_states[i1].edb
+    assert nxt[i2] is gs[i2]
+    assert nxt[i1].edb == gs[i1].edb
 
 
 def test_run_scripted_example3_table(example3_system):
@@ -131,7 +128,7 @@ def test_run_scripted_example3_table(example3_system):
     assert len(trace.states) == 6
     for point, (row1, row2) in EX3_TABLE.items():
         for idx, row in ((0, row1), (1, row2)):
-            state = trace.states[point].agent_states[idx]
+            state = trace.states[point][idx]
             assert state.edb == frozenset(row[0])
             assert state.indb == frozenset(row[1])
             assert trace.models[point][idx] == frozenset(row[2])
@@ -156,7 +153,7 @@ def test_run_scripted_routing_link_failure_table(routing5_system):
     lk = lambda u, v: atom("link", u, v)
     script = (
         CommEvent("A2", "A1"),
-        EnvEvent(EnvChange(frozenset(), frozenset([lk("A1", "A2")]))),
+        EnvChange(frozenset(), frozenset([lk("A1", "A2")])),
     )
     trace = run_scripted(system, script)
     i1, i2 = system.index("A1"), system.index("A2")
@@ -177,7 +174,7 @@ def test_run_scripted_routing_link_failure_table(routing5_system):
     for point in range(3):
         for idx, table in ((i1, expected_a1), (i2, expected_a2)):
             edb, indb, out = table[point]
-            state = trace.states[point].agent_states[idx]
+            state = trace.states[point][idx]
             assert state.edb == frozenset(edb)
             assert state.indb == frozenset(indb)
             agent_id = system.ids[idx]
@@ -322,8 +319,8 @@ def _naive_export(trace, v=None) -> str:
     for point, gs in enumerate(trace.states):
         agents = {
             agent_id: {
-                "edb": listed(gs.agent_states[idx].edb),
-                "in": listed(gs.agent_states[idx].indb),
+                "edb": listed(gs[idx].edb),
+                "in": listed(gs[idx].indb),
                 "model": listed(trace.models[point][idx]),
             }
             for idx, agent_id in enumerate(trace.agent_ids)
@@ -331,9 +328,9 @@ def _naive_export(trace, v=None) -> str:
         event = None
         if point < len(trace.events):
             ev = trace.events[point]
-            if isinstance(ev, EnvEvent):
-                event = {"type": "env", "true": listed(ev.change.became_true),
-                         "false": listed(ev.change.became_false)}
+            if isinstance(ev, EnvChange):
+                event = {"type": "env", "true": listed(ev.became_true),
+                         "false": listed(ev.became_false)}
             else:
                 event = {"type": "send", "from": ev.sender, "to": ev.receiver}
         lines.append(dump({"record": "point", "point": point, "event": event, "agents": agents}))
@@ -405,7 +402,7 @@ def test_export_matches_naive_renderer_without_shared_sets(example3_system):
     copied = Trace(
         agent_ids=shared.agent_ids,
         states=tuple(
-            GlobalState(tuple(AgentState(fresh(s.edb), fresh(s.indb)) for s in gs.agent_states))
+            tuple(AgentState(fresh(s.edb), fresh(s.indb)) for s in gs)
             for gs in shared.states
         ),
         events=shared.events,
@@ -413,9 +410,7 @@ def test_export_matches_naive_renderer_without_shared_sets(example3_system):
     )
     for k in range(1, len(copied.states)):
         row = copied.models[k]
-        for idx, (before, after) in enumerate(
-            zip(copied.states[k - 1].agent_states, copied.states[k].agent_states)
-        ):
+        for idx, (before, after) in enumerate(zip(copied.states[k - 1], copied.states[k])):
             pairs = ((before.edb, after.edb), (before.indb, after.indb),
                      (copied.models[k - 1][idx], row[idx]))
             assert all(x is not y for x, y in pairs if x)
@@ -440,7 +435,7 @@ def test_export_matches_naive_renderer_when_a_set_gains_and_loses_atoms():
     trace = Trace(
         agent_ids=("A1", "A2"),
         states=tuple(
-            GlobalState((AgentState(s, points[k - 1]), AgentState(points[k - 2], s)))
+            (AgentState(s, points[k - 1]), AgentState(points[k - 2], s))
             for k, s in enumerate(points)
         ),
         events=tuple(CommEvent("A1", "A2") for _ in points[1:]),

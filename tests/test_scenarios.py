@@ -2,8 +2,9 @@
 
 import pytest
 
+from agentlog.agents import CommEvent, EnvChange
 from agentlog.logic import atom
-from agentlog.runtime import CommEvent, EnvEvent, detect_fixpoint, run_fair, rounds_to_fixpoint
+from agentlog.runtime import detect_fixpoint, run_fair, rounds_to_fixpoint
 from agentlog.scenarios import (
     FIG1_TOPOLOGY,
     ScenarioError,
@@ -43,8 +44,8 @@ def test_example3_script(example3_scenario):
         CommEvent("A1", "A2"),
         CommEvent("A2", "A1"),
     )
-    assert isinstance(script[2], EnvEvent)
-    assert script[2].change.became_false == {atom("e")}
+    assert isinstance(script[2], EnvChange)
+    assert script[2].became_false == {atom("e")}
     assert example3_scenario.schedule[0][0] == 1
 
 
