@@ -48,8 +48,9 @@ class AgentSpec:
 
     Construction is permissive so that malformed specs can be inspected;
     ``validate_agent`` reports every invariant breach, and system assembly
-    refuses specs with violations.  The IDB's head set and compiled plan
-    are built on first use and kept with the spec.
+    refuses specs with violations.  The IDB's head set is built on first
+    use and kept with the spec; its compiled plan belongs to the system
+    (``MultiAgentSystem.plans``), which alone knows which clauses can fire.
     """
 
     id: str
@@ -63,17 +64,12 @@ class AgentSpec:
         """The atoms the IDB's clauses define."""
         return head_set(self.idb)
 
-    @cached_property
-    def plan(self) -> AcyclicPlan:
-        """The compiled IDB; raises CyclicProgramError for a cyclic one."""
-        return AcyclicPlan(self.idb)
-
     @property
     def deps(self) -> dict:
         """Each head of the IDB -> the atoms in the bodies of its clauses."""
         deps, sink = _dependency_sink()
         for c in self.idb.clauses:
-            sink(c.head, c.pos, c.neg)
+            sink(*c)
         return deps
 
     @property
@@ -142,7 +138,11 @@ def _few(atoms) -> str:
 
 
 def agent_model(
-    a: AgentSpec, s: AgentState, prev: AgentState = None, prev_model: frozenset = None
+    a: AgentSpec,
+    s: AgentState,
+    prev: AgentState = None,
+    prev_model: frozenset = None,
+    plan: AcyclicPlan = None,
 ) -> frozenset:
     """Stable model of ``IDB + EDB + IN`` at state ``s``.
 
@@ -150,12 +150,17 @@ def agent_model(
     preserves acyclicity and the model is unique.  Given the model
     ``prev_model`` at an earlier state ``prev``, only the heads downstream
     of the facts that differ between the two states are re-derived.
+    ``plan`` is the agent's compiled IDB, such as its system's, which
+    holds only the clauses that can fire in a state the system reaches;
+    without one the whole IDB is compiled.
     """
+    if plan is None:
+        plan = AcyclicPlan(a.idb)
     facts = s.edb | s.indb
     if prev is None:
-        return a.plan.model(facts)
+        return plan.model(facts)
     old = prev.edb | prev.indb
-    return a.plan.update(prev_model, facts - old, old - facts)
+    return plan.update(prev_model, facts - old, old - facts)
 
 
 def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:

@@ -394,7 +394,7 @@ def _binding_order(names, static, atoms, constraints, dom) -> list:
 def _ground(clauses: Iterable[SchematicClause], dom: DomainSpec) -> set:
     out = set()
     add, make = out.add, Clause._sorted
-    ground_stream(clauses, dom, lambda head, pos, neg: add(make(head, pos, neg)))
+    ground_stream(clauses, dom, lambda head, pos, neg: add(make(Clause, (head, pos, neg))))
     return out
 
 

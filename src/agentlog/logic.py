@@ -2,13 +2,13 @@
 
 Atoms, clauses and programs are immutable values, totally ordered so that
 every listing (trace exports, model dumps, error messages) is
-byte-stable across runs.  A clause is a head plus two tuples of body
-atoms, ``pos`` and ``neg``: the positive atoms and the negated ones.  All
-operations are pure functions.  The only shared mutable state is the
-process-wide intern table of ``Atom``: each atom is made once and reused,
-so equality and hashing of atoms are by identity.  The table never
-shrinks, and it grows only through ``dict.setdefault``, which under the
-GIL gives every caller the same object for a value.
+byte-stable across runs.  A clause is the tuple of a head and two tuples
+of body atoms, ``pos`` and ``neg``: the positive atoms and the negated
+ones.  All operations are pure functions.  The only shared mutable state
+is the process-wide intern table of ``Atom``: each atom is made once and
+reused, so equality and hashing of atoms are by identity.  The table
+never shrinks, and it grows only through ``dict.setdefault``, which
+under the GIL gives every caller the same object for a value.
 
 Three evaluation routes are provided on purpose and are cross-checked by
 the test suite:
@@ -34,6 +34,8 @@ from collections import defaultdict, deque
 from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
 from heapq import heappop, heappush
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -126,45 +128,51 @@ def atom(predicate: str, *args) -> Atom:
     return Atom(predicate, args)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(tuple):
     """``head :- pos, not neg``; an empty body makes the clause a fact.
 
     ``pos`` holds the positive body atoms and ``neg`` the negated ones.
     Each is deduplicated and put in ``Atom.sort_key`` order on
-    construction, so structurally equal clauses compare equal.
+    construction, so structurally equal clauses compare equal.  A clause
+    is the tuple ``(head, pos, neg)``, so it is built, compared and
+    hashed in C and unpacks as ``head, pos, neg = c``.
     """
 
-    head: Atom
-    pos: tuple = ()
-    neg: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", tuple(sorted(set(self.pos), key=Atom.sort_key)))
-        object.__setattr__(self, "neg", tuple(sorted(set(self.neg), key=Atom.sort_key)))
+    def __new__(cls, head: Atom, pos=(), neg=()):
+        return tuple.__new__(cls, (head, _canonical(pos), _canonical(neg)))
 
-    @classmethod
-    def _sorted(cls, head: Atom, pos: tuple, neg: tuple) -> "Clause":
-        """Build without ``__post_init__``.  Only for ``pos`` and ``neg``
-        tuples that are already deduplicated and in ``Atom.sort_key``
-        order."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "head", head)
-        object.__setattr__(c, "pos", pos)
-        object.__setattr__(c, "neg", neg)
-        return c
+    # ``Clause._sorted(Clause, (head, pos, neg))`` builds without the
+    # sort, for ``pos`` and ``neg`` tuples that are already deduplicated
+    # and in ``Atom.sort_key`` order.
+    _sorted = tuple.__new__
+
+    head = property(itemgetter(0))
+    pos = property(itemgetter(1))
+    neg = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def is_fact(self) -> bool:
-        return not (self.pos or self.neg)
+        return not (self[1] or self[2])
 
     def atoms(self) -> Iterator[Atom]:
-        yield self.head
-        yield from self.pos
-        yield from self.neg
+        yield self[0]
+        yield from self[1]
+        yield from self[2]
+
+    def __repr__(self) -> str:
+        return f"Clause(head={self[0]!r}, pos={self[1]!r}, neg={self[2]!r})"
 
     def __str__(self) -> str:
         return format_clause(self)
+
+
+def _canonical(atoms) -> tuple:
+    return tuple(sorted(set(atoms), key=Atom.sort_key))
 
 
 @dataclass(frozen=True)
@@ -197,8 +205,10 @@ class GroundProgram:
     @classmethod
     def of(cls, clauses: Iterable[Clause], extra_atoms: Iterable[Atom] = ()) -> "GroundProgram":
         clauses = frozenset(clauses)
-        universe = {a for c in clauses for a in c.atoms()}
-        universe.update(extra_atoms)
+        universe = set(extra_atoms)
+        if clauses:
+            heads, pos, neg = zip(*clauses)
+            universe.update(heads, chain.from_iterable(pos), chain.from_iterable(neg))
         return cls._unchecked(clauses, frozenset(universe))
 
     def union(self, other: "GroundProgram") -> "GroundProgram":
@@ -226,7 +236,9 @@ def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
     clauses keep only their positive body atoms, so the result is
     negation-free.  The universe is unchanged.
     """
-    kept = frozenset(Clause._sorted(c.head, c.pos, ()) for c in p.clauses if s.isdisjoint(c.neg))
+    kept = frozenset(
+        Clause._sorted(Clause, (head, pos, ())) for head, pos, neg in p.clauses if s.isdisjoint(neg)
+    )
     return GroundProgram._unchecked(kept, p.universe)
 
 
@@ -421,25 +433,27 @@ class AcyclicPlan:
     to its position there.  ``by_head`` maps a head's index to its
     clauses, each a ``(positive, negative)`` pair of body index tuples.
     ``sequence`` lists the head indices in topological order, every head
-    after the heads it depends on, and ``heads`` is the set of head
-    atoms.  ``users[i]`` holds the positions in ``sequence`` of the heads
-    whose clauses mention atom ``i``.
+    after the heads it depends on.  ``heads`` is the set of atoms that
+    facts may not be: the program's heads, or the ``heads`` passed in,
+    which for a program that keeps only the live clauses of a larger one
+    are the larger one's.  ``users[i]`` holds the positions in
+    ``sequence`` of the heads whose clauses mention atom ``i``.
 
     Raises CyclicProgramError when the atom dependency graph has a cycle.
     """
 
     __slots__ = ("atoms", "index", "by_head", "sequence", "heads", "users")
 
-    def __init__(self, p: GroundProgram):
+    def __init__(self, p: GroundProgram, heads: frozenset = None):
         atoms = tuple(sorted(p.universe, key=Atom.sort_key))
-        index = {a: i for i, a in enumerate(atoms)}
+        index = dict(zip(atoms, range(len(atoms))))
+        at = index.__getitem__
         by_head: dict = defaultdict(list)
-        for c in p.clauses:
-            pos = tuple(index[b] for b in c.pos)
-            neg = tuple(index[b] for b in c.neg)
-            by_head[index[c.head]].append((pos, neg))
+        for head, pos, neg in p.clauses:
+            by_head[at(head)].append((tuple(map(at, pos)), tuple(map(at, neg))))
 
-        bodies = {h: {i for pos, neg in cs for i in pos + neg} for h, cs in by_head.items()}
+        flat = chain.from_iterable
+        bodies = {h: set(flat(flat(cs))) for h, cs in by_head.items()}
         sequence, cyclic = _peel(bodies)
         if cyclic:
             listed = sorted(atoms[h] for h in cyclic)[:3]
@@ -453,7 +467,7 @@ class AcyclicPlan:
         self.index = index
         self.by_head = {h: tuple(cs) for h, cs in by_head.items()}
         self.sequence = sequence
-        self.heads = frozenset(atoms[h] for h in sequence)
+        self.heads = frozenset(atoms[h] for h in sequence) if heads is None else heads
         self.users = tuple(map(tuple, users))
 
     def model(self, facts: Interpretation = frozenset()) -> Interpretation:

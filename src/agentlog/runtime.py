@@ -117,7 +117,8 @@ def comm_transition(
     if not dep:
         raise InvalidEventError(f"{receiver} does not depend on {sender}")
     if sender_model is None:
-        sender_model = agent_model(sys.agent(sender), gs[sys.index(sender)])
+        s_idx = sys.index(sender)
+        sender_model = agent_model(sys.agents[s_idx], gs[s_idx], plan=sys.plans[s_idx])
     payload = message_payload(sender_model, dep)
     r_idx = sys.index(receiver)
     old = gs[r_idx]
@@ -130,14 +131,17 @@ def comm_transition(
 class _Recorder:
     """Accumulates states, events and per-point models incrementally;
     only agents touched by an event get their model updated, from their
-    model at the point before."""
+    model at the point before, through the system's plans."""
 
     def __init__(self, sys: MultiAgentSystem):
         self.sys = sys
+        self.plans = sys.plans
         start = initial_state(sys)
         self.states = [start]
         self.events = []
-        self.models = [tuple(agent_model(a, s) for a, s in zip(sys.agents, start))]
+        self.models = [
+            tuple(agent_model(a, s, plan=p) for a, s, p in zip(sys.agents, start, self.plans))
+        ]
         self.quiet_from = 0  # the point after the last environment change
 
     @property
@@ -150,7 +154,7 @@ class _Recorder:
         row = list(self.models[-1])
         for i, (a, before, after) in enumerate(zip(self.sys.agents, gs, nxt)):
             if before != after:
-                row[i] = agent_model(a, after, before, row[i])
+                row[i] = agent_model(a, after, before, row[i], self.plans[i])
         self.events.append(change)
         self.quiet_from = len(self.events)
         self.states.append(nxt)
@@ -165,7 +169,9 @@ class _Recorder:
         if changed:
             r_idx = self.sys.index(receiver)
             row = list(row)
-            row[r_idx] = agent_model(self.sys.agents[r_idx], nxt[r_idx], gs[r_idx], row[r_idx])
+            row[r_idx] = agent_model(
+                self.sys.agents[r_idx], nxt[r_idx], gs[r_idx], row[r_idx], self.plans[r_idx]
+            )
             row = tuple(row)
         self.events.append(CommEvent(sender, receiver))
         self.states.append(nxt)

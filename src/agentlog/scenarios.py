@@ -295,21 +295,35 @@ def _parse_domain(lines, dmax_override):
     def joined(key):
         return " ".join(v for _, v in values.get(key, []))
 
+    def names(key):
+        """Each name listed under ``key`` -> the line it is listed on."""
+        return {t: line_no for line_no, v in values.get(key, []) for t in re.split(r"[,\s]+", v) if t}
+
     nodes = tuple(t for t in re.split(r"[,\s]+", joined("nodes")) if t)
     raw_dmax = joined("dmax").strip()
+    dmax_line = values["dmax"][0][0] if raw_dmax else None
     try:
         dmax = int(raw_dmax) if raw_dmax else 0
     except ValueError:
-        raise ScenarioError(f"dmax must be an integer, got {raw_dmax!r}") from None
+        raise ScenarioError(f"dmax must be an integer, got {raw_dmax!r}", dmax_line) from None
     if dmax_override is not None:
-        dmax = dmax_override
-    node_vars = frozenset(t for t in re.split(r"[,\s]+", joined("var node")) if t)
-    int_vars = frozenset(t for t in re.split(r"[,\s]+", joined("var int")) if t)
+        dmax, dmax_line = dmax_override, None
+    node_vars, int_vars = names("var node"), names("var int")
     symmetric = frozenset(t for t in re.split(r"[,\s]+", joined("symmetric")) if t)
     try:
-        dom = DomainSpec(nodes, dmax, node_vars, int_vars, symmetric)
+        dom = DomainSpec(nodes, dmax, frozenset(node_vars), frozenset(int_vars), symmetric)
     except GroundingError as exc:
-        raise ScenarioError(str(exc)) from None
+        # DomainSpec checks the bound, then the variables' types, then
+        # their names; each message lists its names sorted.
+        both = sorted(node_vars.keys() & int_vars.keys())
+        named = sorted((node_vars.keys() | int_vars.keys()) & set(nodes))
+        if dmax < 0:
+            line = dmax_line
+        elif both:
+            line = max(node_vars[both[0]], int_vars[both[0]])
+        else:
+            line = node_vars.get(named[0]) or int_vars[named[0]]
+        raise ScenarioError(str(exc), line) from None
     return dom, joined("output").strip() or None
 
 

@@ -14,7 +14,7 @@ from agentlog import scenarios
 from agentlog.agents import AgentSpec
 from agentlog.cli import main
 from agentlog.logic import AcyclicPlan, Clause, CyclicProgramError
-from agentlog.scenarios import load_scenario
+from agentlog.scenarios import Topology, load_scenario, routing_scenario_text
 
 
 def run_cli(capsys, *argv):
@@ -222,7 +222,21 @@ hbe: q(D)
 """)
     for command in ("analyze", "run", "replay", "oracle-check"):
         assert run_cli(capsys, command, str(path)) == (
-            2, "", "agentlog: error: names declared both as nodes and as variables: D\n")
+            2, "", "agentlog: error: line 4: names declared both as nodes and as variables: D\n")
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("nodes: A B\nvar node: X\nvar int: D\n  B\n",
+     "line 5: names declared both as nodes and as variables: B"),
+    ("nodes: A\n\ndmax: x\n", "line 4: dmax must be an integer, got 'x'"),
+    ("nodes: A\nvar node: X, D\nvar int:\n  D\n", "line 5: variables declared with two types: D"),
+    ("nodes: A\ndmax: -1\n", "line 3: distance_max must be >= 0"),
+])
+def test_domain_errors_name_the_line_of_the_key_at_fault(tmp_path, capsys, domain, message):
+    path = tmp_path / "domain.scenario"
+    path.write_text(f"[domain]\n{domain}\n[agent A]\nhbe: q\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"agentlog: error: {message}\n")
 
 
 @pytest.mark.parametrize("command, label", [("replay", "event"), ("run", "prefix event")])
@@ -627,23 +641,40 @@ def test_cyclic_program_error_exits_as_internal_error(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "agentlog: internal error: cycle through a\n")
 
 
-@pytest.mark.parametrize("name", ["routing5", "chain(20)"])
-def test_run_compiles_one_plan_per_agent(monkeypatch, capsys, name):
-    # The verdict's reference model reads the agents' plans; the union
-    # of their rule bases gets no plan of its own.
+def _ring_file(tmp_path, n):
+    nodes = tuple(f"R{i}" for i in range(n))
+    path = tmp_path / f"ring{n}.scenario"
+    path.write_text(routing_scenario_text(
+        Topology(nodes, frozenset((nodes[i], nodes[(i + 1) % n]) for i in range(n)))))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["routing5", "chain(20)", "ring5"])
+def test_run_compiles_one_plan_per_agent(monkeypatch, capsys, tmp_path, name):
+    # Each agent's plan holds the clauses of its IDB that can fire; the
+    # union of the rule bases gets no plan of its own.  No clause of a
+    # chain is dead, and on routing systems a route through a link that
+    # is not there is.
+    if name == "ring5":
+        name = _ring_file(tmp_path, 5)
     compiled = []
     init = AcyclicPlan.__init__
 
-    def counting(self, p):
+    def counting(self, p, heads=None):
         compiled.append(p.clauses)
-        init(self, p)
+        init(self, p, heads)
 
     monkeypatch.setattr(AcyclicPlan, "__init__", counting)
     code, out, _ = run_cli(capsys, "run", name)
     assert code == 0 and records(out)[-1]["weakly_stabilizing_witnessed"] is True
     monkeypatch.undo()
     agents = load_scenario(name).build_system().agents
-    assert sorted(compiled, key=len) == sorted((a.idb.clauses for a in agents), key=len)
+    assert len(compiled) == len(agents)
+    assert all(plan <= a.idb.clauses for plan, a in zip(compiled, agents))
+    if name == "chain(20)":
+        assert compiled == [a.idb.clauses for a in agents]
+    else:
+        assert any(len(plan) < len(a.idb.clauses) for plan, a in zip(compiled, agents))
 
 
 def test_analyze_compiles_no_plan(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Tests for schematic-clause instantiation."""
 
+import hashlib
 import itertools
 import random
 from typing import Iterable
@@ -424,3 +425,19 @@ def test_shift_only_in_a_constraint_is_range_checked():
     assert expand_pattern(parse_pattern("s(D) where D+3 < 5", DOM2), DOM2) == frozenset()
     # D2+1 <= 2 caps D2 at 1, so D < D2+1 leaves D at 0 or 1.
     assert expand_pattern(parse_pattern("s(D) where D < D2+1", DOM2), DOM2) == {atom("s", 0), atom("s", 1)}
+
+
+@pytest.mark.parametrize("name, count, digest", [
+    ("example3", 4, "20a88eab144ab9d6a0fb02d2c5d30f81d13dbf75594952d647c26361e57bb000"),
+    ("routing5", 3535, "97f2e273b62410d8f7c9ec09b6ddeb62970cedc584a52d72c9999ec7fa329230"),
+    ("routing5-example6-script", 28980,
+     "c2c9ff3a062094a55d9da7ac5ada1f7ec7746dc687d8551bbf8d3e06d5dfd811"),
+    ("chain(6)", 21, "756dbb82483981eecd6e939fe34cbbbdc8a97d8f061832d8eb5b8b670e3c2c19"),
+])
+def test_builtin_ground_clause_sets_are_pinned(name, count, digest):
+    # Every agent's clauses in text form, sorted; each one as the sorting
+    # constructor would build it.
+    agents = builtin_scenario(name).build_system().agents
+    assert all(Clause(*x) == x for s in agents for x in s.idb.clauses)
+    lines = [f"{s.id} {x}" for s in agents for x in sorted(map(str, s.idb.clauses))]
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (count, digest)

@@ -113,6 +113,9 @@ def _wrong_models(system, check_bruteforce=True, **run_args):
     the unique brute-force stable model (checked where the universe fits
     the cap); and how many states were brute-forced."""
     trace = run_fair(system, **run_args)
+    # Each agent's whole IDB, compiled once: ``stable_model_acyclic``
+    # without a compile per state.
+    whole = [AcyclicPlan(agent.idb) for agent in system.agents]
     full = {}
     wrong = bruteforced = 0
     for point, gs in enumerate(trace.states):
@@ -120,7 +123,7 @@ def _wrong_models(system, check_bruteforce=True, **run_args):
             if (idx, state) not in full:
                 agent = system.agents[idx]
                 facts = state.edb | state.indb
-                full[idx, state] = stable_model_acyclic(agent.idb, facts)
+                full[idx, state] = whole[idx].model(facts)
                 program = agent.idb.with_facts(facts)
                 if check_bruteforce and len(program.universe) <= BRUTEFORCE_CAP:
                     bruteforced += 1
@@ -149,23 +152,29 @@ def test_incremental_models_on_random_system_runs():
     assert bruteforced > 0 and scheduled > 0
 
 
-def _ring(n, failed):
+def _ring(ref):
+    """``ringN``: a routing ring of N nodes whose link R0-R1 fails after
+    round 2 and comes back after round 5; ``ringN-steady``: no failure."""
+    n = int(ref[4:].removesuffix("-steady"))
     nodes = tuple(f"R{i}" for i in range(n))
     ring = Topology(nodes, frozenset((nodes[i], nodes[(i + 1) % n]) for i in range(n)))
-    events = f"\n[events]\n@round 2: fail link({failed})\n@round 5: restore link({failed})\n"
-    return parse_scenario(routing_scenario_text(ring) + events, name=f"ring{n}")
+    events = "" if ref.endswith("-steady") else (
+        "\n[events]\n@round 2: fail link(R0,R1)\n@round 5: restore link(R0,R1)\n")
+    return parse_scenario(routing_scenario_text(ring) + events, name=ref)
 
 
 SCENARIOS = ["example3", "routing5", "routing5-example6-script"] + [
     f"chain({n})" for n in range(1, 9)
 ]
 BRUTEFORCED = {"example3"} | {f"chain({n})" for n in range(1, 7)}
+# Each agent's plan drops the routes through links that are not there.
+RINGS = [f"ring{n}{steady}" for n in range(4, 9) for steady in ("", "-steady")]
 
 
-@pytest.mark.parametrize("ref", SCENARIOS + ["ring5"])
+@pytest.mark.parametrize("ref", SCENARIOS + RINGS)
 @pytest.mark.parametrize("policy", ["round-robin", "shuffled"])
 def test_incremental_models_on_scenario_runs(ref, policy):
-    sc = _ring(5, "R0,R1") if ref == "ring5" else builtin_scenario(ref)
+    sc = _ring(ref) if ref.startswith("ring") else builtin_scenario(ref)
     wrong, _ = _wrong_models(
         sc.build_system(),
         # Brute force is exponential in the facts; chain(7) and chain(8)

@@ -51,6 +51,33 @@ def test_clause_normalizes_body():
     assert (c1.pos, c1.neg) == ((b, c), (d,))
 
 
+def test_clause_is_a_sorted_head_pos_neg_value():
+    sp = [atom("sp", "A1", k) for k in (3, 0, 12, 2)]
+    x = Clause(a, [sp[0], sp[1], sp[0], b], (sp[2], sp[3], sp[2], a))
+    assert (x.head, x.pos, x.neg) == (a, (b, sp[1], sp[0]), (a, sp[3], sp[2]))
+    assert tuple(x) == (a, x.pos, x.neg)
+    head, pos, neg = x
+    assert Clause(head, pos, neg) == x and hash(Clause(head, neg=neg, pos=pos)) == hash(x)
+    assert Clause(a).is_fact and not x.is_fact
+    assert list(x.atoms()) == [a, b, sp[1], sp[0], a, sp[3], sp[2]]
+    assert repr(Clause(a, [b])) == f"Clause(head={a!r}, pos=({b!r},), neg=())"
+    for name in ("head", "pos", "neg", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+
+
+def test_clauses_survive_pickle_copy_and_text():
+    rng = random.Random(61)
+    pool = [a, b, c, atom("sp", "A1", "A5", 2), atom("r", 0), atom("r", 10)]
+    for _ in range(200):
+        x = Clause(rng.choice(pool), rng.sample(pool, rng.randint(0, 3)), rng.sample(pool, rng.randint(0, 3)))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(x, protocol)) == x
+        for y in (copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is Clause and y == x
+        assert parse_clause(str(x)) == x
+
+
 def test_universe_must_cover_clause_atoms():
     with pytest.raises(ValueError, match="clause atoms outside universe: b"):
         GroundProgram(frozenset([clause(a, b)]), frozenset([a]))

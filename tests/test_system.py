@@ -40,6 +40,8 @@ from agentlog.system import (
     classify,
     io_graph,
     superagent,
+    _live_atoms,
+    _live_plan,
     superagent_model,
     system_violations,
 )
@@ -719,3 +721,57 @@ def test_reference_model_compiles_nothing_new(monkeypatch):
         v = verdict(system, trace)
     assert model == _union_oracle(system, initial)
     assert v.reference_model == _union_oracle(system, v.stabilized_edb) == v.convergence_model
+
+
+def _relaxation_pitfall():
+    """A reads p, which B derives from what it senses but which is not an
+    input of A: p never holds for A, yet it holds in the union."""
+    p, h = atom("p"), atom("h")
+    one = AgentSpec("A", GroundProgram.of([clause(h, p)]))
+    two = AgentSpec("B", GroundProgram.of([clause(p, e)], [e]), hbe=frozenset([e]))
+    return build_system([one, two])
+
+
+def _check_reference_reads_the_union(system):
+    for edb in (frozenset(), system.env_atoms):
+        assert superagent_model(system, edb) == _union_oracle(system, edb)
+
+
+def test_plans_keep_clauses_that_read_a_head_of_another_agent():
+    system = _relaxation_pitfall()
+    _check_reference_reads_the_union(system)
+    assert superagent_model(system, frozenset([e])) == {e, atom("p"), atom("h")}
+
+
+def test_per_agent_relaxation_mutant_fails_the_union_check(monkeypatch):
+    def per_agent(system):
+        return tuple(_live_plan(a, _live_atoms([a], a.hbe | a.hin, a.heads)) for a in system.agents)
+
+    monkeypatch.setattr(MultiAgentSystem, "plans", property(per_agent))
+    with pytest.raises(AssertionError):
+        _check_reference_reads_the_union(_relaxation_pitfall())
+
+
+def _dead_heads(system):
+    """Per agent, its heads that no clause of its plan defines."""
+    return [a.heads - {p.atoms[h] for h in p.by_head} for a, p in zip(system.agents, system.plans)]
+
+
+def test_a_head_whose_clauses_are_all_dead_reads_false_and_is_no_fact(routing5_system):
+    # q's one clause reads d, which no agent senses, receives or heads.
+    q, r = atom("q"), atom("r")
+    system = build_system([AgentSpec("A", GroundProgram.of([clause(q, d), Clause(r, (), (q,))]))])
+    assert _dead_heads(system) == [{q}]
+    assert superagent_model(system, frozenset()) == _union_oracle(system, frozenset()) == {r}
+    with pytest.raises(ValueError, match="^stabilized EDB outside the environment atoms: d$"):
+        superagent_model(system, frozenset([d]))
+    assert all(_dead_heads(routing5_system))
+    for s, dead in ((system, q), (routing5_system, min(_dead_heads(routing5_system)[0]))):
+        plan = s.plans[0]
+        for call in (
+            lambda: superagent_model(s, frozenset([dead])),
+            lambda: plan.model(frozenset([dead])),
+            lambda: plan.update(plan.model(), frozenset([dead])),
+        ):
+            with pytest.raises(ValueError, match="fact atoms may not head clauses"):
+                call()
