@@ -37,6 +37,7 @@ from .logic import (
     stable_models_bruteforce,
 )
 from .runtime import (
+    AgentChange,
     Trace,
     Verdict,
     comm_transition,

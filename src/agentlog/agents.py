@@ -9,7 +9,9 @@ that agents sense, and a ``CommEvent`` that pushes facts from a sender
 to a receiver.
 
 States are values: the two update operators return new sets instead of
-mutating, so traces can retain every intermediate state cheaply.
+mutating.  Each has a delta form, ``env_delta`` and ``input_delta``,
+that returns the atoms an event adds to and removes from the set, which
+is all a recorded run keeps of the event.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ __all__ = [
     "agent_model",
     "dependency",
     "message_payload",
+    "input_delta",
     "update_input",
+    "env_delta",
     "update_env",
 ]
 
@@ -137,30 +141,18 @@ def _few(atoms) -> str:
     return listed + (", ..." if len(atoms) > 4 else "")
 
 
-def agent_model(
-    a: AgentSpec,
-    s: AgentState,
-    prev: AgentState = None,
-    prev_model: frozenset = None,
-    plan: AcyclicPlan = None,
-) -> frozenset:
+def agent_model(a: AgentSpec, s: AgentState, plan: AcyclicPlan = None) -> frozenset:
     """Stable model of ``IDB + EDB + IN`` at state ``s``.
 
     Sensed and received atoms head no IDB clause, so adding them as facts
-    preserves acyclicity and the model is unique.  Given the model
-    ``prev_model`` at an earlier state ``prev``, only the heads downstream
-    of the facts that differ between the two states are re-derived.
-    ``plan`` is the agent's compiled IDB, such as its system's, which
-    holds only the clauses that can fire in a state the system reaches;
-    without one the whole IDB is compiled.
+    preserves acyclicity and the model is unique.  ``plan`` is the
+    agent's compiled IDB, such as its system's, which holds only the
+    clauses that can fire in a state the system reaches; without one the
+    whole IDB is compiled.
     """
     if plan is None:
         plan = AcyclicPlan(a.idb)
-    facts = s.edb | s.indb
-    if prev is None:
-        return plan.model(facts)
-    old = prev.edb | prev.indb
-    return plan.update(prev_model, facts - old, old - facts)
+    return plan.model(s.edb | s.indb)
 
 
 def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
@@ -171,6 +163,15 @@ def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
 def message_payload(sender_model: frozenset, dep: frozenset) -> frozenset:
     """What the sender pushes: its model restricted to the dependency."""
     return dep & sender_model
+
+
+def input_delta(indb, dep: frozenset, sender_model) -> tuple:
+    """``(added, removed)``: what a send from a sender whose model is
+    ``sender_model`` changes of the receiver's input database ``indb``,
+    read off the dependency slice ``dep`` alone."""
+    payload = message_payload(sender_model, dep)
+    held = dep & indb
+    return payload - held, held - payload
 
 
 def update_input(indb: frozenset, dep: frozenset, payload: frozenset) -> frozenset:
@@ -209,8 +210,13 @@ class CommEvent:
     receiver: str
 
 
+def env_delta(edb, change: EnvChange, hbe: frozenset) -> tuple:
+    """``(added, removed)``: what the sensable part of an environment
+    change adds to and removes from the EDB ``edb``."""
+    return (change.became_true & hbe) - edb, change.became_false & hbe & edb
+
+
 def update_env(edb: frozenset, change: EnvChange, hbe: frozenset) -> frozenset:
     """Apply the sensable part of an environment change to the EDB."""
-    t = change.became_true & hbe
-    f = change.became_false & hbe
-    return (edb - f) | t
+    added, removed = env_delta(edb, change, hbe)
+    return (edb - removed) | added

@@ -136,7 +136,7 @@ def cmd_run(args) -> int:
     trace = _run_trace(scenario, system, args)
     v = verdict(system, trace, families=scenario.families())
     if args.format == "table":
-        out.emit(f"points            {len(trace.states)}")
+        out.emit(f"points            {len(trace.events) + 1}")
         out.emit(f"fixpoint_point    {v.fixpoint_point}")
         out.emit(f"rounds_to_fixpoint {rounds_to_fixpoint(trace)}")
         out.emit(f"horizon_exceeded  {v.horizon_exceeded}")
@@ -165,12 +165,11 @@ def cmd_replay(args) -> int:
         events = scenario.script
     trace = run_scripted(system, events)
     if args.format == "table":
-        for point in range(len(trace.states)):
+        for point, (_, models) in enumerate(trace.points()):
             ev = event_to_record(trace.events[point]) if point < len(trace.events) else None
             out.emit(f"point {point}  event={ev}")
-            for idx, agent_id in enumerate(trace.agent_ids):
-                model = ", ".join(str(x) for x in sorted(trace.models[point][idx]))
-                out.emit(f"  {agent_id}: {model}")
+            for agent_id, model in zip(trace.agent_ids, models):
+                out.emit(f"  {agent_id}: {', '.join(str(x) for x in sorted(model))}")
     else:
         out.emit(_dump(_header(args, "replay", system, {"events": len(events)})))
         out.emit_text(export_trace(trace))
@@ -243,14 +242,13 @@ def cmd_oracle_check(args) -> int:
     mismatches = 0
     skipped = 0
     checked = 0
-    for point, gs in enumerate(trace.states):
-        for idx, (agent, s) in enumerate(zip(system.agents, gs)):
+    for point, (gs, computed_models) in enumerate(trace.points()):
+        for agent, s, computed in zip(system.agents, gs, computed_models):
             program = agent.idb.with_facts(s.edb | s.indb)
             if len(program.universe) > args.cap:
                 skipped += 1
                 continue
             models = stable_models_bruteforce(program, cap=args.cap)
-            computed = trace.models[point][idx]
             checked += 1
             if len(models) != 1 or models[0] != computed:
                 mismatches += 1
@@ -265,7 +263,7 @@ def cmd_oracle_check(args) -> int:
     out.emit(_dump({
         "record": "oracle-check",
         "scenario": args.scenario,
-        "points": len(trace.states),
+        "points": len(trace.events) + 1,
         "checked": checked,
         "skipped_above_cap": skipped,
         "mismatches": mismatches,

@@ -502,14 +502,31 @@ class AcyclicPlan:
         removed: frozenset = frozenset(),
     ) -> Interpretation:
         """``self.model(facts - removed | added)``, given
-        ``model == self.model(facts)``.
+        ``model == self.model(facts)``; ``model`` itself when no truth
+        changes (see ``changes``)."""
+        gained, lost = self.changes(model, added, removed)
+        if lost:
+            model = model.difference(lost)
+        if gained:
+            model = model.union(gained)
+        return model
+
+    def changes(
+        self,
+        model,
+        added: frozenset = frozenset(),
+        removed: frozenset = frozenset(),
+    ) -> tuple:
+        """``(gained, lost)``: the atoms, facts included, that are in
+        ``self.model(facts - removed | added)`` and not in ``model``, and
+        the other way round, given ``model == self.model(facts)``.
+        ``model`` may be a mutable set; it is only read.
 
         Only heads with a clause that mentions an atom whose truth changed
         are re-derived, each once, in plan order: a head is popped only
         after every head it depends on has its final truth, so the update
         is exact without over-deletion.  A head's users are queued only
-        when its truth flips.  ``model`` itself is returned when no truth
-        changes.
+        when its truth flips.
         """
         clash = added & self.heads
         if clash:
@@ -517,7 +534,7 @@ class AcyclicPlan:
         gained = [a for a in added if a not in model]
         lost = [a for a in removed if a in model and a not in added]
         if not gained and not lost:
-            return model
+            return gained, lost
 
         atoms, index, by_head = self.atoms, self.index, self.by_head
         sequence, users = self.sequence, self.users
@@ -531,16 +548,22 @@ class AcyclicPlan:
                     queued.update(users[i])
         queue = sorted(queued)  # a sorted list is a heap
 
-        def holds(i):
-            value = flipped.get(i)
-            return atoms[i] in model if value is None else value
-
         while queue:
             h = sequence[heappop(queue)]
-            now = any(
-                all(holds(i) for i in pos) and not any(holds(i) for i in neg)
-                for pos, neg in by_head[h]
-            )
+            now = False
+            for pos, neg in by_head[h]:
+                for i in pos:
+                    t = flipped.get(i)
+                    if not (atoms[i] in model if t is None else t):
+                        break
+                else:
+                    for i in neg:
+                        t = flipped.get(i)
+                        if atoms[i] in model if t is None else t:
+                            break
+                    else:
+                        now = True
+                        break
             if now != (atoms[h] in model):
                 flipped[h] = now
                 (gained if now else lost).append(atoms[h])
@@ -548,11 +571,7 @@ class AcyclicPlan:
                     if k not in queued:
                         queued.add(k)
                         heappush(queue, k)
-        if lost:
-            model = model.difference(lost)
-        if gained:
-            model = model.union(gained)
-        return model
+        return gained, lost
 
 
 def stable_model_acyclic(p: GroundProgram, facts: Interpretation = frozenset()) -> Interpretation:

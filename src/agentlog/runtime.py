@@ -10,6 +10,15 @@ full communication round under a quiescent environment changes no state
 at any step, determinism guarantees every continuation repeats the state,
 which makes the point-h-onwards definitions decidable.
 
+A run is recorded as per-event deltas.  The recorder keeps one current
+state and every agent's current model as mutable sets, and an event
+touches only the agents it changes: a send reads the dependency slice of
+the sender's model and of the receiver's IN, and re-derives only the
+receiver's heads downstream of the atoms that moved.  What the event
+added and removed is all the ``Trace`` keeps of it; verdicts and the
+export read those changes, and a snapshot of every point is built only
+on request.
+
 A single run executes sequentially and deterministically; distinct runs
 share no mutable state and may execute concurrently.
 """
@@ -21,14 +30,17 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, message_payload, update_env, update_input
+from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, env_delta, input_delta
 from .logic import Atom, parse_atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
 from .system import superagent  # noqa: F401  perfbench/layertrace.py traces it here
 
 __all__ = [
     "RoundRecord",
+    "AgentChange",
     "Trace",
     "Verdict",
     "DivergenceReport",
@@ -67,116 +79,202 @@ class RoundRecord:
     changed: bool
 
 
+_UNCHANGED = (frozenset(), frozenset())
+
+
+class AgentChange(NamedTuple):
+    """What one event changed of one agent: the agent's index, then an
+    ``(added, removed)`` pair of disjoint sets for its EDB and for its IN,
+    and a ``(gained, lost)`` pair for its model."""
+
+    agent: int
+    edb: tuple = _UNCHANGED
+    indb: tuple = _UNCHANGED
+    model: tuple = _UNCHANGED
+
+
+def _applied(atoms: frozenset, delta: tuple) -> frozenset:
+    """``atoms`` after an ``(added, removed)`` delta; ``atoms`` itself
+    when the delta is empty."""
+    added, removed = delta
+    return (atoms - removed) | added if added or removed else atoms
+
+
 @dataclass(frozen=True)
 class Trace:
-    """A recorded run prefix.
+    """A recorded run prefix, as its start and the changes of each event.
 
-    ``states`` holds one global state per point, a tuple of agent states
-    in system order, and ``models`` beside it every agent's stable model
-    at every point.  ``states[k+1]`` is ``events[k]``, an ``EnvChange``
-    or a ``CommEvent``, applied to ``states[k]``.  ``quiescence_point``
-    is the first point from which the environment never changes again
-    (None when scheduled changes were still pending at the horizon).
+    ``start`` is the global state at point 0, a tuple of agent states in
+    system order, and ``start_models`` every agent's stable model there.
+    ``events[k]``, an ``EnvChange`` or a ``CommEvent``, leads from point
+    ``k`` to point ``k+1``, and ``changes[k]`` holds an ``AgentChange``
+    for each agent it changed (none for a send that changed nothing).
+    ``quiescence_point`` is the first point from which the environment
+    never changes again (None when scheduled changes were still pending
+    at the horizon).
+
+    ``points()`` walks the points one at a time and ``at(k)`` builds one;
+    ``states`` and ``models`` are every point's, built on first read.
     """
 
     agent_ids: tuple
-    states: tuple
+    start: tuple
+    start_models: tuple
     events: tuple
-    models: tuple
+    changes: tuple
     quiescence_point: object = 0
     rounds: tuple = ()
     horizon_exceeded: bool = False
+
+    def points(self):
+        """``(global state, models)`` at each point in order; an agent an
+        event did not change keeps its set objects of the point before."""
+        state, models = list(self.start), list(self.start_models)
+        yield tuple(state), tuple(models)
+        for changes in self.changes:
+            for c in changes:
+                s = state[c.agent]
+                state[c.agent] = AgentState(_applied(s.edb, c.edb), _applied(s.indb, c.indb))
+                models[c.agent] = _applied(models[c.agent], c.model)
+            yield tuple(state), tuple(models)
+
+    def at(self, point: int) -> tuple:
+        """``(global state, models)`` at one point, folded from the start
+        through the changes of the events before it."""
+        if not 0 <= point <= len(self.events):
+            raise IndexError(f"no point {point} in a trace of {len(self.events) + 1} points")
+        sets = [(set(s.edb), set(s.indb), set(m)) for s, m in zip(self.start, self.start_models)]
+        for changes in self.changes[:point]:
+            for c in changes:
+                for held, (added, removed) in zip(sets[c.agent], c[1:]):
+                    held -= removed
+                    held |= added
+        return (
+            tuple(AgentState(frozenset(e), frozenset(i)) for e, i, _ in sets),
+            tuple(frozenset(m) for _, _, m in sets),
+        )
+
+    @cached_property
+    def _snapshots(self) -> tuple:
+        return tuple(zip(*self.points()))
+
+    @property
+    def states(self) -> tuple:
+        """The global state at every point: ``states[k+1]`` is
+        ``events[k]`` applied to ``states[k]``."""
+        return self._snapshots[0]
+
+    @property
+    def models(self) -> tuple:
+        """Every agent's stable model at every point."""
+        return self._snapshots[1]
 
 
 def initial_state(sys: MultiAgentSystem) -> tuple:
     return tuple(a.initial for a in sys.agents)
 
 
-def env_transition(sys: MultiAgentSystem, gs: tuple, change: EnvChange) -> tuple:
-    """Every agent sensing part of the change updates its EDB; the rest
-    keep their state untouched (inputs never move here)."""
+def _env_deltas(sys: MultiAgentSystem, change: EnvChange, edbs):
+    """``(agent index, (added, removed))`` for each agent whose EDB, of
+    ``edbs``, the change alters."""
     outside = change.touched - sys.env_atoms
     if outside:
         raise InvalidEventError(f"environment change touches non-environment atoms: {_few(outside)}")
-    return tuple(
-        AgentState(update_env(s.edb, change, a.hbe), s.indb) if a.hbe & change.touched else s
-        for a, s in zip(sys.agents, gs)
-    )
+    for i, (a, edb) in enumerate(zip(sys.agents, edbs)):
+        delta = env_delta(edb, change, a.hbe)
+        if delta[0] or delta[1]:
+            yield i, delta
 
 
-def comm_transition(
-    sys: MultiAgentSystem,
-    gs: tuple,
-    sender: str,
-    receiver: str,
-    sender_model: frozenset = None,
-) -> tuple:
-    """The sender pushes its dependency slice, computed from its current
-    state, and the receiver replaces that slice of its input database."""
+def env_transition(sys: MultiAgentSystem, gs: tuple, change: EnvChange) -> tuple:
+    """Every agent sensing part of the change updates its EDB; the rest
+    keep their state untouched (inputs never move here)."""
+    nxt = list(gs)
+    for i, delta in _env_deltas(sys, change, [s.edb for s in gs]):
+        nxt[i] = AgentState(_applied(gs[i].edb, delta), gs[i].indb)
+    return tuple(nxt)
+
+
+def _send_dependency(sys: MultiAgentSystem, sender: str, receiver: str) -> frozenset:
+    """The atoms the receiver takes from the sender; InvalidEventError for
+    an unknown agent or a receiver that takes none."""
     dep = sys.dependency(receiver, sender)
     if not dep:
+        unknown = [x for x in (sender, receiver) if x not in sys.ids]
+        if unknown:
+            raise InvalidEventError(f"unknown agent {unknown[0]}")
         raise InvalidEventError(f"{receiver} does not depend on {sender}")
-    if sender_model is None:
-        s_idx = sys.index(sender)
-        sender_model = agent_model(sys.agents[s_idx], gs[s_idx], plan=sys.plans[s_idx])
-    payload = message_payload(sender_model, dep)
-    r_idx = sys.index(receiver)
+    return dep
+
+
+def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str) -> tuple:
+    """The sender pushes its dependency slice, computed from its current
+    state, and the receiver replaces that slice of its input database."""
+    dep = _send_dependency(sys, sender, receiver)
+    s_idx, r_idx = sys.index(sender), sys.index(receiver)
+    sender_model = agent_model(sys.agents[s_idx], gs[s_idx], sys.plans[s_idx])
     old = gs[r_idx]
-    new_in = update_input(old.indb, dep, payload)
-    if new_in == old.indb:
+    delta = input_delta(old.indb, dep, sender_model)
+    if not delta[0] and not delta[1]:
         return gs
-    return gs[:r_idx] + (AgentState(old.edb, new_in),) + gs[r_idx + 1:]
+    return gs[:r_idx] + (AgentState(old.edb, _applied(old.indb, delta)),) + gs[r_idx + 1:]
 
 
 class _Recorder:
-    """Accumulates states, events and per-point models incrementally;
-    only agents touched by an event get their model updated, from their
-    model at the point before, through the system's plans."""
+    """Keeps the current state and models as mutable sets and records,
+    for each event, what it changed; only an agent whose facts an event
+    changes has its model updated, in place, through the system's plans."""
 
     def __init__(self, sys: MultiAgentSystem):
         self.sys = sys
         self.plans = sys.plans
-        start = initial_state(sys)
-        self.states = [start]
+        self.start = initial_state(sys)
+        self.start_models = tuple(
+            agent_model(a, s, p) for a, s, p in zip(sys.agents, self.start, self.plans)
+        )
+        self.edbs = [set(s.edb) for s in self.start]
+        self.ins = [set(s.indb) for s in self.start]
+        self.models = [set(m) for m in self.start_models]
         self.events = []
-        self.models = [
-            tuple(agent_model(a, s, plan=p) for a, s, p in zip(sys.agents, start, self.plans))
-        ]
+        self.changes = []
         self.quiet_from = 0  # the point after the last environment change
 
     @property
     def point(self) -> int:
-        return len(self.states) - 1
+        return len(self.events)
+
+    def _apply(self, i: int, facts: set, delta: tuple) -> tuple:
+        """Apply ``delta`` to agent ``i``'s EDB or IN ``facts`` and the
+        consequences to its model, in place; the model's ``(gained, lost)``."""
+        added, removed = delta
+        model = self.models[i]
+        gained, lost = self.plans[i].changes(model, added, removed)
+        facts -= removed
+        facts |= added
+        model.difference_update(lost)
+        model.update(gained)
+        return frozenset(gained), frozenset(lost)
 
     def apply_env(self, change: EnvChange):
-        gs = self.states[-1]
-        nxt = env_transition(self.sys, gs, change)
-        row = list(self.models[-1])
-        for i, (a, before, after) in enumerate(zip(self.sys.agents, gs, nxt)):
-            if before != after:
-                row[i] = agent_model(a, after, before, row[i], self.plans[i])
+        changes = tuple(
+            AgentChange(i, edb=delta, model=self._apply(i, self.edbs[i], delta))
+            for i, delta in _env_deltas(self.sys, change, self.edbs)
+        )
         self.events.append(change)
+        self.changes.append(changes)
         self.quiet_from = len(self.events)
-        self.states.append(nxt)
-        self.models.append(tuple(row))
 
     def apply_comm(self, sender: str, receiver: str) -> bool:
-        gs = self.states[-1]
-        s_idx = self.sys.index(sender)
-        nxt = comm_transition(self.sys, gs, sender, receiver, sender_model=self.models[-1][s_idx])
-        changed = nxt != gs
-        row = self.models[-1]
-        if changed:
-            r_idx = self.sys.index(receiver)
-            row = list(row)
-            row[r_idx] = agent_model(
-                self.sys.agents[r_idx], nxt[r_idx], gs[r_idx], row[r_idx], self.plans[r_idx]
-            )
-            row = tuple(row)
+        sys = self.sys
+        dep = _send_dependency(sys, sender, receiver)
+        r = sys.index(receiver)
+        delta = input_delta(self.ins[r], dep, self.models[sys.index(sender)])
+        changes = ()
+        if delta[0] or delta[1]:
+            changes = (AgentChange(r, indb=delta, model=self._apply(r, self.ins[r], delta)),)
         self.events.append(CommEvent(sender, receiver))
-        self.states.append(nxt)
-        self.models.append(row)
-        return changed
+        self.changes.append(changes)
+        return bool(changes)
 
     def replay(self, events, label: str):
         """Apply ``events`` in order; an invalid one raises
@@ -195,9 +293,10 @@ class _Recorder:
     def freeze(self, rounds=(), horizon_exceeded=False, pending_env=False) -> Trace:
         return Trace(
             agent_ids=self.sys.ids,
-            states=tuple(self.states),
+            start=self.start,
+            start_models=self.start_models,
             events=tuple(self.events),
-            models=tuple(self.models),
+            changes=tuple(self.changes),
             quiescence_point=None if pending_env else self.quiet_from,
             rounds=tuple(rounds),
             horizon_exceeded=horizon_exceeded,
@@ -333,26 +432,33 @@ def convergence_model(sys: MultiAgentSystem, trace: Trace, fixpoint: int) -> fro
     atom base contains them."""
     if fixpoint is None:
         raise ValueError("no fixpoint: convergence model undefined")
-    row = trace.models[fixpoint]
-    return frozenset(
-        a for a, holders in _holders(sys).items() if all(a in row[idx] for idx in holders)
-    )
+    return _agreement(sys, trace.at(fixpoint)[1])[0]
 
 
 def non_convergent_atoms(sys: MultiAgentSystem, trace: Trace, fixpoint: int) -> frozenset:
     """Atoms on which agents still disagree at the fixpoint; the run is
     convergent for neither truth value on these."""
-    row = trace.models[fixpoint]
-    return frozenset(
-        a for a, holders in _holders(sys).items() if len({a in row[idx] for idx in holders}) == 2
-    )
+    return _agreement(sys, trace.at(fixpoint)[1])[1]
+
+
+def _agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
+    """``(atoms true in every holder's model, atoms true in some holders'
+    models only)``, of the agents' ``models`` at one point."""
+    agreed, split = [], []
+    for a, holders in _holders(sys).items():
+        true_in = sum(a in models[idx] for idx in holders)
+        if true_in == len(holders):
+            agreed.append(a)
+        elif true_in:
+            split.append(a)
+    return frozenset(agreed), frozenset(split)
 
 
 def stabilized_environment(trace: Trace) -> frozenset:
     """Union of all agents' EDBs at the quiescence point."""
     if trace.quiescence_point is None:
         raise ValueError("environment never quiesced within the trace")
-    return frozenset().union(*(s.edb for s in trace.states[trace.quiescence_point]))
+    return frozenset().union(*(s.edb for s in trace.at(trace.quiescence_point)[0]))
 
 
 @dataclass(frozen=True)
@@ -373,7 +479,8 @@ def divergence_probe(trace: Trace, family):
     the integer slot.  For each agent the per-point values are collapsed
     to their changes; ``MIN_STREAK`` consecutive strict increases count
     as divergence.  A point where several family atoms occur in one model
-    is ambiguous and rejected.
+    is ambiguous and rejected.  An agent's values can move only where an
+    event changed its model, so only those points are read.
     """
     predicate, args = family
     slots = [i for i, v in enumerate(args) if v is None]
@@ -381,28 +488,37 @@ def divergence_probe(trace: Trace, family):
         raise ValueError("family must have exactly one open integer slot")
     slot = slots[0]
 
-    def match(m):
-        found = [
+    def match(atoms):
+        return {
             a.args[slot]
-            for a in m
+            for a in atoms
             if a.predicate == predicate
             and len(a.args) == len(args)
             and all(v is None or a.args[i] == v for i, v in enumerate(args))
-        ]
-        if len(found) > 1:
-            raise ValueError(
-                f"ambiguous family {_family_text(family)}: {sorted(found)} at one point"
-            )
-        return found[0] if found else None
+        }
+
+    held = [match(m) for m in trace.start_models]
+    # Per agent, its values at point 0 and after each change of its model.
+    seen = [[sorted(values)] for values in held]
+    for changes in trace.changes:
+        for c in changes:
+            gained, lost = c.model
+            held[c.agent] -= match(lost)
+            held[c.agent] |= match(gained)
+            seen[c.agent].append(sorted(held[c.agent]))
 
     hits = []
-    for idx, agent_id in enumerate(trace.agent_ids):
+    for agent_id, points in zip(trace.agent_ids, seen):
         last = None
         streak = 0
         ramp = []
         best = ()
-        for point in range(len(trace.states)):
-            value = match(trace.models[point][idx])
+        for found in points:
+            if len(found) > 1:
+                raise ValueError(
+                    f"ambiguous family {_family_text(family)}: {found} at one point"
+                )
+            value = found[0] if found else None
             if value is None:
                 last, streak, ramp = None, 0, []
                 continue
@@ -454,8 +570,9 @@ class Verdict:
 
 def verdict(sys: MultiAgentSystem, trace: Trace, families=()) -> Verdict:
     fix = detect_fixpoint(trace)
-    conv = convergence_model(sys, trace, fix) if fix is not None else None
-    disagree = non_convergent_atoms(sys, trace, fix) if fix is not None else frozenset()
+    conv, disagree = None, frozenset()
+    if fix is not None:
+        conv, disagree = _agreement(sys, trace.at(fix)[1])
 
     stab = None
     reference = None
@@ -508,21 +625,20 @@ def _atoms_list(atoms, text: dict = None) -> list:
     return _strings(sorted(atoms, key=Atom.sort_key), {} if text is None else text)
 
 
-def _relisted(listing: tuple, atoms, text: dict) -> tuple:
-    """The listing ``(atoms, atoms in order, their strings)`` of ``atoms``,
-    made by editing the lists of an earlier set's listing in place: each
-    atom removed or added since is found by bisection and deleted or
-    inserted there."""
-    before, ordered, strings = listing
-    for a in before - atoms:
+def _edit(listing: tuple, delta: tuple, text: dict):
+    """Edit the listing ``(atoms in order, their strings)`` of a set in
+    place by the set's ``(added, removed)``: each atom is found by
+    bisection and deleted or inserted there."""
+    ordered, strings = listing
+    added, removed = delta
+    for a in removed:
         i = bisect_left(ordered, a.sort_key(), key=Atom.sort_key)
         del ordered[i], strings[i]
-    added = list(atoms - before)
+    added = list(added)
     for a, s in zip(added, _strings(added, text)):
         i = bisect_left(ordered, a.sort_key(), key=Atom.sort_key)
         ordered.insert(i, a)
         strings.insert(i, s)
-    return atoms, ordered, strings
 
 
 def event_to_record(event, text: dict = None):
@@ -581,41 +697,38 @@ def verdict_to_record(v: Verdict, text: dict = None) -> dict:
 def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
     """Line-delimited records, one per point; verdict appended last.
 
-    An event changes at most the agents it touches, and the trace shares
-    every other agent's set objects with the previous point.  So each
-    agent's ``edb``, ``in`` and ``model`` list is rendered again only when
-    its set object differs from the one rendered last, and then by editing
-    that rendering with the atoms added and removed, not by a new sort.
+    Each agent's ``edb``, ``in`` and ``model`` list is sorted once, at the
+    start, and after each point's record is written the event's changes
+    edit the lists of the agents it changed in place, so one record
+    object serves every point.
     """
     text = {}
-    # (agent index, field) -> (set object, its atoms in order, their
-    # strings).  Each record is written before the next point edits a list.
-    last = {}
-
-    def listed(idx, field, atoms):
-        seen = last.get((idx, field))
-        if seen is None:
+    listings = []  # per agent: (atoms in order, their strings) of edb, in, model
+    agents = {}
+    for agent_id, s, model in zip(trace.agent_ids, trace.start, trace.start_models):
+        row = []
+        for atoms in (s.edb, s.indb, model):
             ordered = sorted(atoms, key=Atom.sort_key)
-            seen = last[(idx, field)] = (atoms, ordered, _strings(ordered, text))
-        elif seen[0] is not atoms:
-            seen = last[(idx, field)] = _relisted(seen, atoms, text)
-        return seen[2]
+            row.append((ordered, _strings(ordered, text)))
+        listings.append(row)
+        agents[agent_id] = {"edb": row[0][1], "in": row[1][1], "model": row[2][1]}
+    record = {"record": "point", "point": 0, "event": None, "agents": agents}
 
     # One growing buffer: a list of lines plus their join would hold the
     # whole text twice.
     buf = io.StringIO()
-    for point, gs in enumerate(trace.states):
-        row = trace.models[point]
-        agents = {}
-        for idx, (agent_id, s) in enumerate(zip(trace.agent_ids, gs)):
-            agents[agent_id] = {
-                "edb": listed(idx, "edb", s.edb),
-                "in": listed(idx, "in", s.indb),
-                "model": listed(idx, "model", row[idx]),
-            }
-        event = event_to_record(trace.events[point], text) if point < len(trace.events) else None
-        buf.write(_dump({"record": "point", "point": point, "event": event, "agents": agents}))
+    for point, (event, changes) in enumerate(zip(trace.events, trace.changes)):
+        record["point"] = point
+        record["event"] = event_to_record(event, text)
+        buf.write(_dump(record))
         buf.write("\n")
+        for c in changes:
+            for listing, delta in zip(listings[c.agent], c[1:]):
+                _edit(listing, delta, text)
+    record["point"] = len(trace.events)
+    record["event"] = None
+    buf.write(_dump(record))
+    buf.write("\n")
     if verdict_value is not None:
         buf.write(_dump(verdict_to_record(verdict_value, text)))
         buf.write("\n")

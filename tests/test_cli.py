@@ -345,6 +345,36 @@ def test_replay_rejects_malformed_events(tmp_path, capsys, event):
     assert err.startswith("agentlog: error: line 2: ")
 
 
+@pytest.mark.parametrize("sender, receiver", [("ZZ", "A1"), ("A2", "ZZ")])
+def test_replay_rejects_a_send_naming_an_unknown_agent(tmp_path, capsys, sender, receiver):
+    good = {"type": "send", "from": "A2", "to": "A1"}
+    lines = [{"record": "point", "point": k, "event": event}
+             for k, event in enumerate([good, dict(good, **{"from": sender, "to": receiver})])]
+    path = tmp_path / "events.ndjson"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, err = run_cli(capsys, "replay", "routing5", "--events", str(path))
+    assert (code, out) == (2, "")
+    assert err == "agentlog: error: event 1: unknown agent ZZ\n"
+
+
+def test_run_and_sweep_never_build_the_trace_snapshots(monkeypatch, capsys):
+    from agentlog.runtime import Trace
+
+    def refuse(trace):
+        raise AssertionError("a snapshot of every point was built")
+
+    monkeypatch.setattr(Trace, "points", refuse)
+    for argv in (
+        ["run", "routing5-example6-script"],
+        ["run", "routing5", "--format", "table"],
+        ["run", "chain(6)", "--policy", "shuffled", "--seed", "2"],
+        ["sweep", "chain(1)", "--param", "n", "--range", "1:6"],
+        ["sweep", "routing5", "--param", "dmax", "--range", "3:4"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 3) and out and err == "", argv
+
+
 def test_negative_max_rounds_in_a_file_rejected(tmp_path, capsys):
     from agentlog.scenarios import builtin_scenario, serialize_scenario
 

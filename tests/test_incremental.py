@@ -3,8 +3,8 @@
 ``AcyclicPlan.update`` must give, for every change of facts, the model
 ``AcyclicPlan.model`` gives on the new facts.  The run tests check every
 point of seeded fair runs, whose per-event models all come from the
-incremental route; a mutant that re-derives only the direct users of the
-changed facts must fail them.
+incremental route (``AcyclicPlan.changes``); a mutant that re-derives
+only the direct users of the changed facts must fail them.
 """
 
 import random
@@ -190,9 +190,9 @@ def test_incremental_models_on_scenario_runs(ref, policy):
 
 
 def _direct_users_only(plan, model, added=frozenset(), removed=frozenset()):
-    """A wrong ``AcyclicPlan.update``: re-derives, in plan order, the heads
-    whose clauses mention a changed fact, but none of the heads
-    downstream of those."""
+    """A wrong ``AcyclicPlan.changes``, and through it a wrong ``update``:
+    re-derives, in plan order, the heads whose clauses mention a changed
+    fact, but none of the heads downstream of those."""
     atoms, index, by_head = plan.atoms, plan.index, plan.by_head
     changed = {index[t] for t in added | removed if t in index}
     new = (model - removed) | added
@@ -203,11 +203,11 @@ def _direct_users_only(plan, model, added=frozenset(), removed=frozenset()):
                 for pos, neg in by_head[h]
             )
             new = new | {atoms[h]} if holds else new - {atoms[h]}
-    return new
+    return list(new - model), list(model - new)
 
 
 def test_direct_users_only_mutant_fails_the_run_checks(monkeypatch):
-    monkeypatch.setattr(AcyclicPlan, "update", _direct_users_only)
+    monkeypatch.setattr(AcyclicPlan, "changes", _direct_users_only)
     sc = builtin_scenario("example3")
     assert _wrong_models(sc.build_system(), env_schedule=sc.schedule)[0]
     assert any(_wrong_models(system, **run_args)[0] for system, run_args in _random_runs(99, 10))

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from agentlog.agents import AgentState, CommEvent, EnvChange
-from agentlog.logic import atom
+from agentlog.logic import AcyclicPlan, atom
 from agentlog.runtime import (
+    AgentChange,
     InvalidEventError,
     Trace,
     comm_transition,
@@ -288,6 +289,81 @@ def test_divergence_probe_rejects_bad_family(example3_system):
         divergence_probe(trace, ("sp", ("A1", None, None)))
 
 
+def _naive_probe(trace, family):
+    """Reference ``divergence_probe``: every agent's model at every point."""
+    predicate, args = family
+    slot = args.index(None)
+    hits = []
+    for idx, agent_id in enumerate(trace.agent_ids):
+        last, streak, ramp, best = None, 0, [], ()
+        for row in trace.models:
+            found = sorted(
+                x.args[slot] for x in row[idx]
+                if x.predicate == predicate and len(x.args) == len(args)
+                and all(v is None or x.args[i] == v for i, v in enumerate(args))
+            )
+            if len(found) > 1:
+                return f"ambiguous {found}"
+            value = found[0] if found else None
+            if value is None:
+                last, streak, ramp = None, 0, []
+            elif last is None:
+                last, streak, ramp = value, 0, [value]
+            elif value != last:
+                streak, ramp = (streak + 1, ramp + [value]) if value > last else (0, [value])
+                last = value
+                if streak >= 3 and len(ramp) > len(best):
+                    best = tuple(ramp)
+        if best:
+            hits.append((agent_id, best))
+    return tuple(hits) or None
+
+
+def _probe(trace, family):
+    try:
+        report = divergence_probe(trace, family)
+    except ValueError as exc:
+        return "ambiguous " + str(exc).split(": ")[1].removesuffix(" at one point")
+    return None if report is None else report.hits
+
+
+@pytest.mark.parametrize("policy", ["round-robin", "shuffled"])
+def test_divergence_probe_matches_a_per_point_reading_of_a_diverging_run(policy):
+    trace, v = _scenario_run("routing5-example6-script", policy=policy, seed=2)
+    assert v.divergence
+    ids = trace.agent_ids
+    families = [("sp", (x, y, None)) for x in ids for y in ids] + [("sp", (None, "A5", 2))]
+    for family in families:
+        assert _probe(trace, family) == _naive_probe(trace, family), family
+
+
+def test_divergence_probe_matches_a_per_point_reading_of_hand_built_values():
+    def p(*values):
+        return frozenset(atom("p", x) for x in values)
+
+    # Per agent, its model at each point: ramps, a drop, a gap, repeats.
+    rows = [
+        (p(1), p(), p(0)),
+        (p(2), p(5), p(0)),
+        (p(2), p(6), p(1)),
+        (p(3), p(), p(2)),
+        (p(4), p(1), p(3)),
+        (p(4), p(2), p(4)),
+        (p(0), p(3), p(4)),
+        (p(9), p(4), p(5)),
+    ]
+    states = tuple((AgentState(),) * 3 for _ in rows)
+    events = tuple(CommEvent("A1", "A2") for _ in rows[1:])
+    trace = _delta_trace(("A1", "A2", "A3"), states, events, tuple(rows))
+    assert _probe(trace, ("p", (None,))) == _naive_probe(trace, ("p", (None,))) == (
+        ("A1", (1, 2, 3, 4)), ("A2", (1, 2, 3, 4)), ("A3", (0, 1, 2, 3, 4, 5)))
+    # Several values at one point: the lowest agent is named, at its first.
+    rows[5] = (p(4), p(2, 7), p(4, 8))
+    rows[2] = (p(2), p(6), p(1, 3, 5))
+    trace = _delta_trace(("A1", "A2", "A3"), states, events, tuple(rows))
+    assert _probe(trace, ("p", (None,))) == _naive_probe(trace, ("p", (None,))) == "ambiguous [2, 7]"
+
+
 def test_replay_determinism_byte_identical(example3_system):
     trace = run_fair(
         example3_system,
@@ -393,27 +469,44 @@ def test_export_matches_naive_renderer_on_scripted_replay():
     assert _first_difference(export_trace(trace), _naive_export(trace)) is None
 
 
+def _delta_trace(agent_ids, states, events, models) -> Trace:
+    """The delta ``Trace`` of the given snapshots: each event's changes
+    are the set differences of the points before and after it."""
+
+    def delta(before, after):
+        return after - before, before - after
+
+    changes = []
+    for k in range(1, len(states)):
+        row = []
+        for idx, (before, after) in enumerate(zip(states[k - 1], states[k])):
+            change = AgentChange(idx, delta(before.edb, after.edb), delta(before.indb, after.indb),
+                                 delta(models[k - 1][idx], models[k][idx]))
+            if any(x or y for x, y in change[1:]):
+                row.append(change)
+        changes.append(tuple(row))
+    trace = Trace(agent_ids=agent_ids, start=states[0], start_models=models[0],
+                  events=tuple(events), changes=tuple(changes))
+    assert (trace.states, trace.models) == (tuple(states), tuple(models))
+    return trace
+
+
 def test_export_matches_naive_renderer_without_shared_sets(example3_system):
     def fresh(atoms):
         # frozenset(x) hands back x itself; a list forces a new object.
         return frozenset(list(atoms))
 
     shared = run_scripted(example3_system, EX3_SCRIPT)
-    copied = Trace(
-        agent_ids=shared.agent_ids,
-        states=tuple(
-            tuple(AgentState(fresh(s.edb), fresh(s.indb)) for s in gs)
-            for gs in shared.states
-        ),
-        events=shared.events,
-        models=tuple(tuple(fresh(m) for m in row) for row in shared.models),
+    states = tuple(
+        tuple(AgentState(fresh(s.edb), fresh(s.indb)) for s in gs) for gs in shared.states
     )
-    for k in range(1, len(copied.states)):
-        row = copied.models[k]
-        for idx, (before, after) in enumerate(zip(copied.states[k - 1], copied.states[k])):
+    models = tuple(tuple(fresh(m) for m in row) for row in shared.models)
+    for k in range(1, len(states)):
+        for idx, (before, after) in enumerate(zip(states[k - 1], states[k])):
             pairs = ((before.edb, after.edb), (before.indb, after.indb),
-                     (copied.models[k - 1][idx], row[idx]))
+                     (models[k - 1][idx], models[k][idx]))
             assert all(x is not y for x, y in pairs if x)
+    copied = _delta_trace(shared.agent_ids, states, shared.events, models)
     assert _first_difference(export_trace(copied), _naive_export(copied)) is None
     assert _first_difference(export_trace(copied), export_trace(shared)) is None
 
@@ -432,16 +525,70 @@ def test_export_matches_naive_renderer_when_a_set_gains_and_loses_atoms():
         {p[0], p[5], q[1], b},
     ]
     points = [frozenset(x) for x in sets]
-    trace = Trace(
-        agent_ids=("A1", "A2"),
-        states=tuple(
+    trace = _delta_trace(
+        ("A1", "A2"),
+        tuple(
             (AgentState(s, points[k - 1]), AgentState(points[k - 2], s))
             for k, s in enumerate(points)
         ),
-        events=tuple(CommEvent("A1", "A2") for _ in points[1:]),
-        models=tuple((s, points[k - 3]) for k, s in enumerate(points)),
+        tuple(CommEvent("A1", "A2") for _ in points[1:]),
+        tuple((s, points[k - 3]) for k, s in enumerate(points)),
     )
     assert _first_difference(export_trace(trace), _naive_export(trace)) is None
+
+
+@pytest.mark.parametrize("name, policy", [
+    ("chain(40)", "shuffled"),
+    ("routing5-example6-script", "round-robin"),
+])
+def test_trace_stores_only_what_each_event_changed(name, policy):
+    trace, _ = _scenario_run(name, policy=policy, seed=4)
+    stored = sum(
+        len(part) for changes in trace.changes for c in changes for pair in c[1:] for part in pair
+    )
+    moved = 0
+    for k in range(1, len(trace.states)):
+        for idx, (before, after) in enumerate(zip(trace.states[k - 1], trace.states[k])):
+            moved += len(before.edb ^ after.edb) + len(before.indb ^ after.indb)
+            moved += len(trace.models[k - 1][idx] ^ trace.models[k][idx])
+    assert stored == moved > 0
+    # A send changes the receiver's IN and model only.
+    for event, changes in zip(trace.events, trace.changes):
+        if isinstance(event, CommEvent):
+            assert [c.agent for c in changes] in ([], [trace.agent_ids.index(event.receiver)])
+            assert all(not any(c.edb) for c in changes)
+
+
+def test_run_verdict_and_export_build_no_snapshots():
+    for name in ("routing5-example6-script", "chain(8)"):
+        trace, v = _scenario_run(name, policy="shuffled", seed=1)
+        export_trace(trace, v)
+        assert "_snapshots" not in vars(trace)
+        assert len(trace.states) == len(trace.events) + 1
+        assert "_snapshots" in vars(trace)
+
+
+def test_recorded_points_match_a_fold_of_the_transitions_on_random_systems():
+    # Each point against ``env_transition``/``comm_transition`` applied to
+    # the point before and a full evaluation of every agent's whole IDB.
+    rng = random.Random(2024)
+    for io_acyclic in (True, False):
+        for policy in ("round-robin", "shuffled"):
+            for k in range(250):
+                system, schedule = random_system(rng, io_acyclic=io_acyclic)
+                trace = run_fair(system, env_schedule=schedule, max_rounds=10, policy=policy, seed=k)
+                plans = [AcyclicPlan(agent.idb) for agent in system.agents]
+                gs = initial_state(system)
+                for point, event in enumerate((None,) + trace.events):
+                    if isinstance(event, EnvChange):
+                        gs = env_transition(system, gs, event)
+                    elif event is not None:
+                        gs = comm_transition(system, gs, event.sender, event.receiver)
+                    assert trace.states[point] == gs
+                    assert trace.models[point] == tuple(
+                        plan.model(s.edb | s.indb) for plan, s in zip(plans, gs)
+                    )
+                    assert trace.at(point) == (trace.states[point], trace.models[point])
 
 
 def test_fair_runs_converge_to_reference_on_random_acyclic_systems():
