@@ -12,12 +12,13 @@ which makes the point-h-onwards definitions decidable.
 
 A run is recorded as per-event deltas.  The recorder keeps one current
 state and every agent's current model as mutable sets, and an event
-touches only the agents it changes: a send reads the dependency slice of
-the sender's model and of the receiver's IN, and re-derives only the
+touches only the agents it changes: a send reads only the slice atoms
+whose truth changed since the pair's last send, and re-derives only the
 receiver's heads downstream of the atoms that moved.  What the event
 added and removed is all the ``Trace`` keeps of it; verdicts and the
 export read those changes, and a snapshot of every point is built only
-on request.
+on request.  The export likewise re-encodes an agent's part of a point
+record only after an event changed that agent.
 
 A single run executes sequentially and deterministically; distinct runs
 share no mutable state and may execute concurrently.
@@ -25,12 +26,12 @@ share no mutable state and may execute concurrently.
 
 from __future__ import annotations
 
-import io
 import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, env_delta, input_delta
@@ -223,7 +224,16 @@ def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str
 class _Recorder:
     """Keeps the current state and models as mutable sets and records,
     for each event, what it changed; only an agent whose facts an event
-    changes has its model updated, in place, through the system's plans."""
+    changes has its model updated, in place, through the system's plans.
+
+    Each dependent pair keeps its stale set: the slice atoms on which the
+    receiver's IN may differ from the sender's model, at first the whole
+    slice.  A change of an agent's model marks the changed atoms stale on
+    every pair that reads from it, and a send that changes the receiver's
+    IN marks them stale on the receiver's other pairs whose slice holds
+    them (two senders may define one head).  A send compares the stale
+    atoms only, then clears them.
+    """
 
     def __init__(self, sys: MultiAgentSystem):
         self.sys = sys
@@ -235,6 +245,12 @@ class _Recorder:
         self.edbs = [set(s.edb) for s in self.start]
         self.ins = [set(s.indb) for s in self.start]
         self.models = [set(m) for m in self.start_models]
+        self.readers = [[] for _ in sys.agents]  # per sender: (slice, stale atoms) of each pair
+        self.inputs = [{} for _ in sys.agents]  # per receiver: sender index -> the same
+        for receiver, sender in sys.dependent_pairs:
+            r, s, dep = sys.index(receiver), sys.index(sender), sys.dependency(receiver, sender)
+            self.inputs[r][s] = pair = (dep, set(dep))
+            self.readers[s].append(pair)
         self.events = []
         self.changes = []
         self.quiet_from = 0  # the point after the last environment change
@@ -253,7 +269,10 @@ class _Recorder:
         facts |= added
         model.difference_update(lost)
         model.update(gained)
-        return frozenset(gained), frozenset(lost)
+        gained, lost = frozenset(gained), frozenset(lost)
+        for dep, stale in self.readers[i]:
+            stale |= dep & (gained | lost)
+        return gained, lost
 
     def apply_env(self, change: EnvChange):
         changes = tuple(
@@ -264,15 +283,24 @@ class _Recorder:
         self.changes.append(changes)
         self.quiet_from = len(self.events)
 
-    def apply_comm(self, sender: str, receiver: str) -> bool:
-        sys = self.sys
-        dep = _send_dependency(sys, sender, receiver)
-        r = sys.index(receiver)
-        delta = input_delta(self.ins[r], dep, self.models[sys.index(sender)])
+    def send(self, event: CommEvent, r: int, s: int) -> bool:
+        """Record ``event``, a send from agent ``s`` to agent ``r`` of a
+        dependent pair; whether it changed the receiver."""
+        stale = self.inputs[r][s][1]
         changes = ()
-        if delta[0] or delta[1]:
-            changes = (AgentChange(r, indb=delta, model=self._apply(r, self.ins[r], delta)),)
-        self.events.append(CommEvent(sender, receiver))
+        if stale:
+            model, held = self.models[s], self.ins[r]
+            added = frozenset((stale & model) - held)
+            removed = frozenset((stale & held) - model)
+            stale.clear()
+            if added or removed:
+                moved = added | removed
+                for dep, other in self.inputs[r].values():
+                    if other is not stale:
+                        other |= dep & moved
+                delta = (added, removed)
+                changes = (AgentChange(r, indb=delta, model=self._apply(r, held, delta)),)
+        self.events.append(event)
         self.changes.append(changes)
         return bool(changes)
 
@@ -284,7 +312,8 @@ class _Recorder:
                 if isinstance(event, EnvChange):
                     self.apply_env(event)
                 elif isinstance(event, CommEvent):
-                    self.apply_comm(event.sender, event.receiver)
+                    _send_dependency(self.sys, event.sender, event.receiver)
+                    self.send(event, self.sys.index(event.receiver), self.sys.index(event.sender))
                 else:
                     raise InvalidEventError(f"unknown event: {event!r}")
             except ValueError as exc:
@@ -314,15 +343,6 @@ def default_max_rounds(sys: MultiAgentSystem) -> int:
     return 4 * len(sys.io_atoms) + 16
 
 
-def _round_order(sys: MultiAgentSystem, policy: str, rng):
-    pairs = [(s, r) for (r, s) in sys.dependent_pairs]  # stored as (receiver, sender)
-    if policy == "shuffled":
-        rng.shuffle(pairs)
-    elif policy != "round-robin":
-        raise ValueError(f"unknown policy: {policy}")
-    return pairs
-
-
 def run_fair(
     sys: MultiAgentSystem,
     env_schedule=(),
@@ -346,9 +366,10 @@ def run_fair(
     rng = random.Random(seed)
     rec = _Recorder(sys)
     rec.replay(prefix_events, "prefix event")
+    # Each dependent pair's send, built once, in canonical order.
+    sends = [(CommEvent(s, r), sys.index(r), sys.index(s)) for r, s in sys.dependent_pairs]
 
-    schedule = sorted(env_schedule, key=lambda e: e[0])
-    pending = list(schedule)
+    pending = sorted(env_schedule, key=lambda e: e[0])
 
     def fire_due(round_no: int):
         while pending and pending[0][0] <= round_no:
@@ -359,21 +380,23 @@ def run_fair(
     rounds = []
     certified = False
     for number in range(1, max_rounds + 1):
+        if policy == "shuffled":
+            order = sends.copy()
+            rng.shuffle(order)
+        elif policy == "round-robin":
+            order = sends
+        else:
+            raise ValueError(f"unknown policy: {policy}")
         start = rec.point
         changed = False
-        for sender, receiver in _round_order(sys, policy, rng):
-            if rec.apply_comm(sender, receiver):
-                changed = True
+        for event, r, s in order:
+            changed |= rec.send(event, r, s)
         rounds.append(RoundRecord(number, start, rec.point, changed))
         if not changed and not pending:
             certified = True
             break
         fire_due(number)
-    return rec.freeze(
-        rounds=rounds,
-        horizon_exceeded=not certified,
-        pending_env=bool(pending),
-    )
+    return rec.freeze(rounds=rounds, horizon_exceeded=not certified, pending_env=bool(pending))
 
 
 def detect_fixpoint(trace: Trace):
@@ -609,44 +632,17 @@ def verdict(sys: MultiAgentSystem, trace: Trace, families=()) -> Verdict:
 # Trace export: one JSON record per line; schema in docs/trace-schema.md.
 
 
-def _strings(atoms, text: dict) -> list:
-    """The string of each atom, in order; ``text`` caches each atom's string."""
-    out = []
-    for a in atoms:
-        s = text.get(a)
-        if s is None:
-            s = text[a] = str(a)
-        out.append(s)
-    return out
-
-
-def _atoms_list(atoms, text: dict = None) -> list:
+def _atoms_list(atoms) -> list:
     """``atoms`` as strings in atom order."""
-    return _strings(sorted(atoms, key=Atom.sort_key), {} if text is None else text)
+    return [str(a) for a in sorted(atoms, key=Atom.sort_key)]
 
 
-def _edit(listing: tuple, delta: tuple, text: dict):
-    """Edit the listing ``(atoms in order, their strings)`` of a set in
-    place by the set's ``(added, removed)``: each atom is found by
-    bisection and deleted or inserted there."""
-    ordered, strings = listing
-    added, removed = delta
-    for a in removed:
-        i = bisect_left(ordered, a.sort_key(), key=Atom.sort_key)
-        del ordered[i], strings[i]
-    added = list(added)
-    for a, s in zip(added, _strings(added, text)):
-        i = bisect_left(ordered, a.sort_key(), key=Atom.sort_key)
-        ordered.insert(i, a)
-        strings.insert(i, s)
-
-
-def event_to_record(event, text: dict = None):
+def event_to_record(event):
     if isinstance(event, EnvChange):
         return {
             "type": "env",
-            "true": _atoms_list(event.became_true, text),
-            "false": _atoms_list(event.became_false, text),
+            "true": _atoms_list(event.became_true),
+            "false": _atoms_list(event.became_false),
         }
     return {"type": "send", "from": event.sender, "to": event.receiver}
 
@@ -672,9 +668,9 @@ def _dump(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def verdict_to_record(v: Verdict, text: dict = None) -> dict:
+def verdict_to_record(v: Verdict) -> dict:
     def listed(atoms):
-        return None if atoms is None else _atoms_list(atoms, text)
+        return None if atoms is None else _atoms_list(atoms)
 
     return {
         "record": "verdict",
@@ -697,42 +693,54 @@ def verdict_to_record(v: Verdict, text: dict = None) -> dict:
 def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
     """Line-delimited records, one per point; verdict appended last.
 
-    Each agent's ``edb``, ``in`` and ``model`` list is sorted once, at the
-    start, and after each point's record is written the event's changes
-    edit the lists of the agents it changed in place, so one record
-    object serves every point.
+    A point record is its agents' fragments, ``"id":{"edb":[…],"in":[…],
+    "model":[…]}`` in id order, then its event and number: the bytes
+    ``_dump`` writes of the whole record.  Each atom's JSON literal is
+    encoded once.  An agent's fragment is encoded at the start and again
+    only after an event changed the agent, whose lists are then edited in
+    place by the event's changes.  Every piece goes to one list joined
+    once at the end, so a fragment many points share is held once.
     """
-    text = {}
-    listings = []  # per agent: (atoms in order, their strings) of edb, in, model
-    agents = {}
-    for agent_id, s, model in zip(trace.agent_ids, trace.start, trace.start_models):
-        row = []
-        for atoms in (s.edb, s.indb, model):
-            ordered = sorted(atoms, key=Atom.sort_key)
-            row.append((ordered, _strings(ordered, text)))
-        listings.append(row)
-        agents[agent_id] = {"edb": row[0][1], "in": row[1][1], "model": row[2][1]}
-    record = {"record": "point", "point": 0, "event": None, "agents": agents}
+    literal = cache(lambda a: encode_basestring_ascii(str(a)))
+    ids = trace.agent_ids
+    slot = {i: k for k, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__))}
+    listings = []  # per agent: (atoms in order, their literals) of edb, in, model
+    for s, model in zip(trace.start, trace.start_models):
+        ordered = [sorted(atoms, key=Atom.sort_key) for atoms in (s.edb, s.indb, model)]
+        listings.append([(atoms, list(map(literal, atoms))) for atoms in ordered])
+    fragments = [None] * len(ids)  # in id order
 
-    # One growing buffer: a list of lines plus their join would hold the
-    # whole text twice.
-    buf = io.StringIO()
-    for point, (event, changes) in enumerate(zip(trace.events, trace.changes)):
-        record["point"] = point
-        record["event"] = event_to_record(event, text)
-        buf.write(_dump(record))
-        buf.write("\n")
+    def encode(i):
+        k = slot[i]
+        edb, indb, model = (",".join(lits) for _, lits in listings[i])
+        agent = ("," if k else "") + encode_basestring_ascii(ids[i])
+        fragments[k] = f'{agent}:{{"edb":[{edb}],"in":[{indb}],"model":[{model}]}}'
+
+    for i in range(len(ids)):
+        encode(i)
+
+    events = {None: "null"}
+    pieces = []
+    for point, (event, changes) in enumerate(zip(trace.events + (None,), trace.changes + ((),))):
+        text = events.get(event)
+        if text is None:
+            text = events[event] = _dump(event_to_record(event))
+        pieces.append('{"agents":{')
+        pieces.extend(fragments)
+        pieces.append(f'}},"event":{text},"point":{point},"record":"point"}}\n')
         for c in changes:
-            for listing, delta in zip(listings[c.agent], c[1:]):
-                _edit(listing, delta, text)
-    record["point"] = len(trace.events)
-    record["event"] = None
-    buf.write(_dump(record))
-    buf.write("\n")
+            for (atoms, lits), (added, removed) in zip(listings[c.agent], c[1:]):
+                for a in removed:
+                    k = bisect_left(atoms, a.sort_key(), key=Atom.sort_key)
+                    del atoms[k], lits[k]
+                for a in added:
+                    k = bisect_left(atoms, a.sort_key(), key=Atom.sort_key)
+                    atoms.insert(k, a)
+                    lits.insert(k, literal(a))
+            encode(c.agent)
     if verdict_value is not None:
-        buf.write(_dump(verdict_to_record(verdict_value, text)))
-        buf.write("\n")
-    return buf.getvalue()
+        pieces.append(_dump(verdict_to_record(verdict_value)) + "\n")
+    return "".join(pieces)
 
 
 def events_from_export(text: str) -> list:

@@ -590,10 +590,16 @@ _PINNED_OUTPUT = [
     ("oracle-check example3", 0, "300d664bf7cf75c17780e75d56c32d0f76050f14b39fd7f9f0530a0557d222ed"),
     ("sweep chain(1) --param n --range 1:8", 0, "feacbc15fb7ff732cf8c44ff578a6a123105e731f4b23885140e3e0a9e7f6a4f"),
     ("sweep routing5 --param dmax --range 3:5", 0, "0cd9b84bd211089878a33d097d67b7ac5911961e3a53005d818ee8b8a212f957"),
+    ("run chain(300)", 0, "dabd5ba71ea220dcd60e8aa53b227313cbe1fea0c245b4ab55fe2ff2f7a3fc52"),
+    ("run chain(40) --policy shuffled --seed 5", 0, "89f332fc727c9e86a062a0b9fdfcd78c4ea4912342b4c1481e5ad7345331002d"),
+    # Named relative to tests/data, the test's working directory: the header echoes the path.
+    ("run unicode-order.scenario", 0, "48bcda6ddcd88609c925bf3326835e283ae37ba9050408207a0f66ab4b82a97a"),
+    ("replay unicode-order.scenario", 0, "05de67ebe74204aea6e84cc9e54713f25243550d93e39799b0fef8e388b91eba"),
 ]
 
 
-def test_stdout_bytes_pinned(capsys):
+def test_stdout_bytes_pinned(capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent / "data")
     changed = []
     for command, code, digest in _PINNED_OUTPUT:
         got, out, _ = run_cli(capsys, *command.split())

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ from agentlog.runtime import (
     stabilized_environment,
     verdict,
 )
-from agentlog.scenarios import builtin_scenario, output_projection
+from agentlog.scenarios import builtin_scenario, load_scenario, output_projection, parse_scenario
 from agentlog.system import io_graph
 
 from .generators import random_system
@@ -469,6 +470,28 @@ def test_export_matches_naive_renderer_on_scripted_replay():
     assert _first_difference(export_trace(trace), _naive_export(trace)) is None
 
 
+UNICODE_SCENARIO = Path(__file__).parent / "data" / "unicode-order.scenario"
+
+
+def test_export_escapes_non_ascii_and_lists_agents_in_id_order():
+    # Agents declared out of id order, non-ASCII ids and atom names, a
+    # send that changes nothing and an environment change.
+    scenario = load_scenario(str(UNICODE_SCENARIO))
+    system = scenario.build_system()
+    assert list(system.ids) != sorted(system.ids)
+    assert any(not x.isascii() for x in system.ids)
+    scripted = run_scripted(system, scenario.script)
+    assert scripted.changes[0] == ()
+    assert any(isinstance(event, EnvChange) for event in scripted.events)
+    fair = run_fair(system, env_schedule=scenario.schedule, max_rounds=scenario.max_rounds)
+    for trace in (scripted, fair):
+        v = verdict(system, trace)
+        text = export_trace(trace, v)
+        assert text.isascii() and "\\u00c4rger" in text and "caf\\u00e9" in text
+        assert _first_difference(text, _naive_export(trace, v)) is None
+        assert _first_difference(export_trace(trace), _naive_export(trace)) is None
+
+
 def _delta_trace(agent_ids, states, events, models) -> Trace:
     """The delta ``Trace`` of the given snapshots: each event's changes
     are the set differences of the points before and after it."""
@@ -568,27 +591,79 @@ def test_run_verdict_and_export_build_no_snapshots():
         assert "_snapshots" in vars(trace)
 
 
-def test_recorded_points_match_a_fold_of_the_transitions_on_random_systems():
+def _assert_points_match_the_fold(system, trace):
     # Each point against ``env_transition``/``comm_transition`` applied to
     # the point before and a full evaluation of every agent's whole IDB.
+    plans = [AcyclicPlan(agent.idb) for agent in system.agents]
+    gs = initial_state(system)
+    for point, event in enumerate((None,) + trace.events):
+        if isinstance(event, EnvChange):
+            gs = env_transition(system, gs, event)
+        elif event is not None:
+            gs = comm_transition(system, gs, event.sender, event.receiver)
+        assert trace.states[point] == gs, point
+        assert trace.models[point] == tuple(
+            plan.model(s.edb | s.indb) for plan, s in zip(plans, gs)
+        ), point
+        assert trace.at(point) == (trace.states[point], trace.models[point])
+
+
+def test_recorded_points_match_a_fold_of_the_transitions_on_random_systems():
     rng = random.Random(2024)
     for io_acyclic in (True, False):
         for policy in ("round-robin", "shuffled"):
             for k in range(250):
                 system, schedule = random_system(rng, io_acyclic=io_acyclic)
                 trace = run_fair(system, env_schedule=schedule, max_rounds=10, policy=policy, seed=k)
-                plans = [AcyclicPlan(agent.idb) for agent in system.agents]
-                gs = initial_state(system)
-                for point, event in enumerate((None,) + trace.events):
-                    if isinstance(event, EnvChange):
-                        gs = env_transition(system, gs, event)
-                    elif event is not None:
-                        gs = comm_transition(system, gs, event.sender, event.receiver)
-                    assert trace.states[point] == gs
-                    assert trace.models[point] == tuple(
-                        plan.model(s.edb | s.indb) for plan, s in zip(plans, gs)
-                    )
-                    assert trace.at(point) == (trace.states[point], trace.models[point])
+                _assert_points_match_the_fold(system, trace)
+
+
+# B and C both define p; B senses e, C takes e from B, and A takes p from
+# both, so the slices of A's two pairs overlap.  A send from C that drops
+# p from A's IN leaves B's slice stale for a later send from B to A.
+_OVERLAPPING_SLICES = """\
+[domain]
+nodes:
+dmax: 0
+
+[agent A]
+hin: p
+
+[agent B]
+idb:
+  p :- e.
+hbe: e
+
+[agent C]
+idb:
+  p :- e.
+hin: e
+
+[events]
+restore e.
+send B -> A.
+send C -> A.
+send B -> C.
+send B -> A.
+@round 0: restore e
+@round 2: fail e
+@round 3: restore e
+"""
+
+
+def test_a_send_marks_an_overlapping_slice_of_the_receiver_stale():
+    scenario = parse_scenario(_OVERLAPPING_SLICES)
+    system = scenario.build_system()
+    assert system.dependency("A", "B") == system.dependency("A", "C") == {atom("p")}
+    trace = run_scripted(system, scenario.script)
+    _assert_points_match_the_fold(system, trace)
+    # The last send from B restores p, which C's send took from A's IN.
+    assert [atom("p") in gs[0].indb for gs in trace.states] == [False, False, True, False, False, True]
+    for policy, seeds in (("round-robin", [0]), ("shuffled", range(8))):
+        for seed in seeds:
+            trace = run_fair(system, env_schedule=scenario.schedule, policy=policy, seed=seed)
+            _assert_points_match_the_fold(system, trace)
+            assert detect_fixpoint(trace) is not None
 
 
 def test_fair_runs_converge_to_reference_on_random_acyclic_systems():
