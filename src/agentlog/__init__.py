@@ -13,9 +13,6 @@ from .agents import (
     EnvChange,
     agent_model,
     dependency,
-    message_payload,
-    update_env,
-    update_input,
     validate_agent,
 )
 from .grounding import DomainSpec, GroundingError, Pattern, SchematicClause, ground_program
@@ -27,13 +24,10 @@ from .logic import (
     DependencyGraph,
     GroundProgram,
     atom,
-    dependency_graph,
     gl_reduct,
     head_set,
-    is_acyclic,
     is_stable_model,
     least_model,
-    stable_model_acyclic,
     stable_models_bruteforce,
 )
 from .runtime import (
@@ -41,7 +35,6 @@ from .runtime import (
     Trace,
     Verdict,
     comm_transition,
-    convergence_model,
     detect_fixpoint,
     divergence_probe,
     env_transition,
@@ -55,13 +48,9 @@ from .scenarios import (
     Scenario,
     ScenarioError,
     Topology,
-    bfs_oracle,
     builtin_scenario,
-    chain_system,
     load_scenario,
-    output_projection,
     parse_scenario,
-    routing_system,
     serialize_scenario,
 )
 from .system import (

@@ -8,10 +8,11 @@ received facts (IN); the agent's beliefs are the stable model of
 that agents sense, and a ``CommEvent`` that pushes facts from a sender
 to a receiver.
 
-States are values: the two update operators return new sets instead of
-mutating.  Each has a delta form, ``env_delta`` and ``input_delta``,
-that returns the atoms an event adds to and removes from the set, which
-is all a recorded run keeps of the event.
+An event is read as a delta: ``env_delta`` and ``input_delta`` return
+the atoms it adds to and removes from an agent's EDB or IN, which is
+all a recorded run keeps of the event.  A send replaces the receiver's
+slice of IN with the sender's model restricted to that slice, so atoms
+of the slice the sender no longer holds are retracted.
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ __all__ = [
     "validate_agent",
     "agent_model",
     "dependency",
-    "message_payload",
     "input_delta",
-    "update_input",
     "env_delta",
-    "update_env",
 ]
 
 
@@ -160,29 +158,13 @@ def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
     return receiver.hin & (sender.heads | sender.hbe)
 
 
-def message_payload(sender_model: frozenset, dep: frozenset) -> frozenset:
-    """What the sender pushes: its model restricted to the dependency."""
-    return dep & sender_model
-
-
 def input_delta(indb, dep: frozenset, sender_model) -> tuple:
     """``(added, removed)``: what a send from a sender whose model is
     ``sender_model`` changes of the receiver's input database ``indb``,
     read off the dependency slice ``dep`` alone."""
-    payload = message_payload(sender_model, dep)
+    payload = dep & sender_model
     held = dep & indb
     return payload - held, held - payload
-
-
-def update_input(indb: frozenset, dep: frozenset, payload: frozenset) -> frozenset:
-    """Replace the dependency slice of the input database with the payload.
-
-    Atoms of ``dep`` missing from ``payload`` are thereby retracted: the
-    sender has just vouched they are false.
-    """
-    if not payload <= dep:
-        raise ValueError(f"payload outside dependency: {_few(payload - dep)}")
-    return (indb - dep) | payload
 
 
 @dataclass(frozen=True)
@@ -214,9 +196,3 @@ def env_delta(edb, change: EnvChange, hbe: frozenset) -> tuple:
     """``(added, removed)``: what the sensable part of an environment
     change adds to and removes from the EDB ``edb``."""
     return (change.became_true & hbe) - edb, change.became_false & hbe & edb
-
-
-def update_env(edb: frozenset, change: EnvChange, hbe: frozenset) -> frozenset:
-    """Apply the sensable part of an environment change to the EDB."""
-    added, removed = env_delta(edb, change, hbe)
-    return (edb - removed) | added

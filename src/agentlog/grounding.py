@@ -35,8 +35,8 @@ The order changes the work, not the output: the ground clauses, and so
 the program universes, are those of enumerating the full product of the
 variable domains and filtering it.  The tests keep that grounder as the
 reference.  A compiled clause hands each instance's head and body atoms
-to a callback (``ground_stream``); ``ground_clause`` and
-``ground_program`` collect them into ``Clause``s.
+to a callback (``ground_stream``); ``ground_program`` collects them
+into ``Clause``s.
 
 Predicates listed in ``DomainSpec.symmetric`` have their two node
 arguments put in canonical (declared) order, so both orientations of an
@@ -61,7 +61,6 @@ __all__ = [
     "Constraint",
     "SchematicClause",
     "Pattern",
-    "ground_clause",
     "ground_program",
     "ground_stream",
     "expand_pattern",
@@ -396,14 +395,6 @@ def _ground(clauses: Iterable[SchematicClause], dom: DomainSpec) -> set:
     add, make = out.add, Clause._sorted
     ground_stream(clauses, dom, lambda head, pos, neg: add(make(Clause, (head, pos, neg))))
     return out
-
-
-def ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset:
-    """All ground instances of ``c`` over ``dom``.
-
-    Constraints select instances and never survive into ground clauses.
-    """
-    return frozenset(_ground([c], dom))
 
 
 def ground_program(

@@ -20,11 +20,16 @@ the test suite:
   program once (atom table, clauses as index tuples, heads in topological
   order of the atom dependency graph), and its ``model`` evaluates each
   head once, in that order;
-* the incremental route for acyclic programs: the plan's ``update`` turns
-  the model for one set of facts into the model for another by
-  re-deriving, in the same order, only the heads downstream of the facts
-  that changed.  Tests check it against ``model`` on the full facts and
+* the incremental route for acyclic programs: the plan's ``changes``
+  reads, off the model for one set of facts, the atoms the model for
+  another gains and loses, by re-deriving, in the same order, only the
+  heads downstream of the facts that changed.  Tests check it against
+  the difference of two ``model`` evaluations on the full facts and
   against ``stable_models_bruteforce``.
+
+Acyclicity is read off a head -> body-atoms map by ``_peel``.
+``DependencyGraph`` is the value form of such a graph, and the I/O
+graph is the one built as one.
 """
 
 from __future__ import annotations
@@ -52,10 +57,6 @@ __all__ = [
     "least_model",
     "is_stable_model",
     "stable_models_bruteforce",
-    "stable_model_acyclic",
-    "dependency_graph",
-    "is_acyclic",
-    "relevant_atoms",
     "format_atom",
     "parse_atom",
     "format_clause",
@@ -330,54 +331,6 @@ class DependencyGraph:
     nodes: frozenset = frozenset()
     edges: frozenset = frozenset()
 
-    def successors(self) -> dict:
-        adj = {a: [] for a in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-        return adj
-
-
-def dependency_graph(p: GroundProgram) -> DependencyGraph:
-    edges = frozenset((c.head, b) for c in p.clauses for b in c.pos + c.neg)
-    return DependencyGraph(p.universe, edges)
-
-
-def is_acyclic(g: DependencyGraph) -> bool:
-    """No directed cycle; on a finite graph this is "no infinite path"."""
-    indegree = {a: 0 for a in g.nodes}
-    adj = g.successors()
-    for a, b in g.edges:
-        indegree[b] += 1
-    queue = deque(a for a, d in indegree.items() if d == 0)
-    seen = 0
-    while queue:
-        a = queue.popleft()
-        seen += 1
-        for b in adj[a]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                queue.append(b)
-    return seen == len(g.nodes)
-
-
-def relevant_atoms(g: DependencyGraph, a: Atom) -> frozenset:
-    """Atoms reachable from ``a`` by a nonempty path.
-
-    ``a`` itself is included only when it lies on a cycle through ``a``.
-    """
-    if a not in g.nodes:
-        raise ValueError(f"unknown atom: {a}")
-    adj = g.successors()
-    reached: set = set()
-    frontier = deque(adj[a])
-    while frontier:
-        b = frontier.popleft()
-        if b in reached:
-            continue
-        reached.add(b)
-        frontier.extend(adj[b])
-    return frozenset(reached)
-
 
 def _dependency_sink() -> tuple:
     """An empty head -> body-atoms map, and the ``sink(head, pos, neg)``
@@ -495,22 +448,6 @@ class AcyclicPlan:
         model.update(a for a, t in zip(atoms, truth) if t)
         return frozenset(model)
 
-    def update(
-        self,
-        model: Interpretation,
-        added: frozenset = frozenset(),
-        removed: frozenset = frozenset(),
-    ) -> Interpretation:
-        """``self.model(facts - removed | added)``, given
-        ``model == self.model(facts)``; ``model`` itself when no truth
-        changes (see ``changes``)."""
-        gained, lost = self.changes(model, added, removed)
-        if lost:
-            model = model.difference(lost)
-        if gained:
-            model = model.union(gained)
-        return model
-
     def changes(
         self,
         model,
@@ -572,12 +509,6 @@ class AcyclicPlan:
                         queued.add(k)
                         heappush(queue, k)
         return gained, lost
-
-
-def stable_model_acyclic(p: GroundProgram, facts: Interpretation = frozenset()) -> Interpretation:
-    """The unique stable model of an acyclic program extended with
-    ``facts``; see ``AcyclicPlan.model``."""
-    return AcyclicPlan(p).model(facts)
 
 
 # ---------------------------------------------------------------------------

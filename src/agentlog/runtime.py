@@ -15,10 +15,13 @@ state and every agent's current model as mutable sets, and an event
 touches only the agents it changes: a send reads only the slice atoms
 whose truth changed since the pair's last send, and re-derives only the
 receiver's heads downstream of the atoms that moved.  What the event
-added and removed is all the ``Trace`` keeps of it; verdicts and the
-export read those changes, and a snapshot of every point is built only
-on request.  The export likewise re-encodes an agent's part of a point
-record only after an event changed that agent.
+added and removed is all the ``Trace`` keeps of it, plus the last point.
+Verdicts read the last point: a fair run stops at its certificate, and
+only environment changes move an EDB, so the models at the fixpoint and
+the stabilized environment are both there.  The export
+and the divergence probe read the changes, and a snapshot of every
+point is built only on request.  The export re-encodes an agent's part
+of a point record only after an event changed that agent.
 
 A single run executes sequentially and deterministically; distinct runs
 share no mutable state and may execute concurrently.
@@ -53,9 +56,6 @@ __all__ = [
     "run_fair",
     "detect_fixpoint",
     "rounds_to_fixpoint",
-    "rounds_after_quiescence_to_fixpoint",
-    "convergence_model",
-    "non_convergent_atoms",
     "stabilized_environment",
     "verdict",
     "divergence_probe",
@@ -103,19 +103,28 @@ def _applied(atoms: frozenset, delta: tuple) -> frozenset:
 
 @dataclass(frozen=True)
 class Trace:
-    """A recorded run prefix, as its start and the changes of each event.
+    """A recorded run prefix, as its start, the changes of each event and
+    its last point.
 
     ``start`` is the global state at point 0, a tuple of agent states in
     system order, and ``start_models`` every agent's stable model there.
     ``events[k]``, an ``EnvChange`` or a ``CommEvent``, leads from point
     ``k`` to point ``k+1``, and ``changes[k]`` holds an ``AgentChange``
     for each agent it changed (none for a send that changed nothing).
-    ``quiescence_point`` is the first point from which the environment
-    never changes again (None when scheduled changes were still pending
-    at the horizon).
+    ``end`` and ``end_models`` are the state and models at the last
+    point.  ``quiescence_point`` is the first point from which the
+    environment never changes again (None when scheduled changes were
+    still pending at the horizon).
 
-    ``points()`` walks the points one at a time and ``at(k)`` builds one;
-    ``states`` and ``models`` are every point's, built on first read.
+    The last point is where the verdicts read.  Only an environment
+    change moves an EDB, so the EDBs at the quiescence point are
+    ``end``'s.  A fair run stops at the first round that changes nothing
+    once no change is pending, so when the trace holds a fixpoint
+    certificate it is the last round: the state and models at the
+    fixpoint are ``end`` and ``end_models``.
+
+    ``points()`` walks the points one at a time; ``states`` and
+    ``models`` are every point's, built on first read.
     """
 
     agent_ids: tuple
@@ -123,6 +132,8 @@ class Trace:
     start_models: tuple
     events: tuple
     changes: tuple
+    end: tuple
+    end_models: tuple
     quiescence_point: object = 0
     rounds: tuple = ()
     horizon_exceeded: bool = False
@@ -138,22 +149,6 @@ class Trace:
                 state[c.agent] = AgentState(_applied(s.edb, c.edb), _applied(s.indb, c.indb))
                 models[c.agent] = _applied(models[c.agent], c.model)
             yield tuple(state), tuple(models)
-
-    def at(self, point: int) -> tuple:
-        """``(global state, models)`` at one point, folded from the start
-        through the changes of the events before it."""
-        if not 0 <= point <= len(self.events):
-            raise IndexError(f"no point {point} in a trace of {len(self.events) + 1} points")
-        sets = [(set(s.edb), set(s.indb), set(m)) for s, m in zip(self.start, self.start_models)]
-        for changes in self.changes[:point]:
-            for c in changes:
-                for held, (added, removed) in zip(sets[c.agent], c[1:]):
-                    held -= removed
-                    held |= added
-        return (
-            tuple(AgentState(frozenset(e), frozenset(i)) for e, i, _ in sets),
-            tuple(frozenset(m) for _, _, m in sets),
-        )
 
     @cached_property
     def _snapshots(self) -> tuple:
@@ -326,6 +321,8 @@ class _Recorder:
             start_models=self.start_models,
             events=tuple(self.events),
             changes=tuple(self.changes),
+            end=tuple(AgentState(frozenset(e), frozenset(i)) for e, i in zip(self.edbs, self.ins)),
+            end_models=tuple(map(frozenset, self.models)),
             quiescence_point=None if pending_env else self.quiet_from,
             rounds=tuple(rounds),
             horizon_exceeded=horizon_exceeded,
@@ -402,42 +399,26 @@ def run_fair(
 def detect_fixpoint(trace: Trace):
     """First point from which the run provably repeats forever.
 
-    That is the start of the first round that (a) begins at or after the
-    quiescence point and (b) changed no agent state at any of its events;
-    determinism then pins every continuation.  None when the trace holds
-    no such certificate.
+    The certificate is a round that begins at or after the quiescence
+    point and changed no agent state at any of its events; determinism
+    then pins every continuation.  ``run_fair`` stops at the first such
+    round, so only the last round can be one, and its start is the
+    fixpoint.  None when the trace holds no certificate.
     """
-    cert = _certifying_round(trace)
-    return None if cert is None else cert.start
-
-
-def _certifying_round(trace: Trace):
-    if trace.quiescence_point is None:
+    if not trace.rounds:
         return None
-    for r in trace.rounds:
-        if not r.changed and r.start >= trace.quiescence_point:
-            return r
-    return None
+    last = trace.rounds[-1]
+    quiet = trace.quiescence_point
+    certified = not last.changed and quiet is not None and last.start >= quiet
+    return last.start if certified else None
 
 
 def rounds_to_fixpoint(trace: Trace):
-    """Number of state-changing rounds before the fixpoint certificate."""
-    cert = _certifying_round(trace)
-    if cert is None:
+    """Number of state-changing rounds before the fixpoint certificate,
+    which is the last round and changed nothing; None without one."""
+    if detect_fixpoint(trace) is None:
         return None
-    return sum(1 for r in trace.rounds if r.number < cert.number and r.changed)
-
-
-def rounds_after_quiescence_to_fixpoint(trace: Trace):
-    """State-changing rounds between environment quiescence and fixpoint."""
-    cert = _certifying_round(trace)
-    if cert is None:
-        return None
-    return sum(
-        1
-        for r in trace.rounds
-        if r.number < cert.number and r.changed and r.start >= trace.quiescence_point
-    )
+    return sum(r.changed for r in trace.rounds)
 
 
 def _holders(sys: MultiAgentSystem) -> dict:
@@ -448,20 +429,6 @@ def _holders(sys: MultiAgentSystem) -> dict:
         for a in agent.hb:
             table.setdefault(a, []).append(idx)
     return table
-
-
-def convergence_model(sys: MultiAgentSystem, trace: Trace, fixpoint: int) -> frozenset:
-    """Atoms true, at the fixpoint, in the model of every agent whose
-    atom base contains them."""
-    if fixpoint is None:
-        raise ValueError("no fixpoint: convergence model undefined")
-    return _agreement(sys, trace.at(fixpoint)[1])[0]
-
-
-def non_convergent_atoms(sys: MultiAgentSystem, trace: Trace, fixpoint: int) -> frozenset:
-    """Atoms on which agents still disagree at the fixpoint; the run is
-    convergent for neither truth value on these."""
-    return _agreement(sys, trace.at(fixpoint)[1])[1]
 
 
 def _agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
@@ -478,10 +445,11 @@ def _agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
 
 
 def stabilized_environment(trace: Trace) -> frozenset:
-    """Union of all agents' EDBs at the quiescence point."""
+    """Union of all agents' EDBs at the quiescence point, which are
+    their EDBs at the last point."""
     if trace.quiescence_point is None:
         raise ValueError("environment never quiesced within the trace")
-    return frozenset().union(*(s.edb for s in trace.at(trace.quiescence_point)[0]))
+    return frozenset().union(*(s.edb for s in trace.end))
 
 
 @dataclass(frozen=True)
@@ -577,6 +545,10 @@ class Verdict:
 
     A single run can refute weak stabilization (models differ) or support
     it (they match); it never proves it over all runs.
+    ``convergence_model`` holds the atoms true, at the fixpoint, in the
+    model of every agent whose atom base contains them (None without a
+    fixpoint), and ``non_convergent`` those on which such agents still
+    disagree there.
     """
 
     fixpoint_point: object
@@ -595,7 +567,7 @@ def verdict(sys: MultiAgentSystem, trace: Trace, families=()) -> Verdict:
     fix = detect_fixpoint(trace)
     conv, disagree = None, frozenset()
     if fix is not None:
-        conv, disagree = _agreement(sys, trace.at(fix)[1])
+        conv, disagree = _agreement(sys, trace.end_models)
 
     stab = None
     reference = None

@@ -1,4 +1,4 @@
-"""Scenario definition format, built-in scenarios, and routing helpers.
+"""Scenario definition format and built-in scenarios.
 
 A scenario file has three section kinds::
 
@@ -31,13 +31,14 @@ Keys start at column zero; indented lines continue the current key.
 ``hbe``/``hin``/``edb``/``in`` take ``;``-separated patterns (ground
 atoms are patterns without variables).  Plain ``send``/``fail``/
 ``restore`` lines form the explicit replay script; ``@round N:``
-directives schedule environment changes between fair rounds.
+directives schedule environment changes between fair rounds.  The
+``output:`` key is informational: it names the predicate of the agents'
+outgoing claims, and is parsed and serialized but read by no command.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -68,11 +69,7 @@ __all__ = [
     "builtin_names",
     "load_scenario",
     "routing_scenario_text",
-    "routing_system",
     "chain_scenario",
-    "chain_system",
-    "output_projection",
-    "bfs_oracle",
     "FIG1_TOPOLOGY",
     "family_of",
 ]
@@ -148,11 +145,6 @@ class Scenario:
 
     def families(self) -> tuple:
         return tuple(family_of(p, self.domain) for p in self.track)
-
-    def project(self, agent_id: str, model) -> frozenset:
-        if self.output is None:
-            raise ScenarioError(f"scenario {self.name} declares no output predicate")
-        return output_projection(agent_id, model, self.output)
 
 
 def _atom_sets(ad: AgentDef, dom: DomainSpec) -> tuple:
@@ -515,31 +507,6 @@ FIG1_TOPOLOGY = Topology(
 )
 
 
-def bfs_oracle(t: Topology, failed=()) -> dict:
-    """All-pairs shortest hop counts on the surviving graph.
-
-    ``failed`` lists edges (either orientation) to remove.  Unreachable
-    pairs are absent from the result.
-    """
-    order = {n: i for i, n in enumerate(t.nodes)}
-    down = {(u, v) if order[u] < order[v] else (v, u) for u, v in failed}
-    adj = {n: [] for n in t.nodes}
-    for u, v in t.edges - down:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = {}
-    for source in t.nodes:
-        dist[(source, source)] = 0
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            for v in adj[u]:
-                if (source, v) not in dist:
-                    dist[(source, v)] = dist[(source, u)] + 1
-                    frontier.append(v)
-    return dist
-
-
 def routing_scenario_text(t: Topology, dmax: int = None) -> str:
     """Scenario text for the shortest-path agents on topology ``t``.
 
@@ -580,12 +547,6 @@ def routing_scenario_text(t: Topology, dmax: int = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def routing_system(t: Topology, dmax: int = None) -> MultiAgentSystem:
-    """One shortest-path agent per node, grounded at ``dmax``
-    (default: node count + 1)."""
-    return parse_scenario(routing_scenario_text(t, dmax), name="routing").build_system()
-
-
 def chain_scenario(n: int) -> Scenario:
     """The two-agent chain whose fixpoint distance grows with ``n``:
     one agent derives ``q`` from any missing ``r(x)``, the other feeds it
@@ -617,18 +578,6 @@ edb:
 in:
 """
     return parse_scenario(text, name=f"chain({n})")
-
-
-def chain_system(n: int) -> MultiAgentSystem:
-    return chain_scenario(n).build_system()
-
-
-def output_projection(agent_id: str, model, predicate: str) -> frozenset:
-    """The agent's outgoing claims: atoms of the output predicate whose
-    first argument is the agent itself."""
-    return frozenset(
-        a for a in model if a.predicate == predicate and a.args and a.args[0] == agent_id
-    )
 
 
 # ---------------------------------------------------------------------------

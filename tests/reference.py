@@ -1,0 +1,98 @@
+"""Definition-route references the tests compare the library against.
+
+Each follows the paper's definition over plain values: the atom
+dependency graph of a program, its acyclicity and the atoms relevant to
+an atom, breadth-first shortest paths on a topology, and an agent's
+outgoing claims.  The library reads the same facts off head ->
+body-atoms maps and compiled plans instead.
+"""
+
+from collections import deque
+
+from agentlog.logic import Atom, DependencyGraph, GroundProgram
+from agentlog.scenarios import Topology
+
+
+def dependency_graph(p: GroundProgram) -> DependencyGraph:
+    """An edge (a, b) for each clause for ``a`` that mentions ``b``
+    (positively or negatively) in its body; the nodes are the universe."""
+    edges = frozenset((c.head, b) for c in p.clauses for b in c.pos + c.neg)
+    return DependencyGraph(p.universe, edges)
+
+
+def successors(g: DependencyGraph) -> dict:
+    """Each node -> the nodes its edges lead to."""
+    adj = {a: [] for a in g.nodes}
+    for a, b in g.edges:
+        adj[a].append(b)
+    return adj
+
+
+def is_acyclic(g: DependencyGraph) -> bool:
+    """No directed cycle; on a finite graph this is "no infinite path"."""
+    indegree = {a: 0 for a in g.nodes}
+    adj = successors(g)
+    for a, b in g.edges:
+        indegree[b] += 1
+    queue = deque(a for a, d in indegree.items() if d == 0)
+    seen = 0
+    while queue:
+        a = queue.popleft()
+        seen += 1
+        for b in adj[a]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                queue.append(b)
+    return seen == len(g.nodes)
+
+
+def relevant_atoms(g: DependencyGraph, a: Atom) -> frozenset:
+    """Atoms reachable from ``a`` by a nonempty path.
+
+    ``a`` itself is included only when it lies on a cycle through ``a``.
+    """
+    if a not in g.nodes:
+        raise ValueError(f"unknown atom: {a}")
+    adj = successors(g)
+    reached: set = set()
+    frontier = deque(adj[a])
+    while frontier:
+        b = frontier.popleft()
+        if b in reached:
+            continue
+        reached.add(b)
+        frontier.extend(adj[b])
+    return frozenset(reached)
+
+
+def bfs_oracle(t: Topology, failed=()) -> dict:
+    """All-pairs shortest hop counts on the surviving graph.
+
+    ``failed`` lists edges (either orientation) to remove.  Unreachable
+    pairs are absent from the result.
+    """
+    order = {n: i for i, n in enumerate(t.nodes)}
+    down = {(u, v) if order[u] < order[v] else (v, u) for u, v in failed}
+    adj = {n: [] for n in t.nodes}
+    for u, v in t.edges - down:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = {}
+    for source in t.nodes:
+        dist[(source, source)] = 0
+        frontier = deque([source])
+        while frontier:
+            u = frontier.popleft()
+            for v in adj[u]:
+                if (source, v) not in dist:
+                    dist[(source, v)] = dist[(source, u)] + 1
+                    frontier.append(v)
+    return dist
+
+
+def output_projection(agent_id: str, model, predicate: str) -> frozenset:
+    """The agent's outgoing claims: atoms of the output predicate whose
+    first argument is the agent itself."""
+    return frozenset(
+        a for a in model if a.predicate == predicate and a.args and a.args[0] == agent_id
+    )

@@ -12,28 +12,22 @@ import random
 import time
 
 from agentlog.agents import EnvChange
-from agentlog.logic import atom, stable_model_acyclic, stable_models_bruteforce
+from agentlog.logic import AcyclicPlan, atom, stable_models_bruteforce
 from agentlog.runtime import (
     detect_fixpoint,
     divergence_probe,
     events_from_export,
     export_trace,
-    rounds_after_quiescence_to_fixpoint,
     rounds_to_fixpoint,
     run_fair,
     run_scripted,
     verdict,
 )
-from agentlog.scenarios import (
-    FIG1_TOPOLOGY,
-    bfs_oracle,
-    builtin_scenario,
-    chain_system,
-    output_projection,
-)
+from agentlog.scenarios import FIG1_TOPOLOGY, builtin_scenario, chain_scenario
 from agentlog.system import classify, io_graph, superagent, superagent_model
 
 from .generators import random_acyclic_program, random_program, random_system
+from .reference import bfs_oracle, output_projection
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 q = atom("q")
@@ -289,7 +283,7 @@ def test_criterion_5_stable_model_oracle_equivalence():
             p = random_acyclic_program(rng, max_atoms=12)
             models = stable_models_bruteforce(p)
             assert len(models) == 1
-            assert models[0] == stable_model_acyclic(p)
+            assert models[0] == AcyclicPlan(p).model()
 
         from agentlog.logic import is_stable_model
 
@@ -327,11 +321,10 @@ def test_criterion_6_theorem_1_and_3_property_suite():
                 )
                 fix = detect_fixpoint(trace)
                 assert fix is not None, "no fixpoint on an IO-acyclic finite system"
-                assert rounds_after_quiescence_to_fixpoint(trace) <= io_nodes + 1
+                quiet = trace.quiescence_point
+                assert sum(r.changed and r.start >= quiet for r in trace.rounds) <= io_nodes + 1
                 v = verdict(system, trace)
-                assert v.reference_model == stable_model_acyclic(
-                    union, facts=v.stabilized_edb
-                )
+                assert v.reference_model == AcyclicPlan(union).model(v.stabilized_edb)
                 assert v.convergence_model == v.reference_model
                 assert v.non_convergent == frozenset()
                 assert v.weakly_stabilizing_witnessed
@@ -362,7 +355,7 @@ def test_criterion_8_chain_non_stabilization_trend():
     with timed(10.0) as t:
         previous = -1
         for n in (2, 4, 8, 16):
-            system = chain_system(n)
+            system = chain_scenario(n).build_system()
             trace = run_fair(system, max_rounds=4 * n + 16)
             fix = detect_fixpoint(trace)
             assert fix is not None

@@ -1,4 +1,4 @@
-"""Tests for agent validation, models, dependencies, and update operators."""
+"""Tests for agent validation, models, dependencies, and event deltas."""
 
 import random
 
@@ -10,18 +10,28 @@ from agentlog.agents import (
     EnvChange,
     agent_model,
     dependency,
-    message_payload,
-    update_env,
-    update_input,
+    env_delta,
+    input_delta,
     validate_agent,
 )
 from agentlog.logic import Clause, GroundProgram, atom, stable_models_bruteforce
+from agentlog.runtime import _applied
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
 def clause(head, *body):
     return Clause(head, body)
+
+
+def sent(indb, dep, sender_model):
+    """The receiver's IN after a send: its ``input_delta`` applied."""
+    return _applied(indb, input_delta(indb, dep, sender_model))
+
+
+def sensed(edb, change, hbe):
+    """The EDB after an environment change: its ``env_delta`` applied."""
+    return _applied(edb, env_delta(edb, change, hbe))
 
 
 def agent1():
@@ -78,18 +88,19 @@ def test_dependency_unrelated_agents():
 
 
 def test_message_payload():
-    assert message_payload(frozenset([b, d, e]), frozenset([b])) == {b}
-    assert message_payload(frozenset(), frozenset([b])) == frozenset()
+    # The sender pushes its model restricted to the dependency.
+    assert input_delta(frozenset(), frozenset([b]), frozenset([b, d, e])) == ({b}, frozenset())
+    assert input_delta(frozenset(), frozenset([b]), frozenset()) == (frozenset(), frozenset())
 
 
 def test_update_input_basic():
     sp = atom("sp", "A2", "A2", 0)
     dep = frozenset(atom("sp", "A2", y, dd) for y in ("A2", "A5") for dd in range(3))
-    assert update_input(frozenset(), dep, frozenset([sp])) == {sp}
+    assert sent(frozenset(), dep, frozenset([sp])) == {sp}
 
 
 def test_update_input_noop():
-    assert update_input(frozenset([a]), frozenset(), frozenset()) == {a}
+    assert sent(frozenset([a]), frozenset(), frozenset()) == {a}
 
 
 def test_update_input_retracts_stale_claims():
@@ -99,16 +110,11 @@ def test_update_input_retracts_stale_claims():
     indb = frozenset([sp("A5", "A5", 0)])
     dep = frozenset(sp("A1", y, dd) for y in ("A1", "A2", "A3", "A5") for dd in range(21))
     payload = frozenset([sp("A1", "A1", 0), sp("A1", "A5", 2)])
-    assert update_input(indb, dep, payload) == {
+    assert sent(indb, dep, payload) == {
         sp("A5", "A5", 0),
         sp("A1", "A1", 0),
         sp("A1", "A5", 2),
     }
-
-
-def test_update_input_rejects_foreign_payload():
-    with pytest.raises(ValueError):
-        update_input(frozenset(), frozenset([a]), frozenset([b]))
 
 
 def test_update_input_idempotent():
@@ -118,23 +124,23 @@ def test_update_input_idempotent():
         indb = frozenset(x for x in pool if rng.random() < 0.5)
         dep = frozenset(x for x in pool if rng.random() < 0.5)
         payload = frozenset(x for x in dep if rng.random() < 0.5)
-        once = update_input(indb, dep, payload)
-        assert update_input(once, dep, payload) == once
+        once = sent(indb, dep, payload)
+        assert sent(once, dep, payload) == once
 
 
 def test_update_env_demo():
-    assert update_env(frozenset([d, e]), EnvChange(frozenset(), frozenset([e])), frozenset([d, e])) == {d}
+    assert sensed(frozenset([d, e]), EnvChange(frozenset(), frozenset([e])), frozenset([d, e])) == {d}
 
 
 def test_update_env_ignores_unsensed_change():
     change = EnvChange(frozenset([a]), frozenset([b]))
-    assert update_env(frozenset([c]), change, frozenset([c])) == {c}
+    assert sensed(frozenset([c]), change, frozenset([c])) == {c}
 
 
 def test_update_env_link_failure():
     l12, l14 = atom("link", "A1", "A2"), atom("link", "A1", "A4")
     change = EnvChange(frozenset(), frozenset([l12]))
-    assert update_env(frozenset([l12, l14]), change, frozenset([l12, l14])) == {l14}
+    assert sensed(frozenset([l12, l14]), change, frozenset([l12, l14])) == {l14}
 
 
 def test_update_env_senses_exactly_the_change():
@@ -146,7 +152,7 @@ def test_update_env_senses_exactly_the_change():
         t = frozenset(x for x in pool if rng.random() < 0.3)
         fset = frozenset(x for x in pool if x not in t and rng.random() < 0.3)
         change = EnvChange(t, fset)
-        new = update_env(edb, change, hbe)
+        new = sensed(edb, change, hbe)
         assert new <= hbe
         assert new & change.touched & hbe == t & hbe
 

@@ -595,6 +595,14 @@ _PINNED_OUTPUT = [
     # Named relative to tests/data, the test's working directory: the header echoes the path.
     ("run unicode-order.scenario", 0, "48bcda6ddcd88609c925bf3326835e283ae37ba9050408207a0f66ab4b82a97a"),
     ("replay unicode-order.scenario", 0, "05de67ebe74204aea6e84cc9e54713f25243550d93e39799b0fef8e388b91eba"),
+    # Runs without a fixpoint certificate: a schedule still pending at the
+    # horizon (no stabilized EDB), a quiet environment with no unchanged
+    # round yet, and sweep rows with no rounds to a fixpoint.
+    ("run example3 --max-rounds 0", 3, "7ec8eaba6fa8561e92e48818a21c88449248484a1388d5f301cab955302e32d7"),
+    ("run example3 --max-rounds 1", 3, "af76d7577f03df410a59ac8b58bf704ad159f318da7e919e7a97844217cbbd7e"),
+    ("run example3 --max-rounds 1 --format table", 3, "92ff3d21d4514b5edf58c2e9b635339574dd3d3852d3d99af53e0fc82065bb50"),
+    ("sweep chain(1) --param n --range 1:6 --max-rounds 3 --format table", 0,
+     "4daf94529742e0fe61c2cccdfff2078270bff4d0de1b298e8422814c9284bff0"),
 ]
 
 

@@ -1,8 +1,10 @@
 """Every exported name resolves: each module's ``__all__`` and every name
-the package's ``__init__`` imports, so a deletion leaves no stale export."""
+the package's ``__init__`` imports, so a deletion leaves no stale export.
+So does every site the benchmark's layer tracer patches or reads."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -35,3 +37,40 @@ def test_runtime_comm_event_is_the_agents_type():
     from agentlog import agents, runtime
 
     assert runtime.CommEvent is agents.CommEvent
+
+
+def _layertrace():
+    """``perfbench/layertrace.py``, loaded by path and left unpatched."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_sites_resolve():
+    layertrace = _layertrace()
+    sites = [site for _, *named in layertrace.SITES for site in named]
+    assert len(sites) > 10
+    missing = [f"{owner}.{attr}" for owner, attr in sites
+               if getattr(layertrace._resolve(owner), attr, None) is None]
+    assert missing == []
+
+
+def test_benchmark_counts_read_a_fair_run(example3_scenario, example3_system):
+    # The traced counts read a run's states, events and rounds, and the
+    # clauses of the agent whose model is evaluated.
+    from agentlog.runtime import agent_model, run_fair
+
+    layertrace = _layertrace()
+    trace = run_fair(example3_system, env_schedule=example3_scenario.schedule,
+                     prefix_events=example3_scenario.script)
+    counts = layertrace._counts("runtime.sim", (example3_system,), trace)
+    assert counts["points"] == len(trace.events) + 1 == len(trace.states)
+    assert counts["rounds"] == len(trace.rounds) > 0
+    assert 0 < counts["useful_sends"] <= counts["sends"] <= len(trace.events)
+    agent, state = example3_system.agents[0], trace.start[0]
+    model = agent_model(agent, state, example3_system.plans[0])
+    assert layertrace._counts("agents.model", (agent, state), model) == {
+        "clause_visits": len(agent.idb.clauses)
+    }

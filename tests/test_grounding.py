@@ -16,16 +16,16 @@ from agentlog.grounding import (
     Shift,
     Var,
     expand_pattern,
-    ground_clause,
     ground_program,
     ground_stream,
     parse_pattern,
     parse_schematic_clause,
 )
-from agentlog.logic import Atom, Clause, GroundProgram, atom, dependency_graph, is_acyclic, parse_clause
+from agentlog.logic import Atom, Clause, GroundProgram, atom, parse_clause
 from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_schematic_scenario
+from .reference import dependency_graph, is_acyclic
 
 DOM2 = DomainSpec(
     node_constants=("A1", "A2"),
@@ -40,9 +40,14 @@ def dom_at(dmax, nodes=("A1", "A2")):
     return DomainSpec(nodes, dmax, DOM2.node_vars, DOM2.int_vars, DOM2.symmetric)
 
 
+def instances(c: SchematicClause, dom: DomainSpec) -> frozenset:
+    """All ground instances of ``c`` over ``dom``."""
+    return ground_program([c], dom).clauses
+
+
 def test_fact_schema_expansion():
     c = parse_schematic_clause("sp(X,X,0).", DOM2)
-    assert ground_clause(c, DOM2) == {
+    assert instances(c, DOM2) == {
         parse_clause("sp(A1,A1,0)."),
         parse_clause("sp(A2,A2,0)."),
     }
@@ -52,7 +57,7 @@ def test_range_filter_forces_d_zero():
     c = parse_schematic_clause(
         "spt(A1,Y,X,D+1) :- link(A1,X), sp(X,Y,D), not spl(A1,Y,D+1).", dom_at(1)
     )
-    ground = ground_clause(c, dom_at(1))
+    ground = instances(c, dom_at(1))
     assert ground  # some instances survive
     for g in ground:
         assert g.head.args[3] == 1  # head always D+1 = 1
@@ -64,7 +69,7 @@ def test_constraint_enumeration_dmax2():
     c = parse_schematic_clause(
         "spl(A1,Y,D+1) :- link(A1,X), sp(X,Y,D2), D2 < D.", DOM2
     )
-    ground = ground_clause(c, DOM2)
+    ground = instances(c, DOM2)
     # D+1 <= 2 and D2 < D leave exactly (D=1, D2=0).
     assert ground
     for g in ground:
@@ -76,7 +81,7 @@ def test_constraint_enumeration_dmax2():
 
 def test_no_constraints_survive_grounding():
     c = parse_schematic_clause("spl(A1,Y,D+1) :- sp(X,Y,D2), D2 < D.", DOM2)
-    grounded = ground_clause(c, DOM2)
+    grounded = instances(c, DOM2)
     assert grounded
     for g in grounded:
         assert all(isinstance(x, Atom) for x in g.pos + g.neg)
@@ -86,7 +91,7 @@ def test_symmetric_canonicalization():
     c = parse_schematic_clause("spt(A2,Y,X,D+1) :- link(A2,X), sp(X,Y,D).", DOM2)
     links = {
         x
-        for g in ground_clause(c, DOM2)
+        for g in instances(c, DOM2)
         for x in g.pos
         if x.predicate == "link"
     }
@@ -115,16 +120,16 @@ def test_empty_program():
 def test_grounding_monotone_in_dmax():
     text = "spl(A1,Y,D+1) :- link(A1,X), sp(X,Y,D2), D2 < D."
     for k in range(1, 4):
-        small = ground_clause(parse_schematic_clause(text, dom_at(k)), dom_at(k))
-        big = ground_clause(parse_schematic_clause(text, dom_at(k + 1)), dom_at(k + 1))
+        small = instances(parse_schematic_clause(text, dom_at(k)), dom_at(k))
+        big = instances(parse_schematic_clause(text, dom_at(k + 1)), dom_at(k + 1))
         assert small <= big
 
 
 def test_routing_grounding_is_acyclic_at_dmax5():
-    from agentlog.scenarios import FIG1_TOPOLOGY, routing_system
+    from agentlog.scenarios import FIG1_TOPOLOGY
     from agentlog.system import superagent
 
-    system = routing_system(FIG1_TOPOLOGY, 5)
+    system = parse_scenario(routing_scenario_text(FIG1_TOPOLOGY, 5)).build_system()
     assert is_acyclic(dependency_graph(superagent(system)))
 
 
@@ -317,7 +322,7 @@ def full_product_expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
 
 def _agree(clauses, patterns, dom):
     for c in clauses:
-        assert ground_clause(c, dom) == full_product_ground_clause(c, dom), str(c)
+        assert instances(c, dom) == full_product_ground_clause(c, dom), str(c)
     extra = set()
     for p in patterns:
         atoms = expand_pattern(p, dom)
@@ -401,7 +406,7 @@ def test_atom_below_a_variable_it_does_not_mention():
     dom = dom_at(4, nodes=("A1", "A2", "A3"))
     c = parse_schematic_clause("spl(A1,Y,D+1) :- link(A1,X), sp(X,Y,D2+1), D2 < D.", dom)
     _agree([c], [], dom)
-    assert atom("sp", "A2", "A3", 3) in {x for g in ground_clause(c, dom) for x in g.pos}
+    assert atom("sp", "A2", "A3", 3) in {x for g in instances(c, dom) for x in g.pos}
 
 
 def test_symmetric_atom_below_a_variable_it_does_not_mention():
@@ -411,7 +416,7 @@ def test_symmetric_atom_below_a_variable_it_does_not_mention():
     c = parse_schematic_clause("far(X,D+1) :- near(X,D2), D2 < D, link(X,Y).", dom)
     _agree([c], [], dom)
     links = {}
-    for g in ground_clause(c, dom):
+    for g in instances(c, dom):
         (near,) = [x for x in g.pos if x.predicate == "near"]
         (link,) = [x for x in g.pos if x.predicate == "link"]
         links.setdefault(link, set()).add(near.args[0])

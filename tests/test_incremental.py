@@ -1,10 +1,11 @@
 """Incremental model maintenance against full evaluation and brute force.
 
-``AcyclicPlan.update`` must give, for every change of facts, the model
-``AcyclicPlan.model`` gives on the new facts.  The run tests check every
-point of seeded fair runs, whose per-event models all come from the
-incremental route (``AcyclicPlan.changes``); a mutant that re-derives
-only the direct users of the changed facts must fail them.
+``AcyclicPlan.changes`` must give, for every change of facts, the atoms
+``AcyclicPlan.model`` on the new facts gains and loses against the model
+on the old ones.  The run tests check every point of seeded fair runs,
+whose per-event models all come from that incremental route; a mutant
+that re-derives only the direct users of the changed facts must fail
+them.
 """
 
 import random
@@ -18,7 +19,6 @@ from agentlog.logic import (
     GroundProgram,
     atom,
     head_set,
-    stable_model_acyclic,
     stable_models_bruteforce,
 )
 from agentlog.runtime import run_fair
@@ -33,10 +33,21 @@ def clause(head, *body):
     return Clause(head, body)
 
 
+def _updated(plan, model, facts, new_facts):
+    """The model on ``new_facts``, from ``model`` on ``facts`` and the
+    plan's ``changes``, each checked against the difference of the two
+    full models."""
+    gained, lost = plan.changes(model, new_facts - facts, facts - new_facts)
+    want = plan.model(new_facts)
+    assert sorted(gained) == sorted(want - model)
+    assert sorted(lost) == sorted(model - want)
+    return model.difference(lost).union(gained)
+
+
 def _check_update(p, facts, new_facts):
-    model = stable_model_acyclic(p, facts)
-    got = AcyclicPlan(p).update(model, new_facts - facts, facts - new_facts)
-    assert got == stable_model_acyclic(p, new_facts)
+    plan = AcyclicPlan(p)
+    got = _updated(plan, plan.model(facts), facts, new_facts)
+    assert got == plan.model(new_facts)
     return got
 
 
@@ -48,9 +59,9 @@ def test_empty_delta_returns_the_model_itself():
     p = GroundProgram.of([clause(b, a), Clause(c, (), (b,))], [a])
     plan = AcyclicPlan(p)
     model = plan.model(frozenset([a]))
-    assert plan.update(model, frozenset(), frozenset()) is model
+    assert plan.changes(model, frozenset(), frozenset()) == ([], [])
     # An added fact that already holds changes nothing either.
-    assert plan.update(model, frozenset([a]), frozenset()) is model
+    assert plan.changes(model, frozenset([a]), frozenset()) == ([], [])
 
 
 def test_removing_a_fact_makes_a_negative_literal_true():
@@ -78,7 +89,7 @@ def test_added_fact_heading_a_clause_is_rejected():
     plan = AcyclicPlan(p)
     model = plan.model(frozenset())
     with pytest.raises(ValueError):
-        plan.update(model, frozenset([b]), frozenset())
+        plan.changes(model, frozenset([b]), frozenset())
 
 
 def test_facts_outside_the_universe_enter_and_leave_the_model():
@@ -97,8 +108,8 @@ def test_updates_match_full_evaluation_and_bruteforce_on_random_programs():
         model = plan.model(facts)
         for _ in range(6):
             new_facts = frozenset(t for t in inputs if rng.random() < 0.5)
-            model = plan.update(model, new_facts - facts, facts - new_facts)
-            assert model == stable_model_acyclic(p, new_facts)
+            model = _updated(plan, model, facts, new_facts)
+            assert model == plan.model(new_facts)
             assert [model] == stable_models_bruteforce(p.with_facts(new_facts))
             facts = new_facts
 
@@ -113,8 +124,7 @@ def _wrong_models(system, check_bruteforce=True, **run_args):
     the unique brute-force stable model (checked where the universe fits
     the cap); and how many states were brute-forced."""
     trace = run_fair(system, **run_args)
-    # Each agent's whole IDB, compiled once: ``stable_model_acyclic``
-    # without a compile per state.
+    # Each agent's whole IDB, compiled once, not once per state.
     whole = [AcyclicPlan(agent.idb) for agent in system.agents]
     full = {}
     wrong = bruteforced = 0

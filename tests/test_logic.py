@@ -7,24 +7,23 @@ import random
 import pytest
 
 from agentlog.logic import (
+    AcyclicPlan,
     Atom,
     Clause,
     CyclicProgramError,
     GroundProgram,
     atom,
-    dependency_graph,
     gl_reduct,
     head_set,
-    is_acyclic,
     is_stable_model,
     least_model,
     _arg_key,
     parse_atom,
     parse_clause,
-    relevant_atoms,
-    stable_model_acyclic,
     stable_models_bruteforce,
 )
+
+from .reference import dependency_graph, is_acyclic, relevant_atoms
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -159,7 +158,7 @@ def test_bruteforce_matches_acyclic_demo():
     p = IDB1.with_facts([c, b])
     models = stable_models_bruteforce(p)
     assert models == [frozenset([a, b, c, f])]
-    assert stable_model_acyclic(p) == models[0]
+    assert AcyclicPlan(p).model() == models[0]
 
 
 def test_bruteforce_no_model():
@@ -204,25 +203,25 @@ def test_relevant_atoms_isolated():
 
 
 def test_stable_model_acyclic_demo_states():
-    assert stable_model_acyclic(IDB1.with_facts([c])) == {c}
-    assert stable_model_acyclic(IDB2.with_facts([d, a])) == {a, b, d}
-    assert stable_model_acyclic(GroundProgram.of([])) == frozenset()
+    assert AcyclicPlan(IDB1.with_facts([c])).model() == {c}
+    assert AcyclicPlan(IDB2.with_facts([d, a])).model() == {a, b, d}
+    assert AcyclicPlan(GroundProgram.of([])).model() == frozenset()
 
 
 def test_stable_model_acyclic_facts_parameter():
-    assert stable_model_acyclic(IDB1, facts=frozenset([c, b])) == {a, b, c, f}
+    assert AcyclicPlan(IDB1).model(frozenset([c, b])) == {a, b, c, f}
 
 
 def test_stable_model_acyclic_rejects_cycles():
     with pytest.raises(CyclicProgramError):
-        stable_model_acyclic(IDB1.union(IDB2))
+        AcyclicPlan(IDB1.union(IDB2))
     with pytest.raises(CyclicProgramError):
-        stable_model_acyclic(GroundProgram.of([Clause(a, [], [a])]))
+        AcyclicPlan(GroundProgram.of([Clause(a, [], [a])]))
 
 
 def test_stable_model_acyclic_rejects_headed_facts():
     with pytest.raises(ValueError):
-        stable_model_acyclic(IDB2, facts=frozenset([b]))
+        AcyclicPlan(IDB2).model(frozenset([b]))
 
 
 def test_atom_ordering_mixed_args():

@@ -9,16 +9,16 @@ import itertools
 import random
 
 from agentlog.logic import (
+    AcyclicPlan,
     Clause,
     GroundProgram,
-    dependency_graph,
     is_stable_model,
     least_model,
-    stable_model_acyclic,
     stable_models_bruteforce,
 )
 
 from .generators import random_acyclic_program, random_program
+from .reference import dependency_graph
 
 
 def naive_is_stable(program_rows, universe, s):
@@ -69,7 +69,7 @@ def test_acyclic_programs_have_exactly_one_stable_model():
         p = random_acyclic_program(rng, max_atoms=10)
         models = stable_models_bruteforce(p)
         assert len(models) == 1
-        assert models[0] == stable_model_acyclic(p)
+        assert models[0] == AcyclicPlan(p).model()
 
 
 def test_clause_support_property():

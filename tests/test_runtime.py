@@ -13,25 +13,23 @@ from agentlog.runtime import (
     InvalidEventError,
     Trace,
     comm_transition,
-    convergence_model,
     detect_fixpoint,
     divergence_probe,
     env_transition,
     events_from_export,
     export_trace,
     initial_state,
-    non_convergent_atoms,
-    rounds_after_quiescence_to_fixpoint,
     rounds_to_fixpoint,
     run_fair,
     run_scripted,
     stabilized_environment,
     verdict,
 )
-from agentlog.scenarios import builtin_scenario, load_scenario, output_projection, parse_scenario
+from agentlog.scenarios import builtin_scenario, load_scenario, parse_scenario
 from agentlog.system import io_graph
 
 from .generators import random_system
+from .reference import output_projection
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -261,9 +259,9 @@ def test_convergence_model_single_agent():
     )
     system = build_system([spec])
     trace = run_fair(system, max_rounds=4)
-    fix = detect_fixpoint(trace)
-    assert convergence_model(system, trace, fix) == {a, c}
-    assert non_convergent_atoms(system, trace, fix) == frozenset()
+    v = verdict(system, trace)
+    assert v.convergence_model == {a, c}
+    assert v.non_convergent == frozenset()
 
 
 def test_stabilized_environment_no_changes(example3_system):
@@ -509,7 +507,7 @@ def _delta_trace(agent_ids, states, events, models) -> Trace:
                 row.append(change)
         changes.append(tuple(row))
     trace = Trace(agent_ids=agent_ids, start=states[0], start_models=models[0],
-                  events=tuple(events), changes=tuple(changes))
+                  events=tuple(events), changes=tuple(changes), end=states[-1], end_models=models[-1])
     assert (trace.states, trace.models) == (tuple(states), tuple(models))
     return trace
 
@@ -605,7 +603,7 @@ def _assert_points_match_the_fold(system, trace):
         assert trace.models[point] == tuple(
             plan.model(s.edb | s.indb) for plan, s in zip(plans, gs)
         ), point
-        assert trace.at(point) == (trace.states[point], trace.models[point])
+    assert (trace.end, trace.end_models) == (trace.states[-1], trace.models[-1])
 
 
 def test_recorded_points_match_a_fold_of_the_transitions_on_random_systems():
@@ -678,10 +676,76 @@ def test_fair_runs_converge_to_reference_on_random_acyclic_systems():
             )
             fix = detect_fixpoint(trace)
             assert fix is not None
-            assert rounds_after_quiescence_to_fixpoint(trace) <= io_nodes + 1
+            quiet = trace.quiescence_point
+            assert sum(r.changed and r.start >= quiet for r in trace.rounds) <= io_nodes + 1
             v = verdict(system, trace)
             assert v.weakly_stabilizing_witnessed
             assert v.non_convergent == frozenset()
             # Models constant from the fixpoint on.
             for k in range(fix, len(trace.states)):
                 assert trace.models[k] == trace.models[fix]
+
+
+def _fold(trace, point):
+    """``(global state, models)`` at one point, folded from the start
+    through the changes of the events before it."""
+    sets = [(set(s.edb), set(s.indb), set(m)) for s, m in zip(trace.start, trace.start_models)]
+    for changes in trace.changes[:point]:
+        for c in changes:
+            for held, (added, removed) in zip(sets[c.agent], c[1:]):
+                held -= removed
+                held |= added
+    return (
+        tuple(AgentState(frozenset(e), frozenset(i)) for e, i, _ in sets),
+        tuple(frozenset(m) for _, _, m in sets),
+    )
+
+
+def _assert_ends_at_its_fixpoint(trace) -> bool:
+    """Check the verdicts' reading of the last point against a fold of
+    the changes; whether the trace holds a fixpoint certificate."""
+    quiet = trace.quiescence_point
+    # The certificate by its definition: the first round that begins at or
+    # after the quiescence point and changed nothing.
+    certificate = None if quiet is None else next(
+        (r for r in trace.rounds if not r.changed and r.start >= quiet), None
+    )
+    last = _fold(trace, len(trace.events))
+    assert (trace.end, trace.end_models) == last
+    if certificate is None:
+        assert detect_fixpoint(trace) is None and rounds_to_fixpoint(trace) is None
+    else:
+        assert certificate is trace.rounds[-1]
+        assert detect_fixpoint(trace) == certificate.start
+        assert _fold(trace, certificate.start) == last
+        assert rounds_to_fixpoint(trace) == sum(
+            r.changed for r in trace.rounds if r.number < certificate.number
+        )
+    if quiet is not None:
+        assert [s.edb for s in _fold(trace, quiet)[0]] == [s.edb for s in trace.end]
+    return certificate is not None
+
+
+def test_a_run_ends_at_its_fixpoint():
+    # Verdicts read the last point: a fair run stops at its certificate,
+    # and only environment changes move an EDB.  Horizons 0 and 2 leave
+    # most runs uncertified, some with a schedule still pending.
+    rng = random.Random(1905)
+    seen = {True: 0, False: 0}
+    for k in range(200):
+        system, schedule = random_system(rng, io_acyclic=k % 2 == 0)
+        for policy in ("round-robin", "shuffled"):
+            for horizon in (0, 2, None):
+                trace = run_fair(system, env_schedule=schedule, max_rounds=horizon,
+                                 policy=policy, seed=k)
+                seen[_assert_ends_at_its_fixpoint(trace)] += 1
+    for name in ("example3", "routing5", "routing5-example6-script"):
+        scenario = builtin_scenario(name)
+        system = scenario.build_system()
+        seen[_assert_ends_at_its_fixpoint(run_scripted(system, scenario.script))] += 1
+        for policy in ("round-robin", "shuffled"):
+            for horizon in (0, 2, scenario.max_rounds):
+                trace = run_fair(system, env_schedule=scenario.schedule, max_rounds=horizon,
+                                 policy=policy, seed=3, prefix_events=scenario.script)
+                seen[_assert_ends_at_its_fixpoint(trace)] += 1
+    assert seen[True] > 300 and seen[False] > 300, seen

@@ -9,18 +9,21 @@ from agentlog.scenarios import (
     FIG1_TOPOLOGY,
     ScenarioError,
     Topology,
-    bfs_oracle,
     builtin_scenario,
     chain_scenario,
-    chain_system,
     load_scenario,
-    output_projection,
     parse_scenario,
     routing_scenario_text,
-    routing_system,
     serialize_scenario,
 )
 from agentlog.system import classify, superagent_model
+
+from .reference import bfs_oracle, output_projection
+
+
+def routing(t, dmax=None):
+    """The shortest-path system on ``t``, grounded at ``dmax``."""
+    return parse_scenario(routing_scenario_text(t, dmax)).build_system()
 
 
 def test_builtin_example3_matches_paper_shape(example3_system):
@@ -112,7 +115,7 @@ def test_routing_system_agent_interfaces(routing5_system):
 
 def test_routing_system_single_node():
     t = Topology(("A",), frozenset())
-    system = routing_system(t, 1)
+    system = routing(t, 1)
     trace = run_fair(system, max_rounds=3)
     fix = detect_fixpoint(trace)
     assert output_projection("A", trace.models[fix][0], "sp") == {atom("sp", "A", "A", 0)}
@@ -120,7 +123,7 @@ def test_routing_system_single_node():
 
 def test_routing_two_nodes_converge():
     t = Topology(("A", "B"), frozenset([("A", "B")]))
-    system = routing_system(t, 2)
+    system = routing(t, 2)
     trace = run_fair(system, max_rounds=6)
     fix = detect_fixpoint(trace)
     assert fix is not None
@@ -136,11 +139,11 @@ def test_routing_two_nodes_converge():
 
 def test_routing_rejects_dmax_zero():
     with pytest.raises(ScenarioError):
-        routing_system(FIG1_TOPOLOGY, 0)
+        routing(FIG1_TOPOLOGY, 0)
 
 
 def test_routing_default_dmax_is_node_count_plus_one(routing5_system):
-    system = routing_system(FIG1_TOPOLOGY)
+    system = routing(FIG1_TOPOLOGY)
     assert system.dmax == routing5_system.dmax == 6
     assert system.agents == routing5_system.agents
 
@@ -175,7 +178,7 @@ def test_bfs_oracle_disconnection():
 
 
 def test_chain_idb_expansion():
-    system = chain_system(3)
+    system = chain_scenario(3).build_system()
     from agentlog.logic import parse_clause
 
     a2 = system.agent("A2")
@@ -188,14 +191,14 @@ def test_chain_idb_expansion():
 
 
 def test_chain_bound_zero():
-    system = chain_system(0)
+    system = chain_scenario(0).build_system()
     from agentlog.logic import parse_clause
 
     assert system.agent("A2").idb.clauses == {parse_clause("r(0).")}
 
 
 def test_chain_superagent_model():
-    system = chain_system(3)
+    system = chain_scenario(3).build_system()
     model = superagent_model(system, frozenset())
     assert model == frozenset(
         {atom("r", k) for k in range(4)} | {atom("s", k) for k in range(4)}
@@ -206,7 +209,7 @@ def test_chain_superagent_model():
 def test_chain_rounds_strictly_increase():
     last = -1
     for n in (1, 2, 3, 5):
-        trace = run_fair(chain_system(n), max_rounds=40)
+        trace = run_fair(chain_scenario(n).build_system(), max_rounds=40)
         rounds = rounds_to_fixpoint(trace)
         assert rounds is not None and rounds > last
         last = rounds
@@ -222,7 +225,7 @@ def test_routing_classify_io_acyclic_for_random_topologies():
         nodes = tuple(f"N{i}" for i in range(n))
         pairs = list(itertools.combinations(nodes, 2))
         edges = frozenset(p for p in pairs if rng.random() < 0.6) or frozenset([pairs[0]])
-        system = routing_system(Topology(nodes, edges), n + 1)
+        system = routing(Topology(nodes, edges), n + 1)
         assert classify(system).io_acyclic
 
 
@@ -230,11 +233,6 @@ def test_output_projection():
     model = frozenset([atom("sp", "A1", "A5", 2), atom("sp", "A2", "A2", 0), atom("q")])
     assert output_projection("A1", model, "sp") == {atom("sp", "A1", "A5", 2)}
     assert output_projection("A9", frozenset(), "sp") == frozenset()
-
-
-def test_scenario_project_requires_output(example3_scenario):
-    with pytest.raises(ScenarioError):
-        example3_scenario.project("A1", frozenset())
 
 
 def test_load_scenario_from_file(tmp_path, example3_scenario):
@@ -257,16 +255,16 @@ def test_gl_reduct_of_routing_slice_two_nodes_bruteforce():
     # Small enough to enumerate: the brute-force oracle must find exactly
     # the model the fast path computes, and the reduct at that model must
     # be a negation-free program whose least model is the model itself.
-    from agentlog.logic import gl_reduct, least_model, stable_model_acyclic, stable_models_bruteforce
+    from agentlog.logic import AcyclicPlan, gl_reduct, least_model, stable_models_bruteforce
 
     t = Topology(("A", "B"), frozenset([("A", "B")]))
-    system = routing_system(t, 1)
+    system = routing(t, 1)
     agent = system.agent("A")
     program = agent.idb.with_facts(agent.initial.edb)
     models = stable_models_bruteforce(program)
     assert len(models) == 1
     model = models[0]
-    assert model == stable_model_acyclic(program)
+    assert model == AcyclicPlan(program).model()
     reduct = gl_reduct(program, model)
     assert not any(cl.neg for cl in reduct.clauses)
     assert least_model(reduct) == model
@@ -275,12 +273,12 @@ def test_gl_reduct_of_routing_slice_two_nodes_bruteforce():
 def test_gl_reduct_of_routing_slice_initial_state():
     # A1's grounding at dmax=2 with both links intact and no inputs: only
     # the self-route and the self spl facts are derivable.
-    from agentlog.logic import gl_reduct, is_stable_model, least_model, stable_model_acyclic
+    from agentlog.logic import AcyclicPlan, gl_reduct, is_stable_model, least_model
 
-    system = routing_system(FIG1_TOPOLOGY, 2)
+    system = routing(FIG1_TOPOLOGY, 2)
     agent = system.agent("A1")
     program = agent.idb.with_facts(agent.initial.edb)
-    model = stable_model_acyclic(program)
+    model = AcyclicPlan(program).model()
     assert model == {
         atom("link", "A1", "A2"),
         atom("link", "A1", "A4"),
@@ -311,7 +309,7 @@ def test_random_topologies_converge_to_bfs_after_one_failure():
         edges = frozenset(p for p in pairs if rng.random() < 0.5) or frozenset([pairs[0]])
         t = Topology(nodes, edges)
         dmax = n + 1
-        system = routing_system(t, dmax)
+        system = routing(t, dmax)
         dead = rng.choice(sorted(edges))
         schedule = [(2, EnvChange(frozenset(), frozenset([atom("link", *dead)])))]
         trace = run_fair(system, env_schedule=schedule, max_rounds=6 * dmax + 20)
@@ -330,7 +328,7 @@ def test_restore_event_reconnects():
     from agentlog.agents import EnvChange
 
     t = Topology(("A", "B"), frozenset([("A", "B")]))
-    system = routing_system(t, 2)
+    system = routing(t, 2)
     link = atom("link", "A", "B")
     schedule = [
         (1, EnvChange(frozenset(), frozenset([link]))),

@@ -13,10 +13,7 @@ from agentlog.logic import (
     DependencyGraph,
     GroundProgram,
     atom,
-    dependency_graph,
     head_set,
-    is_acyclic,
-    stable_model_acyclic,
     stable_models_bruteforce,
 )
 from agentlog.runtime import run_fair, verdict
@@ -25,7 +22,6 @@ from agentlog.scenarios import (
     AgentDef,
     Scenario,
     Topology,
-    bfs_oracle,
     builtin_names,
     builtin_scenario,
     chain_scenario,
@@ -47,6 +43,7 @@ from agentlog.system import (
 )
 
 from .generators import random_schematic_scenario, random_system, signed_clause
+from .reference import bfs_oracle, dependency_graph, is_acyclic, relevant_atoms, successors
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -347,8 +344,6 @@ def test_proposition_io_acyclic_implies_idb_acyclic():
 
 
 def test_io_graph_nodes_are_relevant(example3_system):
-    from agentlog.logic import dependency_graph, relevant_atoms
-
     rng = random.Random(808)
     systems = [example3_system] + [random_system(rng)[0] for _ in range(10)]
     for system in systems:
@@ -371,7 +366,7 @@ def test_superagent_projection_consistent_with_agents():
     for _ in range(60):
         system, _ = random_system(rng, io_acyclic=True)
         env = initial_edb(system)
-        reference = stable_model_acyclic(superagent(system), facts=env)
+        reference = AcyclicPlan(superagent(system)).model(env)
         for spec in system.agents:
             state = AgentState(env & spec.hbe, reference & spec.hin)
             assert agent_model(spec, state) == reference & (spec.hb)
@@ -382,7 +377,7 @@ def _definition_io(system):
     superagent program, its full dependency graph, restriction to the
     atoms reachable from an input atom."""
     g = dependency_graph(superagent(system))
-    adj = g.successors()
+    adj = successors(g)
     keep = set().union(*(s.hin for s in system.agents)) & g.nodes
     frontier = list(keep)
     while frontier:
@@ -615,7 +610,7 @@ def _union_oracle(system, edb):
     brute force; NoUniqueModelError when it has none or several."""
     program = superagent(system)
     if is_acyclic(dependency_graph(program)):
-        return stable_model_acyclic(program, facts=edb)
+        return AcyclicPlan(program).model(edb)
     models = stable_models_bruteforce(program.with_facts(edb))
     if len(models) != 1:
         raise NoUniqueModelError(f"{len(models)} stable models")
@@ -636,7 +631,7 @@ def test_superagent_model_matches_union_program_on_random_systems():
         program = superagent(system)
         combined = program.with_facts(edb)
         if is_acyclic(dependency_graph(program)):
-            assert superagent_model(system, edb) == stable_model_acyclic(program, facts=edb)
+            assert superagent_model(system, edb) == AcyclicPlan(program).model(edb)
             acyclic += 1
             heads = [h for s in system.agents for h in s.heads]
             shared += len(heads) > len(set(heads))
@@ -771,7 +766,7 @@ def test_a_head_whose_clauses_are_all_dead_reads_false_and_is_no_fact(routing5_s
         for call in (
             lambda: superagent_model(s, frozenset([dead])),
             lambda: plan.model(frozenset([dead])),
-            lambda: plan.update(plan.model(), frozenset([dead])),
+            lambda: plan.changes(plan.model(), frozenset([dead])),
         ):
             with pytest.raises(ValueError, match="fact atoms may not head clauses"):
                 call()
