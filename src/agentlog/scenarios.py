@@ -39,8 +39,10 @@ outgoing claims, and is parsed and serialized but read by no command.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
 from .agents import AgentSpec, AgentState, AgentTables, CommEvent, EnvChange
 from .grounding import (
@@ -188,11 +190,14 @@ _AGENT_KEYS = ("idb", "hbe", "hin", "edb", "in")
 _DOMAIN_KEYS = ("nodes", "dmax", "var node", "var int", "symmetric", "output")
 
 
-def _split_statements(text: str):
-    for part in text.split("."):
-        part = part.strip()
-        if part:
-            yield part + "."
+def _split_statements(lines):
+    """Each ``.``-ended statement of the ``(line_no, text)`` lines, which
+    may span lines, with the line it starts on; a last statement without
+    its ``.`` gets one."""
+    text = " ".join(v for _, v in lines)
+    ends = list(accumulate(len(v) + 1 for _, v in lines))
+    for m in re.finditer(r"[^.\s][^.]*", text):
+        yield lines[bisect_right(ends, m.start())][0], m.group().rstrip() + "."
 
 
 def _split_items(text: str):
@@ -333,13 +338,11 @@ def _parse_agent(agent_id, lines, dom):
         return tuple(out)
 
     clauses = []
-    idb_text = " ".join(v for _, v in values.get("idb", []))
-    first_line = values["idb"][0][0] if values.get("idb") else None
-    for stmt in _split_statements(idb_text):
+    for line_no, stmt in _split_statements(values.get("idb", [])):
         try:
             clauses.append(parse_schematic_clause(stmt, dom))
         except GroundingError as exc:
-            raise ScenarioError(f"agent {agent_id}: {exc}", first_line) from None
+            raise ScenarioError(f"agent {agent_id}: {exc}", line_no) from None
 
     return AgentDef(
         id=agent_id,

@@ -9,11 +9,13 @@ hypotheses of the stabilization guarantees.  A system is assembled from
 ``AgentSpec``s, ``AgentTables`` or both, and reads that graph once, off
 the union of the agents' head -> body-atoms maps.  It keeps its I/O
 atoms, the atoms that reach a cycle, and the order in which its heads
-peel off.  On the first model evaluation it compiles one plan per
-agent, of the clauses that can fire in some state of a run.  The
-reference model of an acyclic union is read through those plans in peel
-order; the superagent program itself is built only when the union is
-cyclic.  Both need ``AgentSpec``s.
+peel off.  On first use it builds the union rule base as one table,
+each head -> every agent's clauses for it; the live atoms, the reference
+model of an acyclic union (read off the table in peel order) and, on
+the first model evaluation, one plan per agent of the clauses that can
+fire in some state of a run all come from it.  The superagent program
+itself is built only when the union is cyclic.  All of these need
+``AgentSpec``s.
 
 Validation reads the assembled system: its cyclic atoms, its environment
 atoms and each agent's tables.  The union rule base is well defined only
@@ -30,7 +32,6 @@ system.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,7 +79,7 @@ class MultiAgentSystem:
     ``order`` the other heads of the union, each after the heads in its
     clauses' bodies; all three come from the union of the agents'
     ``deps``, which is not kept.  Of an agent, only ``id``, ``deps``,
-    ``heads``, ``hbe`` and ``hin`` are read, until ``plans`` is.
+    ``heads``, ``hbe`` and ``hin`` are read, until ``rules`` is.
     """
 
     def __init__(self, agents, dmax=None):
@@ -111,18 +112,27 @@ class MultiAgentSystem:
         return self._deps.get((receiver_id, sender_id), frozenset())
 
     @cached_property
+    def rules(self) -> dict:
+        """The union rule table: each head of the union rule base -> every
+        agent's clauses for it, built on first use.  Needs ``AgentSpec``s."""
+        rules = {}
+        for a in self.agents:
+            for c in a.idb.clauses:
+                rules.setdefault(c[0], []).append(c)
+        return rules
+
+    @cached_property
     def plans(self) -> tuple:
         """Each agent's compiled IDB, in agent order, built on first use,
-        of the clauses that can fire when every fact is an environment or
-        input atom (see ``_live_atoms``).  Needs ``AgentSpec``s."""
+        of its clauses whose positive body atoms are all live (see
+        ``_live_atoms``); facts may not be any head of its whole IDB."""
         agents = self.agents
         base = self.env_atoms.union(*(a.hin for a in agents))
-        live = base.union(*(a.heads for a in agents))
-        # In an acyclic union whose every atom is a base atom or a head,
-        # every head is live: by induction along ``order``.
-        if self.cyclic or not all(a.idb.universe <= live for a in agents):
-            live = _live_atoms(agents, base, self.order + tuple(self.cyclic))
-        return tuple(_live_plan(a, live) for a in agents)
+        live = _live_atoms(self.rules, base, self.order + tuple(self.cyclic))
+        return tuple(
+            AcyclicPlan(GroundProgram.of(c for c in a.idb.clauses if live.issuperset(c[1])), a.heads)
+            for a in agents
+        )
 
 
 def system_violations(system: MultiAgentSystem) -> list:
@@ -206,37 +216,26 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
     """The reference model: stable model of ``IDB_all + EDB``.
 
     An acyclic union is evaluated in one pass over ``sys.order``: a head
-    is true when some clause of some agent that defines it fires, read
-    from that agent's plan in ``sys.plans``.  A plan drops the clauses
-    that cannot fire when every fact is an environment or input atom,
-    so a head none of whose clauses is in a plan is false, and a fact
-    outside the environment atoms is refused.  Every definer is tried,
-    as the agents of an unvalidated system may define a shared head
-    differently.  Otherwise the superagent program is built: a
-    negation-free one still has a unique stable model (its least model),
-    and the rest are tried by brute force up to ``BRUTEFORCE_CAP`` atoms;
-    several or zero models raise NoUniqueModelError.
+    is true when some clause for it in ``sys.rules`` fires, whichever
+    agent's it is, as the agents of an unvalidated system may define a
+    shared head differently.  A fact may not head a clause, and a fact
+    outside the environment atoms is refused.  Otherwise the superagent
+    program is built: a negation-free one still has a unique stable model
+    (its least model), and the rest are tried by brute force up to
+    ``BRUTEFORCE_CAP`` atoms; several or zero models raise
+    NoUniqueModelError.
     """
     if not sys.cyclic:
-        plans = sys.plans
-        clash = [f for f in stabilized_edb if any(f in p.heads for p in plans)]
+        rules = sys.rules
+        clash = [f for f in stabilized_edb if f in rules]
         if clash:
             raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
         outside = stabilized_edb - sys.env_atoms
         if outside:
             raise ValueError(f"stabilized EDB outside the environment atoms: {_few(outside)}")
-        definitions = {}
-        for p in plans:
-            atoms = p.atoms
-            for h, clauses in p.by_head.items():
-                definitions.setdefault(atoms[h], []).append((atoms, clauses))
         true = set(stabilized_edb)
         for h in sys.order:
-            if any(
-                all(atoms[i] in true for i in pos) and not any(atoms[i] in true for i in neg)
-                for atoms, clauses in definitions.get(h, ())
-                for pos, neg in clauses
-            ):
+            if any(true.issuperset(pos) and true.isdisjoint(neg) for _, pos, neg in rules[h]):
                 true.add(h)
         return frozenset(true)
     combined = superagent(sys).with_facts(stabilized_edb)
@@ -254,36 +253,22 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
     )
 
 
-def _live_atoms(agents, base: frozenset, heads) -> frozenset:
-    """The least model of the agents' union rule base with every negated
-    body atom dropped and every atom of ``base`` a fact.  In a state
-    whose facts are all in ``base``, every agent's model and the union's
-    lie inside it, so a clause with a positive body atom outside it
-    fires in none of them.  ``heads`` lists the union's heads, as far as
-    it can each after the heads in its clauses' bodies: then one pass
+def _live_atoms(rules: dict, base: frozenset, heads) -> frozenset:
+    """The least model of the union rule table ``rules`` with every
+    negated body atom dropped and every atom of ``base`` a fact.  In a
+    state whose facts are all in ``base``, every agent's model and the
+    union's lie inside it, so a clause with a positive body atom outside
+    it fires in none of them.  ``heads`` lists the union's heads, as far
+    as it can each after the heads in its clauses' bodies: then one pass
     over them finds every head that holds, and one more finds none."""
-    bodies = defaultdict(list)
-    for a in agents:
-        for head, pos, _ in a.idb.clauses:
-            bodies[head].append(pos)
     true = set(base)
     size = None
     while size != len(true):
         size = len(true)
         for h in heads:
-            if h not in true and any(map(true.issuperset, bodies[h])):
+            if h not in true and any(true.issuperset(c[1]) for c in rules[h]):
                 true.add(h)
     return frozenset(true)
-
-
-def _live_plan(a: AgentSpec, live: frozenset) -> AcyclicPlan:
-    """The plan of ``a``'s clauses whose positive body atoms are all in
-    ``live``; facts may not be any head of its whole IDB.  When every
-    atom of the IDB is live, it is compiled whole, with no clause read."""
-    if a.idb.universe <= live:
-        return AcyclicPlan(a.idb)
-    kept = GroundProgram.of(c for c in a.idb.clauses if live.issuperset(c[1]))
-    return AcyclicPlan(kept, a.heads)
 
 
 def _union_dependencies(agents) -> dict:

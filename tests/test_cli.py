@@ -55,7 +55,7 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, where", [
-    ("sp(X,Y,D2), D2 < D.", "sp(X,Y,D2), D2 < X.", "line 11: agent A1: "),
+    ("sp(X,Y,D2), D2 < D.", "sp(X,Y,D2), D2 < X.", "line 15: agent A1: "),
     ("hin: sp(A2,Y,D) where Y != A1;", "hin: sp(A2,Y,D) where Y < D;", "line 17: "),
 ], ids=("clause", "where"))
 def test_less_than_between_integer_and_node_rejected(tmp_path, capsys, old, new, where):
@@ -67,6 +67,20 @@ def test_less_than_between_integer_and_node_rejected(tmp_path, capsys, old, new,
     assert (code, out) == (2, "")
     assert err.startswith(f"agentlog: error: {where}'<' between an integer and a node")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("sp(A1,A1,0).", "sp(A1,A1,Z).", 11),
+    ("not spl(A1,Y,D+1).", "not spl(A1,Z,D+1).", 13),
+    ("sp(A1,Y,D) :- spt(A1,Y,X,D).", "sp(A1,Y,D) :-\n    spt(A1,Z,X,D).", 12),
+], ids=("first", "middle", "two-line"))
+def test_a_clause_error_names_the_line_the_clause_starts_on(tmp_path, capsys, old, new, line):
+    text = (Path(agentlog.__file__).parent / "data" / "routing5.scenario").read_text()
+    assert old in text
+    bad = tmp_path / "undeclared.scenario"
+    bad.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert (code, out, err) == (2, "", f"agentlog: error: line {line}: agent A1: undeclared symbol: 'Z'\n")
 
 
 _PROBE_INVALID = {
@@ -724,7 +738,7 @@ def test_run_compiles_one_plan_per_agent(monkeypatch, capsys, tmp_path, name):
 def test_analyze_compiles_no_plan(monkeypatch, capsys):
     _, expected, _ = run_cli(capsys, "analyze", "routing5-example6-script")
 
-    def refuse(self, p):
+    def refuse(*args):
         raise AssertionError("an AcyclicPlan was compiled")
 
     monkeypatch.setattr(AcyclicPlan, "__init__", refuse)

@@ -13,7 +13,9 @@ from agentlog.logic import (
     DependencyGraph,
     GroundProgram,
     atom,
+    gl_reduct,
     head_set,
+    least_model,
     stable_models_bruteforce,
 )
 from agentlog.runtime import run_fair, verdict
@@ -36,8 +38,6 @@ from agentlog.system import (
     classify,
     io_graph,
     superagent,
-    _live_atoms,
-    _live_plan,
     superagent_model,
     system_violations,
 )
@@ -699,15 +699,15 @@ def test_superagent_model_rejects_a_fact_that_heads_a_clause(routing5_system):
 
 
 def test_reference_model_compiles_nothing_new(monkeypatch):
-    # On an acyclic union the verdict reads the agents' own plans: no
-    # further plan is compiled and the superagent program is not built.
+    # After a run of an acyclic union, the verdict compiles no further
+    # plan and does not build the superagent program.
     scenario = builtin_scenario("routing5")
     system = scenario.build_system()
     trace = run_fair(system, env_schedule=scenario.schedule, max_rounds=scenario.max_rounds)
     initial = initial_edb(system)
 
     def refuse(*args):
-        raise AssertionError("built beyond the agents' own plans")
+        raise AssertionError("built beyond the agents' plans and the union rule table")
 
     with monkeypatch.context() as m:
         m.setattr(AcyclicPlan, "__init__", refuse)
@@ -718,33 +718,68 @@ def test_reference_model_compiles_nothing_new(monkeypatch):
     assert v.reference_model == _union_oracle(system, v.stabilized_edb) == v.convergence_model
 
 
-def _relaxation_pitfall():
-    """A reads p, which B derives from what it senses but which is not an
-    input of A: p never holds for A, yet it holds in the union."""
-    p, h = atom("p"), atom("h")
-    one = AgentSpec("A", GroundProgram.of([clause(h, p)]))
-    two = AgentSpec("B", GroundProgram.of([clause(p, e)], [e]), hbe=frozenset([e]))
-    return build_system([one, two])
+@pytest.mark.parametrize("ref", ["routing5", "ring6", "chain(12)"])
+def test_reference_model_of_a_fresh_system_compiles_no_plan(monkeypatch, ref):
+    # The acyclic reference model reads the union rule table alone: on a
+    # system that has evaluated no model yet, no plan is compiled for it
+    # and the superagent program is not built.
+    system = _scenario(ref).build_system()
+    initial = initial_edb(system)
+    expected = _union_oracle(system, initial)
+
+    def refuse(*args):
+        raise AssertionError("built beyond the union rule table")
+
+    with monkeypatch.context() as m:
+        m.setattr(AcyclicPlan, "__init__", refuse)
+        m.setattr("agentlog.system.superagent", refuse)
+        assert not system.cyclic
+        assert superagent_model(system, initial) == expected
 
 
-def _check_reference_reads_the_union(system):
-    for edb in (frozenset(), system.env_atoms):
-        assert superagent_model(system, edb) == _union_oracle(system, edb)
+def _plan_clauses(plan):
+    """The ground clauses a plan was compiled from, read off its layout."""
+    atoms = plan.atoms
+
+    def read(ids):
+        return tuple(atoms[i] for i in ids)
+
+    return {Clause(atoms[h], read(pos), read(neg)) for h, cs in plan.by_head.items() for pos, neg in cs}
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [name for name in builtin_names() if name != "chain(N)"]
+    + [f"chain({n})" for n in range(1, 13)]
+    + [f"ring{n}" for n in range(4, 9)],
+)
+def test_plans_hold_the_clauses_live_in_the_positive_relaxation(ref):
+    # The live atoms are, by the definition, the least model of the
+    # superagent program with negation dropped (its reduct by the empty
+    # set) and every environment and input atom a fact.
+    system = _scenario(ref).build_system()
+    base = system.env_atoms.union(*(a.hin for a in system.agents))
+    live = least_model(gl_reduct(superagent(system).with_facts(base), frozenset()))
+    for a, plan in zip(system.agents, system.plans):
+        kept = {c for c in a.idb.clauses if live.issuperset(c.pos)}
+        assert _plan_clauses(plan) == kept
+        assert plan.heads == a.heads
+        if ref.startswith("chain") or ref == "example3":
+            assert kept == a.idb.clauses
 
 
 def test_plans_keep_clauses_that_read_a_head_of_another_agent():
-    system = _relaxation_pitfall()
-    _check_reference_reads_the_union(system)
-    assert superagent_model(system, frozenset([e])) == {e, atom("p"), atom("h")}
-
-
-def test_per_agent_relaxation_mutant_fails_the_union_check(monkeypatch):
-    def per_agent(system):
-        return tuple(_live_plan(a, _live_atoms([a], a.hbe | a.hin, a.heads)) for a in system.agents)
-
-    monkeypatch.setattr(MultiAgentSystem, "plans", property(per_agent))
-    with pytest.raises(AssertionError):
-        _check_reference_reads_the_union(_relaxation_pitfall())
+    # A reads p, which B derives from what it senses but which is not an
+    # input of A: p never holds for A, yet it holds in the union, so A's
+    # clause is live.
+    p, h = atom("p"), atom("h")
+    one = AgentSpec("A", GroundProgram.of([clause(h, p)]))
+    two = AgentSpec("B", GroundProgram.of([clause(p, e)], [e]), hbe=frozenset([e]))
+    system = build_system([one, two])
+    assert _plan_clauses(system.plans[0]) == one.idb.clauses
+    for edb in (frozenset(), system.env_atoms):
+        assert superagent_model(system, edb) == _union_oracle(system, edb)
+    assert superagent_model(system, frozenset([e])) == {e, p, h}
 
 
 def _dead_heads(system):
