@@ -34,10 +34,8 @@ from .runtime import (
     AgentChange,
     Trace,
     Verdict,
-    comm_transition,
     detect_fixpoint,
     divergence_probe,
-    env_transition,
     export_trace,
     run_fair,
     run_scripted,

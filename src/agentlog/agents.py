@@ -139,17 +139,14 @@ def _few(atoms) -> str:
     return listed + (", ..." if len(atoms) > 4 else "")
 
 
-def agent_model(a: AgentSpec, s: AgentState, plan: AcyclicPlan = None) -> frozenset:
+def agent_model(a: AgentSpec, s: AgentState, plan: AcyclicPlan) -> frozenset:
     """Stable model of ``IDB + EDB + IN`` at state ``s``.
 
     Sensed and received atoms head no IDB clause, so adding them as facts
-    preserves acyclicity and the model is unique.  ``plan`` is the
-    agent's compiled IDB, such as its system's, which holds only the
-    clauses that can fire in a state the system reaches; without one the
-    whole IDB is compiled.
+    preserves acyclicity and the model is unique.  ``plan`` is agent
+    ``a``'s compiled IDB, such as its system's, which holds only the
+    clauses that can fire in a state the system reaches.
     """
-    if plan is None:
-        plan = AcyclicPlan(a.idb)
     return plan.model(s.edb | s.indb)
 
 

@@ -16,10 +16,12 @@ the test suite:
 * the definition-following route: ``gl_reduct`` + ``least_model`` give
   ``is_stable_model``, and ``stable_models_bruteforce`` enumerates every
   candidate interpretation;
-* the fast route for acyclic programs: ``AcyclicPlan(p)`` compiles the
-  program once (atom table, clauses as index tuples, heads in topological
-  order of the atom dependency graph), and its ``model`` evaluates each
-  head once, in that order;
+* the fast route for acyclic programs: ``AcyclicPlan(clauses)`` groups
+  the clauses by head and puts the heads in topological order of the atom
+  dependency graph, once, and its ``model`` evaluates each head once, in
+  that order, by ``_derive``: a head holds when some clause for it fires.
+  The superagent reference model of an acyclic union is the same pass
+  over the system's union rule table;
 * the incremental route for acyclic programs: the plan's ``changes``
   reads, off the model for one set of facts, the atoms the model for
   another gains and loses, by re-deriving, in the same order, only the
@@ -380,48 +382,40 @@ def _peel(deps: dict) -> tuple:
 
 
 class AcyclicPlan:
-    """An acyclic ground program compiled for evaluation.
+    """An acyclic ground program compiled for evaluation, from its clauses.
 
-    ``atoms`` is the universe in sort order and ``index`` maps each atom
-    to its position there.  ``by_head`` maps a head's index to its
-    clauses, each a ``(positive, negative)`` pair of body index tuples.
-    ``sequence`` lists the head indices in topological order, every head
-    after the heads it depends on.  ``heads`` is the set of atoms that
-    facts may not be: the program's heads, or the ``heads`` passed in,
-    which for a program that keeps only the live clauses of a larger one
-    are the larger one's.  ``users[i]`` holds the positions in
-    ``sequence`` of the heads whose clauses mention atom ``i``.
+    ``by_head`` maps each head to its clauses, as
+    ``MultiAgentSystem.rules`` does.  ``sequence`` lists the heads in
+    ``_peel`` order, every head after the heads it depends on.  ``heads``
+    is the set of atoms that facts may not be: the program's heads, or
+    the ``heads`` passed in, which for a program that keeps only the live
+    clauses of a larger one are the larger one's.  ``users[a]`` holds the
+    positions in ``sequence`` of the heads whose clauses mention atom
+    ``a``; an atom no clause mentions has no entry.
 
     Raises CyclicProgramError when the atom dependency graph has a cycle.
     """
 
-    __slots__ = ("atoms", "index", "by_head", "sequence", "heads", "users")
+    __slots__ = ("by_head", "sequence", "heads", "users")
 
-    def __init__(self, p: GroundProgram, heads: frozenset = None):
-        atoms = tuple(sorted(p.universe, key=Atom.sort_key))
-        index = dict(zip(atoms, range(len(atoms))))
-        at = index.__getitem__
-        by_head: dict = defaultdict(list)
-        for head, pos, neg in p.clauses:
-            by_head[at(head)].append((tuple(map(at, pos)), tuple(map(at, neg))))
-
-        flat = chain.from_iterable
-        bodies = {h: set(flat(flat(cs))) for h, cs in by_head.items()}
-        sequence, cyclic = _peel(bodies)
+    def __init__(self, clauses: Iterable[Clause], heads: frozenset = None):
+        by_head = {}
+        deps, sink = _dependency_sink()
+        for c in clauses:
+            by_head.setdefault(c[0], []).append(c)
+            sink(*c)
+        sequence, cyclic = _peel(deps)
         if cyclic:
-            listed = sorted(atoms[h] for h in cyclic)[:3]
-            raise CyclicProgramError("cycle through " + ", ".join(map(str, listed)))
+            raise CyclicProgramError("cycle through " + ", ".join(map(str, sorted(cyclic)[:3])))
 
-        users = [[] for _ in atoms]
+        users = {}
         for k, h in enumerate(sequence):
-            for i in bodies[h]:
-                users[i].append(k)
-        self.atoms = atoms
-        self.index = index
-        self.by_head = {h: tuple(cs) for h, cs in by_head.items()}
+            for b in deps[h]:
+                users.setdefault(b, []).append(k)
+        self.by_head = by_head
         self.sequence = sequence
-        self.heads = frozenset(atoms[h] for h in sequence) if heads is None else heads
-        self.users = tuple(map(tuple, users))
+        self.heads = frozenset(sequence) if heads is None else heads
+        self.users = users
 
     def model(self, facts: Interpretation = frozenset()) -> Interpretation:
         """The unique stable model of the program extended with ``facts``,
@@ -433,20 +427,7 @@ class AcyclicPlan:
         clash = facts & self.heads
         if clash:
             raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
-        atoms, index, by_head = self.atoms, self.index, self.by_head
-        truth = bytearray(len(atoms))
-        for f in facts:
-            i = index.get(f)
-            if i is not None:
-                truth[i] = 1
-        for h in self.sequence:
-            for pos, neg in by_head[h]:
-                if all(truth[i] for i in pos) and not any(truth[i] for i in neg):
-                    truth[h] = 1
-                    break
-        model = set(facts)
-        model.update(a for a, t in zip(atoms, truth) if t)
-        return frozenset(model)
+        return frozenset(_derive(set(facts), self.sequence, self.by_head))
 
     def changes(
         self,
@@ -473,42 +454,53 @@ class AcyclicPlan:
         if not gained and not lost:
             return gained, lost
 
-        atoms, index, by_head = self.atoms, self.index, self.by_head
-        sequence, users = self.sequence, self.users
-        flipped = {}  # atom index -> truth after the update, for atoms that changed
+        by_head, sequence, users = self.by_head, self.sequence, self.users
+        flipped = {}  # atom -> truth after the update, for atoms that changed
         queued = set()  # plan positions of the heads to re-derive
         for changed, value in ((gained, True), (lost, False)):
             for a in changed:
-                i = index.get(a)
-                if i is not None:
-                    flipped[i] = value
-                    queued.update(users[i])
+                flipped[a] = value
+                queued.update(users.get(a, ()))
         queue = sorted(queued)  # a sorted list is a heap
 
         while queue:
             h = sequence[heappop(queue)]
             now = False
-            for pos, neg in by_head[h]:
-                for i in pos:
-                    t = flipped.get(i)
-                    if not (atoms[i] in model if t is None else t):
+            for _, pos, neg in by_head[h]:
+                for b in pos:
+                    t = flipped.get(b)
+                    if not (b in model if t is None else t):
                         break
                 else:
-                    for i in neg:
-                        t = flipped.get(i)
-                        if atoms[i] in model if t is None else t:
+                    for b in neg:
+                        t = flipped.get(b)
+                        if b in model if t is None else t:
                             break
                     else:
                         now = True
                         break
-            if now != (atoms[h] in model):
+            if now != (h in model):
                 flipped[h] = now
-                (gained if now else lost).append(atoms[h])
-                for k in users[h]:
+                (gained if now else lost).append(h)
+                for k in users.get(h, ()):
                     if k not in queued:
                         queued.add(k)
                         heappush(queue, k)
         return gained, lost
+
+
+def _derive(true: set, order, rules: dict) -> set:
+    """Add to ``true`` each head of ``order`` for which some clause in
+    ``rules[head]`` fires, in that order, and return it.  When every head
+    comes after the heads in its clauses' bodies and no atom of ``true``
+    heads a clause, ``true`` ends as the unique stable model of the
+    clauses with its atoms as facts."""
+    for h in order:
+        for _, pos, neg in rules[h]:
+            if true.issuperset(pos) and true.isdisjoint(neg):
+                true.add(h)
+                break
+    return true
 
 
 # ---------------------------------------------------------------------------

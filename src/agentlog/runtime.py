@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, env_delta, input_delta
+from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, env_delta
 from .logic import Atom, parse_atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
 from .system import superagent  # noqa: F401  perfbench/layertrace.py traces it here
@@ -50,8 +50,6 @@ __all__ = [
     "DivergenceReport",
     "InvalidEventError",
     "initial_state",
-    "env_transition",
-    "comm_transition",
     "run_scripted",
     "run_fair",
     "detect_fixpoint",
@@ -182,15 +180,6 @@ def _env_deltas(sys: MultiAgentSystem, change: EnvChange, edbs):
             yield i, delta
 
 
-def env_transition(sys: MultiAgentSystem, gs: tuple, change: EnvChange) -> tuple:
-    """Every agent sensing part of the change updates its EDB; the rest
-    keep their state untouched (inputs never move here)."""
-    nxt = list(gs)
-    for i, delta in _env_deltas(sys, change, [s.edb for s in gs]):
-        nxt[i] = AgentState(_applied(gs[i].edb, delta), gs[i].indb)
-    return tuple(nxt)
-
-
 def _send_dependency(sys: MultiAgentSystem, sender: str, receiver: str) -> frozenset:
     """The atoms the receiver takes from the sender; InvalidEventError for
     an unknown agent or a receiver that takes none."""
@@ -201,19 +190,6 @@ def _send_dependency(sys: MultiAgentSystem, sender: str, receiver: str) -> froze
             raise InvalidEventError(f"unknown agent {unknown[0]}")
         raise InvalidEventError(f"{receiver} does not depend on {sender}")
     return dep
-
-
-def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str) -> tuple:
-    """The sender pushes its dependency slice, computed from its current
-    state, and the receiver replaces that slice of its input database."""
-    dep = _send_dependency(sys, sender, receiver)
-    s_idx, r_idx = sys.index(sender), sys.index(receiver)
-    sender_model = agent_model(sys.agents[s_idx], gs[s_idx], sys.plans[s_idx])
-    old = gs[r_idx]
-    delta = input_delta(old.indb, dep, sender_model)
-    if not delta[0] and not delta[1]:
-        return gs
-    return gs[:r_idx] + (AgentState(old.edb, _applied(old.indb, delta)),) + gs[r_idx + 1:]
 
 
 class _Recorder:

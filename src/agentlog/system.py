@@ -11,11 +11,12 @@ the union of the agents' head -> body-atoms maps.  It keeps its I/O
 atoms, the atoms that reach a cycle, and the order in which its heads
 peel off.  On first use it builds the union rule base as one table,
 each head -> every agent's clauses for it; the live atoms, the reference
-model of an acyclic union (read off the table in peel order) and, on
-the first model evaluation, one plan per agent of the clauses that can
-fire in some state of a run all come from it.  The superagent program
-itself is built only when the union is cyclic.  All of these need
-``AgentSpec``s.
+model of an acyclic union and, on the first model evaluation, one plan
+per agent of the clauses that can fire in some state of a run all come
+from it.  A plan groups its clauses by head the same way, and the
+reference model and a plan's model are the one pass ``logic._derive``
+over such a table, in peel order.  The superagent program itself is
+built only when the union is cyclic.  All of these need ``AgentSpec``s.
 
 Validation reads the assembled system: its cyclic atoms, its environment
 atoms and each agent's tables.  The union rule base is well defined only
@@ -41,6 +42,7 @@ from .logic import (
     AcyclicPlan,
     DependencyGraph,
     GroundProgram,
+    _derive,
     _peel,
     least_model,
     stable_models_bruteforce,
@@ -130,7 +132,7 @@ class MultiAgentSystem:
         base = self.env_atoms.union(*(a.hin for a in agents))
         live = _live_atoms(self.rules, base, self.order + tuple(self.cyclic))
         return tuple(
-            AcyclicPlan(GroundProgram.of(c for c in a.idb.clauses if live.issuperset(c[1])), a.heads)
+            AcyclicPlan([c for c in a.idb.clauses if live.issuperset(c[1])], a.heads)
             for a in agents
         )
 
@@ -215,15 +217,15 @@ def superagent(sys: MultiAgentSystem) -> GroundProgram:
 def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozenset:
     """The reference model: stable model of ``IDB_all + EDB``.
 
-    An acyclic union is evaluated in one pass over ``sys.order``: a head
-    is true when some clause for it in ``sys.rules`` fires, whichever
-    agent's it is, as the agents of an unvalidated system may define a
-    shared head differently.  A fact may not head a clause, and a fact
-    outside the environment atoms is refused.  Otherwise the superagent
-    program is built: a negation-free one still has a unique stable model
-    (its least model), and the rest are tried by brute force up to
-    ``BRUTEFORCE_CAP`` atoms; several or zero models raise
-    NoUniqueModelError.
+    An acyclic union is evaluated by ``_derive``, the one pass a plan's
+    ``model`` makes, over ``sys.order`` and ``sys.rules``: a head is true
+    when some clause for it fires, whichever agent's it is, as the agents
+    of an unvalidated system may define a shared head differently.  A
+    fact may not head a clause, and a fact outside the environment atoms
+    is refused.  Otherwise the superagent program is built: a
+    negation-free one still has a unique stable model (its least model),
+    and the rest are tried by brute force up to ``BRUTEFORCE_CAP`` atoms;
+    several or zero models raise NoUniqueModelError.
     """
     if not sys.cyclic:
         rules = sys.rules
@@ -233,11 +235,7 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
         outside = stabilized_edb - sys.env_atoms
         if outside:
             raise ValueError(f"stabilized EDB outside the environment atoms: {_few(outside)}")
-        true = set(stabilized_edb)
-        for h in sys.order:
-            if any(true.issuperset(pos) and true.isdisjoint(neg) for _, pos, neg in rules[h]):
-                true.add(h)
-        return frozenset(true)
+        return frozenset(_derive(set(stabilized_edb), sys.order, rules))
     combined = superagent(sys).with_facts(stabilized_edb)
     if not any(c.neg for c in combined.clauses):
         return least_model(combined)

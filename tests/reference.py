@@ -2,15 +2,19 @@
 
 Each follows the paper's definition over plain values: the atom
 dependency graph of a program, its acyclicity and the atoms relevant to
-an atom, breadth-first shortest paths on a topology, and an agent's
-outgoing claims.  The library reads the same facts off head ->
-body-atoms maps and compiled plans instead.
+an atom, breadth-first shortest paths on a topology, an agent's
+outgoing claims, and the transitions of a global state, one event at a
+time.  The library reads the same facts off head -> body-atoms maps and
+compiled plans, and records a run as per-event deltas, instead.
 """
 
 from collections import deque
 
+from agentlog.agents import AgentState, EnvChange, agent_model, input_delta
 from agentlog.logic import Atom, DependencyGraph, GroundProgram
+from agentlog.runtime import _applied, _env_deltas, _send_dependency
 from agentlog.scenarios import Topology
+from agentlog.system import MultiAgentSystem
 
 
 def dependency_graph(p: GroundProgram) -> DependencyGraph:
@@ -96,3 +100,25 @@ def output_projection(agent_id: str, model, predicate: str) -> frozenset:
     return frozenset(
         a for a in model if a.predicate == predicate and a.args and a.args[0] == agent_id
     )
+
+
+def env_transition(sys: MultiAgentSystem, gs: tuple, change: EnvChange) -> tuple:
+    """Every agent sensing part of the change updates its EDB; the rest
+    keep their state untouched (inputs never move here)."""
+    nxt = list(gs)
+    for i, delta in _env_deltas(sys, change, [s.edb for s in gs]):
+        nxt[i] = AgentState(_applied(gs[i].edb, delta), gs[i].indb)
+    return tuple(nxt)
+
+
+def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str) -> tuple:
+    """The sender pushes its dependency slice, computed from its current
+    state, and the receiver replaces that slice of its input database."""
+    dep = _send_dependency(sys, sender, receiver)
+    s_idx, r_idx = sys.index(sender), sys.index(receiver)
+    sender_model = agent_model(sys.agents[s_idx], gs[s_idx], sys.plans[s_idx])
+    old = gs[r_idx]
+    delta = input_delta(old.indb, dep, sender_model)
+    if not delta[0] and not delta[1]:
+        return gs
+    return gs[:r_idx] + (AgentState(old.edb, _applied(old.indb, delta)),) + gs[r_idx + 1:]

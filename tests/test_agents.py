@@ -14,7 +14,7 @@ from agentlog.agents import (
     input_delta,
     validate_agent,
 )
-from agentlog.logic import Clause, GroundProgram, atom, stable_models_bruteforce
+from agentlog.logic import AcyclicPlan, Clause, GroundProgram, atom, stable_models_bruteforce
 from agentlog.runtime import _applied
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
@@ -27,6 +27,11 @@ def clause(head, *body):
 def sent(indb, dep, sender_model):
     """The receiver's IN after a send: its ``input_delta`` applied."""
     return _applied(indb, input_delta(indb, dep, sender_model))
+
+
+def model(spec, state):
+    """The agent's model at ``state``, through a plan of its whole IDB."""
+    return agent_model(spec, state, AcyclicPlan(spec.idb.clauses))
 
 
 def sensed(edb, change, hbe):
@@ -65,14 +70,14 @@ def test_validate_cyclic_idb():
 
 
 def test_agent_model_demo_states():
-    assert agent_model(agent2(), AgentState(frozenset([d, e]))) == {b, d, e}
-    assert agent_model(agent1(), AgentState(frozenset([c]), frozenset([b]))) == {a, b, c, f}
+    assert model(agent2(), AgentState(frozenset([d, e]))) == {b, d, e}
+    assert model(agent1(), AgentState(frozenset([c]), frozenset([b]))) == {a, b, c, f}
 
 
 def test_agent_model_empty_state():
     idb = GroundProgram.of([clause(a, b)], [b])
     spec = AgentSpec("X", idb, frozenset(), frozenset([b]))
-    assert agent_model(spec, AgentState()) == frozenset()
+    assert model(spec, AgentState()) == frozenset()
 
 
 def test_dependency_both_directions():
@@ -169,4 +174,4 @@ def test_agent_model_matches_bruteforce():
     ):
         program = spec.idb.with_facts(state.edb | state.indb)
         models = stable_models_bruteforce(program)
-        assert models == [agent_model(spec, state)]
+        assert models == [model(spec, state)]

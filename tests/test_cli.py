@@ -718,9 +718,9 @@ def test_run_compiles_one_plan_per_agent(monkeypatch, capsys, tmp_path, name):
     compiled = []
     init = AcyclicPlan.__init__
 
-    def counting(self, p, heads=None):
-        compiled.append(p.clauses)
-        init(self, p, heads)
+    def counting(self, clauses, heads=None):
+        compiled.append(frozenset(clauses))
+        init(self, clauses, heads)
 
     monkeypatch.setattr(AcyclicPlan, "__init__", counting)
     code, out, _ = run_cli(capsys, "run", name)

@@ -45,7 +45,7 @@ def _updated(plan, model, facts, new_facts):
 
 
 def _check_update(p, facts, new_facts):
-    plan = AcyclicPlan(p)
+    plan = AcyclicPlan(p.clauses)
     got = _updated(plan, plan.model(facts), facts, new_facts)
     assert got == plan.model(new_facts)
     return got
@@ -57,7 +57,7 @@ def _check_update(p, facts, new_facts):
 
 def test_empty_delta_returns_the_model_itself():
     p = GroundProgram.of([clause(b, a), Clause(c, (), (b,))], [a])
-    plan = AcyclicPlan(p)
+    plan = AcyclicPlan(p.clauses)
     model = plan.model(frozenset([a]))
     assert plan.changes(model, frozenset(), frozenset()) == ([], [])
     # An added fact that already holds changes nothing either.
@@ -86,7 +86,7 @@ def test_propagation_stops_where_a_head_keeps_its_truth():
 
 def test_added_fact_heading_a_clause_is_rejected():
     p = GroundProgram.of([clause(b, a)], [a])
-    plan = AcyclicPlan(p)
+    plan = AcyclicPlan(p.clauses)
     model = plan.model(frozenset())
     with pytest.raises(ValueError):
         plan.changes(model, frozenset([b]), frozenset())
@@ -103,7 +103,7 @@ def test_updates_match_full_evaluation_and_bruteforce_on_random_programs():
     for _ in range(300):
         p = random_acyclic_program(rng)
         inputs = sorted(p.universe - head_set(p))
-        plan = AcyclicPlan(p)
+        plan = AcyclicPlan(p.clauses)
         facts = frozenset()
         model = plan.model(facts)
         for _ in range(6):
@@ -125,7 +125,7 @@ def _wrong_models(system, check_bruteforce=True, **run_args):
     the cap); and how many states were brute-forced."""
     trace = run_fair(system, **run_args)
     # Each agent's whole IDB, compiled once, not once per state.
-    whole = [AcyclicPlan(agent.idb) for agent in system.agents]
+    whole = [AcyclicPlan(agent.idb.clauses) for agent in system.agents]
     full = {}
     wrong = bruteforced = 0
     for point, gs in enumerate(trace.states):
@@ -203,16 +203,16 @@ def _direct_users_only(plan, model, added=frozenset(), removed=frozenset()):
     """A wrong ``AcyclicPlan.changes``, and through it a wrong ``update``:
     re-derives, in plan order, the heads whose clauses mention a changed
     fact, but none of the heads downstream of those."""
-    atoms, index, by_head = plan.atoms, plan.index, plan.by_head
-    changed = {index[t] for t in added | removed if t in index}
+    by_head = plan.by_head
+    changed = added | removed
     new = (model - removed) | added
     for h in plan.sequence:
-        if any(i in changed for pos, neg in by_head[h] for i in pos + neg):
+        if any(x in changed for _, pos, neg in by_head[h] for x in pos + neg):
             holds = any(
-                all(atoms[i] in new for i in pos) and not any(atoms[i] in new for i in neg)
-                for pos, neg in by_head[h]
+                all(x in new for x in pos) and not any(x in new for x in neg)
+                for _, pos, neg in by_head[h]
             )
-            new = new | {atoms[h]} if holds else new - {atoms[h]}
+            new = new | {h} if holds else new - {h}
     return list(new - model), list(model - new)
 
 

@@ -158,7 +158,7 @@ def test_bruteforce_matches_acyclic_demo():
     p = IDB1.with_facts([c, b])
     models = stable_models_bruteforce(p)
     assert models == [frozenset([a, b, c, f])]
-    assert AcyclicPlan(p).model() == models[0]
+    assert AcyclicPlan(p.clauses).model() == models[0]
 
 
 def test_bruteforce_no_model():
@@ -203,25 +203,25 @@ def test_relevant_atoms_isolated():
 
 
 def test_stable_model_acyclic_demo_states():
-    assert AcyclicPlan(IDB1.with_facts([c])).model() == {c}
-    assert AcyclicPlan(IDB2.with_facts([d, a])).model() == {a, b, d}
-    assert AcyclicPlan(GroundProgram.of([])).model() == frozenset()
+    assert AcyclicPlan(IDB1.with_facts([c]).clauses).model() == {c}
+    assert AcyclicPlan(IDB2.with_facts([d, a]).clauses).model() == {a, b, d}
+    assert AcyclicPlan(GroundProgram.of([]).clauses).model() == frozenset()
 
 
 def test_stable_model_acyclic_facts_parameter():
-    assert AcyclicPlan(IDB1).model(frozenset([c, b])) == {a, b, c, f}
+    assert AcyclicPlan(IDB1.clauses).model(frozenset([c, b])) == {a, b, c, f}
 
 
 def test_stable_model_acyclic_rejects_cycles():
     with pytest.raises(CyclicProgramError):
-        AcyclicPlan(IDB1.union(IDB2))
+        AcyclicPlan(IDB1.union(IDB2).clauses)
     with pytest.raises(CyclicProgramError):
-        AcyclicPlan(GroundProgram.of([Clause(a, [], [a])]))
+        AcyclicPlan(GroundProgram.of([Clause(a, [], [a])]).clauses)
 
 
 def test_stable_model_acyclic_rejects_headed_facts():
     with pytest.raises(ValueError):
-        AcyclicPlan(IDB2).model(frozenset([b]))
+        AcyclicPlan(IDB2.clauses).model(frozenset([b]))
 
 
 def test_atom_ordering_mixed_args():

@@ -69,7 +69,7 @@ def test_acyclic_programs_have_exactly_one_stable_model():
         p = random_acyclic_program(rng, max_atoms=10)
         models = stable_models_bruteforce(p)
         assert len(models) == 1
-        assert models[0] == AcyclicPlan(p).model()
+        assert models[0] == AcyclicPlan(p.clauses).model()
 
 
 def test_clause_support_property():

@@ -12,10 +12,8 @@ from agentlog.runtime import (
     AgentChange,
     InvalidEventError,
     Trace,
-    comm_transition,
     detect_fixpoint,
     divergence_probe,
-    env_transition,
     events_from_export,
     export_trace,
     initial_state,
@@ -29,7 +27,7 @@ from agentlog.scenarios import builtin_scenario, load_scenario, parse_scenario
 from agentlog.system import io_graph
 
 from .generators import random_system
-from .reference import output_projection
+from .reference import comm_transition, env_transition, output_projection
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -592,7 +590,7 @@ def test_run_verdict_and_export_build_no_snapshots():
 def _assert_points_match_the_fold(system, trace):
     # Each point against ``env_transition``/``comm_transition`` applied to
     # the point before and a full evaluation of every agent's whole IDB.
-    plans = [AcyclicPlan(agent.idb) for agent in system.agents]
+    plans = [AcyclicPlan(agent.idb.clauses) for agent in system.agents]
     gs = initial_state(system)
     for point, event in enumerate((None,) + trace.events):
         if isinstance(event, EnvChange):

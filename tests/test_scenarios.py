@@ -264,7 +264,7 @@ def test_gl_reduct_of_routing_slice_two_nodes_bruteforce():
     models = stable_models_bruteforce(program)
     assert len(models) == 1
     model = models[0]
-    assert model == AcyclicPlan(program).model()
+    assert model == AcyclicPlan(program.clauses).model()
     reduct = gl_reduct(program, model)
     assert not any(cl.neg for cl in reduct.clauses)
     assert least_model(reduct) == model
@@ -278,7 +278,7 @@ def test_gl_reduct_of_routing_slice_initial_state():
     system = routing(FIG1_TOPOLOGY, 2)
     agent = system.agent("A1")
     program = agent.idb.with_facts(agent.initial.edb)
-    model = AcyclicPlan(program).model()
+    model = AcyclicPlan(program.clauses).model()
     assert model == {
         atom("link", "A1", "A2"),
         atom("link", "A1", "A4"),
