@@ -397,27 +397,18 @@ def rounds_to_fixpoint(trace: Trace):
     return sum(r.changed for r in trace.rounds)
 
 
-def _holders(sys: MultiAgentSystem) -> dict:
-    """Each atom of some agent's atom base -> indices of the agents whose
-    atom base holds it."""
-    table = {}
-    for idx, agent in enumerate(sys.agents):
-        for a in agent.hb:
-            table.setdefault(a, []).append(idx)
-    return table
-
-
 def _agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
     """``(atoms true in every holder's model, atoms true in some holders'
-    models only)``, of the agents' ``models`` at one point."""
-    agreed, split = [], []
-    for a, holders in _holders(sys).items():
-        true_in = sum(a in models[idx] for idx in holders)
-        if true_in == len(holders):
-            agreed.append(a)
-        elif true_in:
-            split.append(a)
-    return frozenset(agreed), frozenset(split)
+    models only)``, of the agents' ``models`` at one point, where an
+    agent holds the atoms of its atom base ``hb``.  With ``T`` the atoms
+    some holder believes and ``F`` those some holder does not, these are
+    ``T - F`` and ``T & F``."""
+    true, false = set(), set()
+    for agent, model in zip(sys.agents, models):
+        hb = agent.hb
+        true |= model & hb
+        false |= hb - model
+    return frozenset(true - false), frozenset(true & false)
 
 
 def stabilized_environment(trace: Trace) -> frozenset:
@@ -476,32 +467,21 @@ def divergence_probe(trace: Trace, family):
 
     hits = []
     for agent_id, points in zip(trace.agent_ids, seen):
-        last = None
-        streak = 0
-        ramp = []
+        ramp = []  # the values of the current run of strict increases
         best = ()
         for found in points:
             if len(found) > 1:
                 raise ValueError(
                     f"ambiguous family {_family_text(family)}: {found} at one point"
                 )
-            value = found[0] if found else None
-            if value is None:
-                last, streak, ramp = None, 0, []
-                continue
-            if last is None:
-                last, streak, ramp = value, 0, [value]
-                continue
-            if value == last:
-                continue
-            if value > last:
-                streak += 1
-                ramp.append(value)
-            else:
-                streak, ramp = 0, [value]
-            last = value
-            if streak >= MIN_STREAK and len(ramp) > len(best):
-                best = tuple(ramp)
+            if not found:
+                ramp = []
+            elif not ramp or found[0] < ramp[-1]:
+                ramp = [found[0]]
+            elif found[0] > ramp[-1]:
+                ramp.append(found[0])
+                if len(ramp) > max(MIN_STREAK, len(best)):
+                    best = tuple(ramp)
         if best:
             hits.append((agent_id, best))
     if not hits:

@@ -11,12 +11,12 @@ the union of the agents' head -> body-atoms maps.  It keeps its I/O
 atoms, the atoms that reach a cycle, and the order in which its heads
 peel off.  On first use it builds the union rule base as one table,
 each head -> every agent's clauses for it; the live atoms, the reference
-model of an acyclic union and, on the first model evaluation, one plan
-per agent of the clauses that can fire in some state of a run all come
-from it.  A plan groups its clauses by head the same way, and the
-reference model and a plan's model are the one pass ``logic._derive``
+model and, on the first model evaluation, one plan per agent of the
+clauses that can fire in some state of a run all come from it.  A plan
+groups its clauses by head the same way, and the reference model of an
+acyclic union and a plan's model are the one pass ``logic._derive``
 over such a table, in peel order.  The superagent program itself is
-built only when the union is cyclic.  All of these need ``AgentSpec``s.
+built only for the brute-force fallback.  All of these need ``AgentSpec``s.
 
 Validation reads the assembled system: its cyclic atoms, its environment
 atoms and each agent's tables.  The union rule base is well defined only
@@ -44,7 +44,6 @@ from .logic import (
     GroundProgram,
     _derive,
     _peel,
-    least_model,
     stable_models_bruteforce,
 )
 
@@ -217,28 +216,30 @@ def superagent(sys: MultiAgentSystem) -> GroundProgram:
 def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozenset:
     """The reference model: stable model of ``IDB_all + EDB``.
 
-    An acyclic union is evaluated by ``_derive``, the one pass a plan's
-    ``model`` makes, over ``sys.order`` and ``sys.rules``: a head is true
-    when some clause for it fires, whichever agent's it is, as the agents
-    of an unvalidated system may define a shared head differently.  A
-    fact may not head a clause, and a fact outside the environment atoms
-    is refused.  Otherwise the superagent program is built: a
-    negation-free one still has a unique stable model (its least model),
-    and the rest are tried by brute force up to ``BRUTEFORCE_CAP`` atoms;
-    several or zero models raise NoUniqueModelError.
+    A fact may not head a clause, and a fact outside the environment
+    atoms is refused, whichever route is taken.  An acyclic union is
+    evaluated by ``_derive``, the one pass a plan's ``model`` makes, over
+    ``sys.order`` and ``sys.rules``: a head is true when some clause for
+    it fires, whichever agent's it is, as the agents of an unvalidated
+    system may define a shared head differently.  A negation-free cyclic
+    union has a unique stable model, its least model, which is the
+    positive closure ``_live_atoms`` computes over the same table.  Only
+    for the rest is the superagent program built, and tried by brute
+    force up to ``BRUTEFORCE_CAP`` atoms; several or zero models raise
+    NoUniqueModelError.
     """
+    rules = sys.rules
+    clash = [f for f in stabilized_edb if f in rules]
+    if clash:
+        raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
+    outside = stabilized_edb - sys.env_atoms
+    if outside:
+        raise ValueError(f"stabilized EDB outside the environment atoms: {_few(outside)}")
     if not sys.cyclic:
-        rules = sys.rules
-        clash = [f for f in stabilized_edb if f in rules]
-        if clash:
-            raise ValueError(f"fact atoms may not head clauses: {sorted(clash)[:3]}")
-        outside = stabilized_edb - sys.env_atoms
-        if outside:
-            raise ValueError(f"stabilized EDB outside the environment atoms: {_few(outside)}")
         return frozenset(_derive(set(stabilized_edb), sys.order, rules))
+    if not any(c[2] for clauses in rules.values() for c in clauses):
+        return _live_atoms(rules, stabilized_edb, sys.order + tuple(sys.cyclic))
     combined = superagent(sys).with_facts(stabilized_edb)
-    if not any(c.neg for c in combined.clauses):
-        return least_model(combined)
     if len(combined.universe) <= BRUTEFORCE_CAP:
         models = stable_models_bruteforce(combined)
         if len(models) == 1:
@@ -253,12 +254,14 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
 
 def _live_atoms(rules: dict, base: frozenset, heads) -> frozenset:
     """The least model of the union rule table ``rules`` with every
-    negated body atom dropped and every atom of ``base`` a fact.  In a
-    state whose facts are all in ``base``, every agent's model and the
-    union's lie inside it, so a clause with a positive body atom outside
-    it fires in none of them.  ``heads`` lists the union's heads, as far
-    as it can each after the heads in its clauses' bodies: then one pass
-    over them finds every head that holds, and one more finds none."""
+    negated body atom dropped and every atom of ``base`` a fact: its
+    positive closure.  In a state whose facts are all in ``base``, every
+    agent's model and the union's lie inside it, so a clause with a
+    positive body atom outside it fires in none of them.  When no clause
+    has a negated body atom, it is the union's stable model with the
+    facts ``base``.  ``heads`` lists the union's heads, as far as it can
+    each after the heads in its clauses' bodies: then one pass over them
+    finds every head that holds, and one more finds none."""
     true = set(base)
     size = None
     while size != len(true):
@@ -330,13 +333,13 @@ def classify(sys, reground=None, probe_delta: int = 2) -> Classification:
     gives the system or shape at another bound, such as
     ``Scenario.shape``, whose I/O atoms are counted.
 
-    Raises RuntimeError if the measurement ever contradicts the
-    io-acyclic => idb-acyclic implication, which would be a bug.
+    Both acyclicity flags are reported as measured.  A system can be
+    IO-acyclic with a cyclic union IDB: a clause body may read an atom
+    outside its agent's atom base, so a cycle of the union need not pass
+    through any I/O atom.
     """
     idb_acyclic = not sys.cyclic
     io_acyclic = sys.cyclic.isdisjoint(sys.io_atoms)
-    if io_acyclic and not idb_acyclic:
-        raise RuntimeError("IO-acyclic system with cyclic union IDB")
 
     probed = False
     probe_sizes = ()

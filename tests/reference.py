@@ -3,9 +3,11 @@
 Each follows the paper's definition over plain values: the atom
 dependency graph of a program, its acyclicity and the atoms relevant to
 an atom, breadth-first shortest paths on a topology, an agent's
-outgoing claims, and the transitions of a global state, one event at a
-time.  The library reads the same facts off head -> body-atoms maps and
-compiled plans, and records a run as per-event deltas, instead.
+outgoing claims, the transitions of a global state, one event at a
+time, and the agents' agreement at one point, one atom at a time.  The
+library reads the same facts off head -> body-atoms maps and compiled
+plans, records a run as per-event deltas, and finds the agreement by set
+algebra, instead.
 """
 
 from collections import deque
@@ -122,3 +124,27 @@ def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str
     if not delta[0] and not delta[1]:
         return gs
     return gs[:r_idx] + (AgentState(old.edb, _applied(old.indb, delta)),) + gs[r_idx + 1:]
+
+
+def holders(sys: MultiAgentSystem) -> dict:
+    """Each atom of some agent's atom base -> indices of the agents whose
+    atom base holds it."""
+    table = {}
+    for idx, agent in enumerate(sys.agents):
+        for a in agent.hb:
+            table.setdefault(a, []).append(idx)
+    return table
+
+
+def agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
+    """``(atoms true in every holder's model, atoms true in some holders'
+    models only)``, of the agents' ``models`` at one point, counted atom
+    by atom over its holders."""
+    agreed, split = [], []
+    for a, idxs in holders(sys).items():
+        true_in = sum(a in models[idx] for idx in idxs)
+        if true_in == len(idxs):
+            agreed.append(a)
+        elif true_in:
+            split.append(a)
+    return frozenset(agreed), frozenset(split)

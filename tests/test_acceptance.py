@@ -338,7 +338,7 @@ def test_criterion_7_io_acyclic_implies_idb_acyclic():
         io_acyclic_seen = 0
         for _ in range(200):
             system, _ = random_system(rng, io_acyclic=False)
-            cls = classify(system)  # classify itself enforces the implication
+            cls = classify(system)
             if cls.io_acyclic:
                 io_acyclic_seen += 1
                 assert cls.idb_acyclic

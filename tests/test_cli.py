@@ -13,7 +13,7 @@ import agentlog
 from agentlog import scenarios
 from agentlog.agents import AgentSpec
 from agentlog.cli import main
-from agentlog.logic import AcyclicPlan, Clause, CyclicProgramError
+from agentlog.logic import AcyclicPlan, Atom, Clause, CyclicProgramError, parse_atom
 from agentlog.scenarios import Topology, load_scenario, routing_scenario_text
 
 
@@ -44,6 +44,19 @@ def test_analyze_routing5(capsys):
     assert cls["io_finite"] is False
     rows = [r for r in records(out) if r["record"] == "sweep"]
     assert len(rows) == 2 and rows[1]["io_nodes"] > rows[0]["io_nodes"]
+
+
+def test_analyze_reports_a_union_cycle_outside_the_io_graph(capsys):
+    # A clause may read an atom outside its agent's atom base, so a cycle
+    # of the union IDB can miss every I/O atom: both flags as measured.
+    path = str(Path(__file__).parent / "data" / "cycle-outside-io.scenario")
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, err) == (0, "")
+    cls = next(r for r in records(out) if r["record"] == "classification")
+    assert (cls["io_acyclic"], cls["idb_acyclic"], cls["io_nodes"]) == (True, False, 0)
+    code, out, _ = run_cli(capsys, "run", path)
+    assert code == 0
+    assert records(out)[-1]["reference_model"] == []
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -497,6 +510,24 @@ def test_oracle_check_detects_injected_fault(monkeypatch, capsys):
     summary = next(r for r in records(out) if r["record"] == "oracle-check")
     assert summary["mismatches"] > 0
     assert any(r["record"] == "mismatch" for r in records(out))
+
+
+def test_oracle_check_lists_mismatched_models_in_atom_order(monkeypatch, capsys):
+    # A brute force that answers with the whole universe disagrees with
+    # every model; r(10) must come after r(2) in both lists.
+    def whole_universe(program, cap):
+        return [program.universe]
+
+    monkeypatch.setattr(agentlog.cli, "stable_models_bruteforce", whole_universe)
+    code, out, _ = run_cli(capsys, "oracle-check", "chain(12)", "--cap", "30")
+    assert code == 3
+    mismatches = [r for r in records(out) if r["record"] == "mismatch"]
+    assert mismatches
+    for r in mismatches:
+        for listed in (r["computed"], r["expected"]):
+            atoms = [parse_atom(x) for x in listed]
+            assert atoms == sorted(atoms, key=Atom.sort_key)
+    assert any("r(10)" in r["expected"] for r in mismatches)
 
 
 def test_oracle_check_refuses_inject_fault(capsys):

@@ -12,6 +12,7 @@ from agentlog.runtime import (
     AgentChange,
     InvalidEventError,
     Trace,
+    _agreement,
     detect_fixpoint,
     divergence_probe,
     events_from_export,
@@ -23,11 +24,11 @@ from agentlog.runtime import (
     stabilized_environment,
     verdict,
 )
-from agentlog.scenarios import builtin_scenario, load_scenario, parse_scenario
+from agentlog.scenarios import builtin_names, builtin_scenario, load_scenario, parse_scenario
 from agentlog.system import io_graph
 
 from .generators import random_system
-from .reference import comm_transition, env_transition, output_projection
+from .reference import agreement, comm_transition, env_transition, output_projection
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -260,6 +261,37 @@ def test_convergence_model_single_agent():
     v = verdict(system, trace)
     assert v.convergence_model == {a, c}
     assert v.non_convergent == frozenset()
+
+
+def test_agreement_matches_the_per_atom_reference_on_random_runs():
+    # At every point of seeded runs, the set algebra over each agent's atom
+    # base and model gives what counting each atom's holders gives.
+    rng = random.Random(4242)
+    points = split = 0
+    for k in range(300):
+        system, schedule = random_system(rng, io_acyclic=k % 2 == 0)
+        for policy in ("round-robin", "shuffled"):
+            trace = run_fair(system, env_schedule=schedule, max_rounds=10, policy=policy, seed=k)
+            for _, models in trace.points():
+                got = _agreement(system, models)
+                assert got == agreement(system, models)
+                points += 1
+                split += bool(got[1])
+    assert points > 7000 and split > 3000
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "chain(N)"] + ["chain(6)"])
+def test_agreement_matches_the_per_atom_reference_on_builtin_runs(name):
+    scenario = builtin_scenario(name)
+    system = scenario.build_system()
+    traces = [run_scripted(system, scenario.script)] + [
+        run_fair(system, env_schedule=scenario.schedule, max_rounds=scenario.max_rounds,
+                 policy=policy, seed=3, prefix_events=scenario.script)
+        for policy in ("round-robin", "shuffled")
+    ]
+    for trace in traces:
+        for _, models in trace.points():
+            assert _agreement(system, models) == agreement(system, models)
 
 
 def test_stabilized_environment_no_changes(example3_system):

@@ -169,6 +169,77 @@ def test_superagent_model_routing_matches_bfs(routing5_system):
     assert atom("sp", "A1", "A5", 2) in model
 
 
+def test_superagent_model_of_a_cyclic_union_refuses_bad_facts(example3_system):
+    # The preconditions hold on every route, the cyclic ones included.
+    assert example3_system.cyclic
+    with pytest.raises(ValueError, match="fact atoms may not head clauses"):
+        superagent_model(example3_system, frozenset([c, a]))
+    with pytest.raises(ValueError, match="stabilized EDB outside the environment atoms"):
+        superagent_model(example3_system, frozenset([c, atom("g")]))
+
+
+def test_superagent_program_is_not_built_for_a_negation_free_cyclic_union(
+        monkeypatch, example3_scenario, example3_system):
+    # example3's union is cyclic and negation-free: its reference model is
+    # the positive closure of the union rule table.
+    trace = run_fair(example3_system, env_schedule=example3_scenario.schedule,
+                     max_rounds=example3_scenario.max_rounds)
+    want = verdict(example3_system, trace)
+
+    def refuse(*args):
+        raise AssertionError("superagent program built")
+
+    with monkeypatch.context() as m:
+        m.setattr("agentlog.system.superagent", refuse)
+        got = verdict(example3_system, trace)
+        for edb in (frozenset(), frozenset([c, d]), frozenset([c, d, e])):
+            assert _is_union_model(example3_system, edb, superagent_model(example3_system, edb))
+    assert got == want
+    assert got.reference_model == {c, d}
+
+
+_EXAMPLE3_WITH_NEGATION = """\
+[domain]
+nodes:
+dmax: 0
+
+[agent A1]
+idb:
+  a :- b, c.
+  f :- a.
+  f :- a, not g.
+hbe: c; g
+hin: b
+edb: c
+
+[agent A2]
+idb:
+  b :- a, d.
+  b :- e.
+hbe: d; e
+hin: a
+edb: d; e
+"""
+
+
+def test_superagent_model_of_a_cyclic_union_with_negation_uses_brute_force(monkeypatch):
+    system = parse_scenario(_EXAMPLE3_WITH_NEGATION).build_system()
+    g = atom("g")
+    assert system.cyclic and len(superagent(system).universe) == 7 <= BRUTEFORCE_CAP
+    calls = []
+
+    def counted(program, cap=BRUTEFORCE_CAP):
+        calls.append(program)
+        return stable_models_bruteforce(program, cap)
+
+    monkeypatch.setattr("agentlog.system.stable_models_bruteforce", counted)
+    for edb in (frozenset([c, d, e]), frozenset([c, d, e, g]), frozenset([c, d])):
+        model = superagent_model(system, edb)
+        assert _is_union_model(system, edb, model)
+    assert model == {c, d}
+    assert len(calls) == 3
+
+
 def test_superagent_model_no_unique_for_negative_loop():
     # a :- not b in one agent and b :- not a in the other: each rule base
     # is acyclic, the union has two stable models.
@@ -337,7 +408,7 @@ def test_proposition_io_acyclic_implies_idb_acyclic():
     checked = 0
     for _ in range(120):
         system, _ = random_system(rng, io_acyclic=False)
-        cls = classify(system)  # raises if the implication ever breaks
+        cls = classify(system)
         if cls.io_acyclic:
             assert cls.idb_acyclic
             checked += 1
@@ -400,10 +471,6 @@ def _check_against_definition(system, bigger=None):
     assert len(system.io_atoms) == len(g_io.nodes)
     asked = []
     reground = None if bigger is None else lambda k: asked.append(k) or bigger
-    if io_acyclic and not idb_acyclic:
-        with pytest.raises(RuntimeError):
-            classify(system, reground=reground)
-        return io_acyclic
     cls = classify(system, reground=reground)
     assert (cls.io_nodes, cls.io_acyclic, cls.idb_acyclic) == (
         len(g_io.nodes), io_acyclic, idb_acyclic)
@@ -429,8 +496,8 @@ def test_classify_and_io_graph_match_definition_route_on_random_systems():
 
 def test_classify_and_io_graph_match_definition_route_on_unvalidated_systems():
     # Assembled without validation, so a rule base may be cyclic: once
-    # outside the I/O graph (which classify reports as a broken
-    # implication) and once as a self-loop inside it.
+    # outside the I/O graph (IO-acyclic with a cyclic union IDB) and once
+    # as a self-loop inside it.
     i, x, y = atom("i"), atom("x"), atom("y")
     reader = AgentSpec("A1", GroundProgram.of([clause(y, i)]), hin=frozenset([i]))
     outside = MultiAgentSystem([AgentSpec(
@@ -438,8 +505,8 @@ def test_classify_and_io_graph_match_definition_route_on_unvalidated_systems():
     inside = MultiAgentSystem([reader, AgentSpec("A2", GroundProgram.of([clause(i, x), clause(x, x)]))])
     for system in (outside, inside):
         _check_against_definition(system)
-    with pytest.raises(RuntimeError):
-        classify(outside)
+    cls = classify(outside)
+    assert (cls.io_acyclic, cls.idb_acyclic) == (True, False)
     assert io_graph(inside).edges == {(i, x), (x, x)}
 
 
