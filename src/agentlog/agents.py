@@ -2,11 +2,13 @@
 
 An agent owns an acyclic rule base (its IDB), a set of environment atoms
 it can sense (HBE) and a set of input atoms it must be told about (HIN).
-Its state is the pair of currently sensed facts (EDB) and currently
-received facts (IN); the agent's beliefs are the stable model of
-``IDB + EDB + IN``.  A run moves by two kinds of event: an ``EnvChange``
-that agents sense, and a ``CommEvent`` that pushes facts from a sender
-to a receiver.
+An ``AgentSpec`` holds the IDB as a head -> body-atoms map and, when it
+was grounded into them, as its clauses; its ``GroundProgram`` is built
+only on request.  Its state is the pair of currently sensed facts (EDB)
+and currently received facts (IN); the agent's beliefs are the stable
+model of ``IDB + EDB + IN``.  A run moves by two kinds of event: an
+``EnvChange`` that agents sense, and a ``CommEvent`` that pushes facts
+from a sender to a receiver.
 
 An event is read as a delta: ``env_delta`` and ``input_delta`` return
 the atoms it adds to and removes from an agent's EDB or IN, which is
@@ -20,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .logic import AcyclicPlan, GroundProgram, _dependency_sink, _peel, head_set
+from .logic import AcyclicPlan, GroundProgram, _peel
 
 __all__ = [
     "AgentState",
     "AgentSpec",
-    "AgentTables",
     "EnvChange",
     "CommEvent",
     "validate_agent",
@@ -44,35 +45,41 @@ class AgentState:
     indb: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentSpec:
     """An agent: id, rule base, sensable atoms, input atoms, initial state.
 
+    ``deps`` maps each head of the IDB to the atoms in the bodies of its
+    clauses.  ``clauses`` is the tuple of the IDB's ground clauses, each
+    once, or None for an agent grounded into ``deps`` alone, which can be
+    assembled, validated and classified but not run.  Specs compare by
+    identity, as two groundings may list the clauses in different orders.
+
     Construction is permissive so that malformed specs can be inspected;
     ``validate_agent`` reports every invariant breach, and system assembly
-    refuses specs with violations.  The IDB's head set is built on first
-    use and kept with the spec; its compiled plan belongs to the system
-    (``MultiAgentSystem.plans``), which alone knows which clauses can fire.
+    refuses specs with violations.  The compiled plan belongs to the
+    system (``MultiAgentSystem.plans``), which alone knows which clauses
+    can fire.
     """
 
     id: str
-    idb: GroundProgram
+    deps: dict
     hbe: frozenset = frozenset()
     hin: frozenset = frozenset()
     initial: AgentState = field(default_factory=AgentState)
+    clauses: tuple = None
 
     @cached_property
     def heads(self) -> frozenset:
         """The atoms the IDB's clauses define."""
-        return head_set(self.idb)
+        return frozenset(self.deps)
 
     @property
-    def deps(self) -> dict:
-        """Each head of the IDB -> the atoms in the bodies of its clauses."""
-        deps, sink = _dependency_sink()
-        for c in self.idb.clauses:
-            sink(*c)
-        return deps
+    def idb(self) -> GroundProgram:
+        """The IDB as a program, built on each read: the clauses over a
+        universe of the heads, the body atoms, HBE and HIN."""
+        universe = self.heads.union(*self.deps.values(), self.hbe, self.hin)
+        return GroundProgram._unchecked(frozenset(self.clauses), universe)
 
     @property
     def hb(self) -> frozenset:
@@ -80,28 +87,9 @@ class AgentSpec:
         return self.heads | self.hbe | self.hin
 
 
-@dataclass(frozen=True, eq=False)
-class AgentTables:
-    """An agent as system assembly and validation read it, without its
-    clauses: each head's body atoms, the sensable and input atoms, and
-    the initial state.  A system of these can be validated and
-    classified, but not run."""
-
-    id: str
-    deps: dict
-    hbe: frozenset
-    hin: frozenset
-    initial: AgentState
-
-    @cached_property
-    def heads(self) -> frozenset:
-        """The atoms the agent's clauses define."""
-        return frozenset(self.deps)
-
-
 def validate_agent(a: AgentSpec, cyclic: frozenset = None) -> list:
-    """All invariant violations of the spec or of its ``AgentTables``, as
-    human-readable strings; only the tables are read, never the clauses.
+    """All invariant violations of the spec, as human-readable strings;
+    only ``deps`` and the atom sets are read, never the clauses.
 
     ``cyclic``, when given, holds the atoms that can reach a cycle of a
     rule base containing this agent's clauses, such as the union of every

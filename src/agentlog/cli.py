@@ -240,18 +240,18 @@ def cmd_oracle_check(args) -> int:
         max_rounds=args.rounds,
         prefix_events=scenario.script,
     )
-    # EDB and IN lie in HBE and HIN, which the grounder puts into the IDB's
-    # universe, so each agent is above the cap at every point or at none.
-    agents = [(a, len(a.idb.universe) <= args.cap) for a in system.agents]
+    # EDB and IN lie in HBE and HIN, which lie in the IDB's universe, so
+    # each agent is above the cap (None here) at every point or at none.
+    idbs = [p if len(p.universe) <= args.cap else None for p in (a.idb for a in system.agents)]
     mismatches = 0
     skipped = 0
     checked = 0
     for point, (gs, computed_models) in enumerate(trace.points()):
-        for (agent, small), s, computed in zip(agents, gs, computed_models):
-            if not small:
+        for agent, idb, s, computed in zip(system.agents, idbs, gs, computed_models):
+            if idb is None:
                 skipped += 1
                 continue
-            models = stable_models_bruteforce(agent.idb.with_facts(s.edb | s.indb), cap=args.cap)
+            models = stable_models_bruteforce(idb.with_facts(s.edb | s.indb), cap=args.cap)
             checked += 1
             if len(models) != 1 or models[0] != computed:
                 mismatches += 1

@@ -214,9 +214,6 @@ class GroundProgram:
             universe.update(heads, chain.from_iterable(pos), chain.from_iterable(neg))
         return cls._unchecked(clauses, frozenset(universe))
 
-    def union(self, other: "GroundProgram") -> "GroundProgram":
-        return GroundProgram._unchecked(self.clauses | other.clauses, self.universe | other.universe)
-
     def with_facts(self, atoms: Iterable[Atom]) -> "GroundProgram":
         atoms = frozenset(atoms)
         facts = {Clause(a) for a in atoms}
@@ -287,27 +284,32 @@ def stable_models_bruteforce(p: GroundProgram, cap: int = BRUTEFORCE_CAP):
 
     Serves as the slow, independent oracle for the acyclic fast path.
     Only subsets of the head set need checking: an atom no clause derives
-    can never be in a stable model.  Refuses universes above ``cap``.
+    can never be in a stable model, and one a fact derives is in every one,
+    so only the other heads are enumerated.  Refuses universes above ``cap``.
     """
     n = len(p.universe)
     if n > cap:
         raise ValueError(f"universe has {n} atoms, above the brute-force cap {cap}")
 
-    heads = sorted(head_set(p))
+    facts = {c.head for c in p.clauses if c.is_fact}
+    # The heads to enumerate take the low bits, the fact heads the rest.
+    free = sorted(head_set(p) - facts)
+    heads = free + sorted(facts)
     bit = {a: i for i, a in enumerate(heads)}
+    fact_mask = (1 << len(heads)) - (1 << len(free))
 
     compiled = []
     for c in p.clauses:
         # A positive body atom nobody derives makes the clause dead; the
         # negation of an underivable atom always holds.
-        if all(b in bit for b in c.pos):
+        if c.head not in facts and all(b in bit for b in c.pos):
             pos_mask = sum(1 << bit[b] for b in c.pos)
             neg_mask = sum(1 << bit[b] for b in c.neg if b in bit)
             compiled.append((1 << bit[c.head], pos_mask, neg_mask))
 
     models = []
-    for mask in range(1 << len(heads)):
-        m = 0
+    for mask in range(fact_mask, fact_mask + (1 << len(free))):
+        m = fact_mask
         changed = True
         while changed:
             changed = False
@@ -334,11 +336,13 @@ class DependencyGraph:
     edges: frozenset = frozenset()
 
 
-def _dependency_sink() -> tuple:
+def _dependency_sink(clauses: set = None) -> tuple:
     """An empty head -> body-atoms map, and the ``sink(head, pos, neg)``
     that adds one clause's body atoms under its head: the dependency graph
-    of the clauses passed to it, read straight off them."""
+    of the clauses passed to it, read straight off them; and each clause
+    to the set ``clauses``, when one is given."""
     deps = {}
+    add = None if clauses is None else clauses.add
 
     def sink(head, pos, neg):
         body = deps.get(head)
@@ -346,6 +350,8 @@ def _dependency_sink() -> tuple:
             body = deps[head] = set()
         body.update(pos)
         body.update(neg)
+        if add is not None:
+            add(Clause._sorted(Clause, (head, pos, neg)))
 
     return deps, sink
 

@@ -44,19 +44,19 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
 
-from .agents import AgentSpec, AgentState, AgentTables, CommEvent, EnvChange
+from .agents import AgentSpec, AgentState, CommEvent, EnvChange
 from .grounding import (
     DomainSpec,
     GroundingError,
     Pattern,
     Var,
     expand_pattern,
-    ground_program,
     ground_stream,
     parse_ground_atom,
     parse_pattern,
     parse_schematic_clause,
 )
+from .grounding import ground_program  # noqa: F401  perfbench/layertrace.py traces it here
 from .logic import _dependency_sink, split_top_level
 from .system import MultiAgentSystem, SystemShape, build_system
 
@@ -108,32 +108,31 @@ class Scenario:
 
     def build_system(self, dmax=None) -> MultiAgentSystem:
         dom = self._domain(dmax)
-        return build_system([_agent_spec(ad, dom) for ad in self.agents], dmax=dom.distance_max)
+        agents = [_agent_spec(ad, dom, clauses=True) for ad in self.agents]
+        return build_system(agents, dmax=dom.distance_max)
 
     def shape(self, dmax=None) -> SystemShape:
         """The ``SystemShape`` of ``build_system(dmax)``, from a system of
-        ``AgentTables``.
+        agents mostly without clauses.
 
-        Each agent's grounding is streamed into its head -> body-atoms
-        map; only agents that define a head another agent defines too are
-        grounded into clauses, so their definitions can be compared.
+        Each agent is grounded into its head -> body-atoms map alone; only
+        agents that define a head another agent defines too are grounded
+        again with their clauses, so their definitions can be compared.
         Raises ValidationError where ``build_system`` would, with the same
         breaches.  The system is summarised before it is returned, so its
         tables are not kept.
         """
         dom = self._domain(dmax)
-        tables, defined, shared = [], set(), set()
+        agents, defined, shared = [], set(), set()
         for ad in self.agents:
-            hbe, hin, edb, indb = _atom_sets(ad, dom)
-            deps, sink = _dependency_sink()
-            ground_stream(ad.idb, dom, sink)
-            shared |= defined.intersection(deps)
-            defined.update(deps)
-            tables.append(AgentTables(ad.id, deps, hbe, hin, AgentState(edb, indb)))
+            a = _agent_spec(ad, dom, clauses=False)
+            shared |= defined.intersection(a.deps)
+            defined.update(a.deps)
+            agents.append(a)
         del defined  # not kept through assembly, where memory peaks
         agents = [
-            t if shared.isdisjoint(t.deps) else _agent_spec(ad, dom)
-            for ad, t in zip(self.agents, tables)
+            a if shared.isdisjoint(a.deps) else _agent_spec(ad, dom, clauses=True)
+            for ad, a in zip(self.agents, agents)
         ]
         system = build_system(agents, dmax=dom.distance_max)
         return SystemShape(system.io_atoms, system.cyclic, system.dmax)
@@ -157,11 +156,15 @@ def _atom_sets(ad: AgentDef, dom: DomainSpec) -> tuple:
     )
 
 
-def _agent_spec(ad: AgentDef, dom: DomainSpec) -> AgentSpec:
-    """An agent block grounded over ``dom``."""
+def _agent_spec(ad: AgentDef, dom: DomainSpec, clauses: bool) -> AgentSpec:
+    """An agent block grounded over ``dom`` in one pass into its
+    head -> body-atoms map and, when ``clauses`` is true, its clauses."""
     hbe, hin, edb, indb = _atom_sets(ad, dom)
-    idb = ground_program(ad.idb, dom, extra_atoms=hbe | hin)
-    return AgentSpec(ad.id, idb, hbe, hin, AgentState(edb, indb))
+    ground = set() if clauses else None
+    deps, sink = _dependency_sink(ground)
+    ground_stream(ad.idb, dom, sink)
+    ground = tuple(ground) if clauses else None
+    return AgentSpec(ad.id, deps, hbe, hin, AgentState(edb, indb), ground)
 
 
 def family_of(p: Pattern, dom: DomainSpec) -> tuple:

@@ -6,20 +6,20 @@ correctness reference against which runs are judged.  The I/O graph is
 the superagent's atom dependency graph restricted to atoms relevant to
 some input atom; its acyclicity and (empirical) finiteness are the
 hypotheses of the stabilization guarantees.  A system is assembled from
-``AgentSpec``s, ``AgentTables`` or both, and reads that graph once, off
-the union of the agents' head -> body-atoms maps.  It keeps its I/O
-atoms, the atoms that reach a cycle, and the order in which its heads
-peel off.  On first use it builds the union rule base as one table,
-each head -> every agent's clauses for it; the live atoms, the reference
-model and, on the first model evaluation, one plan per agent of the
-clauses that can fire in some state of a run all come from it.  A plan
-groups its clauses by head the same way, and the reference model of an
-acyclic union and a plan's model are the one pass ``logic._derive``
-over such a table, in peel order.  The superagent program itself is
-built only for the brute-force fallback.  All of these need ``AgentSpec``s.
+``AgentSpec``s and reads that graph once, off the union of the agents'
+head -> body-atoms maps (``deps``).  It keeps its I/O atoms, the atoms
+that reach a cycle, and the order in which its heads peel off.  On first
+use it builds the union rule base as one table, each head -> every
+agent's clauses for it; the live atoms, the reference model and, on the
+first model evaluation, one plan per agent of the clauses that can fire
+in some state of a run all come from it.  A plan groups its clauses by
+head the same way, and the reference model of an acyclic union and a
+plan's model are the one pass ``logic._derive`` over such a table, in
+peel order.  The superagent program itself is built only for the
+brute-force fallback.  All of these need agents grounded into clauses.
 
 Validation reads the assembled system: its cyclic atoms, its environment
-atoms and each agent's tables.  The union rule base is well defined only
+atoms and each agent's ``deps``.  The union rule base is well defined only
 when agents that define the same atom define it the same way, so the
 clauses of exactly those heads are compared: only their definers need
 clauses, and that check walks no clause when no head is shared.  Each
@@ -73,7 +73,7 @@ class NoUniqueModelError(ValueError):
 
 
 class MultiAgentSystem:
-    """``AgentSpec``s, ``AgentTables`` or a mix, plus derived lookup tables.
+    """``AgentSpec``s, with or without clauses, plus derived lookup tables.
 
     ``io_atoms`` are the nodes of the I/O graph, ``cyclic`` the atoms
     from which a cycle of the union rule base can be reached, and
@@ -115,10 +115,10 @@ class MultiAgentSystem:
     @cached_property
     def rules(self) -> dict:
         """The union rule table: each head of the union rule base -> every
-        agent's clauses for it, built on first use.  Needs ``AgentSpec``s."""
+        agent's clauses for it, built on first use.  Needs agents' clauses."""
         rules = {}
         for a in self.agents:
-            for c in a.idb.clauses:
+            for c in a.clauses:
                 rules.setdefault(c[0], []).append(c)
         return rules
 
@@ -131,7 +131,7 @@ class MultiAgentSystem:
         base = self.env_atoms.union(*(a.hin for a in agents))
         live = _live_atoms(self.rules, base, self.order + tuple(self.cyclic))
         return tuple(
-            AcyclicPlan([c for c in a.idb.clauses if live.issuperset(c[1])], a.heads)
+            AcyclicPlan([c for c in a.clauses if live.issuperset(c[1])], a.heads)
             for a in agents
         )
 
@@ -159,7 +159,7 @@ def system_violations(system: MultiAgentSystem) -> list:
         if not mine:
             continue
         by_head = {}
-        for c in a.idb.clauses:
+        for c in a.clauses:
             if c.head in mine:
                 by_head.setdefault(c.head, set()).add(c)
         for h in sorted(mine):
@@ -202,14 +202,12 @@ class SystemShape:
 
 
 def superagent(sys: MultiAgentSystem) -> GroundProgram:
-    """The union rule base: every agent's rule base and atoms, united in
-    one pass.  Each rule base is a checked program, so the union needs no
+    """The union rule base: every agent's clauses and atoms, united in one
+    pass.  Each agent's universe covers its clauses, so the union needs no
     universe scan."""
     agents = sys.agents
-    clauses = frozenset().union(*(a.idb.clauses for a in agents))
-    universe = frozenset().union(
-        *(a.idb.universe for a in agents), sys.env_atoms, *(a.hin for a in agents)
-    )
+    clauses = frozenset().union(*(a.clauses for a in agents))
+    universe = frozenset().union(*(a.idb.universe for a in agents))
     return GroundProgram._unchecked(clauses, universe)
 
 
@@ -308,7 +306,7 @@ def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
 @dataclass(frozen=True)
 class Classification:
     """IO-acyclicity and friends, as measured on one grounding of a
-    system of either kind of agents, or of its ``SystemShape``.
+    system, or of its ``SystemShape``.
 
     ``bounded`` is per-atom definition finiteness, vacuously true on a
     ground slice.  ``io_finite`` is empirical: when a probe is available,

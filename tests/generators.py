@@ -27,6 +27,30 @@ def signed_clause(head, body) -> Clause:
     return Clause(head, [b for b, positive in body if positive], [b for b, positive in body if not positive])
 
 
+def agent_spec(agent_id, program: GroundProgram, hbe=frozenset(), hin=frozenset(),
+               initial=AgentState()) -> AgentSpec:
+    """An ``AgentSpec`` of ``program``'s clauses, with ``deps`` by the
+    definition of the atom dependency graph: each head -> every atom in
+    the body of some clause for it."""
+    deps = {}
+    for c in program.clauses:
+        deps.setdefault(c.head, set()).update(c.pos, c.neg)
+    return AgentSpec(agent_id, deps, hbe, hin, initial, tuple(program.clauses))
+
+
+def spec_fields(spec: AgentSpec) -> tuple:
+    """An ``AgentSpec``'s fields, its clauses as a set: two groundings of
+    one agent may list their clauses in different orders."""
+    clauses = None if spec.clauses is None else frozenset(spec.clauses)
+    return spec.id, spec.deps, spec.hbe, spec.hin, spec.initial, clauses
+
+
+def with_clauses(spec: AgentSpec, extra) -> AgentSpec:
+    """``spec`` with the clauses ``extra`` added to its IDB."""
+    program = GroundProgram.of([*spec.clauses, *extra])
+    return agent_spec(spec.id, program, spec.hbe, spec.hin, spec.initial)
+
+
 def random_acyclic_program(rng: random.Random, max_atoms: int = 12) -> GroundProgram:
     """A random ground program whose dependency graph is a DAG by
     construction (bodies only mention atoms earlier in a fixed order)."""
@@ -110,7 +134,7 @@ def random_system(rng: random.Random, io_acyclic: bool = True):
         edb = true_env & hbe
         indb = frozenset(b for b in hin if rng.random() < 0.3)
         idb = GroundProgram.of(clauses[i], hbe | hin)
-        specs.append(AgentSpec(agent_id, idb, hbe, hin, AgentState(edb, indb)))
+        specs.append(agent_spec(agent_id, idb, hbe, hin, AgentState(edb, indb)))
 
     schedule = []
     for _ in range(rng.randint(0, 2)):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from agentlog.agents import (
-    AgentSpec,
     AgentState,
     EnvChange,
     agent_model,
@@ -16,6 +15,8 @@ from agentlog.agents import (
 )
 from agentlog.logic import AcyclicPlan, Clause, GroundProgram, atom, stable_models_bruteforce
 from agentlog.runtime import _applied
+
+from .generators import agent_spec
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -41,12 +42,12 @@ def sensed(edb, change, hbe):
 
 def agent1():
     idb = GroundProgram.of([clause(a, b, c), clause(f, a)], [c, b])
-    return AgentSpec("A1", idb, frozenset([c]), frozenset([b]), AgentState(frozenset([c])))
+    return agent_spec("A1", idb, frozenset([c]), frozenset([b]), AgentState(frozenset([c])))
 
 
 def agent2():
     idb = GroundProgram.of([clause(b, a, d), clause(b, e)], [d, e, a])
-    return AgentSpec("A2", idb, frozenset([d, e]), frozenset([a]), AgentState(frozenset([d, e])))
+    return agent_spec("A2", idb, frozenset([d, e]), frozenset([a]), AgentState(frozenset([d, e])))
 
 
 def test_validate_wellformed_agents():
@@ -55,17 +56,17 @@ def test_validate_wellformed_agents():
 
 
 def test_validate_hin_hbe_overlap():
-    spec = AgentSpec("X", GroundProgram.of([], [a]), frozenset([a]), frozenset([a]))
+    spec = agent_spec("X", GroundProgram.of([], [a]), frozenset([a]), frozenset([a]))
     assert any("overlap" in v for v in validate_agent(spec))
 
 
 def test_validate_input_atom_as_head():
-    spec = AgentSpec("X", GroundProgram.of([Clause(b)]), frozenset(), frozenset([b]))
+    spec = agent_spec("X", GroundProgram.of([Clause(b)]), frozenset(), frozenset([b]))
     assert any("heads" in v for v in validate_agent(spec))
 
 
 def test_validate_cyclic_idb():
-    spec = AgentSpec("X", GroundProgram.of([clause(a, b), clause(b, a)]))
+    spec = agent_spec("X", GroundProgram.of([clause(a, b), clause(b, a)]))
     assert any("acyclic" in v for v in validate_agent(spec))
 
 
@@ -76,7 +77,7 @@ def test_agent_model_demo_states():
 
 def test_agent_model_empty_state():
     idb = GroundProgram.of([clause(a, b)], [b])
-    spec = AgentSpec("X", idb, frozenset(), frozenset([b]))
+    spec = agent_spec("X", idb, frozenset(), frozenset([b]))
     assert model(spec, AgentState()) == frozenset()
 
 
@@ -87,8 +88,8 @@ def test_dependency_both_directions():
 
 
 def test_dependency_unrelated_agents():
-    x = AgentSpec("X", GroundProgram.of([Clause(a)]))
-    y = AgentSpec("Y", GroundProgram.of([Clause(b)]))
+    x = agent_spec("X", GroundProgram.of([Clause(a)]))
+    y = agent_spec("Y", GroundProgram.of([Clause(b)]))
     assert dependency(x, y) == frozenset()
 
 

@@ -11,7 +11,6 @@ import pytest
 
 import agentlog
 from agentlog import scenarios
-from agentlog.agents import AgentSpec
 from agentlog.cli import main
 from agentlog.logic import AcyclicPlan, Atom, Clause, CyclicProgramError, parse_atom
 from agentlog.scenarios import Topology, load_scenario, routing_scenario_text
@@ -530,6 +529,16 @@ def test_oracle_check_lists_mismatched_models_in_atom_order(monkeypatch, capsys)
     assert any("r(10)" in r["expected"] for r in mismatches)
 
 
+def test_oracle_check_enumerates_no_fact_atom(capsys):
+    # 18 of the agent's 20 atoms are sensed facts; only the two derived
+    # heads are enumerated.
+    path = str(Path(__file__).parent / "data" / "oracle-facts.scenario")
+    code, out, err = run_cli(capsys, "oracle-check", path)
+    assert (code, err) == (0, "")
+    summary = records(out)[-1]
+    assert (summary["checked"], summary["skipped_above_cap"], summary["mismatches"]) == (1, 0, 0)
+
+
 def test_oracle_check_refuses_inject_fault(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle-check", "example3", "--inject-fault"])
@@ -781,20 +790,28 @@ def test_analyze_compiles_no_plan(monkeypatch, capsys):
 
 def test_analyze_grounds_no_clause(monkeypatch, capsys):
     # No two agents of these scenarios define one head, so neither bound
-    # grounds a clause or builds an agent spec or plan: the system that
-    # ``analyze`` assembles holds each agent's streamed tables.
+    # grounds a clause or builds a plan: the system that ``analyze``
+    # assembles holds each agent's streamed head -> body-atoms map alone.
     names = ("example3", "routing5-example6-script", "chain(3)")
     expected = {name: run_cli(capsys, "analyze", name) for name in names}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a clause, agent spec or plan was built")
+        raise AssertionError("a clause or plan was built")
+
+    assembled = []
+    build = scenarios.build_system
+
+    def recording(agents, dmax=None):
+        assembled.extend(agents)
+        return build(agents, dmax=dmax)
 
     monkeypatch.setattr(scenarios, "ground_program", refuse)
-    monkeypatch.setattr(AgentSpec, "__init__", refuse)
     monkeypatch.setattr(Clause, "_sorted", refuse)
     monkeypatch.setattr(AcyclicPlan, "__init__", refuse)
     with pytest.raises(AssertionError):
         main(["run", "example3"])  # the patch does reach grounding
     capsys.readouterr()
+    monkeypatch.setattr(scenarios, "build_system", recording)
     for name in names:
         assert run_cli(capsys, "analyze", name) == expected[name]
+    assert assembled and all(a.clauses is None for a in assembled)

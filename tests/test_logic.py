@@ -35,6 +35,8 @@ def clause(head, *body):
 # The two rule bases of the cyclic two-agent demo system.
 IDB1 = GroundProgram.of([clause(a, b, c), clause(f, a)])
 IDB2 = GroundProgram.of([clause(b, a, d), clause(b, e)])
+# Their union: the superagent's rule base.
+UNION = GroundProgram.of(IDB1.clauses | IDB2.clauses)
 
 
 def test_head_set():
@@ -83,12 +85,11 @@ def test_universe_must_cover_clause_atoms():
 
 
 def test_derived_programs_pass_the_universe_check():
-    # of/union/with_facts/gl_reduct skip the scan; what they build must
+    # of/with_facts/gl_reduct skip the scan; what they build must
     # still pass it when rebuilt through the checked constructor.
     p = GroundProgram.of([Clause(a, [b], [c]), clause(d, e)], extra_atoms=[f])
     derived = [
         p,
-        p.union(IDB1),
         p.with_facts([atom("x", 1), a]),
         gl_reduct(p, frozenset([c])),
         gl_reduct(p, frozenset()),
@@ -133,7 +134,7 @@ def test_least_model_rejects_negation():
 
 def test_is_stable_model_definite_cyclic():
     # Union rule base of the demo system plus facts {c, d}.
-    p = IDB1.union(IDB2).with_facts([c, d])
+    p = UNION.with_facts([c, d])
     assert is_stable_model(p, frozenset([c, d]))
     assert not is_stable_model(p, frozenset([a, b, c, d, f]))
 
@@ -166,6 +167,17 @@ def test_bruteforce_no_model():
     assert stable_models_bruteforce(p) == []
 
 
+def test_bruteforce_enumerates_only_the_heads_no_fact_derives():
+    # 24 facts and two derived heads, 26 heads in all: the facts hold in
+    # every candidate, so four candidates are tried, not 2**26.  One fact
+    # also heads a clause of its own.
+    facts = [atom("x", i) for i in range(24)]
+    p = GroundProgram.of([clause(a, facts[0]), Clause(b, [], [a]), clause(facts[1], b)])
+    p = p.with_facts(facts)
+    assert len(p.universe) == 26
+    assert stable_models_bruteforce(p, cap=30) == [frozenset(facts) | {a}]
+
+
 def test_bruteforce_cap():
     atoms = [atom(f"x{i}") for i in range(21)]
     p = GroundProgram.of([Clause(x) for x in atoms])
@@ -175,7 +187,7 @@ def test_bruteforce_cap():
 
 
 def test_dependency_graph_demo():
-    g = dependency_graph(IDB1.union(IDB2))
+    g = dependency_graph(UNION)
     assert g.edges == {(a, b), (a, c), (f, a), (b, a), (b, d), (b, e)}
 
 
@@ -186,13 +198,13 @@ def test_dependency_graph_empty_and_negative():
 
 
 def test_is_acyclic():
-    assert not is_acyclic(dependency_graph(IDB1.union(IDB2)))  # a <-> b
+    assert not is_acyclic(dependency_graph(UNION))  # a <-> b
     single = GroundProgram.of([], [a])
     assert is_acyclic(dependency_graph(single))
 
 
 def test_relevant_atoms_demo():
-    g = dependency_graph(IDB1.union(IDB2))
+    g = dependency_graph(UNION)
     assert relevant_atoms(g, a) == {a, b, c, d, e}
     assert relevant_atoms(g, f) == {a, b, c, d, e}
 
@@ -214,7 +226,7 @@ def test_stable_model_acyclic_facts_parameter():
 
 def test_stable_model_acyclic_rejects_cycles():
     with pytest.raises(CyclicProgramError):
-        AcyclicPlan(IDB1.union(IDB2).clauses)
+        AcyclicPlan(UNION.clauses)
     with pytest.raises(CyclicProgramError):
         AcyclicPlan(GroundProgram.of([Clause(a, [], [a])]).clauses)
 

@@ -12,6 +12,8 @@ from agentlog.logic import (
     AcyclicPlan,
     Clause,
     GroundProgram,
+    atom,
+    head_set,
     is_stable_model,
     least_model,
     stable_models_bruteforce,
@@ -121,3 +123,25 @@ def test_bruteforce_agrees_with_definition_on_cyclic_programs():
         models = set(stable_models_bruteforce(p))
         expected = {s for s in all_subsets(p.universe) if is_stable_model(p, s)}
         assert models == expected
+
+
+def test_bruteforce_agrees_with_definition_on_programs_with_facts():
+    # Fact heads are set in every candidate and only the other heads are
+    # enumerated; the definition tries every subset of the heads.  The
+    # models must come in the same order as well.  Some programs get an
+    # even loop over u and v, which has two models unless a fact is u or v.
+    rng = random.Random(707)
+    u, v = atom("u"), atom("v")
+    counts = set()
+    for _ in range(300):
+        p = random_program(rng, max_atoms=6)
+        if rng.random() < 0.3:
+            p = GroundProgram.of(p.clauses | {Clause(u, [], [v]), Clause(v, [], [u])}, p.universe)
+        fresh = [atom("g", k) for k in range(rng.randint(0, 3))]
+        facts = [x for x in sorted(p.universe) if rng.random() < 0.15] + fresh
+        p = p.with_facts(facts)
+        expected = [s for s in all_subsets(head_set(p)) if is_stable_model(p, s)]
+        expected.sort(key=lambda s: tuple(sorted(x.sort_key() for x in s)))
+        assert stable_models_bruteforce(p) == expected
+        counts.add(min(len(expected), 2))
+    assert counts == {0, 1, 2}

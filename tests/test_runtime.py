@@ -27,7 +27,7 @@ from agentlog.runtime import (
 from agentlog.scenarios import builtin_names, builtin_scenario, load_scenario, parse_scenario
 from agentlog.system import io_graph
 
-from .generators import random_system
+from .generators import agent_spec, random_system
 from .reference import agreement, comm_transition, env_transition, output_projection
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
@@ -208,11 +208,10 @@ def test_run_fair_example8(example3_system):
 
 
 def test_run_fair_no_dependencies_fixpoint_immediately():
-    from agentlog.agents import AgentSpec
     from agentlog.logic import Clause, GroundProgram
     from agentlog.system import build_system
 
-    spec = AgentSpec(
+    spec = agent_spec(
         "A1",
         GroundProgram.of([Clause(a, (c,))], [c]),
         frozenset([c]),
@@ -245,11 +244,10 @@ def test_quiescence_none_when_schedule_pending(example3_system):
 
 
 def test_convergence_model_single_agent():
-    from agentlog.agents import AgentSpec
     from agentlog.logic import Clause, GroundProgram
     from agentlog.system import build_system
 
-    spec = AgentSpec(
+    spec = agent_spec(
         "A1",
         GroundProgram.of([Clause(a, (c,))], [c]),
         frozenset([c]),

@@ -1,11 +1,10 @@
 """Tests for system assembly, superagent, I/O graph, and classification."""
 
 import random
-from dataclasses import replace
-
+from collections import Counter
 import pytest
 
-from agentlog.agents import AgentSpec, AgentState, AgentTables
+from agentlog.agents import AgentSpec, AgentState
 from agentlog.logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
@@ -20,11 +19,14 @@ from agentlog.logic import (
     stable_models_bruteforce,
 )
 from agentlog.runtime import run_fair, verdict
+from agentlog import scenarios as scenarios_module
+from agentlog.grounding import ground_program
 from agentlog.scenarios import (
     FIG1_TOPOLOGY,
     AgentDef,
     Scenario,
     Topology,
+    _agent_spec,
     builtin_names,
     builtin_scenario,
     chain_scenario,
@@ -43,7 +45,14 @@ from agentlog.system import (
     system_violations,
 )
 
-from .generators import random_schematic_scenario, random_system, signed_clause
+from .generators import (
+    agent_spec,
+    random_schematic_scenario,
+    random_system,
+    signed_clause,
+    spec_fields,
+    with_clauses,
+)
 from .reference import bfs_oracle, dependency_graph, is_acyclic, relevant_atoms, successors
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
@@ -68,37 +77,37 @@ def test_build_example3_system(example3_system):
 
 def test_shared_definition_violation():
     x = atom("x")
-    one = AgentSpec("A1", GroundProgram.of([clause(x, a)], [a]), frozenset([a]))
-    two = AgentSpec("A2", GroundProgram.of([clause(x, b)], [b]), frozenset([b]))
+    one = agent_spec("A1", GroundProgram.of([clause(x, a)], [a]), frozenset([a]))
+    two = agent_spec("A2", GroundProgram.of([clause(x, b)], [b]), frozenset([b]))
     assert any("different definitions" in v for v in system_violations(MultiAgentSystem([one, two])))
 
 
 def test_shared_definition_identical_is_fine():
     x = atom("x")
-    one = AgentSpec("A1", GroundProgram.of([clause(x, a)], [a]), frozenset([a]))
-    two = AgentSpec("A2", GroundProgram.of([clause(x, a), Clause(b)], [a]), frozenset([a]))
+    one = agent_spec("A1", GroundProgram.of([clause(x, a)], [a]), frozenset([a]))
+    two = agent_spec("A2", GroundProgram.of([clause(x, a), Clause(b)], [a]), frozenset([a]))
     system = build_system([one, two])
     # Duplicate clauses collapse in the union rule base.
     assert clause(x, a) in superagent(system).clauses
 
 
 def test_uncovered_input_violation():
-    one = AgentSpec("A1", GroundProgram.of([], [b]), frozenset(), frozenset([b]))
+    one = agent_spec("A1", GroundProgram.of([], [b]), frozenset(), frozenset([b]))
     with pytest.raises(ValidationError) as err:
         build_system([one])
     assert any("no producer" in v for v in err.value.violations)
 
 
 def test_duplicate_ids_rejected():
-    one = AgentSpec("A1", GroundProgram.of([Clause(a)]))
+    one = agent_spec("A1", GroundProgram.of([Clause(a)]))
     with pytest.raises(ValidationError) as err:
         build_system([one, one])
     assert any("duplicate" in v for v in err.value.violations)
 
 
 def test_environment_atom_as_head_rejected():
-    one = AgentSpec("A1", GroundProgram.of([Clause(a)]))
-    two = AgentSpec("A2", GroundProgram.of([], [a]), frozenset([a]), frozenset(), AgentState())
+    one = agent_spec("A1", GroundProgram.of([Clause(a)]))
+    two = agent_spec("A2", GroundProgram.of([], [a]), frozenset([a]), frozenset(), AgentState())
     violations = system_violations(MultiAgentSystem([one, two]))
     assert any("environment atoms appear as heads" in v for v in violations)
 
@@ -106,8 +115,8 @@ def test_environment_atom_as_head_rejected():
 def test_long_violation_listings_are_cut_after_four_atoms():
     ins = [atom("i", k) for k in range(5)]
     env = [atom("e", k) for k in range(5)]
-    one = AgentSpec("A1", GroundProgram.of([Clause(x) for x in env]), hin=frozenset(ins))
-    two = AgentSpec("A2", GroundProgram.of([], env), frozenset(env))
+    one = agent_spec("A1", GroundProgram.of([Clause(x) for x in env]), hin=frozenset(ins))
+    two = agent_spec("A2", GroundProgram.of([], env), frozenset(env))
     assert system_violations(MultiAgentSystem([one, two])) == [
         "agent A1: no producer for input atoms: i(0), i(1), i(2), i(3), ...",
         "agent A1: environment atoms appear as heads: e(0), e(1), e(2), e(3), ...",
@@ -125,7 +134,7 @@ def test_superagent_example3(example3_system):
 
 
 def test_superagent_single_agent():
-    spec = AgentSpec(
+    spec = agent_spec(
         "A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]), frozenset(),
         AgentState(frozenset([c])),
     )
@@ -155,7 +164,7 @@ def test_superagent_model_example3(example3_system):
 
 
 def test_superagent_model_empty():
-    spec = AgentSpec("A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]))
+    spec = agent_spec("A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]))
     assert superagent_model(build_system([spec]), frozenset()) == frozenset()
 
 
@@ -243,8 +252,8 @@ def test_superagent_model_of_a_cyclic_union_with_negation_uses_brute_force(monke
 def test_superagent_model_no_unique_for_negative_loop():
     # a :- not b in one agent and b :- not a in the other: each rule base
     # is acyclic, the union has two stable models.
-    one = AgentSpec("A1", GroundProgram.of([Clause(a, (), (b,))]), hin=frozenset([b]))
-    two = AgentSpec("A2", GroundProgram.of([Clause(b, (), (a,))]), hin=frozenset([a]))
+    one = agent_spec("A1", GroundProgram.of([Clause(a, (), (b,))]), hin=frozenset([b]))
+    two = agent_spec("A2", GroundProgram.of([Clause(b, (), (a,))]), hin=frozenset([a]))
     system = build_system([one, two])
     assert system.cyclic == {a, b}
     with pytest.raises(NoUniqueModelError):
@@ -259,7 +268,7 @@ def test_io_graph_example3(example3_system):
 
 
 def test_io_graph_no_inputs():
-    spec = AgentSpec("A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]))
+    spec = agent_spec("A1", GroundProgram.of([clause(a, c)], [c]), frozenset([c]))
     assert io_graph(build_system([spec])).nodes == frozenset()
 
 
@@ -309,7 +318,7 @@ def _with_own_cycle(rng, spec):
         extra = [clause(h, y), clause(y, h)]
     else:
         return spec
-    return replace(spec, idb=spec.idb.union(GroundProgram.of(extra)))
+    return with_clauses(spec, extra)
 
 
 def test_acyclicity_violations_match_definition_route():
@@ -391,8 +400,7 @@ def test_definition_violations_match_definition_route():
                 others = [i for i in range(len(specs)) if i != owner]
                 for i in rng.sample(others, min(len(others), rng.choice((1, 1, 2)))):
                     extra[i] += _perturbed(rng, own, k)
-        specs = [replace(s, idb=s.idb.union(GroundProgram.of(more)))
-                 for s, more in zip(specs, extra)]
+        specs = [with_clauses(s, more) for s, more in zip(specs, extra)]
         expected = _definition_route(specs)
         violations = [v for v in system_violations(MultiAgentSystem(specs))
                       if "different definitions" in v]
@@ -499,10 +507,10 @@ def test_classify_and_io_graph_match_definition_route_on_unvalidated_systems():
     # outside the I/O graph (IO-acyclic with a cyclic union IDB) and once
     # as a self-loop inside it.
     i, x, y = atom("i"), atom("x"), atom("y")
-    reader = AgentSpec("A1", GroundProgram.of([clause(y, i)]), hin=frozenset([i]))
-    outside = MultiAgentSystem([AgentSpec(
+    reader = agent_spec("A1", GroundProgram.of([clause(y, i)]), hin=frozenset([i]))
+    outside = MultiAgentSystem([agent_spec(
         "A1", GroundProgram.of([clause(y, i), clause(a, b), clause(b, a)]), hin=frozenset([i]))])
-    inside = MultiAgentSystem([reader, AgentSpec("A2", GroundProgram.of([clause(i, x), clause(x, x)]))])
+    inside = MultiAgentSystem([reader, agent_spec("A2", GroundProgram.of([clause(i, x), clause(x, x)]))])
     for system in (outside, inside):
         _check_against_definition(system)
     cls = classify(outside)
@@ -563,6 +571,66 @@ def test_classify_reads_a_shape_as_the_built_system(built):
             systems[dmax], reground=systems.__getitem__, probe_delta=delta)
 
 
+def _check_agent_specs(sc, dmax, monkeypatch) -> tuple:
+    """Check each agent ``_agent_spec`` grounds at ``dmax`` against
+    ``ground_program`` with ``deps`` by the definition, and that
+    ``sc.shape(dmax)`` gives clauses to exactly the agents that define a
+    head another agent defines too; return how many agents it gave
+    clauses and how many it did not."""
+    dom = sc._domain(dmax)
+    for ad in sc.agents:
+        spec, bare = _agent_spec(ad, dom, clauses=True), _agent_spec(ad, dom, clauses=False)
+        program = ground_program(ad.idb, dom, extra_atoms=spec.hbe | spec.hin)
+        # ground_stream passes an instance once for each binding.
+        assert len(spec.clauses) == len(set(spec.clauses))
+        assert set(spec.clauses) == program.clauses
+        assert spec_fields(spec) == spec_fields(
+            agent_spec(ad.id, program, spec.hbe, spec.hin, spec.initial))
+        assert spec.idb.universe == program.universe
+        assert spec_fields(bare) == spec_fields(spec)[:-1] + (None,)
+    assembled = []
+    build = scenarios_module.build_system
+
+    def recording(agents, dmax=None):
+        assembled.extend(agents)
+        return build(agents, dmax=dmax)
+
+    with monkeypatch.context() as m:
+        m.setattr(scenarios_module, "build_system", recording)
+        _outcome(lambda: sc.shape(dmax))
+    definers = Counter(h for a in assembled for h in a.heads)
+    shared = {h for h, n in definers.items() if n > 1}
+    for ad, a in zip(sc.agents, assembled):
+        assert (a.clauses is not None) == (not shared.isdisjoint(a.heads))
+        if a.clauses is not None:
+            assert spec_fields(a) == spec_fields(_agent_spec(ad, dom, clauses=True))
+    given = sum(a.clauses is not None for a in assembled)
+    return given, len(assembled) - given
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [name for name in builtin_names() if name != "chain(N)"]
+    + [f"chain({n})" for n in range(1, 9)]
+    + [f"ring{n}{chord}" for n in range(4, 9) for chord in ("", "+chord")],
+)
+def test_agent_spec_grounds_as_ground_program_on_scenarios(ref, monkeypatch):
+    # No two agents of these define one head, so shape gives none clauses.
+    sc = _scenario(ref)
+    assert _check_agent_specs(sc, sc.domain.distance_max, monkeypatch) == (0, len(sc.agents))
+
+
+def test_agent_spec_grounds_as_ground_program_on_random_scenarios(monkeypatch):
+    rng = random.Random(1729)
+    given = bare = 0
+    for _ in range(300):
+        sc = _random_scenario(rng)
+        counts = _check_agent_specs(sc, sc.domain.distance_max, monkeypatch)
+        given += counts[0]
+        bare += counts[1]
+    assert given > 50 and bare > 50
+
+
 _BREACHES = (
     "duplicate agent id",
     "IDB is not acyclic",
@@ -589,24 +657,29 @@ def _outcome(build):
         return exc.violations
 
 
+def _random_scenario(rng) -> Scenario:
+    """Random agents over shared random clauses and patterns: ids repeat,
+    heads are shared and defined differently, inputs go unproduced."""
+    dom, clauses, patterns = random_schematic_scenario(rng)
+
+    def some(items):
+        return tuple(x for x in items if rng.random() < 0.5)
+
+    agents = []
+    for _ in range(rng.randint(1, 3)):
+        hbe = some(patterns)
+        hin = some(p for p in patterns if p not in hbe)
+        agents.append(AgentDef(f"A{rng.randint(1, 3)}", some(clauses), hbe, hin,
+                               some(hbe + hin), some(hin + hbe)))
+    return Scenario(domain=dom, agents=tuple(agents))
+
+
 def test_streamed_io_atoms_validate_as_build_system_on_random_scenarios():
-    # Random agents over shared random clauses and patterns: ids repeat,
-    # heads are shared and defined differently, inputs go unproduced.
     rng = random.Random(1618)
     seen = set()
     for _ in range(300):
-        dom, clauses, patterns = random_schematic_scenario(rng)
-
-        def some(items):
-            return tuple(x for x in items if rng.random() < 0.5)
-
-        agents = []
-        for _ in range(rng.randint(1, 3)):
-            hbe = some(patterns)
-            hin = some(p for p in patterns if p not in hbe)
-            agents.append(AgentDef(f"A{rng.randint(1, 3)}", some(clauses), hbe, hin,
-                                   some(hbe + hin), some(hin + hbe)))
-        sc = Scenario(domain=dom, agents=tuple(agents))
+        sc = _random_scenario(rng)
+        dom = sc.domain
         for dmax in (dom.distance_max, dom.distance_max + 2):
             want = _outcome(lambda: _shape(sc.build_system(dmax)))
             assert _outcome(lambda: _shape(sc.shape(dmax))) == want
@@ -627,12 +700,12 @@ def _with_copied_heads(rng, specs):
                 continue
             target = rng.choice([i for i in range(len(specs)) if i != owner])
             extra[target] += [c for c in spec.idb.clauses if c.head == h]
-    return [replace(s, idb=s.idb.union(GroundProgram.of(more))) for s, more in zip(specs, extra)]
+    return [with_clauses(s, more) for s, more in zip(specs, extra)]
 
 
 def test_mixed_systems_derive_the_tables_of_their_spec_systems():
-    # Every agent that shares no head becomes ``AgentTables``, which hold
-    # no clauses; the system of the mix must read the same union off the
+    # Every agent that shares no head loses its clauses, as ``analyze``
+    # builds it; the system of the mix must read the same union off the
     # agents' maps and report the same breaches, in the same order.
     rng = random.Random(1442)
     seen = set()
@@ -645,12 +718,11 @@ def test_mixed_systems_derive_the_tables_of_their_spec_systems():
             target = rng.randrange(len(specs))
             h = rng.choice(sorted(set().union(*(s.heads for s in specs))))
             body = rng.sample(sorted(system.env_atoms), min(1, len(system.env_atoms)))
-            extra = GroundProgram.of([clause(h, *body)])
-            specs[target] = replace(specs[target], idb=specs[target].idb.union(extra))
+            specs[target] = with_clauses(specs[target], [clause(h, *body)])
         heads = [h for s in specs for h in s.heads]
         shared = {h for h in heads if heads.count(h) > 1}
         mixed = [
-            s if not shared.isdisjoint(s.heads) else AgentTables(s.id, s.deps, s.hbe, s.hin, s.initial)
+            s if not shared.isdisjoint(s.heads) else AgentSpec(s.id, s.deps, s.hbe, s.hin, s.initial)
             for s in specs
         ]
         want, got = MultiAgentSystem(specs), MultiAgentSystem(mixed)
@@ -665,8 +737,8 @@ def test_mixed_systems_derive_the_tables_of_their_spec_systems():
         violations = system_violations(got)
         assert violations == system_violations(want)
         seen.update(kind for v in violations for kind in _BREACHES if kind in v)
-        seen.add("tables" if any(isinstance(a, AgentTables) for a in mixed) else "no tables")
-        seen.add("specs" if any(isinstance(a, AgentSpec) for a in mixed) else "no specs")
+        seen.add("tables" if any(a.clauses is None for a in mixed) else "no tables")
+        seen.add("specs" if any(a.clauses is not None for a in mixed) else "no specs")
         seen.add("cyclic" if got.cyclic else "acyclic")
     assert {"tables", "specs", "no specs", "cyclic", "acyclic", "different definitions",
             "IDB is not acyclic"} <= seen
@@ -738,7 +810,7 @@ def test_superagent_model_reads_every_definer_on_unvalidated_systems():
                 body = rng.sample(pool, rng.randint(0, min(2, len(pool))))
                 target = rng.choice([i for i in range(len(specs)) if i != owner])
                 extra[target].append(signed_clause(h, [(x, rng.random() > 0.3) for x in body]))
-        specs = [replace(s, idb=s.idb.union(GroundProgram.of(more))) for s, more in zip(specs, extra)]
+        specs = [with_clauses(s, more) for s, more in zip(specs, extra)]
         system = MultiAgentSystem(specs)
         assert not system.cyclic
         differing += sum("different definitions" in v for v in system_violations(system))
@@ -840,8 +912,8 @@ def test_plans_keep_clauses_that_read_a_head_of_another_agent():
     # input of A: p never holds for A, yet it holds in the union, so A's
     # clause is live.
     p, h = atom("p"), atom("h")
-    one = AgentSpec("A", GroundProgram.of([clause(h, p)]))
-    two = AgentSpec("B", GroundProgram.of([clause(p, e)], [e]), hbe=frozenset([e]))
+    one = agent_spec("A", GroundProgram.of([clause(h, p)]))
+    two = agent_spec("B", GroundProgram.of([clause(p, e)], [e]), hbe=frozenset([e]))
     system = build_system([one, two])
     assert _plan_clauses(system.plans[0]) == one.idb.clauses
     for edb in (frozenset(), system.env_atoms):
@@ -857,7 +929,7 @@ def _dead_heads(system):
 def test_a_head_whose_clauses_are_all_dead_reads_false_and_is_no_fact(routing5_system):
     # q's one clause reads d, which no agent senses, receives or heads.
     q, r = atom("q"), atom("r")
-    system = build_system([AgentSpec("A", GroundProgram.of([clause(q, d), Clause(r, (), (q,))]))])
+    system = build_system([agent_spec("A", GroundProgram.of([clause(q, d), Clause(r, (), (q,))]))])
     assert _dead_heads(system) == [{q}]
     model = superagent_model(system, frozenset())
     assert _is_union_model(system, frozenset(), model) and model == {r}
