@@ -10,11 +10,11 @@ model of ``IDB + EDB + IN``.  A run moves by two kinds of event: an
 ``EnvChange`` that agents sense, and a ``CommEvent`` that pushes facts
 from a sender to a receiver.
 
-An event is read as a delta: ``env_delta`` and ``input_delta`` return
-the atoms it adds to and removes from an agent's EDB or IN, which is
-all a recorded run keeps of the event.  A send replaces the receiver's
-slice of IN with the sender's model restricted to that slice, so atoms
-of the slice the sender no longer holds are retracted.
+An environment change is read as a delta: ``env_delta`` returns the
+atoms it adds to and removes from an agent's EDB, which is all a
+recorded run keeps of the event.  A send replaces the receiver's slice
+of IN with the sender's model restricted to that slice, so atoms of the
+slice the sender no longer holds are retracted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "validate_agent",
     "agent_model",
     "dependency",
-    "input_delta",
     "env_delta",
 ]
 
@@ -75,11 +74,14 @@ class AgentSpec:
         return frozenset(self.deps)
 
     @property
+    def universe(self) -> frozenset:
+        """The heads, the body atoms, HBE and HIN: the IDB's universe."""
+        return self.heads.union(*self.deps.values(), self.hbe, self.hin)
+
+    @property
     def idb(self) -> GroundProgram:
-        """The IDB as a program, built on each read: the clauses over a
-        universe of the heads, the body atoms, HBE and HIN."""
-        universe = self.heads.union(*self.deps.values(), self.hbe, self.hin)
-        return GroundProgram._unchecked(frozenset(self.clauses), universe)
+        """The IDB as a program over ``universe``, built on each read."""
+        return GroundProgram._unchecked(frozenset(self.clauses), self.universe)
 
     @property
     def hb(self) -> frozenset:
@@ -141,15 +143,6 @@ def agent_model(a: AgentSpec, s: AgentState, plan: AcyclicPlan) -> frozenset:
 def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
     """Atoms the receiver needs that the sender can produce or sense."""
     return receiver.hin & (sender.heads | sender.hbe)
-
-
-def input_delta(indb, dep: frozenset, sender_model) -> tuple:
-    """``(added, removed)``: what a send from a sender whose model is
-    ``sender_model`` changes of the receiver's input database ``indb``,
-    read off the dependency slice ``dep`` alone."""
-    payload = dep & sender_model
-    held = dep & indb
-    return payload - held, held - payload
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,8 @@ class _Output:
 
 
 def _load(args):
-    scenario = load_scenario(args.scenario, dmax=args.dmax)
-    system = scenario.build_system()
-    return scenario, system
+    scenario = load_scenario(args.scenario)
+    return scenario, scenario.build_system(args.dmax)
 
 
 def _header(args, command, system, extra=None):
@@ -85,9 +84,9 @@ def _header(args, command, system, extra=None):
 
 
 def cmd_analyze(args) -> int:
-    scenario = load_scenario(args.scenario, dmax=args.dmax)
+    scenario = load_scenario(args.scenario)
     out = _Output(args.out)
-    cls = classify(scenario.shape(), reground=scenario.shape, probe_delta=args.probe_delta)
+    cls = classify(scenario.shape(args.dmax), reground=scenario.shape, probe_delta=args.probe_delta)
     record = {
         "record": "classification",
         "scenario": args.scenario,
@@ -95,7 +94,7 @@ def cmd_analyze(args) -> int:
         "io_acyclic": cls.io_acyclic,
         "bounded": cls.bounded,
         "io_finite": cls.io_finite,
-        "io_finite_probe": "dmax-sweep" if cls.probed else "single-grounding",
+        "io_finite_probe": "dmax-sweep",
         "idb_acyclic": cls.idb_acyclic,
         "io_nodes": cls.io_nodes,
     }
@@ -103,18 +102,16 @@ def cmd_analyze(args) -> int:
         for key in ("scenario", "dmax", "io_acyclic", "bounded", "io_finite",
                     "io_finite_probe", "idb_acyclic", "io_nodes"):
             out.emit(f"{key:16} {record[key]}")
-        if cls.probed:
-            out.emit(f"{'sweep':16} dmax={cls.dmax}:{cls.probe_sizes[0]} "
-                     f"dmax={cls.dmax + cls.probe_delta}:{cls.probe_sizes[1]}")
+        out.emit(f"{'sweep':16} dmax={cls.dmax}:{cls.probe_sizes[0]} "
+                 f"dmax={cls.dmax + cls.probe_delta}:{cls.probe_sizes[1]}")
     else:
         out.emit(_dump(record))
-        if cls.probed:
-            out.emit(_dump({"record": "sweep", "dmax": cls.dmax, "io_nodes": cls.probe_sizes[0]}))
-            out.emit(_dump({
-                "record": "sweep",
-                "dmax": cls.dmax + cls.probe_delta,
-                "io_nodes": cls.probe_sizes[1],
-            }))
+        out.emit(_dump({"record": "sweep", "dmax": cls.dmax, "io_nodes": cls.probe_sizes[0]}))
+        out.emit(_dump({
+            "record": "sweep",
+            "dmax": cls.dmax + cls.probe_delta,
+            "io_nodes": cls.probe_sizes[1],
+        }))
     out.close()
     return EXIT_OK
 
@@ -192,15 +189,17 @@ def _parse_range(spec: str):
 def cmd_sweep(args) -> int:
     if args.param == "n" and not _CHAIN_RE.match(args.scenario.strip()):
         raise ScenarioError(f"--param n sweeps a chain(N) scenario, got {args.scenario!r}")
+    values = _parse_range(args.range)
+    scenario = load_scenario(args.scenario)
+    families = scenario.families()
     out = _Output(args.out)
     rows = []
-    for value in _parse_range(args.range):
+    for value in values:
         # A chain(N) scenario's bound is its length, so both parameters
-        # load the same scenario.
-        scenario = load_scenario(args.scenario, dmax=value)
-        system = scenario.build_system()
+        # build the same system.
+        system = scenario.build_system(value)
         trace = _run_trace(scenario, system, args)
-        v = verdict(system, trace, families=scenario.families())
+        v = verdict(system, trace, families=families)
         rows.append({
             "record": "sweep-row",
             "param": args.param,
@@ -240,9 +239,9 @@ def cmd_oracle_check(args) -> int:
         max_rounds=args.rounds,
         prefix_events=scenario.script,
     )
-    # EDB and IN lie in HBE and HIN, which lie in the IDB's universe, so
+    # EDB and IN lie in HBE and HIN, which lie in the agent's universe, so
     # each agent is above the cap (None here) at every point or at none.
-    idbs = [p if len(p.universe) <= args.cap else None for p in (a.idb for a in system.agents)]
+    idbs = [a.idb if len(a.universe) <= args.cap else None for a in system.agents]
     mismatches = 0
     skipped = 0
     checked = 0
@@ -301,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="builtin name (example3, routing5, "
                        "routing5-example6-script, chain(N)) or scenario file path")
         if bounded:
-            p.add_argument("--dmax", type=int, default=None, help="override the domain bound")
+            p.add_argument("--dmax", type=int, default=None, help="ground at this integer bound")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         if formatted:
             p.add_argument("--format", choices=("ndrecords", "table"), default="ndrecords")

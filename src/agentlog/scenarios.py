@@ -34,13 +34,18 @@ atoms are patterns without variables).  Plain ``send``/``fail``/
 directives schedule environment changes between fair rounds.  The
 ``output:`` key is informational: it names the predicate of the agents'
 outgoing claims, and is parsed and serialized but read by no command.
+
+A file is parsed at the ``dmax`` it declares, which also bounds the
+integer arguments of its event atoms.  The bound is a build argument
+only: ``Scenario.build_system`` and ``Scenario.shape`` ground one parsed
+scenario at any other.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import accumulate
 
@@ -107,13 +112,15 @@ class Scenario:
     output: object = None
 
     def build_system(self, dmax=None) -> MultiAgentSystem:
+        """The system grounded at the bound ``dmax``, or at the scenario's
+        own when None: parsing takes no bound, only this and ``shape`` do."""
         dom = self._domain(dmax)
         agents = [_agent_spec(ad, dom, clauses=True) for ad in self.agents]
         return build_system(agents, dmax=dom.distance_max)
 
     def shape(self, dmax=None) -> SystemShape:
-        """The ``SystemShape`` of ``build_system(dmax)``, from a system of
-        agents mostly without clauses.
+        """The ``SystemShape`` of ``build_system(dmax)``, at the same bound,
+        from a system of agents mostly without clauses.
 
         Each agent is grounded into its head -> body-atoms map alone; only
         agents that define a head another agent defines too are grounded
@@ -139,10 +146,7 @@ class Scenario:
 
     def _domain(self, dmax) -> DomainSpec:
         """The domain with its bound replaced by ``dmax`` when one is given."""
-        dom = self.domain
-        if dmax is None:
-            return dom
-        return DomainSpec(dom.node_constants, dmax, dom.node_vars, dom.int_vars, dom.symmetric)
+        return self.domain if dmax is None else replace(self.domain, distance_max=dmax)
 
     def families(self) -> tuple:
         return tuple(family_of(p, self.domain) for p in self.track)
@@ -210,7 +214,7 @@ def _split_items(text: str):
             yield part
 
 
-def parse_scenario(text: str, name: str = "<scenario>", dmax=None) -> Scenario:
+def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     """Parse scenario text; raises ScenarioError with the offending line."""
     sections = []  # (kind, agent_id, [(line_no, content)])
     current = None
@@ -236,7 +240,7 @@ def parse_scenario(text: str, name: str = "<scenario>", dmax=None) -> Scenario:
     if not any(kind == "agent" for kind, _, _ in sections):
         raise ScenarioError("no agents")
 
-    dom, output = _parse_domain(sections[0][2], dmax)
+    dom, output = _parse_domain(sections[0][2])
 
     agents = []
     script = []
@@ -287,7 +291,7 @@ def _collect_keys(lines, allowed):
     return values
 
 
-def _parse_domain(lines, dmax_override):
+def _parse_domain(lines):
     """The domain section's ``DomainSpec`` and its ``output:`` predicate
     (None when absent)."""
     values = _collect_keys(lines, _DOMAIN_KEYS)
@@ -306,8 +310,6 @@ def _parse_domain(lines, dmax_override):
         dmax = int(raw_dmax) if raw_dmax else 0
     except ValueError:
         raise ScenarioError(f"dmax must be an integer, got {raw_dmax!r}", dmax_line) from None
-    if dmax_override is not None:
-        dmax, dmax_line = dmax_override, None
     node_vars, int_vars = names("var node"), names("var int")
     symmetric = frozenset(t for t in re.split(r"[,\s]+", joined("symmetric")) if t)
     try:
@@ -597,23 +599,23 @@ def builtin_names() -> tuple:
     return _FILE_BUILTINS + ("chain(N)",)
 
 
-def builtin_scenario(name: str, dmax=None) -> Scenario:
+def builtin_scenario(name: str) -> Scenario:
     m = _CHAIN_RE.match(name.strip())
     if m:
-        return chain_scenario(int(m.group(1)) if dmax is None else dmax)
+        return chain_scenario(int(m.group(1)))
     if name in _FILE_BUILTINS:
         text = resources.files("agentlog").joinpath("data", f"{name}.scenario").read_text()
-        return parse_scenario(text, name=name, dmax=dmax)
+        return parse_scenario(text, name=name)
     raise ScenarioError(f"unknown builtin scenario: {name!r} (have {', '.join(builtin_names())})")
 
 
-def load_scenario(ref: str, dmax=None) -> Scenario:
+def load_scenario(ref: str) -> Scenario:
     """Load a scenario by builtin name or by file path."""
     import os
 
     if _CHAIN_RE.match(ref.strip()) or ref in _FILE_BUILTINS:
-        return builtin_scenario(ref, dmax=dmax)
+        return builtin_scenario(ref)
     if os.path.exists(ref):
         with open(ref, encoding="utf-8") as fh:
-            return parse_scenario(fh.read(), name=os.path.basename(ref), dmax=dmax)
+            return parse_scenario(fh.read(), name=os.path.basename(ref))
     raise ScenarioError(f"no such scenario or file: {ref!r}")

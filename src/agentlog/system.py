@@ -207,7 +207,7 @@ def superagent(sys: MultiAgentSystem) -> GroundProgram:
     universe scan."""
     agents = sys.agents
     clauses = frozenset().union(*(a.clauses for a in agents))
-    universe = frozenset().union(*(a.idb.universe for a in agents))
+    universe = frozenset().union(*(a.universe for a in agents))
     return GroundProgram._unchecked(clauses, universe)
 
 
@@ -223,7 +223,8 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
     union has a unique stable model, its least model, which is the
     positive closure ``_live_atoms`` computes over the same table.  Only
     for the rest is the superagent program built, and tried by brute
-    force up to ``BRUTEFORCE_CAP`` atoms; several or zero models raise
+    force, when the agents' universes, which hold the EDB, come to at most
+    ``BRUTEFORCE_CAP`` atoms; several or zero models raise
     NoUniqueModelError.
     """
     rules = sys.rules
@@ -237,16 +238,15 @@ def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozen
         return frozenset(_derive(set(stabilized_edb), sys.order, rules))
     if not any(c[2] for clauses in rules.values() for c in clauses):
         return _live_atoms(rules, stabilized_edb, sys.order + tuple(sys.cyclic))
-    combined = superagent(sys).with_facts(stabilized_edb)
-    if len(combined.universe) <= BRUTEFORCE_CAP:
-        models = stable_models_bruteforce(combined)
-        if len(models) == 1:
-            return models[0]
+    if len(frozenset().union(*(a.universe for a in sys.agents))) > BRUTEFORCE_CAP:
         raise NoUniqueModelError(
-            f"cyclic program has {len(models)} stable models in this environment"
+            "cyclic program with negation is too large for the brute-force fallback"
         )
+    models = stable_models_bruteforce(superagent(sys).with_facts(stabilized_edb))
+    if len(models) == 1:
+        return models[0]
     raise NoUniqueModelError(
-        "cyclic program with negation is too large for the brute-force fallback"
+        f"cyclic program has {len(models)} stable models in this environment"
     )
 
 

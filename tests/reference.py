@@ -12,7 +12,7 @@ algebra, instead.
 
 from collections import deque
 
-from agentlog.agents import AgentState, EnvChange, agent_model, input_delta
+from agentlog.agents import AgentState, EnvChange, agent_model
 from agentlog.logic import Atom, DependencyGraph, GroundProgram
 from agentlog.runtime import _applied, _env_deltas, _send_dependency
 from agentlog.scenarios import Topology
@@ -111,6 +111,15 @@ def env_transition(sys: MultiAgentSystem, gs: tuple, change: EnvChange) -> tuple
     for i, delta in _env_deltas(sys, change, [s.edb for s in gs]):
         nxt[i] = AgentState(_applied(gs[i].edb, delta), gs[i].indb)
     return tuple(nxt)
+
+
+def input_delta(indb, dep: frozenset, sender_model) -> tuple:
+    """``(added, removed)``: what a send from a sender whose model is
+    ``sender_model`` changes of the receiver's input database ``indb``,
+    read off the dependency slice ``dep`` alone."""
+    payload = dep & sender_model
+    held = dep & indb
+    return payload - held, held - payload
 
 
 def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str) -> tuple:

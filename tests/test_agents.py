@@ -10,13 +10,13 @@ from agentlog.agents import (
     agent_model,
     dependency,
     env_delta,
-    input_delta,
     validate_agent,
 )
 from agentlog.logic import AcyclicPlan, Clause, GroundProgram, atom, stable_models_bruteforce
 from agentlog.runtime import _applied
 
 from .generators import agent_spec
+from .reference import input_delta
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 

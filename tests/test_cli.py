@@ -259,10 +259,12 @@ hbe: q(D)
     ("nodes: A\ndmax: -1\n", "line 3: distance_max must be >= 0"),
 ])
 def test_domain_errors_name_the_line_of_the_key_at_fault(tmp_path, capsys, domain, message):
+    # A file is parsed at its own dmax, so another bound does not save it.
     path = tmp_path / "domain.scenario"
     path.write_text(f"[domain]\n{domain}\n[agent A]\nhbe: q\n")
-    assert main(["analyze", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"agentlog: error: {message}\n")
+    for bound in ([], ["--dmax", "3"]):
+        assert main(["analyze", str(path), *bound]) == 2
+        assert capsys.readouterr() == ("", f"agentlog: error: {message}\n")
 
 
 @pytest.mark.parametrize("command, label", [("replay", "event"), ("run", "prefix event")])
@@ -472,6 +474,73 @@ def test_sweep_refuses_dmax(capsys):
     assert "unrecognized arguments: --dmax 9" in capsys.readouterr().err
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", str(DATA / "oracle-facts.scenario"), "--param", "dmax", "--range", "0:3"),
+    ("sweep", "chain(1)", "--param", "n", "--range", "1:20"),
+], ids=("file", "chain"))
+def test_sweep_parses_its_scenario_once(monkeypatch, capsys, argv):
+    parsed = []
+    parse = scenarios.parse_scenario
+    monkeypatch.setattr(scenarios, "parse_scenario",
+                        lambda *args, **kwargs: parsed.append(args) or parse(*args, **kwargs))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and len(parsed) == 1
+
+
+def test_analyze_probes_the_scenario_it_shaped(monkeypatch, capsys):
+    shaped = []
+    shape = scenarios.Scenario.shape
+
+    def recording(self, dmax=None):
+        shaped.append((self, dmax))
+        return shape(self, dmax)
+
+    monkeypatch.setattr(scenarios.Scenario, "shape", recording)
+    code, out, _ = run_cli(capsys, "analyze", "routing5", "--dmax", "4", "--probe-delta", "3")
+    assert code == 0 and [dmax for _, dmax in shaped] == [4, 7]
+    assert shaped[0][0] is shaped[1][0]
+
+
+def test_dmax_grounds_chain_n_as_the_chain_of_that_length(capsys):
+    # Only the header, which echoes the scenario's name, differs.
+    _, three, _ = run_cli(capsys, "run", "chain(3)", "--dmax", "5")
+    _, five, _ = run_cli(capsys, "run", "chain(5)")
+    assert three.split("\n", 1)[1] == five.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("name", ["chain(3)", "example3"])
+def test_a_negative_dmax_is_refused_by_the_domain(capsys, name):
+    assert run_cli(capsys, "run", name, "--dmax", "-1") == (
+        2, "", "agentlog: error: distance_max must be >= 0\n")
+
+
+def test_an_event_atom_is_read_at_the_files_own_dmax(capsys):
+    # d(4) lies above the file's dmax 3, so no --dmax brings it in range.
+    path = str(DATA / "event-above-dmax.scenario")
+    assert run_cli(capsys, "run", path, "--dmax", "5") == (
+        2, "", "agentlog: error: line 15: integer argument out of range in 'd(4)'\n")
+
+
+@pytest.mark.parametrize("argv, label", [
+    (("run", "--dmax", "2"), "prefix event"),
+    (("replay", "--dmax", "2"), "event"),
+    (("oracle-check", "--dmax", "2"), "prefix event"),
+    (("sweep", "--param", "dmax", "--range", "2:3"), "prefix event"),
+], ids=("run", "replay", "oracle-check", "sweep"))
+def test_an_event_above_a_lower_dmax_is_refused_where_it_is_run(capsys, argv, label):
+    path = str(DATA / "event-at-dmax.scenario")
+    assert run_cli(capsys, argv[0], path, *argv[1:]) == (
+        2, "", f"agentlog: error: {label} 0: environment change touches non-environment atoms: d(4)\n")
+
+
+def test_analyze_reads_no_event_at_a_lower_dmax(capsys):
+    code, out, err = run_cli(capsys, "analyze", str(DATA / "event-at-dmax.scenario"), "--dmax", "2")
+    assert (code, err) == (0, "") and records(out)[0]["dmax"] == 2
+
+
 def test_sweep_single_value(capsys):
     code, out, _ = run_cli(capsys, "sweep", "chain(1)", "--param", "n", "--range", "3:3")
     assert code == 0
@@ -493,6 +562,20 @@ def test_oracle_check_skips_large_universes(capsys):
     summary = next(r for r in records(out) if r["record"] == "oracle-check")
     assert summary["skipped_above_cap"] > 0
     assert summary["checked"] == 0
+
+
+def test_oracle_check_builds_no_program_for_an_agent_above_the_cap(monkeypatch, capsys):
+    # chain(2)'s A1 has 7 atoms and A2 has 6, so --cap 6 checks A2 alone.
+    from agentlog.agents import AgentSpec
+
+    built = []
+    idb = AgentSpec.idb
+    monkeypatch.setattr(AgentSpec, "idb", property(lambda a: built.append(a.id) or idb.fget(a)))
+    code, out, _ = run_cli(capsys, "oracle-check", "chain(2)", "--cap", "6")
+    summary = records(out)[-1]
+    assert (code, summary["mismatches"]) == (0, 0)
+    assert summary["skipped_above_cap"] > 0 and summary["checked"] > 0
+    assert set(built) == {"A2"}
 
 
 def test_oracle_check_detects_injected_fault(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Tests for system assembly, superagent, I/O graph, and classification."""
 
 import random
+import re
 from collections import Counter
 import pytest
 
@@ -247,6 +248,24 @@ def test_superagent_model_of_a_cyclic_union_with_negation_uses_brute_force(monke
         assert _is_union_model(system, edb, model)
     assert model == {c, d}
     assert len(calls) == 3
+
+
+def test_superagent_model_of_a_cyclic_union_above_the_cap_builds_no_program(monkeypatch):
+    # example3 over X in 0..5 with f(X) :- a(X), not g(X): seven predicates
+    # of six atoms each, 42 atoms, above the cap.
+    text = _EXAMPLE3_WITH_NEGATION.replace("dmax: 0", "dmax: 5\nvar int: X")
+    for name in "abcdefg":
+        text = re.sub(rf"\b{name}\b(?!\()", f"{name}(X)", text)
+    system = parse_scenario(text).build_system()
+    assert system.cyclic and len(frozenset().union(*(s.universe for s in system.agents))) == 42
+
+    def refuse(*args):
+        raise AssertionError("a program was built")
+
+    monkeypatch.setattr("agentlog.system.superagent", refuse)
+    monkeypatch.setattr(AgentSpec, "idb", property(refuse))
+    with pytest.raises(NoUniqueModelError, match="too large for the brute-force fallback"):
+        superagent_model(system, initial_edb(system))
 
 
 def test_superagent_model_no_unique_for_negative_loop():
