@@ -41,6 +41,7 @@ from .runtime import (
     run_scripted,
     stabilized_environment,
     verdict,
+    write_trace,
 )
 from .scenarios import (
     Scenario,

@@ -3,7 +3,10 @@
 Output is line-delimited JSON records by default (``--format table`` for
 a human view).  Identical command lines on identical inputs produce
 byte-identical output; the only randomness is the seeded shuffled
-schedule, and the seed is echoed in the header record.
+schedule, and the seed is echoed in the header record.  A command
+computes every result before it writes anything, and then writes a trace
+one record at a time: an input error leaves no output, and the output
+takes the memory of one record.
 
 Exit codes: 0 success/fixpoint, 1 internal error, 2 input error,
 3 inconclusive horizon, divergence, or oracle mismatch.
@@ -19,13 +22,14 @@ from .runtime import (
     _atoms_list,
     _dump,
     event_to_record,
-    export_trace,
     events_from_export,
     rounds_to_fixpoint,
     run_fair,
     run_scripted,
     verdict,
+    write_trace,
 )
+from .runtime import export_trace  # noqa: F401  perfbench/layertrace.py traces it here
 from .scenarios import _CHAIN_RE, ScenarioError, load_scenario
 from .system import ValidationError, classify
 from .system import io_graph  # noqa: F401  perfbench/layertrace.py traces it here
@@ -38,7 +42,11 @@ EXIT_INCONCLUSIVE = 3
 
 class _Output:
     """Holds a command's output until ``close`` writes it, so a command
-    that fails part-way writes nothing."""
+    whose input is at fault writes nothing.
+
+    A chunk is a line or a deferred writer: a function of the output's
+    ``write`` that ``close`` calls once every result has been computed,
+    so a long trace goes out one record at a time."""
 
     def __init__(self, path):
         self.path = path
@@ -47,23 +55,22 @@ class _Output:
     def emit(self, line: str):
         self.chunks.append(line + "\n")
 
-    def emit_text(self, text: str):
-        """Append whole lines, each already ending in a newline."""
-        self.chunks.append(text)
+    def defer(self, writer):
+        self.chunks.append(writer)
 
     def close(self):
         if self.path:
             with open(self.path, "w", encoding="utf-8") as fh:
-                self._write(fh)
+                self._write(fh.write)
         else:
-            self._write(sys.stdout)
+            self._write(sys.stdout.write)
 
-    def _write(self, fh):
-        # Slices keep the encoder from making a bytes copy of a whole trace.
-        step = 1 << 16
+    def _write(self, write):
         for chunk in self.chunks:
-            for i in range(0, len(chunk), step):
-                fh.write(chunk[i:i + step])
+            if isinstance(chunk, str):
+                write(chunk)
+            else:
+                chunk(write)
 
 
 def _load(args):
@@ -146,7 +153,7 @@ def cmd_run(args) -> int:
             "policy": args.policy,
             "max_rounds": args.max_rounds if args.max_rounds is not None else scenario.max_rounds,
         })))
-        out.emit_text(export_trace(trace, v))
+        out.defer(lambda write: write_trace(write, trace, v))
     out.close()
     if v.fixpoint_point is not None and not v.divergence:
         return EXIT_OK
@@ -158,19 +165,22 @@ def cmd_replay(args) -> int:
     out = _Output(args.out)
     if args.events:
         with open(args.events, encoding="utf-8") as fh:
-            events = events_from_export(fh.read())
+            events = events_from_export(fh)
     else:
         events = scenario.script
     trace = run_scripted(system, events)
     if args.format == "table":
-        for point, (_, models) in enumerate(trace.points()):
-            ev = event_to_record(trace.events[point]) if point < len(trace.events) else None
-            out.emit(f"point {point}  event={ev}")
-            for agent_id, model in zip(trace.agent_ids, models):
-                out.emit(f"  {agent_id}: {', '.join(str(x) for x in sorted(model))}")
+        def table(write):
+            for point, (_, models) in enumerate(trace.points()):
+                ev = event_to_record(trace.events[point]) if point < len(trace.events) else None
+                write(f"point {point}  event={ev}\n")
+                for agent_id, model in zip(trace.agent_ids, models):
+                    write(f"  {agent_id}: {', '.join(str(x) for x in sorted(model))}\n")
+
+        out.defer(table)
     else:
         out.emit(_dump(_header(args, "replay", system, {"events": len(events)})))
-        out.emit_text(export_trace(trace))
+        out.defer(lambda write: write_trace(write, trace))
     out.close()
     return EXIT_OK
 

@@ -21,7 +21,9 @@ only environment changes move an EDB, so the models at the fixpoint and
 the stabilized environment are both there.  The export
 and the divergence probe read the changes, and a snapshot of every
 point is built only on request.  The export re-encodes an agent's part
-of a point record only after an event changed that agent.
+of a point record only after an event changed that agent, and hands
+each record on as soon as it is complete, so it holds one record, not
+the whole trace.
 
 A single run executes sequentially and deterministically; distinct runs
 share no mutable state and may execute concurrently.
@@ -58,6 +60,7 @@ __all__ = [
     "verdict",
     "divergence_probe",
     "export_trace",
+    "write_trace",
     "events_from_export",
     "default_max_rounds",
 ]
@@ -618,16 +621,17 @@ def verdict_to_record(v: Verdict) -> dict:
     }
 
 
-def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
-    """Line-delimited records, one per point; verdict appended last.
+def write_trace(write, trace: Trace, verdict_value: Verdict = None) -> None:
+    """Pass the export to ``write`` one line at a time: a record per
+    point, then the verdict when one is given.
 
     A point record is its agents' fragments, ``"id":{"edb":[…],"in":[…],
     "model":[…]}`` in id order, then its event and number: the bytes
     ``_dump`` writes of the whole record.  Each atom's JSON literal is
     encoded once.  An agent's fragment is encoded at the start and again
     only after an event changed the agent, whose lists are then edited in
-    place by the event's changes.  Every piece goes to one list joined
-    once at the end, so a fragment many points share is held once.
+    place by the event's changes.  Only the current fragments are kept,
+    so the memory held is that of one record, not of the whole trace.
     """
     literal = cache(lambda a: encode_basestring_ascii(str(a)))
     ids = trace.agent_ids
@@ -648,14 +652,12 @@ def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
         encode(i)
 
     events = {None: "null"}
-    pieces = []
     for point, (event, changes) in enumerate(zip(trace.events + (None,), trace.changes + ((),))):
         text = events.get(event)
         if text is None:
             text = events[event] = _dump(event_to_record(event))
-        pieces.append('{"agents":{')
-        pieces.extend(fragments)
-        pieces.append(f'}},"event":{text},"point":{point},"record":"point"}}\n')
+        tail = f'}},"event":{text},"point":{point},"record":"point"}}\n'
+        write("".join(['{"agents":{', *fragments, tail]))
         for c in changes:
             for (atoms, lits), (added, removed) in zip(listings[c.agent], c[1:]):
                 for a in removed:
@@ -667,18 +669,30 @@ def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
                     lits.insert(k, literal(a))
             encode(c.agent)
     if verdict_value is not None:
-        pieces.append(_dump(verdict_to_record(verdict_value)) + "\n")
-    return "".join(pieces)
+        write(_dump(verdict_to_record(verdict_value)) + "\n")
 
 
-def events_from_export(text: str) -> list:
-    """Recover the event list from an exported trace.
+def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
+    """The lines ``write_trace`` writes, as one string.  It holds them
+    all and then their join; write to a file with ``write_trace``."""
+    lines = []
+    write_trace(lines.append, trace, verdict_value)
+    return "".join(lines)
 
-    Raises ValueError, naming the line, for a line that is not a JSON
-    object or a point whose event is malformed.
+
+def events_from_export(lines) -> list:
+    """Recover the event list from an exported trace, given as an
+    iterable of its lines: an open file, or ``text.splitlines()``.
+
+    Each item is split again by ``str.splitlines``, so lines are numbered
+    as in the whole text's ``splitlines()`` even where a file, which
+    breaks only at newlines, yields a form feed or a U+2028 inside a
+    line.  Raises ValueError, naming the line, for a line that is not a
+    JSON object or a point whose event is malformed.
     """
     events = []
-    for line_no, line in enumerate(text.splitlines(), 1):
+    split = (part for chunk in lines for part in chunk.splitlines() or ("",))
+    for line_no, line in enumerate(split, 1):
         if not line.strip():
             continue
         try:

@@ -373,6 +373,35 @@ def test_replay_rejects_malformed_events(tmp_path, capsys, event):
     assert err.startswith("agentlog: error: line 2: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "chain(300)"],
+    ["replay", "routing5-example6-script"],
+    ["replay", "routing5-example6-script", "--format", "table"],
+    ["replay", str(Path(__file__).parent / "data" / "unicode-order.scenario"), "--format", "table"],
+], ids=["run-chain300", "replay-ex6", "replay-ex6-table", "replay-unicode-table"])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert (code, err) == (0, "") and out
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("event", [{"type": "send", "from": "ZZ", "to": "A1"}, {"type": "send"}])
+def test_a_failing_command_leaves_its_out_file_untouched(tmp_path, capsys, event):
+    # An unknown agent is found while replaying, a malformed event while
+    # reading: both after the events file is open, before any output.
+    events = tmp_path / "events.ndjson"
+    events.write_text(json.dumps({"record": "point", "point": 0, "event": event}) + "\n")
+    path = tmp_path / "out.ndjson"
+    path.write_bytes(b"earlier output\r\n")
+    for fmt in ("ndrecords", "table"):
+        code, out, err = run_cli(capsys, "replay", "example3", "--events", str(events),
+                                 "--format", fmt, "--out", str(path))
+        assert (code, out) == (2, "") and err.startswith("agentlog: error: ")
+        assert path.read_bytes() == b"earlier output\r\n"
+
+
 @pytest.mark.parametrize("sender, receiver", [("ZZ", "A1"), ("A2", "ZZ")])
 def test_replay_rejects_a_send_naming_an_unknown_agent(tmp_path, capsys, sender, receiver):
     good = {"type": "send", "from": "A2", "to": "A1"}

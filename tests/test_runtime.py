@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from agentlog.runtime import (
     run_scripted,
     stabilized_environment,
     verdict,
+    write_trace,
 )
 from agentlog.scenarios import builtin_names, builtin_scenario, load_scenario, parse_scenario
 from agentlog.system import io_graph
@@ -398,7 +400,7 @@ def test_replay_determinism_byte_identical(example3_system):
         max_rounds=10,
     )
     text = export_trace(trace)
-    events = events_from_export(text)
+    events = events_from_export(text.splitlines())
     again = run_scripted(example3_system, events)
     assert export_trace(again) == text
 
@@ -407,6 +409,62 @@ def test_replay_determinism_shuffled_policy(example3_system):
     one = run_fair(example3_system, max_rounds=8, policy="shuffled", seed=42)
     two = run_fair(example3_system, max_rounds=8, policy="shuffled", seed=42)
     assert export_trace(one) == export_trace(two)
+
+
+_SEND = '{"record":"point","event":{"type":"send","from":"A2","to":"A1"}}'
+
+
+def _events_or_error(lines):
+    try:
+        return events_from_export(lines)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"],
+                         ids=["lf", "crlf", "cr", "ff", "fs", "nel", "u2028", "blank"])
+def test_events_from_export_numbers_lines_as_the_whole_text_splits_them(tmp_path, sep):
+    # Line numbers are those of text.splitlines(), whether the lines come
+    # from that list or from the file, which breaks only at newlines.
+    bad_event = '{"record":"point","event":{"type":"send"}}'
+    good = sep.join([_SEND, "", _SEND]) + sep
+    bad = good + sep.join(["  ", bad_event, _SEND])
+    line = bad.splitlines().index(bad_event) + 1
+    path = tmp_path / "trace.ndjson"
+    for text, want in ((good, [CommEvent("A2", "A1")] * 2),
+                       (bad, f"line {line}: send event needs 'from' and 'to' agent ids: ")):
+        path.write_bytes(text.encode("utf-8"))
+        with path.open(encoding="utf-8") as fh:
+            got = _events_or_error(fh)
+        assert got == _events_or_error(text.splitlines())
+        assert got == want if text is good else got.startswith(want)
+
+
+def test_write_trace_holds_one_record_not_the_whole_trace():
+    # A sink that keeps only the longest line: the encoder's own peak is
+    # a few records plus its per-atom tables, where the joined export
+    # holds the whole text twice (its lines and their join).
+    trace, v = _scenario_run("chain(300)")
+    longest, writes = "", []
+
+    def keep_longest(line):
+        nonlocal longest
+        writes.append(line.endswith("\n") and line.count("\n") == 1)
+        longest = max(longest, line, key=len)
+
+    tracemalloc.start()
+    try:
+        write_trace(keep_longest, trace, v)
+        _, streamed = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = export_trace(trace, v)
+        _, joined = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(writes) == len(trace.events) + 2 and all(writes)
+    assert len(text) > 4_000_000
+    bound = 4 * len(longest) + (512 << 10)
+    assert streamed < bound < len(text) < joined
 
 
 def _naive_export(trace, v=None) -> str:
