@@ -78,12 +78,12 @@ def _load(args):
     return scenario, scenario.build_system(args.dmax)
 
 
-def _header(args, command, system, extra=None):
+def _header(args, command, dmax, extra=None):
     record = {
         "record": "header",
         "command": command,
         "scenario": args.scenario,
-        "dmax": system.dmax,
+        "dmax": dmax,
     }
     if extra:
         record.update(extra)
@@ -93,7 +93,8 @@ def _header(args, command, system, extra=None):
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario)
     out = _Output(args.out)
-    cls = classify(scenario.shape(args.dmax), reground=scenario.shape, probe_delta=args.probe_delta)
+    dmax = scenario.domain.distance_max if args.dmax is None else args.dmax
+    cls = classify(*scenario.shapes([dmax, dmax + args.probe_delta]))
     record = {
         "record": "classification",
         "scenario": args.scenario,
@@ -148,7 +149,7 @@ def cmd_run(args) -> int:
         out.emit(f"weakly_stabilizing_witnessed {v.weakly_stabilizing_witnessed}")
         out.emit(f"divergence        {[r.family for r in v.divergence]}")
     else:
-        out.emit(_dump(_header(args, "run", system, {
+        out.emit(_dump(_header(args, "run", system.dmax, {
             "seed": args.seed,
             "policy": args.policy,
             "max_rounds": args.max_rounds if args.max_rounds is not None else scenario.max_rounds,
@@ -179,7 +180,7 @@ def cmd_replay(args) -> int:
 
         out.defer(table)
     else:
-        out.emit(_dump(_header(args, "replay", system, {"events": len(events)})))
+        out.emit(_dump(_header(args, "replay", system.dmax, {"events": len(events)})))
         out.defer(lambda write: write_trace(write, trace))
     out.close()
     return EXIT_OK
@@ -204,10 +205,9 @@ def cmd_sweep(args) -> int:
     families = scenario.families()
     out = _Output(args.out)
     rows = []
-    for value in values:
-        # A chain(N) scenario's bound is its length, so both parameters
-        # build the same system.
-        system = scenario.build_system(value)
+    # A chain(N) scenario's bound is its length, so both parameters build
+    # the same systems, each row's grounded on top of the last row's.
+    for value, system in zip(values, scenario.systems(values)):
         trace = _run_trace(scenario, system, args)
         v = verdict(system, trace, families=families)
         rows.append({
@@ -228,7 +228,7 @@ def cmd_sweep(args) -> int:
                 f"{str(r['fixpoint']):>9} {','.join(r['divergence']) or '-'}"
             )
     else:
-        out.emit(_dump(_header(args, "sweep", system, {
+        out.emit(_dump(_header(args, "sweep", scenario.domain.distance_max, {
             "param": args.param,
             "range": args.range,
             "seed": args.seed,

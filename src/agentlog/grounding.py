@@ -38,6 +38,24 @@ reference.  A compiled clause hands each instance's head and body atoms
 to a callback (``ground_stream``); ``ground_program`` collects them
 into ``Clause``s.
 
+A floor grounds one bound on top of a lower one.  With ``floor`` ``f``
+below ``dmax``, only the bindings that ``f`` does not have are passed:
+those in which some integer variable ``V`` is above ``f - m_V``, where
+``m_V`` is the largest ``k`` of a ``V+k`` in the clause, or 0.  They are
+enumerated as a disjoint partition on the first such variable in binding
+order: the integer variables bound before it range up to their cut, it
+ranges above its own, and the later ones range in full.  A clause with an
+integer constant above ``f`` has no instance at ``f`` and passes all of
+its bindings.  This is sound because a binding's terms are the same
+values at both bounds, and every op of ``_OPS`` is decided by those
+values alone, so each binding at ``f`` passes the constraints at ``dmax``
+too and the bindings at ``f`` are exactly those at ``dmax`` with every
+``V`` at most ``f - m_V``.  An op outside ``_FLOOR_OPS`` grounds its
+clause in full.  A variable that only a constraint mentions can make a
+binding above the floor yield a clause the floor has, so what a floor
+passes, united with the grounding at ``f``, is the grounding at
+``dmax``; it is not their difference.  Every sink deduplicates.
+
 Predicates listed in ``DomainSpec.symmetric`` have their two node
 arguments put in canonical (declared) order, so both orientations of an
 undirected edge denote the same atom.
@@ -45,6 +63,7 @@ undirected edge denote the same atom.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -199,6 +218,9 @@ class Pattern:
 
 
 _OPS = {"<": operator.lt, "=": operator.eq, "!=": operator.ne}
+# The ops decided by the values of their two terms alone, so that a
+# binding passes one at every bound or at none: the floor's soundness.
+_FLOOR_OPS = frozenset({"<", "=", "!="})
 
 
 def _narrowed(k: Constraint, dom: DomainSpec):
@@ -234,7 +256,8 @@ class _Enumeration:
     the ``i``-th variable of the order over its narrowed range, fills its
     shift slots, checks the constraints whose variables are then all bound
     and instantiates the atoms whose variables are then all bound.  The
-    innermost level passes the instance to a sink.
+    innermost level passes the instance to a sink.  ``cuts`` lists each
+    integer variable's level and its largest shift, for a floor.
     """
 
     def __init__(self, c: SchematicClause, dom: DomainSpec):
@@ -247,17 +270,24 @@ class _Enumeration:
         self.levels = ()
         # A term outside 0..dmax fails the assignment.  A constant there
         # fails them all; a ``V+k`` there narrows the range of ``V``.
-        if any(type(t) is int and not 0 <= t <= dmax for t in terms):
+        constants = [t for t in terms if type(t) is int]
+        if any(not 0 <= t <= dmax for t in constants):
             return
-        static = {}
+        static, shift = {}, {}
         for n, domain in zip(names, declared):
             if n in dom.int_vars:
                 offsets = [t.offset for t in terms if isinstance(t, Shift) and t.name == n]
                 lo = max([0] + [-k for k in offsets])
-                hi = min([dmax] + [dmax - k for k in offsets])
-                domain = range(lo, max(lo, hi + 1))
+                shift[n] = max([0] + offsets)
+                domain = range(lo, max(lo, dmax - shift[n] + 1))
             static[n] = domain
         order = _binding_order(names, static, atoms, c.constraints, dom)
+        # Below its largest integer constant the clause has no instance,
+        # so a floor there passes every binding, as it does for a clause
+        # with an op that a floor cannot cut by.
+        self.top = max(constants, default=-1)
+        if any(k.op not in _FLOOR_OPS for k in c.constraints):
+            self.top = math.inf
 
         # Variable ``order[i]`` is bound at level ``i + 1`` into slot ``i + 1``.
         position = {n: i + 1 for i, n in enumerate(order)}
@@ -296,6 +326,7 @@ class _Enumeration:
             memo = {} if len(set(sa.variables())) < i else None
             levels[i][5].append((atom_slot + j, sa.predicate, args, symmetric, memo))
         self.levels = [tuple(level) for level in levels]
+        self.cuts = [(i, shift[n]) for i, n in enumerate(order, 1) if n in shift]
         self.env = env
         self.head = atom_slot
 
@@ -314,21 +345,31 @@ class _Enumeration:
         self.neg = body_getter(range(split, len(atoms)))
         self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
 
-    def stream(self, sink):
-        """Pass every ground instance to ``sink``, as ``ground_stream``."""
-        if self.levels:
-            self._descend(0, sink)
+    def stream(self, sink, floor=None):
+        """Pass every ground instance to ``sink``, or with a ``floor`` the
+        instances of the bindings above it, as ``ground_stream``."""
+        if not self.levels:
+            return
+        if floor is None or self.top > floor:
+            self._descend(self.levels, 0, sink)
+            return
+        for j, (i, shift) in enumerate(self.cuts):
+            levels = list(self.levels)
+            for h, m in self.cuts[:j]:
+                levels[h] = _ranged(levels[h], stop=floor - m + 1)
+            levels[i] = _ranged(levels[i], start=floor - shift + 1)
+            self._descend(levels, 0, sink)
 
-    def _descend(self, i: int, sink):
+    def _descend(self, levels, i: int, sink):
         env = self.env
-        var_slot, values, narrowing, shifts, checks, atoms = self.levels[i]
+        var_slot, values, narrowing, shifts, checks, atoms = levels[i]
         if narrowing is not None:
             op, s = narrowing
             if op is operator.eq:
                 values = (env[s],) if env[s] in values else ()
             else:
                 values = range(values.start, min(values.stop, env[s]))
-        innermost = i + 1 == len(self.levels)
+        innermost = i + 1 == len(levels)
         for v in values:
             env[var_slot] = v
             for s, k in shifts:
@@ -349,7 +390,7 @@ class _Enumeration:
                 if innermost:
                     sink(env[self.head], self.pos(env), self.neg(env))
                 else:
-                    self._descend(i + 1, sink)
+                    self._descend(levels, i + 1, sink)
 
     def _canonical(self, pair: tuple) -> tuple:
         """Symmetric arguments in declared node order."""
@@ -359,6 +400,15 @@ class _Enumeration:
         if ix is not None and iy is not None and iy < ix:
             return (y, x)
         return pair
+
+
+def _ranged(level: tuple, start=None, stop=None) -> tuple:
+    """An integer level with its values cut to those from ``start`` and
+    below ``stop``."""
+    values = level[1]
+    start = values.start if start is None else max(values.start, start)
+    stop = values.stop if stop is None else min(values.stop, stop)
+    return (level[0], range(start, stop), *level[2:])
 
 
 def _binding_order(names, static, atoms, constraints, dom) -> list:
@@ -406,21 +456,26 @@ def ground_program(
     return GroundProgram.of(_ground(clauses, dom), extra_atoms)
 
 
-def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink) -> None:
+def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink, floor=None) -> None:
     """Call ``sink(head, pos, neg)`` for each ground instance of
     ``clauses`` over ``dom``, building no ``Clause``: ``pos`` and ``neg``
     are the positive and negated body atoms, deduplicated and sorted as
     in a ``Clause``.  An instance that several clauses or bindings yield
-    is passed once for each."""
+    is passed once for each.  With a ``floor`` below ``dom``'s bound,
+    only the bindings above it are passed: with the instances at
+    ``floor``, they make up the instances over ``dom``."""
     for c in clauses:
-        _Enumeration(c, dom).stream(sink)
+        _Enumeration(c, dom).stream(sink, floor)
 
 
-def expand_pattern(p: Pattern, dom: DomainSpec) -> frozenset:
-    """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets)."""
+def expand_pattern(p: Pattern, dom: DomainSpec, floor=None) -> frozenset:
+    """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets),
+    or with a ``floor``, those of the bindings above it, as
+    ``ground_stream``."""
     atoms = set()
     add = atoms.add
-    ground_stream([SchematicClause(p.atom, constraints=p.constraints)], dom, lambda h, pos, neg: add(h))
+    clause = SchematicClause(p.atom, constraints=p.constraints)
+    ground_stream([clause], dom, lambda h, pos, neg: add(h), floor)
     return frozenset(atoms)
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "format_atom",
     "parse_atom",
     "format_clause",
-    "parse_clause",
 ]
 
 BRUTEFORCE_CAP = 20
@@ -336,12 +335,12 @@ class DependencyGraph:
     edges: frozenset = frozenset()
 
 
-def _dependency_sink(clauses: set = None) -> tuple:
-    """An empty head -> body-atoms map, and the ``sink(head, pos, neg)``
-    that adds one clause's body atoms under its head: the dependency graph
-    of the clauses passed to it, read straight off them; and each clause
-    to the set ``clauses``, when one is given."""
-    deps = {}
+def _dependency_sink(clauses: set = None, deps: dict = None) -> tuple:
+    """A head -> body-atoms map, ``deps`` or a new empty one, and the
+    ``sink(head, pos, neg)`` that adds one clause's body atoms under its
+    head: the dependency graph of the clauses passed to it, read straight
+    off them; and each clause to the set ``clauses``, when one is given."""
+    deps = {} if deps is None else deps
     add = None if clauses is None else clauses.add
 
     def sink(head, pos, neg):
@@ -570,21 +569,3 @@ def format_clause(c: Clause) -> str:
     items += [(b.sort_key(), 1, f"not {format_atom(b)}") for b in c.neg]
     body = ", ".join(text for _, _, text in sorted(items))
     return f"{format_atom(c.head)} :- {body}."
-
-
-def parse_clause(text: str) -> Clause:
-    text = text.strip()
-    if not text.endswith("."):
-        raise ValueError(f"clause must end with '.': {text!r}")
-    text = text[:-1]
-    if ":-" in text:
-        head_text, body_text = text.split(":-", 1)
-        pos, neg = [], []
-        for item in split_top_level(body_text):
-            item = item.strip()
-            if item.startswith("not ") or item.startswith("not("):
-                neg.append(parse_atom(item[3:].strip()))
-            else:
-                pos.append(parse_atom(item))
-        return Clause(parse_atom(head_text), tuple(pos), tuple(neg))
-    return Clause(parse_atom(text))

@@ -37,8 +37,9 @@ outgoing claims, and is parsed and serialized but read by no command.
 
 A file is parsed at the ``dmax`` it declares, which also bounds the
 integer arguments of its event atoms.  The bound is a build argument
-only: ``Scenario.build_system`` and ``Scenario.shape`` ground one parsed
-scenario at any other.
+only: ``Scenario.systems`` and ``Scenario.shapes`` ground one parsed
+scenario at each bound of a sequence, each on top of the last, and
+``build_system`` and ``shape`` at one.
 """
 
 from __future__ import annotations
@@ -113,36 +114,64 @@ class Scenario:
 
     def build_system(self, dmax=None) -> MultiAgentSystem:
         """The system grounded at the bound ``dmax``, or at the scenario's
-        own when None: parsing takes no bound, only this and ``shape`` do."""
-        dom = self._domain(dmax)
-        agents = [_agent_spec(ad, dom, clauses=True) for ad in self.agents]
-        return build_system(agents, dmax=dom.distance_max)
+        own when None: the one-bound case of ``systems``.  Parsing takes
+        no bound; only these routes from bounds do."""
+        return next(self.systems([dmax]))
 
     def shape(self, dmax=None) -> SystemShape:
-        """The ``SystemShape`` of ``build_system(dmax)``, at the same bound,
-        from a system of agents mostly without clauses.
+        """The ``SystemShape`` of ``build_system(dmax)``: the one-bound
+        case of ``shapes``."""
+        return next(self.shapes([dmax]))
+
+    def systems(self, bounds):
+        """The system at each of ``bounds`` in turn (None for the
+        scenario's own), each assembled and validated in full.
+
+        Each bound is grounded on top of the last one when it is no
+        lower, through a floor (see ``grounding``): the agents' ``deps``
+        maps are extended in place, so a system shares them with the next
+        one and holds only until the next is drawn."""
+        for dom, agents in self._grounded(bounds, clauses=True):
+            yield build_system(agents, dmax=dom.distance_max)
+
+    def shapes(self, bounds):
+        """The ``SystemShape`` of each system ``systems(bounds)`` yields,
+        from the same grounding by floors.
 
         Each agent is grounded into its head -> body-atoms map alone; only
         agents that define a head another agent defines too are grounded
-        again with their clauses, so their definitions can be compared.
-        Raises ValidationError where ``build_system`` would, with the same
-        breaches.  The system is summarised before it is returned, so its
-        tables are not kept.
-        """
-        dom = self._domain(dmax)
-        agents, defined, shared = [], set(), set()
-        for ad in self.agents:
-            a = _agent_spec(ad, dom, clauses=False)
-            shared |= defined.intersection(a.deps)
-            defined.update(a.deps)
-            agents.append(a)
-        del defined  # not kept through assembly, where memory peaks
-        agents = [
-            a if shared.isdisjoint(a.deps) else _agent_spec(ad, dom, clauses=True)
-            for ad, a in zip(self.agents, agents)
-        ]
-        system = build_system(agents, dmax=dom.distance_max)
-        return SystemShape(system.io_atoms, system.cyclic, system.dmax)
+        with their clauses, so their definitions can be compared.  An
+        agent that first needs them at a later bound is grounded there in
+        full.  Raises ValidationError where ``systems`` would, with the
+        same breaches.  Each system is summarised before it is returned,
+        so its tables are not kept."""
+        for dom, agents in self._grounded(bounds, clauses=False):
+            yield _shape_of(build_system(agents, dmax=dom.distance_max))
+
+    def _grounded(self, bounds, clauses: bool):
+        """Each bound's domain and agents, each agent extended from its
+        spec at the bound before when that bound is no higher.  With
+        ``clauses`` false, only the agents that define a shared head get
+        clauses."""
+        floor, agents = None, [None] * len(self.agents)
+        for bound in bounds:
+            dom = self._domain(bound)
+            if floor is not None and dom.distance_max < floor:
+                floor, agents = None, [None] * len(self.agents)
+            agents = [_agent_spec(ad, dom, clauses, floor, a) for ad, a in zip(self.agents, agents)]
+            if not clauses:
+                defined, shared = set(), set()
+                for a in agents:
+                    shared |= defined.intersection(a.deps)
+                    defined.update(a.deps)
+                del defined  # not kept through assembly, where memory peaks
+                agents = [
+                    a if a.clauses is not None or shared.isdisjoint(a.deps)
+                    else _agent_spec(ad, dom, True)
+                    for ad, a in zip(self.agents, agents)
+                ]
+            yield dom, agents
+            floor = dom.distance_max
 
     def _domain(self, dmax) -> DomainSpec:
         """The domain with its bound replaced by ``dmax`` when one is given."""
@@ -152,22 +181,37 @@ class Scenario:
         return tuple(family_of(p, self.domain) for p in self.track)
 
 
-def _atom_sets(ad: AgentDef, dom: DomainSpec) -> tuple:
-    """An agent block's HBE, HIN, initial EDB and initial IN over ``dom``."""
+def _shape_of(system: MultiAgentSystem) -> SystemShape:
+    """What ``classify`` reads of ``system``, without its tables."""
+    return SystemShape(system.io_atoms, system.cyclic, system.dmax)
+
+
+def _atom_sets(ad: AgentDef, dom: DomainSpec, floor=None) -> tuple:
+    """An agent block's HBE, HIN, initial EDB and initial IN over ``dom``,
+    or with a ``floor``, the atoms of the bindings above it."""
     return tuple(
-        frozenset().union(*(expand_pattern(p, dom) for p in patterns))
+        frozenset().union(*(expand_pattern(p, dom, floor) for p in patterns))
         for patterns in (ad.hbe, ad.hin, ad.edb0, ad.in0)
     )
 
 
-def _agent_spec(ad: AgentDef, dom: DomainSpec, clauses: bool) -> AgentSpec:
+def _agent_spec(ad: AgentDef, dom: DomainSpec, clauses: bool, floor=None, last=None) -> AgentSpec:
     """An agent block grounded over ``dom`` in one pass into its
-    head -> body-atoms map and, when ``clauses`` is true, its clauses."""
-    hbe, hin, edb, indb = _atom_sets(ad, dom)
-    ground = set() if clauses else None
-    deps, sink = _dependency_sink(ground)
-    ground_stream(ad.idb, dom, sink)
-    ground = tuple(ground) if clauses else None
+    head -> body-atoms map and, when ``clauses`` is true, its clauses.
+
+    With ``last``, its spec at the lower bound ``floor``, only the
+    bindings above the floor are grounded: into ``last``'s map, which is
+    extended in place, onto its atom sets and, when it has them, onto its
+    clauses."""
+    sets = _atom_sets(ad, dom, floor)
+    deps, ground = {}, set() if clauses else None
+    if last is not None:
+        deps, ground = last.deps, None if last.clauses is None else set(last.clauses)
+        old = (last.hbe, last.hin, last.initial.edb, last.initial.indb)
+        sets = tuple(x | y for x, y in zip(old, sets))
+    hbe, hin, edb, indb = sets
+    ground_stream(ad.idb, dom, _dependency_sink(ground, deps)[1], floor)
+    ground = None if ground is None else tuple(ground)
     return AgentSpec(ad.id, deps, hbe, hin, AgentState(edb, indb), ground)
 
 

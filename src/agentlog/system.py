@@ -325,11 +325,11 @@ class Classification:
     probe_delta: int = 0
 
 
-def classify(sys, reground=None, probe_delta: int = 2) -> Classification:
+def classify(sys, probe=None) -> Classification:
     """Classify a ``MultiAgentSystem`` or its ``SystemShape``; only
-    ``io_atoms``, ``cyclic`` and ``dmax`` are read.  ``reground(dmax)``
-    gives the system or shape at another bound, such as
-    ``Scenario.shape``, whose I/O atoms are counted.
+    ``io_atoms``, ``cyclic`` and ``dmax`` are read.  ``probe`` is the
+    system or shape at a larger bound, such as the second that
+    ``Scenario.shapes`` yields; its I/O atoms are counted.
 
     Both acyclicity flags are reported as measured.  A system can be
     IO-acyclic with a cyclic union IDB: a clause body may read an atom
@@ -339,15 +339,15 @@ def classify(sys, reground=None, probe_delta: int = 2) -> Classification:
     idb_acyclic = not sys.cyclic
     io_acyclic = sys.cyclic.isdisjoint(sys.io_atoms)
 
-    probed = False
     probe_sizes = ()
+    probe_delta = 0
     io_finite = True
-    if reground is not None:
-        if sys.dmax is None:
-            raise ValueError("io-finiteness probe needs the system's dmax")
-        probe_sizes = (len(sys.io_atoms), len(reground(sys.dmax + probe_delta).io_atoms))
+    if probe is not None:
+        if sys.dmax is None or probe.dmax is None or probe.dmax <= sys.dmax:
+            raise ValueError("io-finiteness probe needs the system's dmax and a larger one")
+        probe_sizes = (len(sys.io_atoms), len(probe.io_atoms))
+        probe_delta = probe.dmax - sys.dmax
         io_finite = probe_sizes[0] == probe_sizes[1]
-        probed = True
 
     return Classification(
         io_acyclic=io_acyclic,
@@ -356,7 +356,7 @@ def classify(sys, reground=None, probe_delta: int = 2) -> Classification:
         idb_acyclic=idb_acyclic,
         io_nodes=len(sys.io_atoms),
         dmax=sys.dmax,
-        probed=probed,
+        probed=probe is not None,
         probe_sizes=probe_sizes,
-        probe_delta=probe_delta if probed else 0,
+        probe_delta=probe_delta,
     )

@@ -4,7 +4,8 @@ Each follows the paper's definition over plain values: the atom
 dependency graph of a program, its acyclicity and the atoms relevant to
 an atom, breadth-first shortest paths on a topology, an agent's
 outgoing claims, the transitions of a global state, one event at a
-time, and the agents' agreement at one point, one atom at a time.  The
+time, the agents' agreement at one point, one atom at a time, and a
+clause read back from its text form.  The
 library reads the same facts off head -> body-atoms maps and compiled
 plans, records a run as per-event deltas, and finds the agreement by set
 algebra, instead.
@@ -13,7 +14,7 @@ algebra, instead.
 from collections import deque
 
 from agentlog.agents import AgentState, EnvChange, agent_model
-from agentlog.logic import Atom, DependencyGraph, GroundProgram
+from agentlog.logic import Atom, Clause, DependencyGraph, GroundProgram, parse_atom, split_top_level
 from agentlog.runtime import _applied, _env_deltas, _send_dependency
 from agentlog.scenarios import Topology
 from agentlog.system import MultiAgentSystem
@@ -157,3 +158,22 @@ def agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
         elif true_in:
             split.append(a)
     return frozenset(agreed), frozenset(split)
+
+
+def parse_clause(text: str) -> Clause:
+    """A ground clause from the text ``format_clause`` writes."""
+    text = text.strip()
+    if not text.endswith("."):
+        raise ValueError(f"clause must end with '.': {text!r}")
+    text = text[:-1]
+    if ":-" in text:
+        head_text, body_text = text.split(":-", 1)
+        pos, neg = [], []
+        for item in split_top_level(body_text):
+            item = item.strip()
+            if item.startswith("not ") or item.startswith("not("):
+                neg.append(parse_atom(item[3:].strip()))
+            else:
+                pos.append(parse_atom(item))
+        return Clause(parse_atom(head_text), tuple(pos), tuple(neg))
+    return Clause(parse_atom(text))

@@ -520,17 +520,40 @@ def test_sweep_parses_its_scenario_once(monkeypatch, capsys, argv):
 
 
 def test_analyze_probes_the_scenario_it_shaped(monkeypatch, capsys):
-    shaped = []
-    shape = scenarios.Scenario.shape
+    # One parsed scenario gives both bounds, and each agent is grounded at
+    # the probe's bound on top of its tables at the first.
+    shaped, grounded = [], []
+    shapes, spec = scenarios.Scenario.shapes, scenarios._agent_spec
 
-    def recording(self, dmax=None):
-        shaped.append((self, dmax))
-        return shape(self, dmax)
+    def recording(self, bounds):
+        bounds = list(bounds)
+        shaped.append((self, bounds))
+        return shapes(self, bounds)
 
-    monkeypatch.setattr(scenarios.Scenario, "shape", recording)
+    def grounding(ad, dom, clauses, floor=None, last=None):
+        grounded.append((dom.distance_max, floor, last is not None))
+        return spec(ad, dom, clauses, floor, last)
+
+    monkeypatch.setattr(scenarios.Scenario, "shapes", recording)
+    monkeypatch.setattr(scenarios, "_agent_spec", grounding)
     code, out, _ = run_cli(capsys, "analyze", "routing5", "--dmax", "4", "--probe-delta", "3")
-    assert code == 0 and [dmax for _, dmax in shaped] == [4, 7]
-    assert shaped[0][0] is shaped[1][0]
+    assert code == 0 and [bounds for _, bounds in shaped] == [[4, 7]]
+    assert grounded == [(4, None, False)] * 5 + [(7, 4, True)] * 5
+
+
+@pytest.mark.parametrize("argv, dmax, values", [
+    (("sweep", "routing5", "--param", "dmax", "--range", "3:5"), 6, [3, 4, 5]),
+    (("sweep", "chain(7)", "--param", "n", "--range", "1:2"), 7, [1, 2]),
+], ids=("dmax", "n"))
+def test_sweep_header_describes_the_parsed_scenario(capsys, argv, dmax, values):
+    # The header names the scenario as parsed, at its own bound, beside
+    # the parameter and the range that give each row's bound.
+    code, out, _ = run_cli(capsys, *argv)
+    header, *rows = records(out)
+    assert code == 0 and header["record"] == "header"
+    assert (header["scenario"], header["dmax"], header["param"], header["range"]) == (
+        argv[1], dmax, argv[3], argv[5])
+    assert [r["value"] for r in rows] == values
 
 
 def test_dmax_grounds_chain_n_as_the_chain_of_that_length(capsys):
@@ -754,8 +777,8 @@ _PINNED_OUTPUT = [
     ("replay chain(4) --format table", 0, "df9263b618561450d782ebfb1fe18877686ca47d10ee573a8109ad4b05c0233a"),
     ("run routing5 --policy shuffled --seed 3", 0, "fc6b7a6949f647b6f9fe827700efb2cb05f3cc018f1012d27830086dea8a8760"),
     ("oracle-check example3", 0, "300d664bf7cf75c17780e75d56c32d0f76050f14b39fd7f9f0530a0557d222ed"),
-    ("sweep chain(1) --param n --range 1:8", 0, "feacbc15fb7ff732cf8c44ff578a6a123105e731f4b23885140e3e0a9e7f6a4f"),
-    ("sweep routing5 --param dmax --range 3:5", 0, "0cd9b84bd211089878a33d097d67b7ac5911961e3a53005d818ee8b8a212f957"),
+    ("sweep chain(1) --param n --range 1:8", 0, "47518a36f7af38307aa3262ecbbf9fd1edfcf513b9724bcc51b63845c8cff76e"),
+    ("sweep routing5 --param dmax --range 3:5", 0, "fe31a21f3c5b6a9ce0fe0d9a43b109b97b1406b0e91843908506e7c8dd2e364b"),
     ("run chain(300)", 0, "dabd5ba71ea220dcd60e8aa53b227313cbe1fea0c245b4ab55fe2ff2f7a3fc52"),
     ("run chain(40) --policy shuffled --seed 5", 0, "89f332fc727c9e86a062a0b9fdfcd78c4ea4912342b4c1481e5ad7345331002d"),
     # Named relative to tests/data, the test's working directory: the header echoes the path.

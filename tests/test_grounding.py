@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from typing import Iterable
 
 import pytest
@@ -21,11 +22,11 @@ from agentlog.grounding import (
     parse_pattern,
     parse_schematic_clause,
 )
-from agentlog.logic import Atom, Clause, GroundProgram, atom, parse_clause
+from agentlog.logic import Atom, Clause, GroundProgram, atom
 from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_schematic_scenario
-from .reference import dependency_graph, is_acyclic
+from .reference import dependency_graph, is_acyclic, parse_clause
 
 DOM2 = DomainSpec(
     node_constants=("A1", "A2"),
@@ -446,3 +447,90 @@ def test_builtin_ground_clause_sets_are_pinned(name, count, digest):
     assert all(Clause(*x) == x for s in agents for x in s.idb.clauses)
     lines = [f"{s.id} {x}" for s in agents for x in sorted(map(str, s.idb.clauses))]
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (count, digest)
+
+
+def _passed(clauses, dom, floor=None) -> list:
+    """Each instance ``ground_stream`` passes, once per binding."""
+    out = []
+    ground_stream(clauses, dom, lambda head, pos, neg: out.append((head, pos, neg)), floor)
+    return out
+
+
+def _check_floors(clauses, patterns, dom) -> int:
+    """Check every floor below ``dom``'s bound ``d`` against the full
+    groundings: what a floor passes lies in the grounding at ``d`` and,
+    with the grounding at the floor, makes it up, for the clauses and for
+    each pattern's atoms; the bindings at the floor and those above it
+    are the bindings at ``d``, each once.  Return how many instances the
+    floors passed that their grounding already had."""
+    d = dom.distance_max
+    at = [replace(dom, distance_max=f) for f in range(d + 1)]
+    full = [_passed(clauses, x) for x in at]
+    atoms = [[expand_pattern(p, x) for p in patterns] for x in at]
+    top = set(full[d])
+    repeated = 0
+    for f in range(d):
+        above = _passed(clauses, dom, f)
+        assert len(full[f]) + len(above) == len(full[d])
+        below, above = set(full[f]), set(above)
+        assert above <= top and below | above == top
+        repeated += len(below & above)
+        for p, below, want in zip(patterns, atoms[f], atoms[d]):
+            above = expand_pattern(p, dom, f)
+            assert above <= want and below | above == want, str(p)
+    assert _passed(clauses, dom, d) == []
+    return repeated
+
+
+def test_a_floor_passes_what_its_bound_adds_on_random_schematic_scenarios():
+    rng = random.Random(4242)
+    repeated = floors = 0
+    for _ in range(150):
+        dom, cs, ps = random_schematic_scenario(rng)
+        repeated += _check_floors(cs, ps, dom)
+        floors += dom.distance_max
+    assert floors > 300 and repeated > 0
+
+
+@pytest.mark.parametrize("name", ["example3", "routing5"] + [f"chain({n})" for n in range(1, 9)])
+def test_a_floor_passes_what_its_bound_adds_on_builtins(name):
+    scenario = builtin_scenario(name)
+    for clauses, patterns, dom in _scenario_cases(scenario, scenario.domain.distance_max):
+        _check_floors(clauses, patterns, dom)
+
+
+@pytest.mark.parametrize("name", ["routing5-example6-script"] + [f"ring{n}" for n in range(4, 9)])
+def test_a_floor_passes_what_its_bound_adds_on_routing_agents(name):
+    # Each agent runs the same clause schemas over its own neighbours, and
+    # routing5-example6-script's agents are routing5's at dmax 20, so the
+    # first agent stands for the others.
+    if name.startswith("ring"):
+        scenario = parse_scenario(routing_scenario_text(_ring(int(name[4:]))))
+    else:
+        scenario = builtin_scenario(name)
+    clauses, patterns, dom = next(_scenario_cases(scenario, scenario.domain.distance_max))
+    _check_floors(clauses, patterns, dom)
+
+
+def test_a_constraint_only_variable_repeats_instances_the_floor_has():
+    # D appears only in D != 1: each D above the floor 1 yields again the
+    # instances that D = 0 yields at the floor.
+    dom = dom_at(4)
+    c = parse_schematic_clause("p(X) :- q(X), D != 1.", dom)
+    above = _passed([c], dom, 1)
+    assert len(above) == 6  # D = 2, 3 and 4, over two nodes
+    assert set(above) == set(_passed([c], dom_at(1))) == set(_passed([c], dom))
+    assert _check_floors([c], [], dom) > 0
+
+
+def test_an_integer_constant_above_the_floor_passes_every_binding():
+    # 3 is out of range at the floor 2, so the clause and the pattern have
+    # no instance there, and every binding at 4 is above the floor.
+    dom = dom_at(4)
+    c = parse_schematic_clause("r(3) :- s(D).", dom)
+    p = parse_pattern("u(3,D)", dom)
+    assert _passed([c], dom_at(2)) == [] and expand_pattern(p, dom_at(2)) == frozenset()
+    assert _passed([c], dom, 2) == _passed([c], dom)
+    assert len(_passed([c], dom, 2)) == 5
+    assert expand_pattern(p, dom, 2) == expand_pattern(p, dom)
+    _check_floors([c], [p], dom)

@@ -19,11 +19,10 @@ from agentlog.logic import (
     least_model,
     _arg_key,
     parse_atom,
-    parse_clause,
     stable_models_bruteforce,
 )
 
-from .reference import dependency_graph, is_acyclic, relevant_atoms
+from .reference import dependency_graph, is_acyclic, parse_clause, relevant_atoms
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 

@@ -19,7 +19,7 @@ from agentlog.scenarios import (
 from agentlog.system import classify, superagent_model
 
 from .generators import spec_fields
-from .reference import bfs_oracle, output_projection
+from .reference import bfs_oracle, output_projection, parse_clause
 
 
 def routing(t, dmax=None):
@@ -180,7 +180,6 @@ def test_bfs_oracle_disconnection():
 
 def test_chain_idb_expansion():
     system = chain_scenario(3).build_system()
-    from agentlog.logic import parse_clause
 
     a2 = system.agent("A2")
     assert a2.idb.clauses == {
@@ -193,7 +192,6 @@ def test_chain_idb_expansion():
 
 def test_chain_bound_zero():
     system = chain_scenario(0).build_system()
-    from agentlog.logic import parse_clause
 
     assert system.agent("A2").idb.clauses == {parse_clause("r(0).")}
 

@@ -55,6 +55,7 @@ from .generators import (
     with_clauses,
 )
 from .reference import bfs_oracle, dependency_graph, is_acyclic, relevant_atoms, successors
+from .test_cli import _PROBE_INVALID
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -302,7 +303,7 @@ def test_io_graph_chain_grows_linearly():
 
 
 def test_classify_example3(example3_scenario, example3_system):
-    cls = classify(example3_system, reground=example3_scenario.shape)
+    cls = classify(example3_system, example3_scenario.shape(example3_system.dmax + 2))
     assert not cls.io_acyclic
     assert cls.bounded
     assert cls.io_finite  # no integer domain: regrounding changes nothing
@@ -310,7 +311,7 @@ def test_classify_example3(example3_scenario, example3_system):
 
 
 def test_classify_routing(routing5_scenario, routing5_system):
-    cls = classify(routing5_system, reground=routing5_scenario.shape)
+    cls = classify(routing5_system, routing5_scenario.shape(routing5_system.dmax + 2))
     assert cls.io_acyclic
     assert cls.bounded
     assert not cls.io_finite  # I/O graph grows with the domain bound
@@ -320,7 +321,7 @@ def test_classify_routing(routing5_scenario, routing5_system):
 
 def test_classify_chain():
     sc = chain_scenario(4)
-    cls = classify(sc.build_system(), reground=sc.shape)
+    cls = classify(*sc.shapes([4, 6]))
     assert cls.io_acyclic
     assert not cls.io_finite
 
@@ -490,19 +491,17 @@ def _definition_io(system):
 
 def _check_against_definition(system, bigger=None):
     """Compare with the definition route and return whether the system is
-    IO-acyclic; the probe gives ``bigger``, which stands for the system
-    regrounded at ``dmax + 2``."""
+    IO-acyclic; ``bigger`` stands for the system at a larger bound, the
+    probe."""
     g_io, idb_acyclic = _definition_io(system)
     io_acyclic = is_acyclic(g_io)
     assert io_graph(system) == g_io
     assert len(system.io_atoms) == len(g_io.nodes)
-    asked = []
-    reground = None if bigger is None else lambda k: asked.append(k) or bigger
-    cls = classify(system, reground=reground)
+    cls = classify(system, bigger)
     assert (cls.io_nodes, cls.io_acyclic, cls.idb_acyclic) == (
         len(g_io.nodes), io_acyclic, idb_acyclic)
     if bigger is not None:
-        assert asked == [system.dmax + 2]
+        assert cls.probe_delta == bigger.dmax - system.dmax
         assert cls.probe_sizes == (len(g_io.nodes), len(_definition_io(bigger)[0].nodes))
         assert cls.io_finite == (cls.probe_sizes[0] == cls.probe_sizes[1])
     return io_acyclic
@@ -517,7 +516,8 @@ def test_classify_and_io_graph_match_definition_route_on_random_systems():
             seen.add(_check_against_definition(system))
             # Another random system stands in for the regrounding probe.
             other, _ = random_system(rng, io_acyclic=io_acyclic)
-            _check_against_definition(MultiAgentSystem(system.agents, dmax=0), other)
+            _check_against_definition(MultiAgentSystem(system.agents, dmax=0),
+                                      MultiAgentSystem(other.agents, dmax=2))
     assert seen == {True, False}
 
 
@@ -586,8 +586,74 @@ def test_classify_reads_a_shape_as_the_built_system(built):
     sc, systems = built
     shape, dmax = sc.shape(), sc.domain.distance_max
     for delta in (1, 2, 3):
-        assert classify(shape, reground=sc.shape, probe_delta=delta) == classify(
-            systems[dmax], reground=systems.__getitem__, probe_delta=delta)
+        assert classify(shape, sc.shape(dmax + delta)) == classify(*sc.shapes([dmax, dmax + delta]))
+        assert classify(shape, sc.shape(dmax + delta)) == classify(systems[dmax], systems[dmax + delta])
+
+
+def _tables(system) -> tuple:
+    """What a system holds after assembly, agent by agent; a copy, as a
+    system drawn from a sequence of bounds shares its maps with the next."""
+    agents = [(a.id, {h: frozenset(body) for h, body in a.deps.items()}, set(a.clauses),
+               a.hbe, a.hin, a.initial) for a in system.agents]
+    return (system.io_atoms, system.cyclic, system.dmax, system.dependent_pairs,
+            system.env_atoms, agents)
+
+
+def _by_route(route, bounds, read) -> list:
+    """``read`` of each value ``route(bounds)`` yields, up to the breaches
+    of the first bound it refuses, which ends it."""
+    got = []
+    try:
+        for x in route(bounds):
+            got.append(read(x))
+    except ValidationError as exc:
+        got.append(exc.violations)
+    return got
+
+
+def _from_scratch(build, bounds, read) -> list:
+    """``read`` of ``build(d)`` at each bound, up to the first refused."""
+    want = []
+    for d in bounds:
+        want.append(_outcome(lambda: read(build(d))))
+        if not isinstance(want[-1], tuple):
+            break
+    return want
+
+
+def _check_routes(sc, bounds):
+    """Both routes from a sequence of bounds give, at each bound, what a
+    build from scratch gives there: its tables, its shape or its breaches."""
+    assert _by_route(sc.systems, bounds, _tables) == _from_scratch(sc.build_system, bounds, _tables)
+    assert _by_route(sc.shapes, bounds, _shape) == _from_scratch(sc.shape, bounds, _shape)
+
+
+def test_a_sequence_of_bounds_builds_what_each_bound_builds_alone(built):
+    sc, systems = built
+    dmax = sc.domain.distance_max
+    bounds = sorted(systems)
+    assert [_tables(s) for s in sc.systems(bounds)] == [_tables(systems[d]) for d in bounds]
+    # A bound below the last one, or equal to it, is built as well.
+    for bounds in ([dmax, dmax + 2], [dmax + 3, dmax, dmax, dmax + 1]):
+        assert list(map(_shape, sc.shapes(bounds))) == [_shape(systems[d]) for d in bounds]
+
+
+def test_a_sequence_of_bounds_refuses_what_each_bound_refuses():
+    # Valid at dmax 4, refused once the constant 5 is in range.
+    for text, violation in _PROBE_INVALID.values():
+        sc = parse_scenario(text)
+        for bounds in ([4, 5], [3, 4, 6], [4, 6, 7]):
+            _check_routes(sc, bounds)
+        assert _by_route(sc.shapes, [4, 5], _shape)[-1] == [violation]
+    rng = random.Random(1618)
+    seen = set()
+    for _ in range(300):
+        sc = _random_scenario(rng)
+        dmax = sc.domain.distance_max
+        _check_routes(sc, [dmax, dmax + 2])
+        for v in _by_route(sc.shapes, [dmax, dmax + 2], _shape):
+            seen.update(kind for kind in _BREACHES if kind in str(v))
+    assert seen == set(_BREACHES)
 
 
 def _check_agent_specs(sc, dmax, monkeypatch) -> tuple:
