@@ -19,8 +19,8 @@ slice the sender no longer holds are retracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .logic import AcyclicPlan, GroundProgram, _peel
 
@@ -36,16 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AgentState:
+class AgentState(NamedTuple):
     """What the agent currently holds: sensed facts and received facts."""
 
     edb: frozenset = frozenset()
     indb: frozenset = frozenset()
 
 
-@dataclass(frozen=True, eq=False)
-class AgentSpec:
+class _AgentFields(NamedTuple):
+    id: str
+    deps: dict
+    hbe: frozenset = frozenset()
+    hin: frozenset = frozenset()
+    initial: AgentState = AgentState()
+    clauses: tuple = None
+
+
+class AgentSpec(_AgentFields):
     """An agent: id, rule base, sensable atoms, input atoms, initial state.
 
     ``deps`` maps each head of the IDB to the atoms in the bodies of its
@@ -58,15 +65,14 @@ class AgentSpec:
     ``validate_agent`` reports every invariant breach, and system assembly
     refuses specs with violations.  The compiled plan belongs to the
     system (``MultiAgentSystem.plans``), which alone knows which clauses
-    can fire.
+    can fire.  A spec has no ``__slots__``: its instance dict caches
+    ``heads``.
     """
 
-    id: str
-    deps: dict
-    hbe: frozenset = frozenset()
-    hin: frozenset = frozenset()
-    initial: AgentState = field(default_factory=AgentState)
-    clauses: tuple = None
+    def __eq__(self, other):
+        return self is other
+
+    __ne__, __hash__ = object.__ne__, object.__hash__
 
     @cached_property
     def heads(self) -> frozenset:
@@ -145,25 +151,35 @@ def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
     return receiver.hin & (sender.heads | sender.hbe)
 
 
-@dataclass(frozen=True)
-class EnvChange:
-    """Atoms that just became true, and atoms that just became false."""
-
+class _ChangeFields(NamedTuple):
     became_true: frozenset = frozenset()
     became_false: frozenset = frozenset()
 
-    def __post_init__(self):
+
+class EnvChange(_ChangeFields):
+    """Atoms that just became true, and atoms that just became false; an
+    atom in both is refused."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         overlap = self.became_true & self.became_false
         if overlap:
             raise ValueError(f"change has atoms in both directions: {_few(overlap)}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "EnvChange":
+        """By the constructor, so that ``_replace`` checks too."""
+        return cls(*fields)
 
     @property
     def touched(self) -> frozenset:
         return self.became_true | self.became_false
 
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommEvent(NamedTuple):
     """The sender pushes its dependency slice to the receiver."""
 
     sender: str

@@ -66,8 +66,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .logic import Atom, Clause, GroundProgram, split_top_level
 
@@ -90,21 +89,26 @@ class GroundingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Typed ground domains for a scenario.
-
-    ``node_constants`` keeps declaration order; canonical order of
-    symmetric-predicate arguments follows it.
-    """
-
+class _DomainFields(NamedTuple):
     node_constants: tuple = ()
     distance_max: int = 0
     node_vars: frozenset = frozenset()
     int_vars: frozenset = frozenset()
     symmetric: frozenset = frozenset()
 
-    def __post_init__(self):
+
+class DomainSpec(_DomainFields):
+    """Typed ground domains for a scenario.
+
+    ``node_constants`` keeps declaration order; canonical order of
+    symmetric-predicate arguments follows it.  Construction checks the
+    bound, then the variables' types, then their names.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.distance_max < 0:
             raise GroundingError("distance_max must be >= 0")
         if self.node_vars & self.int_vars:
@@ -114,6 +118,13 @@ class DomainSpec:
         if named:
             both = ", ".join(sorted(named))
             raise GroundingError(f"names declared both as nodes and as variables: {both}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "DomainSpec":
+        """By the constructor, so that ``_replace`` checks too:
+        ``dom._replace(distance_max=d)`` refuses a negative ``d``."""
+        return cls(*fields)
 
     def var_domain(self, name: str):
         if name in self.node_vars:
@@ -123,16 +134,14 @@ class DomainSpec:
         raise GroundingError(f"variable {name} has no declared type")
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(NamedTuple):
     """``name + offset`` over the bounded integer domain."""
 
     name: str
@@ -152,8 +161,7 @@ def _integer_typed(term, dom: DomainSpec) -> bool:
     return isinstance(term, (int, Shift)) or (isinstance(term, Var) and term.name in dom.int_vars)
 
 
-@dataclass(frozen=True)
-class SchematicAtom:
+class SchematicAtom(NamedTuple):
     predicate: str
     args: tuple = ()
 
@@ -167,8 +175,7 @@ class SchematicAtom:
         return f"{self.predicate}({','.join(str(t) for t in self.args)})"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """``left op right``, where ``op`` is ``<``, ``=`` or ``!=``."""
 
     op: str
@@ -183,8 +190,7 @@ class Constraint:
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
-class SchematicClause:
+class SchematicClause(NamedTuple):
     """``head :- pos, not neg, constraints``, as a ground ``Clause`` plus
     the constraints that select its instances."""
 
@@ -204,8 +210,7 @@ class SchematicClause:
         return f"{self.head} :- {', '.join(items)}."
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """A schematic atom plus constraints; expands to a set of ground atoms."""
 
     atom: SchematicAtom

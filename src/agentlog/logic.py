@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, deque
-from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
 from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Atom",
@@ -104,10 +103,10 @@ class Atom:
         return self
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Atom, (self.predicate, self.args))
@@ -177,32 +176,39 @@ def _canonical(atoms) -> tuple:
     return tuple(sorted(set(atoms), key=Atom.sort_key))
 
 
-@dataclass(frozen=True)
-class GroundProgram:
+class _ProgramFields(NamedTuple):
+    clauses: frozenset = frozenset()
+    universe: frozenset = frozenset()
+
+
+class GroundProgram(_ProgramFields):
     """A finite set of ground clauses over an explicit atom universe.
 
     The universe may be larger than the set of atoms mentioned in clauses:
     declared input/environment atoms belong to it even when no clause
-    touches them.
+    touches them.  Construction checks that it covers every clause atom.
     """
 
-    clauses: frozenset = frozenset()
-    universe: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         mentioned = {a for c in self.clauses for a in c.atoms()}
         if not mentioned <= self.universe:
             missing = ", ".join(str(a) for a in sorted(mentioned - self.universe)[:5])
             raise ValueError(f"clause atoms outside universe: {missing}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "GroundProgram":
+        """By the constructor, so that ``_replace`` checks too."""
+        return cls(*fields)
 
     @classmethod
     def _unchecked(cls, clauses: frozenset, universe: frozenset) -> "GroundProgram":
-        """Build without the universe scan of ``__post_init__``.  Only for
+        """Build without the universe scan of the constructor.  Only for
         callers whose universe covers every clause atom by construction."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "clauses", clauses)
-        object.__setattr__(p, "universe", universe)
-        return p
+        return tuple.__new__(cls, (clauses, universe))
 
     @classmethod
     def of(cls, clauses: Iterable[Clause], extra_atoms: Iterable[Atom] = ()) -> "GroundProgram":
@@ -326,8 +332,7 @@ def stable_models_bruteforce(p: GroundProgram, cap: int = BRUTEFORCE_CAP):
 # Atom dependency graph
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     """Directed graph over atoms; an edge (a, b) means a clause for ``a``
     mentions ``b`` (positively or negatively) in its body."""
 

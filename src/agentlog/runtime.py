@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -70,8 +69,7 @@ class InvalidEventError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One fair communication round: which trace slice it spans and
     whether any single event in it changed some agent state."""
 
@@ -102,8 +100,20 @@ def _applied(atoms: frozenset, delta: tuple) -> frozenset:
     return (atoms - removed) | added if added or removed else atoms
 
 
-@dataclass(frozen=True)
-class Trace:
+class _TraceFields(NamedTuple):
+    agent_ids: tuple
+    start: tuple
+    start_models: tuple
+    events: tuple
+    changes: tuple
+    end: tuple
+    end_models: tuple
+    quiescence_point: object = 0
+    rounds: tuple = ()
+    horizon_exceeded: bool = False
+
+
+class Trace(_TraceFields):
     """A recorded run prefix, as its start, the changes of each event and
     its last point.
 
@@ -125,19 +135,9 @@ class Trace:
     fixpoint are ``end`` and ``end_models``.
 
     ``points()`` walks the points one at a time; ``states`` and
-    ``models`` are every point's, built on first read.
+    ``models`` are every point's, built on first read and cached in the
+    instance dict, which is why a trace has no ``__slots__``.
     """
-
-    agent_ids: tuple
-    start: tuple
-    start_models: tuple
-    events: tuple
-    changes: tuple
-    end: tuple
-    end_models: tuple
-    quiescence_point: object = 0
-    rounds: tuple = ()
-    horizon_exceeded: bool = False
 
     def points(self):
         """``(global state, models)`` at each point in order; an agent an
@@ -422,8 +422,7 @@ def stabilized_environment(trace: Trace) -> frozenset:
     return frozenset().union(*(s.edb for s in trace.end))
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Evidence of a monotone ramp in one tracked integer family."""
 
     family: str
@@ -498,8 +497,7 @@ def _family_text(family) -> str:
     return f"{predicate}({rendered})" if args else predicate
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """What one recorded run witnesses about stabilization.
 
     A single run can refute weak stabilization (models differ) or support

@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from importlib import resources
 from itertools import accumulate
+from typing import NamedTuple
 
 from .agents import AgentSpec, AgentState, CommEvent, EnvChange
 from .grounding import (
@@ -89,8 +88,7 @@ class ScenarioError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class AgentDef:
+class AgentDef(NamedTuple):
     """One agent block, still schematic (pre-grounding)."""
 
     id: str
@@ -101,16 +99,31 @@ class AgentDef:
     in0: tuple = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str = field(compare=False, default="<scenario>")
-    domain: DomainSpec = field(default_factory=DomainSpec)
+class _ScenarioFields(NamedTuple):
+    name: str = "<scenario>"
+    domain: DomainSpec = DomainSpec()
     agents: tuple = ()
     script: tuple = ()
     schedule: tuple = ()
     max_rounds: object = None
     track: tuple = ()
     output: object = None
+
+
+class Scenario(_ScenarioFields):
+    """A parsed scenario.  ``name`` labels it and takes no part in
+    equality or the hash: two scenarios that differ only in name are
+    equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Scenario) and self[1:] == other[1:]
+
+    __ne__ = object.__ne__
+
+    def __hash__(self):
+        return hash(self[1:])
 
     def build_system(self, dmax=None) -> MultiAgentSystem:
         """The system grounded at the bound ``dmax``, or at the scenario's
@@ -174,8 +187,9 @@ class Scenario:
             floor = dom.distance_max
 
     def _domain(self, dmax) -> DomainSpec:
-        """The domain with its bound replaced by ``dmax`` when one is given."""
-        return self.domain if dmax is None else replace(self.domain, distance_max=dmax)
+        """The domain with its bound replaced by ``dmax`` when one is
+        given, through the checks of ``DomainSpec``'s constructor."""
+        return self.domain if dmax is None else self.domain._replace(distance_max=dmax)
 
     def families(self) -> tuple:
         return tuple(family_of(p, self.domain) for p in self.track)
@@ -522,23 +536,31 @@ def _env_line(change: EnvChange) -> str:
 # Built-in scenarios
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Undirected network; edges are stored with endpoints in node order."""
-
+class _TopologyFields(NamedTuple):
     nodes: tuple
     edges: frozenset
 
-    def __post_init__(self):
-        order = {n: i for i, n in enumerate(self.nodes)}
+
+class Topology(_TopologyFields):
+    """Undirected network; edges are stored with endpoints in node order."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes: tuple, edges: frozenset):
+        order = {n: i for i, n in enumerate(nodes)}
         canon = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ScenarioError(f"self-loop on {u}")
             if u not in order or v not in order:
                 raise ScenarioError(f"edge endpoint outside nodes: {(u, v)}")
             canon.add((u, v) if order[u] < order[v] else (v, u))
-        object.__setattr__(self, "edges", frozenset(canon))
+        return tuple.__new__(cls, (nodes, frozenset(canon)))
+
+    @classmethod
+    def _make(cls, fields) -> "Topology":
+        """By the constructor, so that ``_replace`` canonicalises too."""
+        return cls(*fields)
 
     def neighbors(self, node: str) -> tuple:
         order = {n: i for i, n in enumerate(self.nodes)}
@@ -648,6 +670,9 @@ def builtin_scenario(name: str) -> Scenario:
     if m:
         return chain_scenario(int(m.group(1)))
     if name in _FILE_BUILTINS:
+        # Imported here: on Python 3.12 and later it loads ``inspect``.
+        from importlib import resources
+
         text = resources.files("agentlog").joinpath("data", f"{name}.scenario").read_text()
         return parse_scenario(text, name=name)
     raise ScenarioError(f"unknown builtin scenario: {name!r} (have {', '.join(builtin_names())})")

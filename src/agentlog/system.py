@@ -33,8 +33,8 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .agents import AgentSpec, _few, dependency, validate_agent
 from .logic import (
@@ -190,8 +190,7 @@ def build_system(specs, dmax=None) -> MultiAgentSystem:
     return system
 
 
-@dataclass(frozen=True)
-class SystemShape:
+class SystemShape(NamedTuple):
     """What ``classify`` reads of a ``MultiAgentSystem``: its I/O atoms,
     the atoms that reach a cycle of its union rule base, and its bound,
     without the agents and their tables."""
@@ -303,8 +302,7 @@ def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
     return DependencyGraph(sys.io_atoms, edges)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """IO-acyclicity and friends, as measured on one grounding of a
     system, or of its ``SystemShape``.
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from agentlog.agents import (
+    AgentSpec,
     AgentState,
+    CommEvent,
     EnvChange,
     agent_model,
     dependency,
@@ -164,8 +166,28 @@ def test_update_env_senses_exactly_the_change():
 
 
 def test_env_change_rejects_overlap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^change has atoms in both directions: a$"):
         EnvChange(frozenset([a]), frozenset([a]))
+    with pytest.raises(ValueError, match="^change has atoms in both directions: a$"):
+        EnvChange(frozenset([a]))._replace(became_false=frozenset([a, b]))
+
+
+def test_agent_specs_compare_by_identity():
+    spec, twin = AgentSpec("A1", {}), AgentSpec("A1", {})
+    assert spec == spec and spec != twin and not spec == twin
+    assert spec != tuple(spec) and not tuple(spec) == spec
+    assert len({spec, twin}) == 2
+    assert repr(spec) == (
+        "AgentSpec(id='A1', deps={}, hbe=frozenset(), hin=frozenset(), "
+        "initial=AgentState(edb=frozenset(), indb=frozenset()), clauses=None)"
+    )
+
+
+def test_agent_records_are_immutable():
+    for record in (AgentState(), AgentSpec("A1", {}), EnvChange(), CommEvent("A1", "A2")):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_agent_model_matches_bruteforce():

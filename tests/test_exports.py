@@ -1,11 +1,15 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package's ``__init__`` imports, so a deletion leaves no stale export.
-So does every site the benchmark's layer tracer patches or reads."""
+So does every site the benchmark's layer tracer patches or reads.  And
+importing the CLI stays cheap."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,16 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert hasattr(agentlog, alias.asname or alias.name)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for its imports.  ``dataclasses`` generates each
+    # record's methods with ``exec`` and loads ``inspect``, which loads
+    # ``ast``, ``dis`` and ``tokenize``.  ``-S`` keeps site hooks out.
+    code = "import sys, agentlog.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(Path(agentlog.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_runtime_comm_event_is_the_agents_type():

@@ -3,12 +3,12 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 from typing import Iterable
 
 import pytest
 
 from agentlog.grounding import (
+    Constraint,
     DomainSpec,
     GroundingError,
     Pattern,
@@ -145,6 +145,35 @@ def test_name_declared_as_node_and_variable_is_an_error(node_vars, int_vars):
     # Otherwise a clause over D would ground once, over the node D.
     with pytest.raises(GroundingError, match="^names declared both as nodes and as variables: D$"):
         DomainSpec(("A", "D"), 2, frozenset(node_vars), frozenset(int_vars))
+
+
+def test_domain_checks_its_bound_and_types_also_on_replace():
+    with pytest.raises(GroundingError, match="^distance_max must be >= 0$"):
+        DomainSpec((), -1)
+    with pytest.raises(GroundingError, match="^variables declared with two types: D$"):
+        DomainSpec((), 2, frozenset({"D"}), frozenset({"D"}))
+    dom = DomainSpec(("A",), 2, frozenset({"X"}), frozenset({"D"}))
+    assert dom._replace(distance_max=5) == DomainSpec(("A",), 5, frozenset({"X"}), frozenset({"D"}))
+    with pytest.raises(GroundingError, match="^distance_max must be >= 0$"):
+        dom._replace(distance_max=-1)
+    with pytest.raises(GroundingError, match="^names declared both as nodes and as variables: X$"):
+        dom._replace(node_constants=("X",))
+
+
+def test_schematic_records_are_immutable_and_keep_their_repr():
+    x, d = Var("X"), Shift("D", 1)
+    sa = SchematicAtom("p", (x, d))
+    assert repr(x) == "Var(name='X')" and repr(d) == "Shift(name='D', offset=1)"
+    assert repr(sa) == "SchematicAtom(predicate='p', args=(Var(name='X'), Shift(name='D', offset=1)))"
+    assert repr(DomainSpec()) == (
+        "DomainSpec(node_constants=(), distance_max=0, node_vars=frozenset(), "
+        "int_vars=frozenset(), symmetric=frozenset())"
+    )
+    records = (x, d, sa, Constraint("<", x, 3), SchematicClause(sa), Pattern(sa), DomainSpec())
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_arithmetic_needs_integer_variable():
@@ -464,7 +493,7 @@ def _check_floors(clauses, patterns, dom) -> int:
     are the bindings at ``d``, each once.  Return how many instances the
     floors passed that their grounding already had."""
     d = dom.distance_max
-    at = [replace(dom, distance_max=f) for f in range(d + 1)]
+    at = [dom._replace(distance_max=f) for f in range(d + 1)]
     full = [_passed(clauses, x) for x in at]
     atoms = [[expand_pattern(p, x) for p in patterns] for x in at]
     top = set(full[d])

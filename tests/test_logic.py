@@ -11,6 +11,7 @@ from agentlog.logic import (
     Atom,
     Clause,
     CyclicProgramError,
+    DependencyGraph,
     GroundProgram,
     atom,
     gl_reduct,
@@ -81,6 +82,21 @@ def test_clauses_survive_pickle_copy_and_text():
 def test_universe_must_cover_clause_atoms():
     with pytest.raises(ValueError, match="clause atoms outside universe: b"):
         GroundProgram(frozenset([clause(a, b)]), frozenset([a]))
+    p = GroundProgram.of([clause(a, b)])
+    with pytest.raises(ValueError, match="^clause atoms outside universe: a, b$"):
+        p._replace(universe=frozenset())
+
+
+def test_programs_and_graphs_are_immutable_values():
+    p = GroundProgram.of([clause(a, b)])
+    g = DependencyGraph(frozenset([a, b]), frozenset([(a, b)]))
+    assert p == GroundProgram(p.clauses, p.universe) and hash(p) == hash(GroundProgram(*p))
+    assert repr(GroundProgram()) == "GroundProgram(clauses=frozenset(), universe=frozenset())"
+    assert repr(DependencyGraph()) == "DependencyGraph(nodes=frozenset(), edges=frozenset())"
+    for record in (p, g):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, frozenset())
 
 
 def test_derived_programs_pass_the_universe_check():

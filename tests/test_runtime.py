@@ -11,6 +11,7 @@ from agentlog.agents import AgentState, CommEvent, EnvChange
 from agentlog.logic import AcyclicPlan, atom
 from agentlog.runtime import (
     AgentChange,
+    DivergenceReport,
     InvalidEventError,
     Trace,
     _agreement,
@@ -673,6 +674,16 @@ def test_run_verdict_and_export_build_no_snapshots():
         assert "_snapshots" not in vars(trace)
         assert len(trace.states) == len(trace.events) + 1
         assert "_snapshots" in vars(trace)
+
+
+def test_run_records_are_immutable():
+    trace, v = _scenario_run("chain(4)", policy="round-robin", seed=0)
+    report = DivergenceReport("r(*)", (("A1", (1, 2, 3, 4)),))
+    assert repr(trace.rounds[0]).startswith("RoundRecord(number=1, start=0, end=")
+    for record in (trace, v, trace.rounds[0], report):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def _assert_points_match_the_fold(system, trace):

@@ -153,8 +153,24 @@ def test_topology_canonicalizes_edges():
     t = Topology(("A", "B", "C"), frozenset([("B", "A"), ("C", "B")]))
     assert t.edges == {("A", "B"), ("B", "C")}
     assert t.neighbors("B") == ("A", "C")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^self-loop on A$"):
         Topology(("A",), frozenset([("A", "A")]))
+    with pytest.raises(ScenarioError, match=r"^edge endpoint outside nodes: \('A', 'Z'\)$"):
+        Topology(("A",), frozenset([("A", "Z")]))
+    assert t._replace(edges=frozenset([("C", "A")])).edges == {("A", "C")}
+    with pytest.raises(AttributeError):
+        t.edges = frozenset()
+
+
+def test_scenario_equality_ignores_the_name():
+    sc = builtin_scenario("example3")
+    renamed = sc._replace(name="copy")
+    assert renamed.name == "copy" and renamed == sc and not renamed != sc
+    assert hash(renamed) == hash(sc)
+    assert sc._replace(max_rounds=7) != sc and sc != tuple(sc)
+    for name in sc._fields:
+        with pytest.raises(AttributeError):
+            setattr(sc, name, None)
 
 
 def test_bfs_oracle_fig1():

@@ -324,6 +324,10 @@ def test_classify_chain():
     cls = classify(*sc.shapes([4, 6]))
     assert cls.io_acyclic
     assert not cls.io_finite
+    for record in (cls, sc.shape(4)):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def _with_own_cycle(rng, spec):
