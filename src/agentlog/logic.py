@@ -29,9 +29,12 @@ the test suite:
   the difference of two ``model`` evaluations on the full facts and
   against ``stable_models_bruteforce``.
 
-Acyclicity is read off a head -> body-atoms map by ``_peel``.
-``DependencyGraph`` is the value form of such a graph, and the I/O
-graph is the one built as one.
+Acyclicity is read off a head -> body-atoms map by ``_peel``, one
+iterative depth-first pass along its edges: the heads that reach no
+cycle come out in post-order, each after the heads in its body, which is
+the order ``AcyclicPlan`` and a system evaluate in, and the others are
+the heads that reach a cycle.  ``DependencyGraph`` is the value form of
+such a graph, and the I/O graph is the one built as one.
 """
 
 from __future__ import annotations
@@ -360,31 +363,54 @@ def _dependency_sink(clauses: set = None, deps: dict = None) -> tuple:
     return deps, sink
 
 
-def _peel(deps: dict) -> tuple:
-    """Peel ``deps`` (head -> body atoms) from its sinks, repeatedly
-    removing the atoms whose every body atom is removed.
+_OPEN, _CYCLIC, _CLEAR = 0, 1, 2
 
-    Returns the removed heads in removal order, which puts every head
-    after the heads in its body, and the set of heads left: the atoms
+
+def _peel(deps: dict) -> tuple:
+    """Split the heads of ``deps`` (head -> body atoms) by one iterative
+    depth-first pass along its edges (Tarjan 1972).
+
+    Each head is open while it is on the stack, then clear (it reaches no
+    cycle) or cyclic (it reaches one).  A head is cyclic when an atom of
+    its body is open, which closes a cycle, or cyclic; it then leaves the
+    stack at once, and the head below it is cyclic too.  A head whose
+    body is exhausted is clear: every head in its body finished clear
+    before it, and an atom that heads no clause reaches nothing.
+
+    Returns the clear heads in post-order, which puts every head after
+    the heads in its body, and the frozenset of cyclic heads: the atoms
     from which a cycle can be reached.
     """
-    waiting = {h: len(body) for h, body in deps.items()}
-    parents = {}
-    for h, body in deps.items():
-        for b in body:
-            parents.setdefault(b, []).append(h)
-    order = []
-    sinks = [a for a in parents if a not in deps]
-    sinks.extend(h for h, n in waiting.items() if not n)
-    while sinks:
-        a = sinks.pop()
-        if a in waiting:
-            order.append(a)
-        for h in parents.get(a, ()):
-            waiting[h] -= 1
-            if not waiting[h]:
-                sinks.append(h)
-    return tuple(order), frozenset(h for h, n in waiting.items() if n)
+    order, cyclic, mark = [], [], {}
+    for root, body in deps.items():
+        if root in mark:
+            continue
+        mark[root] = _OPEN
+        stack = [(root, iter(body))]
+        while stack:
+            a, body = stack[-1]
+            if mark[a] == _OPEN:
+                for b in body:
+                    m = mark.get(b)
+                    if m is None:
+                        sub = deps.get(b)
+                        if sub is not None:
+                            mark[b] = _OPEN
+                            stack.append((b, iter(sub)))
+                            break
+                    elif m != _CLEAR:
+                        mark[a] = _CYCLIC
+                        break
+                else:
+                    stack.pop()
+                    mark[a] = _CLEAR
+                    order.append(a)
+                continue
+            stack.pop()
+            cyclic.append(a)
+            if stack:
+                mark[stack[-1][0]] = _CYCLIC
+    return tuple(order), frozenset(cyclic)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ scenario at each bound of a sequence, each on top of the last, and
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_right
 from itertools import accumulate
@@ -670,18 +671,17 @@ def builtin_scenario(name: str) -> Scenario:
     if m:
         return chain_scenario(int(m.group(1)))
     if name in _FILE_BUILTINS:
-        # Imported here: on Python 3.12 and later it loads ``inspect``.
-        from importlib import resources
-
-        text = resources.files("agentlog").joinpath("data", f"{name}.scenario").read_text()
-        return parse_scenario(text, name=name)
+        # Read next to this module, where the package installs them, and
+        # not through ``importlib.resources``: importing it costs a
+        # command that has not loaded it 10-14 ms (Python 3.11, ``-S``).
+        path = os.path.join(os.path.dirname(__file__), "data", f"{name}.scenario")
+        with open(path, encoding="utf-8") as fh:
+            return parse_scenario(fh.read(), name=name)
     raise ScenarioError(f"unknown builtin scenario: {name!r} (have {', '.join(builtin_names())})")
 
 
 def load_scenario(ref: str) -> Scenario:
     """Load a scenario by builtin name or by file path."""
-    import os
-
     if _CHAIN_RE.match(ref.strip()) or ref in _FILE_BUILTINS:
         return builtin_scenario(ref)
     if os.path.exists(ref):

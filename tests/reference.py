@@ -1,14 +1,14 @@
 """Definition-route references the tests compare the library against.
 
 Each follows the paper's definition over plain values: the atom
-dependency graph of a program, its acyclicity and the atoms relevant to
-an atom, breadth-first shortest paths on a topology, an agent's
-outgoing claims, the transitions of a global state, one event at a
-time, the agents' agreement at one point, one atom at a time, and a
-clause read back from its text form.  The
-library reads the same facts off head -> body-atoms maps and compiled
-plans, records a run as per-event deltas, and finds the agreement by set
-algebra, instead.
+dependency graph of a program, its acyclicity, the atoms relevant to
+an atom, the peel of a head -> body-atoms map from its sinks,
+breadth-first shortest paths on a topology, an agent's outgoing claims,
+the transitions of a global state, one event at a time, the agents'
+agreement at one point, one atom at a time, and a clause read back from
+its text form.  The library reads the same facts off head -> body-atoms
+maps and compiled plans, records a run as per-event deltas, and finds
+the agreement by set algebra, instead.
 """
 
 from collections import deque
@@ -70,6 +70,33 @@ def relevant_atoms(g: DependencyGraph, a: Atom) -> frozenset:
         reached.add(b)
         frontier.extend(adj[b])
     return frozenset(reached)
+
+
+def kahn_peel(deps: dict) -> tuple:
+    """Peel ``deps`` (head -> body atoms) from its sinks, repeatedly
+    removing the atoms whose every body atom is removed (Kahn 1962).
+
+    Returns the removed heads in removal order, which puts every head
+    after the heads in its body, and the set of heads left: the atoms
+    from which a cycle can be reached.
+    """
+    waiting = {h: len(body) for h, body in deps.items()}
+    parents = {}
+    for h, body in deps.items():
+        for b in body:
+            parents.setdefault(b, []).append(h)
+    order = []
+    sinks = [a for a in parents if a not in deps]
+    sinks.extend(h for h, n in waiting.items() if not n)
+    while sinks:
+        a = sinks.pop()
+        if a in waiting:
+            order.append(a)
+        for h in parents.get(a, ()):
+            waiting[h] -= 1
+            if not waiting[h]:
+                sinks.append(h)
+    return tuple(order), frozenset(h for h, n in waiting.items() if n)
 
 
 def bfs_oracle(t: Topology, failed=()) -> dict:

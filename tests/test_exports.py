@@ -1,7 +1,7 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package's ``__init__`` imports, so a deletion leaves no stale export.
 So does every site the benchmark's layer tracer patches or reads.  And
-importing the CLI stays cheap."""
+importing the CLI and loading a file builtin stay cheap."""
 
 import ast
 import importlib
@@ -44,6 +44,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": str(Path(agentlog.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_a_file_builtin_loads_without_importlib_resources():
+    # Importing ``importlib.resources`` costs more than parsing a builtin;
+    # the files are read next to ``scenarios.py`` instead.
+    code = ("import sys; from agentlog.scenarios import load_scenario; load_scenario('routing5'); "
+            "print('importlib.resources' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(agentlog.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_runtime_comm_event_is_the_agents_type():

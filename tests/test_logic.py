@@ -19,11 +19,14 @@ from agentlog.logic import (
     is_stable_model,
     least_model,
     _arg_key,
+    _peel,
     parse_atom,
     stable_models_bruteforce,
 )
+from agentlog.system import _union_dependencies
 
-from .reference import dependency_graph, is_acyclic, parse_clause, relevant_atoms
+from .generators import random_system
+from .reference import dependency_graph, is_acyclic, kahn_peel, parse_clause, relevant_atoms
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -228,6 +231,60 @@ def test_relevant_atoms_isolated():
     g = dependency_graph(GroundProgram.of([], [a]))
     assert relevant_atoms(g, a) == frozenset()
 
+
+def _check_peel(deps):
+    """``_peel`` splits the heads as the sink peel does, and puts every
+    head after the heads in its body."""
+    order, cyclic = _peel(deps)
+    want_order, want_cyclic = kahn_peel(deps)
+    assert cyclic == want_cyclic
+    assert len(order) == len(set(order)) and set(order) == set(want_order)
+    position = {h: k for k, h in enumerate(order)}
+    assert all(position[b] < k for k, h in enumerate(order) for b in deps[h] if b in deps)
+    return order, cyclic
+
+
+@pytest.mark.parametrize("io_acyclic", [True, False])
+def test_peel_matches_the_sink_peel_on_random_systems(io_acyclic):
+    rng = random.Random(20051)
+    kinds = set()
+    for _ in range(150):
+        system, _ = random_system(rng, io_acyclic=io_acyclic)
+        for deps in [_union_dependencies(system.agents)] + [a.deps for a in system.agents]:
+            kinds.add(bool(_check_peel(deps)[1]))
+    assert kinds == ({False} if io_acyclic else {False, True})
+
+
+def test_peel_matches_the_sink_peel_on_random_graphs():
+    rng = random.Random(7)
+    atoms = [atom("p", i) for i in range(30)]
+    kinds = set()
+    for _ in range(300):
+        heads = rng.sample(atoms, rng.randint(0, len(atoms)))
+        deps = {h: set(rng.sample(atoms, rng.randint(0, 3))) for h in heads}
+        kinds.add(bool(_check_peel(deps)[1]))
+    assert kinds == {False, True}
+
+
+def test_peel_hand_cases():
+    x = atom("x")
+    # A self-loop.
+    assert _check_peel({a: {a}}) == ((), {a})
+    # A two-cycle with a tail into it, beside a clear head.
+    assert _check_peel({a: {b}, b: {a}, c: {a}, d: {x}}) == ((d,), {a, b, c})
+    # Non-heads beside the way into a cycle do not end the search.
+    assert _check_peel({c: {x}, f: {x, e}, e: {x, a}, a: {b, x}, b: {a}}) == ((c,), {a, b, e, f})
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_peel_walks_a_chain_deeper_than_the_recursion_limit(cycle):
+    chain = [atom("p", i) for i in range(5001)]
+    deps = {chain[i]: {chain[i - 1]} for i in range(1, 5001)}
+    if cycle:
+        deps[chain[0]] = {chain[0]}
+        assert _check_peel(deps) == ((), frozenset(chain))
+    else:
+        assert _check_peel(deps) == (tuple(chain[1:]), frozenset())
 
 def test_stable_model_acyclic_demo_states():
     assert AcyclicPlan(IDB1.with_facts([c]).clauses).model() == {c}
