@@ -19,7 +19,6 @@ from .grounding import DomainSpec, GroundingError, Pattern, SchematicClause, gro
 from .logic import (
     AcyclicPlan,
     Atom,
-    Clause,
     CyclicProgramError,
     DependencyGraph,
     GroundProgram,

@@ -57,9 +57,10 @@ class AgentSpec(_AgentFields):
 
     ``deps`` maps each head of the IDB to the atoms in the bodies of its
     clauses.  ``clauses`` is the tuple of the IDB's ground clauses, each
-    once, or None for an agent grounded into ``deps`` alone, which can be
-    assembled, validated and classified but not run.  Specs compare by
-    identity, as two groundings may list the clauses in different orders.
+    once and each a ``(head, pos, neg)`` tuple, or None for an agent
+    grounded into ``deps`` alone, which can be assembled, validated and
+    classified but not run.  Specs compare by identity, as two groundings
+    may list the clauses in different orders.
 
     Construction is permissive so that malformed specs can be inspected;
     ``validate_agent`` reports every invariant breach, and system assembly

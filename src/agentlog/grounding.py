@@ -1,6 +1,6 @@
 """Instantiation of schematic clauses into ground programs.
 
-A schematic clause has the shape of a ground ``Clause``, a head and its
+A schematic clause has the shape of a ground clause, a head and its
 positive (``pos``) and negated (``neg``) body atoms, plus ``Constraint``s
 ``left op right`` with ``op`` one of ``<``, ``=`` and ``!=``.  Its atoms
 may mention typed variables (node constants, or naturals bounded by
@@ -36,7 +36,7 @@ the program universes, are those of enumerating the full product of the
 variable domains and filtering it.  The tests keep that grounder as the
 reference.  A compiled clause hands each instance's head and body atoms
 to a callback (``ground_stream``); ``ground_program`` collects them
-into ``Clause``s.
+into ``(head, pos, neg)`` tuples.
 
 A floor grounds one bound on top of a lower one.  With ``floor`` ``f``
 below ``dmax``, only the bindings that ``f`` does not have are passed:
@@ -50,10 +50,9 @@ its bindings.  This is sound because a binding's terms are the same
 values at both bounds, and every op of ``_OPS`` is decided by those
 values alone, so each binding at ``f`` passes the constraints at ``dmax``
 too and the bindings at ``f`` are exactly those at ``dmax`` with every
-``V`` at most ``f - m_V``.  An op outside ``_FLOOR_OPS`` grounds its
-clause in full.  A variable that only a constraint mentions can make a
-binding above the floor yield a clause the floor has, so what a floor
-passes, united with the grounding at ``f``, is the grounding at
+``V`` at most ``f - m_V``.  A variable that only a constraint mentions
+can make a binding above the floor yield a clause the floor has, so what
+a floor passes, united with the grounding at ``f``, is the grounding at
 ``dmax``; it is not their difference.  Every sink deduplicates.
 
 Predicates listed in ``DomainSpec.symmetric`` have their two node
@@ -63,12 +62,11 @@ undirected edge denote the same atom.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from typing import Iterable, NamedTuple
 
-from .logic import Atom, Clause, GroundProgram, split_top_level
+from .logic import Atom, GroundProgram, split_top_level
 
 __all__ = [
     "GroundingError",
@@ -191,7 +189,7 @@ class Constraint(NamedTuple):
 
 
 class SchematicClause(NamedTuple):
-    """``head :- pos, not neg, constraints``, as a ground ``Clause`` plus
+    """``head :- pos, not neg, constraints``, as a ground clause plus
     the constraints that select its instances."""
 
     head: SchematicAtom
@@ -223,9 +221,6 @@ class Pattern(NamedTuple):
 
 
 _OPS = {"<": operator.lt, "=": operator.eq, "!=": operator.ne}
-# The ops decided by the values of their two terms alone, so that a
-# binding passes one at every bound or at none: the floor's soundness.
-_FLOOR_OPS = frozenset({"<", "=", "!="})
 
 
 def _narrowed(k: Constraint, dom: DomainSpec):
@@ -288,11 +283,8 @@ class _Enumeration:
             static[n] = domain
         order = _binding_order(names, static, atoms, c.constraints, dom)
         # Below its largest integer constant the clause has no instance,
-        # so a floor there passes every binding, as it does for a clause
-        # with an op that a floor cannot cut by.
+        # so a floor there passes every binding.
         self.top = max(constants, default=-1)
-        if any(k.op not in _FLOOR_OPS for k in c.constraints):
-            self.top = math.inf
 
         # Variable ``order[i]`` is bound at level ``i + 1`` into slot ``i + 1``.
         position = {n: i + 1 for i, n in enumerate(order)}
@@ -447,8 +439,8 @@ def _binding_order(names, static, atoms, constraints, dom) -> list:
 
 def _ground(clauses: Iterable[SchematicClause], dom: DomainSpec) -> set:
     out = set()
-    add, make = out.add, Clause._sorted
-    ground_stream(clauses, dom, lambda head, pos, neg: add(make(Clause, (head, pos, neg))))
+    add = out.add
+    ground_stream(clauses, dom, lambda head, pos, neg: add((head, pos, neg)))
     return out
 
 
@@ -463,12 +455,13 @@ def ground_program(
 
 def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink, floor=None) -> None:
     """Call ``sink(head, pos, neg)`` for each ground instance of
-    ``clauses`` over ``dom``, building no ``Clause``: ``pos`` and ``neg``
-    are the positive and negated body atoms, deduplicated and sorted as
-    in a ``Clause``.  An instance that several clauses or bindings yield
-    is passed once for each.  With a ``floor`` below ``dom``'s bound,
-    only the bindings above it are passed: with the instances at
-    ``floor``, they make up the instances over ``dom``."""
+    ``clauses`` over ``dom``: ``pos`` and ``neg`` are the tuples of the
+    positive and negated body atoms, each deduplicated and in
+    ``Atom.sort_key`` order, as in a ground clause.  An instance that
+    several clauses or bindings yield is passed once for each.  With a
+    ``floor`` below ``dom``'s bound, only the bindings above it are
+    passed: with the instances at ``floor``, they make up the instances
+    over ``dom``."""
     for c in clauses:
         _Enumeration(c, dom).stream(sink, floor)
 

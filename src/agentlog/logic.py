@@ -2,11 +2,15 @@
 
 Atoms, clauses and programs are immutable values, totally ordered so that
 every listing (trace exports, model dumps, error messages) is
-byte-stable across runs.  A clause is the tuple of a head and two tuples
-of body atoms, ``pos`` and ``neg``: the positive atoms and the negated
-ones.  All operations are pure functions.  The only shared mutable state
-is the process-wide intern table of ``Atom``: each atom is made once and
-reused, so equality and hashing of atoms are by identity.  The table
+byte-stable across runs.  A clause is the plain tuple ``(head, pos,
+neg)`` of a head and two tuples of body atoms: the positive atoms and
+the negated ones, each deduplicated and in ``Atom.sort_key`` order, so
+that equal clauses are equal tuples.  Nothing here sorts them: the
+grounder hands its bodies over in that order, and the functions here
+only unpack clauses.  All operations are pure functions.  The only
+shared mutable state is the process-wide intern table of ``Atom``: each
+atom is made once and reused, so equality and hashing of atoms are by
+identity.  The table
 never shrinks, and it grows only through ``dict.setdefault``, which
 under the GIL gives every caller the same object for a value.
 
@@ -44,12 +48,10 @@ from collections import defaultdict, deque
 from functools import total_ordering
 from heapq import heappop, heappush
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Atom",
-    "Clause",
     "GroundProgram",
     "DependencyGraph",
     "Interpretation",
@@ -132,53 +134,6 @@ def atom(predicate: str, *args) -> Atom:
     return Atom(predicate, args)
 
 
-class Clause(tuple):
-    """``head :- pos, not neg``; an empty body makes the clause a fact.
-
-    ``pos`` holds the positive body atoms and ``neg`` the negated ones.
-    Each is deduplicated and put in ``Atom.sort_key`` order on
-    construction, so structurally equal clauses compare equal.  A clause
-    is the tuple ``(head, pos, neg)``, so it is built, compared and
-    hashed in C and unpacks as ``head, pos, neg = c``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, head: Atom, pos=(), neg=()):
-        return tuple.__new__(cls, (head, _canonical(pos), _canonical(neg)))
-
-    # ``Clause._sorted(Clause, (head, pos, neg))`` builds without the
-    # sort, for ``pos`` and ``neg`` tuples that are already deduplicated
-    # and in ``Atom.sort_key`` order.
-    _sorted = tuple.__new__
-
-    head = property(itemgetter(0))
-    pos = property(itemgetter(1))
-    neg = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    @property
-    def is_fact(self) -> bool:
-        return not (self[1] or self[2])
-
-    def atoms(self) -> Iterator[Atom]:
-        yield self[0]
-        yield from self[1]
-        yield from self[2]
-
-    def __repr__(self) -> str:
-        return f"Clause(head={self[0]!r}, pos={self[1]!r}, neg={self[2]!r})"
-
-    def __str__(self) -> str:
-        return format_clause(self)
-
-
-def _canonical(atoms) -> tuple:
-    return tuple(sorted(set(atoms), key=Atom.sort_key))
-
-
 class _ProgramFields(NamedTuple):
     clauses: frozenset = frozenset()
     universe: frozenset = frozenset()
@@ -196,7 +151,7 @@ class GroundProgram(_ProgramFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        mentioned = {a for c in self.clauses for a in c.atoms()}
+        mentioned = {a for head, pos, neg in self.clauses for a in (head, *pos, *neg)}
         if not mentioned <= self.universe:
             missing = ", ".join(str(a) for a in sorted(mentioned - self.universe)[:5])
             raise ValueError(f"clause atoms outside universe: {missing}")
@@ -211,10 +166,10 @@ class GroundProgram(_ProgramFields):
     def _unchecked(cls, clauses: frozenset, universe: frozenset) -> "GroundProgram":
         """Build without the universe scan of the constructor.  Only for
         callers whose universe covers every clause atom by construction."""
-        return tuple.__new__(cls, (clauses, universe))
+        return super().__new__(cls, clauses, universe)
 
     @classmethod
-    def of(cls, clauses: Iterable[Clause], extra_atoms: Iterable[Atom] = ()) -> "GroundProgram":
+    def of(cls, clauses: Iterable[tuple], extra_atoms: Iterable[Atom] = ()) -> "GroundProgram":
         clauses = frozenset(clauses)
         universe = set(extra_atoms)
         if clauses:
@@ -224,7 +179,7 @@ class GroundProgram(_ProgramFields):
 
     def with_facts(self, atoms: Iterable[Atom]) -> "GroundProgram":
         atoms = frozenset(atoms)
-        facts = {Clause(a) for a in atoms}
+        facts = {(a, (), ()) for a in atoms}
         return GroundProgram._unchecked(self.clauses | facts, self.universe | atoms)
 
 
@@ -234,7 +189,7 @@ Interpretation = frozenset
 
 def head_set(p: GroundProgram) -> frozenset:
     """The set of clause heads of ``p``."""
-    return frozenset(c.head for c in p.clauses)
+    return frozenset(head for head, _, _ in p.clauses)
 
 
 def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
@@ -244,34 +199,32 @@ def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
     clauses keep only their positive body atoms, so the result is
     negation-free.  The universe is unchanged.
     """
-    kept = frozenset(
-        Clause._sorted(Clause, (head, pos, ())) for head, pos, neg in p.clauses if s.isdisjoint(neg)
-    )
+    kept = frozenset((head, pos, ()) for head, pos, neg in p.clauses if s.isdisjoint(neg))
     return GroundProgram._unchecked(kept, p.universe)
 
 
 def least_model(p: GroundProgram) -> Interpretation:
     """Least model of a negation-free program (iterated consequences)."""
-    clauses = []
-    for c in p.clauses:
-        if c.neg:
-            raise ValueError(f"least_model requires a negation-free program, got: {c}")
-        clauses.append(c)
-
+    clauses = tuple(p.clauses)
     remaining = {}
     watchers = defaultdict(list)
     queue = deque()
     for i, c in enumerate(clauses):
-        remaining[i] = len(c.pos)
-        if not c.pos:
+        _, pos, neg = c
+        if neg:
+            raise ValueError(
+                f"least_model requires a negation-free program, got: {format_clause(c)}"
+            )
+        remaining[i] = len(pos)
+        if not pos:
             queue.append(i)
-        for b in c.pos:
+        for b in pos:
             watchers[b].append(i)
 
     true: set = set()
     while queue:
         i = queue.popleft()
-        head = clauses[i].head
+        head = clauses[i][0]
         if head in true:
             continue
         true.add(head)
@@ -299,7 +252,7 @@ def stable_models_bruteforce(p: GroundProgram, cap: int = BRUTEFORCE_CAP):
     if n > cap:
         raise ValueError(f"universe has {n} atoms, above the brute-force cap {cap}")
 
-    facts = {c.head for c in p.clauses if c.is_fact}
+    facts = {head for head, pos, neg in p.clauses if not (pos or neg)}
     # The heads to enumerate take the low bits, the fact heads the rest.
     free = sorted(head_set(p) - facts)
     heads = free + sorted(facts)
@@ -307,13 +260,13 @@ def stable_models_bruteforce(p: GroundProgram, cap: int = BRUTEFORCE_CAP):
     fact_mask = (1 << len(heads)) - (1 << len(free))
 
     compiled = []
-    for c in p.clauses:
+    for head, pos, neg in p.clauses:
         # A positive body atom nobody derives makes the clause dead; the
         # negation of an underivable atom always holds.
-        if c.head not in facts and all(b in bit for b in c.pos):
-            pos_mask = sum(1 << bit[b] for b in c.pos)
-            neg_mask = sum(1 << bit[b] for b in c.neg if b in bit)
-            compiled.append((1 << bit[c.head], pos_mask, neg_mask))
+        if head not in facts and all(b in bit for b in pos):
+            pos_mask = sum(1 << bit[b] for b in pos)
+            neg_mask = sum(1 << bit[b] for b in neg if b in bit)
+            compiled.append((1 << bit[head], pos_mask, neg_mask))
 
     models = []
     for mask in range(fact_mask, fact_mask + (1 << len(free))):
@@ -341,26 +294,6 @@ class DependencyGraph(NamedTuple):
 
     nodes: frozenset = frozenset()
     edges: frozenset = frozenset()
-
-
-def _dependency_sink(clauses: set = None, deps: dict = None) -> tuple:
-    """A head -> body-atoms map, ``deps`` or a new empty one, and the
-    ``sink(head, pos, neg)`` that adds one clause's body atoms under its
-    head: the dependency graph of the clauses passed to it, read straight
-    off them; and each clause to the set ``clauses``, when one is given."""
-    deps = {} if deps is None else deps
-    add = None if clauses is None else clauses.add
-
-    def sink(head, pos, neg):
-        body = deps.get(head)
-        if body is None:
-            body = deps[head] = set()
-        body.update(pos)
-        body.update(neg)
-        if add is not None:
-            add(Clause._sorted(Clause, (head, pos, neg)))
-
-    return deps, sink
 
 
 _OPEN, _CYCLIC, _CLEAR = 0, 1, 2
@@ -434,12 +367,18 @@ class AcyclicPlan:
 
     __slots__ = ("by_head", "sequence", "heads", "users")
 
-    def __init__(self, clauses: Iterable[Clause], heads: frozenset = None):
-        by_head = {}
-        deps, sink = _dependency_sink()
+    def __init__(self, clauses: Iterable[tuple], heads: frozenset = None):
+        by_head, deps = {}, {}
         for c in clauses:
-            by_head.setdefault(c[0], []).append(c)
-            sink(*c)
+            head, pos, neg = c
+            body = deps.get(head)
+            if body is None:
+                body = deps[head] = set()
+                by_head[head] = [c]
+            else:
+                by_head[head].append(c)
+            body.update(pos)
+            body.update(neg)
         sequence, cyclic = _peel(deps)
         if cyclic:
             raise CyclicProgramError("cycle through " + ", ".join(map(str, sorted(cyclic)[:3])))
@@ -591,12 +530,13 @@ def parse_atom(text: str) -> Atom:
     return Atom(name, tuple(args))
 
 
-def format_clause(c: Clause) -> str:
+def format_clause(c: tuple) -> str:
     """``head :- b1, not b2.``: body items in atom order, a positive atom
     before its own negation."""
-    if c.is_fact:
-        return f"{format_atom(c.head)}."
-    items = [(b.sort_key(), 0, format_atom(b)) for b in c.pos]
-    items += [(b.sort_key(), 1, f"not {format_atom(b)}") for b in c.neg]
+    head, pos, neg = c
+    if not (pos or neg):
+        return f"{format_atom(head)}."
+    items = [(b.sort_key(), 0, format_atom(b)) for b in pos]
+    items += [(b.sort_key(), 1, f"not {format_atom(b)}") for b in neg]
     body = ", ".join(text for _, _, text in sorted(items))
-    return f"{format_atom(c.head)} :- {body}."
+    return f"{format_atom(head)} :- {body}."

@@ -335,8 +335,12 @@ def run_fair(
     ``env_schedule`` is a finite set of ``(after_round, change)`` entries;
     ``after_round=0`` fires before the first round.  The run stops early
     at the first round in which no event changed any state while the
-    environment is quiescent, or at ``max_rounds``.
+    environment is quiescent, or at ``max_rounds``.  A ``policy`` other
+    than ``"round-robin"`` and ``"shuffled"`` raises ValueError before
+    anything is replayed or recorded.
     """
+    if policy not in ("round-robin", "shuffled"):
+        raise ValueError(f"unknown policy: {policy}")
     if max_rounds is None:
         max_rounds = default_max_rounds(sys)
     rng = random.Random(seed)
@@ -359,10 +363,8 @@ def run_fair(
         if policy == "shuffled":
             order = sends.copy()
             rng.shuffle(order)
-        elif policy == "round-robin":
-            order = sends
         else:
-            raise ValueError(f"unknown policy: {policy}")
+            order = sends
         start = rec.point
         changed = False
         for event, r, s in order:

@@ -63,7 +63,7 @@ from .grounding import (
     parse_schematic_clause,
 )
 from .grounding import ground_program  # noqa: F401  perfbench/layertrace.py traces it here
-from .logic import _dependency_sink, split_top_level
+from .logic import split_top_level
 from .system import MultiAgentSystem, SystemShape, build_system
 
 __all__ = [
@@ -225,7 +225,18 @@ def _agent_spec(ad: AgentDef, dom: DomainSpec, clauses: bool, floor=None, last=N
         old = (last.hbe, last.hin, last.initial.edb, last.initial.indb)
         sets = tuple(x | y for x, y in zip(old, sets))
     hbe, hin, edb, indb = sets
-    ground_stream(ad.idb, dom, _dependency_sink(ground, deps)[1], floor)
+    add = None if ground is None else ground.add
+
+    def sink(head, pos, neg):
+        body = deps.get(head)
+        if body is None:
+            body = deps[head] = set()
+        body.update(pos)
+        body.update(neg)
+        if add is not None:
+            add((head, pos, neg))
+
+    ground_stream(ad.idb, dom, sink, floor)
     ground = None if ground is None else tuple(ground)
     return AgentSpec(ad.id, deps, hbe, hin, AgentState(edb, indb), ground)
 
@@ -556,7 +567,7 @@ class Topology(_TopologyFields):
             if u not in order or v not in order:
                 raise ScenarioError(f"edge endpoint outside nodes: {(u, v)}")
             canon.add((u, v) if order[u] < order[v] else (v, u))
-        return tuple.__new__(cls, (nodes, frozenset(canon)))
+        return super().__new__(cls, nodes, frozenset(canon))
 
     @classmethod
     def _make(cls, fields) -> "Topology":

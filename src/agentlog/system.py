@@ -160,8 +160,8 @@ def system_violations(system: MultiAgentSystem) -> list:
             continue
         by_head = {}
         for c in a.clauses:
-            if c.head in mine:
-                by_head.setdefault(c.head, set()).add(c)
+            if c[0] in mine:
+                by_head.setdefault(c[0], set()).add(c)
         for h in sorted(mine):
             if h not in first:
                 first[h] = (a.id, by_head[h])

@@ -18,13 +18,15 @@ from agentlog.grounding import (
     Shift,
     Var,
 )
-from agentlog.logic import Clause, GroundProgram, atom
+from agentlog.logic import GroundProgram, atom
 from agentlog.system import build_system
 
+from .reference import clause
 
-def signed_clause(head, body) -> Clause:
+
+def signed_clause(head, body) -> tuple:
     """The clause ``head`` over ``(atom, positive)`` pairs."""
-    return Clause(head, [b for b, positive in body if positive], [b for b, positive in body if not positive])
+    return clause(head, [b for b, positive in body if positive], [b for b, positive in body if not positive])
 
 
 def agent_spec(agent_id, program: GroundProgram, hbe=frozenset(), hin=frozenset(),
@@ -33,8 +35,8 @@ def agent_spec(agent_id, program: GroundProgram, hbe=frozenset(), hin=frozenset(
     definition of the atom dependency graph: each head -> every atom in
     the body of some clause for it."""
     deps = {}
-    for c in program.clauses:
-        deps.setdefault(c.head, set()).update(c.pos, c.neg)
+    for head, pos, neg in program.clauses:
+        deps.setdefault(head, set()).update(pos, neg)
     return AgentSpec(agent_id, deps, hbe, hin, initial, tuple(program.clauses))
 
 

@@ -5,8 +5,8 @@ dependency graph of a program, its acyclicity, the atoms relevant to
 an atom, the peel of a head -> body-atoms map from its sinks,
 breadth-first shortest paths on a topology, an agent's outgoing claims,
 the transitions of a global state, one event at a time, the agents'
-agreement at one point, one atom at a time, and a clause read back from
-its text form.  The library reads the same facts off head -> body-atoms
+agreement at one point, one atom at a time, and a clause built from its
+atoms or read back from its text form.  The library reads the same facts off head -> body-atoms
 maps and compiled plans, records a run as per-event deltas, and finds
 the agreement by set algebra, instead.
 """
@@ -14,7 +14,7 @@ the agreement by set algebra, instead.
 from collections import deque
 
 from agentlog.agents import AgentState, EnvChange, agent_model
-from agentlog.logic import Atom, Clause, DependencyGraph, GroundProgram, parse_atom, split_top_level
+from agentlog.logic import Atom, DependencyGraph, GroundProgram, parse_atom, split_top_level
 from agentlog.runtime import _applied, _env_deltas, _send_dependency
 from agentlog.scenarios import Topology
 from agentlog.system import MultiAgentSystem
@@ -23,7 +23,7 @@ from agentlog.system import MultiAgentSystem
 def dependency_graph(p: GroundProgram) -> DependencyGraph:
     """An edge (a, b) for each clause for ``a`` that mentions ``b``
     (positively or negatively) in its body; the nodes are the universe."""
-    edges = frozenset((c.head, b) for c in p.clauses for b in c.pos + c.neg)
+    edges = frozenset((head, b) for head, pos, neg in p.clauses for b in pos + neg)
     return DependencyGraph(p.universe, edges)
 
 
@@ -187,7 +187,14 @@ def agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
     return frozenset(agreed), frozenset(split)
 
 
-def parse_clause(text: str) -> Clause:
+def clause(head: Atom, pos=(), neg=()) -> tuple:
+    """The ground clause ``(head, pos, neg)`` with each body deduplicated
+    and in ``Atom.sort_key`` order, the form the grounder streams, so
+    that structurally equal clauses are equal tuples."""
+    return (head, *(tuple(sorted(set(body), key=Atom.sort_key)) for body in (pos, neg)))
+
+
+def parse_clause(text: str) -> tuple:
     """A ground clause from the text ``format_clause`` writes."""
     text = text.strip()
     if not text.endswith("."):
@@ -202,5 +209,5 @@ def parse_clause(text: str) -> Clause:
                 neg.append(parse_atom(item[3:].strip()))
             else:
                 pos.append(parse_atom(item))
-        return Clause(parse_atom(head_text), tuple(pos), tuple(neg))
-    return Clause(parse_atom(text))
+        return clause(parse_atom(head_text), pos, neg)
+    return clause(parse_atom(text))

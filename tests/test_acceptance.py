@@ -288,7 +288,7 @@ def test_criterion_5_stable_model_oracle_equivalence():
         rng = random.Random(50002)
         for _ in range(300):
             p = random_program(rng, max_atoms=9)
-            rows = [(cl.head, [(x, True) for x in cl.pos] + [(x, False) for x in cl.neg]) for cl in p.clauses]
+            rows = [(head, [(x, True) for x in pos] + [(x, False) for x in neg]) for head, pos, neg in p.clauses]
             atoms = sorted(p.universe)
             for k in range(len(atoms) + 1):
                 for combo in itertools.combinations(atoms, k):

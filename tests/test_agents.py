@@ -14,17 +14,18 @@ from agentlog.agents import (
     env_delta,
     validate_agent,
 )
-from agentlog.logic import AcyclicPlan, Clause, GroundProgram, atom, stable_models_bruteforce
+from agentlog.logic import AcyclicPlan, GroundProgram, atom, stable_models_bruteforce
 from agentlog.runtime import _applied
 
 from .generators import agent_spec
+from .reference import clause as make_clause
 from .reference import input_delta
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
 
 def clause(head, *body):
-    return Clause(head, body)
+    return make_clause(head, body)
 
 
 def sent(indb, dep, sender_model):
@@ -63,7 +64,7 @@ def test_validate_hin_hbe_overlap():
 
 
 def test_validate_input_atom_as_head():
-    spec = agent_spec("X", GroundProgram.of([Clause(b)]), frozenset(), frozenset([b]))
+    spec = agent_spec("X", GroundProgram.of([make_clause(b)]), frozenset(), frozenset([b]))
     assert any("heads" in v for v in validate_agent(spec))
 
 
@@ -90,8 +91,8 @@ def test_dependency_both_directions():
 
 
 def test_dependency_unrelated_agents():
-    x = agent_spec("X", GroundProgram.of([Clause(a)]))
-    y = agent_spec("Y", GroundProgram.of([Clause(b)]))
+    x = agent_spec("X", GroundProgram.of([make_clause(a)]))
+    y = agent_spec("Y", GroundProgram.of([make_clause(b)]))
     assert dependency(x, y) == frozenset()
 
 

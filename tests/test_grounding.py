@@ -22,11 +22,11 @@ from agentlog.grounding import (
     parse_pattern,
     parse_schematic_clause,
 )
-from agentlog.logic import Atom, Clause, GroundProgram, atom
+from agentlog.logic import Atom, GroundProgram, atom, format_clause
 from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_schematic_scenario
-from .reference import dependency_graph, is_acyclic, parse_clause
+from .reference import clause, dependency_graph, is_acyclic, parse_clause
 
 DOM2 = DomainSpec(
     node_constants=("A1", "A2"),
@@ -60,9 +60,9 @@ def test_range_filter_forces_d_zero():
     )
     ground = instances(c, dom_at(1))
     assert ground  # some instances survive
-    for g in ground:
-        assert g.head.args[3] == 1  # head always D+1 = 1
-        sp_args = [x.args for x in g.pos if x.predicate == "sp"]
+    for head, pos, _ in ground:
+        assert head.args[3] == 1  # head always D+1 = 1
+        sp_args = [x.args for x in pos if x.predicate == "sp"]
         assert sp_args and all(args[2] == 0 for args in sp_args)
 
 
@@ -73,9 +73,9 @@ def test_constraint_enumeration_dmax2():
     ground = instances(c, DOM2)
     # D+1 <= 2 and D2 < D leave exactly (D=1, D2=0).
     assert ground
-    for g in ground:
-        assert g.head.args[2] == 2
-        sp_args = [x.args for x in g.pos if x.predicate == "sp"]
+    for head, pos, _ in ground:
+        assert head.args[2] == 2
+        sp_args = [x.args for x in pos if x.predicate == "sp"]
         assert all(args[2] == 0 for args in sp_args)
     assert len(ground) == 4  # X, Y over two nodes
 
@@ -84,16 +84,16 @@ def test_no_constraints_survive_grounding():
     c = parse_schematic_clause("spl(A1,Y,D+1) :- sp(X,Y,D2), D2 < D.", DOM2)
     grounded = instances(c, DOM2)
     assert grounded
-    for g in grounded:
-        assert all(isinstance(x, Atom) for x in g.pos + g.neg)
+    for _, pos, neg in grounded:
+        assert all(isinstance(x, Atom) for x in pos + neg)
 
 
 def test_symmetric_canonicalization():
     c = parse_schematic_clause("spt(A2,Y,X,D+1) :- link(A2,X), sp(X,Y,D).", DOM2)
     links = {
         x
-        for g in instances(c, DOM2)
-        for x in g.pos
+        for _, pos, _ in instances(c, DOM2)
+        for x in pos
         if x.predicate == "link"
     }
     # link(A2,A1) is written in the schema but the ground atom is link(A1,A2).
@@ -317,7 +317,7 @@ def full_product_ground_clause(c: SchematicClause, dom: DomainSpec) -> frozenset
                 break
             (pos if positive else neg).append(ga)
         else:
-            out.add(Clause(head, pos, neg))
+            out.add(clause(head, pos, neg))
     return frozenset(out)
 
 
@@ -364,7 +364,7 @@ def _agree(clauses, patterns, dom):
     assert got.universe == want.universe
     streamed = set()
     ground_stream(clauses, dom, lambda head, pos, neg: streamed.add((head, pos, neg)))
-    assert streamed == {(c.head, c.pos, c.neg) for c in want.clauses}
+    assert streamed == want.clauses
 
 
 def test_grounder_matches_full_product_on_random_schematic_scenarios():
@@ -436,7 +436,7 @@ def test_atom_below_a_variable_it_does_not_mention():
     dom = dom_at(4, nodes=("A1", "A2", "A3"))
     c = parse_schematic_clause("spl(A1,Y,D+1) :- link(A1,X), sp(X,Y,D2+1), D2 < D.", dom)
     _agree([c], [], dom)
-    assert atom("sp", "A2", "A3", 3) in {x for g in instances(c, dom) for x in g.pos}
+    assert atom("sp", "A2", "A3", 3) in {x for _, pos, _ in instances(c, dom) for x in pos}
 
 
 def test_symmetric_atom_below_a_variable_it_does_not_mention():
@@ -446,9 +446,9 @@ def test_symmetric_atom_below_a_variable_it_does_not_mention():
     c = parse_schematic_clause("far(X,D+1) :- near(X,D2), D2 < D, link(X,Y).", dom)
     _agree([c], [], dom)
     links = {}
-    for g in instances(c, dom):
-        (near,) = [x for x in g.pos if x.predicate == "near"]
-        (link,) = [x for x in g.pos if x.predicate == "link"]
+    for _, pos, _ in instances(c, dom):
+        (near,) = [x for x in pos if x.predicate == "near"]
+        (link,) = [x for x in pos if x.predicate == "link"]
         links.setdefault(link, set()).add(near.args[0])
     assert links[atom("link", "A1", "A2")] == {"A1", "A2"}
     assert atom("link", "A2", "A1") not in links
@@ -470,11 +470,11 @@ def test_shift_only_in_a_constraint_is_range_checked():
     ("chain(6)", 21, "756dbb82483981eecd6e939fe34cbbbdc8a97d8f061832d8eb5b8b670e3c2c19"),
 ])
 def test_builtin_ground_clause_sets_are_pinned(name, count, digest):
-    # Every agent's clauses in text form, sorted; each one as the sorting
-    # constructor would build it.
+    # Every agent's clauses in text form, sorted; each one a plain tuple
+    # whose bodies are already deduplicated and sorted.
     agents = builtin_scenario(name).build_system().agents
-    assert all(Clause(*x) == x for s in agents for x in s.idb.clauses)
-    lines = [f"{s.id} {x}" for s in agents for x in sorted(map(str, s.idb.clauses))]
+    assert all(type(x) is tuple and clause(*x) == x for s in agents for x in s.idb.clauses)
+    lines = [f"{s.id} {x}" for s in agents for x in sorted(map(format_clause, s.idb.clauses))]
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (count, digest)
 
 

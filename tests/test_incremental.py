@@ -15,7 +15,6 @@ import pytest
 from agentlog.logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
-    Clause,
     GroundProgram,
     atom,
     head_set,
@@ -25,12 +24,13 @@ from agentlog.runtime import run_fair
 from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_acyclic_program, random_system
+from .reference import clause as make_clause
 
 a, b, c, d, e, x = (atom(n) for n in "abcdex")
 
 
 def clause(head, *body):
-    return Clause(head, body)
+    return make_clause(head, body)
 
 
 def _updated(plan, model, facts, new_facts):
@@ -56,7 +56,7 @@ def _check_update(p, facts, new_facts):
 
 
 def test_empty_delta_returns_the_model_itself():
-    p = GroundProgram.of([clause(b, a), Clause(c, (), (b,))], [a])
+    p = GroundProgram.of([clause(b, a), make_clause(c, (), (b,))], [a])
     plan = AcyclicPlan(p.clauses)
     model = plan.model(frozenset([a]))
     assert plan.changes(model, frozenset(), frozenset()) == ([], [])
@@ -65,14 +65,14 @@ def test_empty_delta_returns_the_model_itself():
 
 
 def test_removing_a_fact_makes_a_negative_literal_true():
-    p = GroundProgram.of([Clause(b, (), (a,)), clause(c, b)], [a])
+    p = GroundProgram.of([make_clause(b, (), (a,)), clause(c, b)], [a])
     assert _check_update(p, frozenset([a]), frozenset()) == {b, c}
     assert _check_update(p, frozenset(), frozenset([a])) == {a}
 
 
 def test_flip_propagates_more_than_one_level():
     p = GroundProgram.of(
-        [clause(b, a), clause(c, b), Clause(d, (c,), (e,)), Clause(x, (), (d,))], [a, e]
+        [clause(b, a), clause(c, b), make_clause(d, (c,), (e,)), make_clause(x, (), (d,))], [a, e]
     )
     assert _check_update(p, frozenset(), frozenset([a])) == {a, b, c, d}
     assert _check_update(p, frozenset([a]), frozenset()) == {x}

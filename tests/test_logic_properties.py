@@ -10,7 +10,6 @@ import random
 
 from agentlog.logic import (
     AcyclicPlan,
-    Clause,
     GroundProgram,
     atom,
     head_set,
@@ -20,6 +19,7 @@ from agentlog.logic import (
 )
 
 from .generators import random_acyclic_program, random_program
+from .reference import clause as make_clause
 from .reference import dependency_graph
 
 
@@ -45,8 +45,8 @@ def naive_is_stable(program_rows, universe, s):
 
 def rows_of(p):
     return [
-        (c.head, [(x, True) for x in c.pos] + [(x, False) for x in c.neg])
-        for c in p.clauses
+        (head, [(x, True) for x in pos] + [(x, False) for x in neg])
+        for head, pos, neg in p.clauses
     ]
 
 
@@ -83,10 +83,10 @@ def test_clause_support_property():
         for m in stable_models_bruteforce(p):
             for x in p.universe:
                 supported = any(
-                    c.head == x
-                    and all(x in m for x in c.pos)
-                    and not any(x in m for x in c.neg)
-                    for c in p.clauses
+                    head == x
+                    and all(x in m for x in pos)
+                    and not any(x in m for x in neg)
+                    for head, pos, neg in p.clauses
                 )
                 assert (x in m) == supported
 
@@ -96,7 +96,7 @@ def test_least_model_monotone_in_facts():
     for _ in range(100):
         p = random_acyclic_program(rng, max_atoms=8)
         positive = GroundProgram.of(
-            [Clause(c.head, c.pos) for c in p.clauses],
+            [(head, pos, ()) for head, pos, _ in p.clauses],
             p.universe,
         )
         base = least_model(positive)
@@ -110,7 +110,7 @@ def test_dependency_graph_is_exactly_head_body_incidence():
         p = random_program(rng, max_atoms=8)
         g = dependency_graph(p)
         expected = {
-            (c.head, x) for c in p.clauses for x in c.pos + c.neg
+            (head, x) for head, pos, neg in p.clauses for x in pos + neg
         }
         assert g.edges == frozenset(expected)
         assert g.nodes == p.universe
@@ -136,7 +136,7 @@ def test_bruteforce_agrees_with_definition_on_programs_with_facts():
     for _ in range(300):
         p = random_program(rng, max_atoms=6)
         if rng.random() < 0.3:
-            p = GroundProgram.of(p.clauses | {Clause(u, [], [v]), Clause(v, [], [u])}, p.universe)
+            p = GroundProgram.of(p.clauses | {make_clause(u, [], [v]), make_clause(v, [], [u])}, p.universe)
         fresh = [atom("g", k) for k in range(rng.randint(0, 3))]
         facts = [x for x in sorted(p.universe) if rng.random() < 0.15] + fresh
         p = p.with_facts(facts)

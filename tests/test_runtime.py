@@ -31,7 +31,7 @@ from agentlog.scenarios import builtin_names, builtin_scenario, load_scenario, p
 from agentlog.system import io_graph
 
 from .generators import agent_spec, random_system
-from .reference import agreement, comm_transition, env_transition, output_projection
+from .reference import agreement, clause, comm_transition, env_transition, output_projection
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -211,12 +211,12 @@ def test_run_fair_example8(example3_system):
 
 
 def test_run_fair_no_dependencies_fixpoint_immediately():
-    from agentlog.logic import Clause, GroundProgram
+    from agentlog.logic import GroundProgram
     from agentlog.system import build_system
 
     spec = agent_spec(
         "A1",
-        GroundProgram.of([Clause(a, (c,))], [c]),
+        GroundProgram.of([clause(a, (c,))], [c]),
         frozenset([c]),
         frozenset(),
         AgentState(frozenset([c])),
@@ -234,6 +234,25 @@ def test_run_fair_horizon(example3_system):
     assert detect_fixpoint(trace) is None
 
 
+def test_run_fair_rejects_an_unknown_policy_before_recording(example3_scenario, example3_system, monkeypatch):
+    # Whatever the horizon, the policy is refused before the prefix is
+    # replayed or a round-0 change fires: no recorder is made at all.
+    from agentlog import runtime
+
+    schedule = [(0, EnvChange(frozenset(), frozenset([e])))]
+    run = dict(env_schedule=schedule, prefix_events=example3_scenario.script)
+
+    def refuse(*args):
+        raise AssertionError("a run was recorded")
+
+    monkeypatch.setattr(runtime._Recorder, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        run_fair(example3_system, max_rounds=3, **run)  # the patch is reached
+    for max_rounds in (0, 3):
+        with pytest.raises(ValueError, match="^unknown policy: bogus$"):
+            run_fair(example3_system, max_rounds=max_rounds, policy="bogus", **run)
+
+
 def test_quiescence_none_when_schedule_pending(example3_system):
     trace = run_fair(
         example3_system,
@@ -247,12 +266,12 @@ def test_quiescence_none_when_schedule_pending(example3_system):
 
 
 def test_convergence_model_single_agent():
-    from agentlog.logic import Clause, GroundProgram
+    from agentlog.logic import GroundProgram
     from agentlog.system import build_system
 
     spec = agent_spec(
         "A1",
-        GroundProgram.of([Clause(a, (c,))], [c]),
+        GroundProgram.of([clause(a, (c,))], [c]),
         frozenset([c]),
         frozenset(),
         AgentState(frozenset([c])),

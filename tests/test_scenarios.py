@@ -282,7 +282,7 @@ def test_gl_reduct_of_routing_slice_two_nodes_bruteforce():
     model = models[0]
     assert model == AcyclicPlan(program.clauses).model()
     reduct = gl_reduct(program, model)
-    assert not any(cl.neg for cl in reduct.clauses)
+    assert not any(neg for _, _, neg in reduct.clauses)
     assert least_model(reduct) == model
 
 
@@ -304,7 +304,7 @@ def test_gl_reduct_of_routing_slice_initial_state():
     }
     assert is_stable_model(program, model)
     reduct = gl_reduct(program, model)
-    assert not any(cl.neg for cl in reduct.clauses)
+    assert not any(neg for _, _, neg in reduct.clauses)
     assert least_model(reduct) == model
 
 

@@ -9,10 +9,10 @@ from agentlog.agents import AgentSpec, AgentState
 from agentlog.logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
-    Clause,
     DependencyGraph,
     GroundProgram,
     atom,
+    format_clause,
     gl_reduct,
     head_set,
     is_stable_model,
@@ -54,6 +54,7 @@ from .generators import (
     spec_fields,
     with_clauses,
 )
+from .reference import clause as make_clause
 from .reference import bfs_oracle, dependency_graph, is_acyclic, relevant_atoms, successors
 from .test_cli import _PROBE_INVALID
 
@@ -66,7 +67,7 @@ def initial_edb(system):
 
 
 def clause(head, *body):
-    return Clause(head, body)
+    return make_clause(head, body)
 
 
 def test_build_example3_system(example3_system):
@@ -87,7 +88,7 @@ def test_shared_definition_violation():
 def test_shared_definition_identical_is_fine():
     x = atom("x")
     one = agent_spec("A1", GroundProgram.of([clause(x, a)], [a]), frozenset([a]))
-    two = agent_spec("A2", GroundProgram.of([clause(x, a), Clause(b)], [a]), frozenset([a]))
+    two = agent_spec("A2", GroundProgram.of([clause(x, a), make_clause(b)], [a]), frozenset([a]))
     system = build_system([one, two])
     # Duplicate clauses collapse in the union rule base.
     assert clause(x, a) in superagent(system).clauses
@@ -101,14 +102,14 @@ def test_uncovered_input_violation():
 
 
 def test_duplicate_ids_rejected():
-    one = agent_spec("A1", GroundProgram.of([Clause(a)]))
+    one = agent_spec("A1", GroundProgram.of([make_clause(a)]))
     with pytest.raises(ValidationError) as err:
         build_system([one, one])
     assert any("duplicate" in v for v in err.value.violations)
 
 
 def test_environment_atom_as_head_rejected():
-    one = agent_spec("A1", GroundProgram.of([Clause(a)]))
+    one = agent_spec("A1", GroundProgram.of([make_clause(a)]))
     two = agent_spec("A2", GroundProgram.of([], [a]), frozenset([a]), frozenset(), AgentState())
     violations = system_violations(MultiAgentSystem([one, two]))
     assert any("environment atoms appear as heads" in v for v in violations)
@@ -117,7 +118,7 @@ def test_environment_atom_as_head_rejected():
 def test_long_violation_listings_are_cut_after_four_atoms():
     ins = [atom("i", k) for k in range(5)]
     env = [atom("e", k) for k in range(5)]
-    one = agent_spec("A1", GroundProgram.of([Clause(x) for x in env]), hin=frozenset(ins))
+    one = agent_spec("A1", GroundProgram.of([make_clause(x) for x in env]), hin=frozenset(ins))
     two = agent_spec("A2", GroundProgram.of([], env), frozenset(env))
     assert system_violations(MultiAgentSystem([one, two])) == [
         "agent A1: no producer for input atoms: i(0), i(1), i(2), i(3), ...",
@@ -272,8 +273,8 @@ def test_superagent_model_of_a_cyclic_union_above_the_cap_builds_no_program(monk
 def test_superagent_model_no_unique_for_negative_loop():
     # a :- not b in one agent and b :- not a in the other: each rule base
     # is acyclic, the union has two stable models.
-    one = agent_spec("A1", GroundProgram.of([Clause(a, (), (b,))]), hin=frozenset([b]))
-    two = agent_spec("A2", GroundProgram.of([Clause(b, (), (a,))]), hin=frozenset([a]))
+    one = agent_spec("A1", GroundProgram.of([make_clause(a, (), (b,))]), hin=frozenset([b]))
+    two = agent_spec("A2", GroundProgram.of([make_clause(b, (), (a,))]), hin=frozenset([a]))
     system = build_system([one, two])
     assert system.cyclic == {a, b}
     with pytest.raises(NoUniqueModelError):
@@ -336,7 +337,7 @@ def _with_own_cycle(rng, spec):
     kind = rng.choice(("none", "none", "self", "pair"))
     h = rng.choice(sorted(spec.heads)) if spec.heads else atom(f"own_{spec.id}")
     if kind == "self":
-        extra = [Clause(h, (), (h,))]
+        extra = [make_clause(h, (), (h,))]
     elif kind == "pair":
         y = atom(f"loop_{spec.id}")
         extra = [clause(h, y), clause(y, h)]
@@ -371,21 +372,22 @@ def test_acyclicity_violations_match_definition_route():
 def _perturbed(rng, clauses, k):
     """``clauses`` unchanged, or with one clause added, one dropped, or one
     body literal negated."""
-    clauses = sorted(clauses, key=str)
+    clauses = sorted(clauses, key=format_clause)
     kind = rng.choice(("same", "same", "add", "drop", "negate"))
-    negatable = [c for c in clauses if not c.is_fact]
+    negatable = [c for c in clauses if c[1] or c[2]]
     if kind == "drop" and len(clauses) > 1:
         clauses.pop(rng.randrange(len(clauses)))
     elif kind == "negate" and negatable:
         c = rng.choice(negatable)
+        head, pos, neg = c
         # The body items in text order: by atom, a positive one first.
-        body = [(x, True) for x in c.pos] + [(x, False) for x in c.neg]
+        body = [(x, True) for x in pos] + [(x, False) for x in neg]
         body.sort(key=lambda item: (item[0].sort_key(), not item[1]))
         i = rng.randrange(len(body))
         body[i] = (body[i][0], not body[i][1])
-        clauses[clauses.index(c)] = signed_clause(c.head, body)
+        clauses[clauses.index(c)] = signed_clause(head, body)
     elif kind != "same":
-        clauses.append(clause(clauses[0].head, atom(f"extra{k}")))
+        clauses.append(clause(clauses[0][0], atom(f"extra{k}")))
     return clauses
 
 
@@ -397,7 +399,7 @@ def _definition_route(specs):
     for i, s in enumerate(specs):
         by_head = {}
         for c in s.idb.clauses:
-            by_head.setdefault(c.head, set()).add(c)
+            by_head.setdefault(c[0], set()).add(c)
         for h, cs in by_head.items():
             if h not in first:
                 first[h] = (s.id, cs)
@@ -420,7 +422,7 @@ def test_definition_violations_match_definition_route():
             for h in sorted(spec.heads):
                 if rng.random() < 0.6:
                     continue
-                own = [c for c in spec.idb.clauses if c.head == h]
+                own = [c for c in spec.idb.clauses if c[0] == h]
                 others = [i for i in range(len(specs)) if i != owner]
                 for i in rng.sample(others, min(len(others), rng.choice((1, 1, 2)))):
                     extra[i] += _perturbed(rng, own, k)
@@ -788,7 +790,7 @@ def _with_copied_heads(rng, specs):
             if rng.random() < 0.5:
                 continue
             target = rng.choice([i for i in range(len(specs)) if i != owner])
-            extra[target] += [c for c in spec.idb.clauses if c.head == h]
+            extra[target] += [c for c in spec.idb.clauses if c[0] == h]
     return [with_clauses(s, more) for s, more in zip(specs, extra)]
 
 
@@ -820,9 +822,9 @@ def test_mixed_systems_derive_the_tables_of_their_spec_systems():
         assert set(got.order) == set(want.order)
         position = {h: i for i, h in enumerate(got.order)}
         for s in specs:
-            for c in s.idb.clauses:
-                if c.head in position:
-                    assert all(position[b] < position[c.head] for b in c.pos + c.neg if b in position)
+            for head, pos, neg in s.idb.clauses:
+                if head in position:
+                    assert all(position[b] < position[head] for b in pos + neg if b in position)
         violations = system_violations(got)
         assert violations == system_violations(want)
         seen.update(kind for v in violations for kind in _BREACHES if kind in v)
@@ -989,7 +991,7 @@ def test_plans_hold_the_clauses_live_in_the_positive_relaxation(ref):
     base = system.env_atoms.union(*(a.hin for a in system.agents))
     live = least_model(gl_reduct(superagent(system).with_facts(base), frozenset()))
     for a, plan in zip(system.agents, system.plans):
-        kept = {c for c in a.idb.clauses if live.issuperset(c.pos)}
+        kept = {c for c in a.idb.clauses if live.issuperset(c[1])}
         assert _plan_clauses(plan) == kept
         assert plan.heads == a.heads
         if ref.startswith("chain") or ref == "example3":
@@ -1018,7 +1020,7 @@ def _dead_heads(system):
 def test_a_head_whose_clauses_are_all_dead_reads_false_and_is_no_fact(routing5_system):
     # q's one clause reads d, which no agent senses, receives or heads.
     q, r = atom("q"), atom("r")
-    system = build_system([agent_spec("A", GroundProgram.of([clause(q, d), Clause(r, (), (q,))]))])
+    system = build_system([agent_spec("A", GroundProgram.of([clause(q, d), make_clause(r, (), (q,))]))])
     assert _dead_heads(system) == [{q}]
     model = superagent_model(system, frozenset())
     assert _is_union_model(system, frozenset(), model) and model == {r}
