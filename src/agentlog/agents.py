@@ -19,7 +19,6 @@ slice the sender no longer holds are retracted.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .logic import AcyclicPlan, GroundProgram, _peel
@@ -43,16 +42,7 @@ class AgentState(NamedTuple):
     indb: frozenset = frozenset()
 
 
-class _AgentFields(NamedTuple):
-    id: str
-    deps: dict
-    hbe: frozenset = frozenset()
-    hin: frozenset = frozenset()
-    initial: AgentState = AgentState()
-    clauses: tuple = None
-
-
-class AgentSpec(_AgentFields):
+class AgentSpec(NamedTuple):
     """An agent: id, rule base, sensable atoms, input atoms, initial state.
 
     ``deps`` maps each head of the IDB to the atoms in the bodies of its
@@ -60,40 +50,48 @@ class AgentSpec(_AgentFields):
     once and each a ``(head, pos, neg)`` tuple, or None for an agent
     grounded into ``deps`` alone, which can be assembled, validated and
     classified but not run.  Specs compare by identity, as two groundings
-    may list the clauses in different orders.
+    may list the clauses in different orders.  Every derived set is read
+    off ``deps`` when asked for, so it follows the map when a grounding
+    at a higher bound extends it in place.
 
     Construction is permissive so that malformed specs can be inspected;
     ``validate_agent`` reports every invariant breach, and system assembly
     refuses specs with violations.  The compiled plan belongs to the
     system (``MultiAgentSystem.plans``), which alone knows which clauses
-    can fire.  A spec has no ``__slots__``: its instance dict caches
-    ``heads``.
+    can fire.
     """
+
+    id: str
+    deps: dict
+    hbe: frozenset = frozenset()
+    hin: frozenset = frozenset()
+    initial: AgentState = AgentState()
+    clauses: tuple = None
 
     def __eq__(self, other):
         return self is other
 
     __ne__, __hash__ = object.__ne__, object.__hash__
 
-    @cached_property
-    def heads(self) -> frozenset:
-        """The atoms the IDB's clauses define."""
-        return frozenset(self.deps)
+    @property
+    def heads(self):
+        """The atoms the IDB's clauses define: a view of ``deps``' keys."""
+        return self.deps.keys()
 
     @property
     def universe(self) -> frozenset:
         """The heads, the body atoms, HBE and HIN: the IDB's universe."""
-        return self.heads.union(*self.deps.values(), self.hbe, self.hin)
+        return frozenset().union(self.deps, *self.deps.values(), self.hbe, self.hin)
 
     @property
     def idb(self) -> GroundProgram:
         """The IDB as a program over ``universe``, built on each read."""
-        return GroundProgram._unchecked(frozenset(self.clauses), self.universe)
+        return GroundProgram(frozenset(self.clauses), self.universe)
 
     @property
     def hb(self) -> frozenset:
         """The atoms this agent has an opinion about."""
-        return self.heads | self.hbe | self.hin
+        return frozenset().union(self.deps, self.hbe, self.hin)
 
 
 def validate_agent(a: AgentSpec, cyclic: frozenset = None) -> list:
@@ -149,7 +147,8 @@ def agent_model(a: AgentSpec, s: AgentState, plan: AcyclicPlan) -> frozenset:
 
 def dependency(receiver: AgentSpec, sender: AgentSpec) -> frozenset:
     """Atoms the receiver needs that the sender can produce or sense."""
-    return receiver.hin & (sender.heads | sender.hbe)
+    deps, hbe = sender.deps, sender.hbe
+    return frozenset(x for x in receiver.hin if x in deps or x in hbe)
 
 
 class _ChangeFields(NamedTuple):

@@ -144,7 +144,9 @@ class GroundProgram(_ProgramFields):
 
     The universe may be larger than the set of atoms mentioned in clauses:
     declared input/environment atoms belong to it even when no clause
-    touches them.  Construction checks that it covers every clause atom.
+    touches them.  Construction checks that it covers every clause atom;
+    every program is built through that check, ``of``, ``with_facts``,
+    ``gl_reduct`` and ``_replace`` included.
     """
 
     __slots__ = ()
@@ -163,24 +165,18 @@ class GroundProgram(_ProgramFields):
         return cls(*fields)
 
     @classmethod
-    def _unchecked(cls, clauses: frozenset, universe: frozenset) -> "GroundProgram":
-        """Build without the universe scan of the constructor.  Only for
-        callers whose universe covers every clause atom by construction."""
-        return super().__new__(cls, clauses, universe)
-
-    @classmethod
     def of(cls, clauses: Iterable[tuple], extra_atoms: Iterable[Atom] = ()) -> "GroundProgram":
         clauses = frozenset(clauses)
         universe = set(extra_atoms)
         if clauses:
             heads, pos, neg = zip(*clauses)
             universe.update(heads, chain.from_iterable(pos), chain.from_iterable(neg))
-        return cls._unchecked(clauses, frozenset(universe))
+        return cls(clauses, frozenset(universe))
 
     def with_facts(self, atoms: Iterable[Atom]) -> "GroundProgram":
         atoms = frozenset(atoms)
         facts = {(a, (), ()) for a in atoms}
-        return GroundProgram._unchecked(self.clauses | facts, self.universe | atoms)
+        return GroundProgram(self.clauses | facts, self.universe | atoms)
 
 
 # An interpretation is just a set of true atoms.
@@ -200,7 +196,7 @@ def gl_reduct(p: GroundProgram, s: Interpretation) -> GroundProgram:
     negation-free.  The universe is unchanged.
     """
     kept = frozenset((head, pos, ()) for head, pos, neg in p.clauses if s.isdisjoint(neg))
-    return GroundProgram._unchecked(kept, p.universe)
+    return GroundProgram(kept, p.universe)
 
 
 def least_model(p: GroundProgram) -> Interpretation:

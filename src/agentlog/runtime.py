@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from functools import cache, cached_property
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -100,20 +100,7 @@ def _applied(atoms: frozenset, delta: tuple) -> frozenset:
     return (atoms - removed) | added if added or removed else atoms
 
 
-class _TraceFields(NamedTuple):
-    agent_ids: tuple
-    start: tuple
-    start_models: tuple
-    events: tuple
-    changes: tuple
-    end: tuple
-    end_models: tuple
-    quiescence_point: object = 0
-    rounds: tuple = ()
-    horizon_exceeded: bool = False
-
-
-class Trace(_TraceFields):
+class Trace(NamedTuple):
     """A recorded run prefix, as its start, the changes of each event and
     its last point.
 
@@ -134,10 +121,20 @@ class Trace(_TraceFields):
     certificate it is the last round: the state and models at the
     fixpoint are ``end`` and ``end_models``.
 
-    ``points()`` walks the points one at a time; ``states`` and
-    ``models`` are every point's, built on first read and cached in the
-    instance dict, which is why a trace has no ``__slots__``.
+    ``points()`` walks the points one at a time, and ``states`` and
+    ``models`` walk them again on each read to list every point's.
     """
+
+    agent_ids: tuple
+    start: tuple
+    start_models: tuple
+    events: tuple
+    changes: tuple
+    end: tuple
+    end_models: tuple
+    quiescence_point: object = 0
+    rounds: tuple = ()
+    horizon_exceeded: bool = False
 
     def points(self):
         """``(global state, models)`` at each point in order; an agent an
@@ -151,20 +148,16 @@ class Trace(_TraceFields):
                 models[c.agent] = _applied(models[c.agent], c.model)
             yield tuple(state), tuple(models)
 
-    @cached_property
-    def _snapshots(self) -> tuple:
-        return tuple(zip(*self.points()))
-
     @property
     def states(self) -> tuple:
         """The global state at every point: ``states[k+1]`` is
         ``events[k]`` applied to ``states[k]``."""
-        return self._snapshots[0]
+        return tuple(state for state, _ in self.points())
 
     @property
     def models(self) -> tuple:
         """Every agent's stable model at every point."""
-        return self._snapshots[1]
+        return tuple(models for _, models in self.points())
 
 
 def initial_state(sys: MultiAgentSystem) -> tuple:

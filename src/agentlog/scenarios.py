@@ -39,7 +39,7 @@ A file is parsed at the ``dmax`` it declares, which also bounds the
 integer arguments of its event atoms.  The bound is a build argument
 only: ``Scenario.systems`` and ``Scenario.shapes`` ground one parsed
 scenario at each bound of a sequence, each on top of the last, and
-``build_system`` and ``shape`` at one.
+``build_system`` at one.
 """
 
 from __future__ import annotations
@@ -100,8 +100,13 @@ class AgentDef(NamedTuple):
     in0: tuple = ()
 
 
-class _ScenarioFields(NamedTuple):
-    name: str = "<scenario>"
+class Scenario(NamedTuple):
+    """A parsed scenario: its domain, its agent blocks and its events.
+
+    It carries no name; a command names a scenario by the reference it
+    was loaded from.  Two scenarios are equal when all their fields are.
+    """
+
     domain: DomainSpec = DomainSpec()
     agents: tuple = ()
     script: tuple = ()
@@ -110,32 +115,11 @@ class _ScenarioFields(NamedTuple):
     track: tuple = ()
     output: object = None
 
-
-class Scenario(_ScenarioFields):
-    """A parsed scenario.  ``name`` labels it and takes no part in
-    equality or the hash: two scenarios that differ only in name are
-    equal."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and self[1:] == other[1:]
-
-    __ne__ = object.__ne__
-
-    def __hash__(self):
-        return hash(self[1:])
-
     def build_system(self, dmax=None) -> MultiAgentSystem:
         """The system grounded at the bound ``dmax``, or at the scenario's
         own when None: the one-bound case of ``systems``.  Parsing takes
         no bound; only these routes from bounds do."""
         return next(self.systems([dmax]))
-
-    def shape(self, dmax=None) -> SystemShape:
-        """The ``SystemShape`` of ``build_system(dmax)``: the one-bound
-        case of ``shapes``."""
-        return next(self.shapes([dmax]))
 
     def systems(self, bounds):
         """The system at each of ``bounds`` in turn (None for the
@@ -284,8 +268,9 @@ def _split_items(text: str):
             yield part
 
 
-def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
-    """Parse scenario text; raises ScenarioError with the offending line."""
+def parse_scenario(text: str) -> Scenario:
+    """Parse scenario text into a ``Scenario``, which has no name; raises
+    ScenarioError with the offending line."""
     sections = []  # (kind, agent_id, [(line_no, content)])
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -329,7 +314,6 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             track.extend(extra_track)
 
     return Scenario(
-        name=name,
         domain=dom,
         agents=tuple(agents),
         script=tuple(script),
@@ -663,7 +647,7 @@ hin: s(X)
 edb:
 in:
 """
-    return parse_scenario(text, name=f"chain({n})")
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +671,7 @@ def builtin_scenario(name: str) -> Scenario:
         # command that has not loaded it 10-14 ms (Python 3.11, ``-S``).
         path = os.path.join(os.path.dirname(__file__), "data", f"{name}.scenario")
         with open(path, encoding="utf-8") as fh:
-            return parse_scenario(fh.read(), name=name)
+            return parse_scenario(fh.read())
     raise ScenarioError(f"unknown builtin scenario: {name!r} (have {', '.join(builtin_names())})")
 
 
@@ -697,5 +681,5 @@ def load_scenario(ref: str) -> Scenario:
         return builtin_scenario(ref)
     if os.path.exists(ref):
         with open(ref, encoding="utf-8") as fh:
-            return parse_scenario(fh.read(), name=os.path.basename(ref))
+            return parse_scenario(fh.read())
     raise ScenarioError(f"no such scenario or file: {ref!r}")

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .agents import AgentSpec, _few, dependency, validate_agent
+from .agents import _few, dependency, validate_agent
 from .logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
@@ -106,9 +106,6 @@ class MultiAgentSystem:
     def index(self, agent_id: str) -> int:
         return self._index[agent_id]
 
-    def agent(self, agent_id: str) -> AgentSpec:
-        return self.agents[self._index[agent_id]]
-
     def dependency(self, receiver_id: str, sender_id: str) -> frozenset:
         return self._deps.get((receiver_id, sender_id), frozenset())
 
@@ -148,8 +145,8 @@ def system_violations(system: MultiAgentSystem) -> list:
             violations.append(f"duplicate agent id: {a.id}")
         seen.add(a.id)
         violations.extend(validate_agent(a, system.cyclic))
-        shared |= defined & a.heads
-        defined |= a.heads
+        shared |= defined.intersection(a.deps)
+        defined.update(a.deps)
 
     # Only heads that several agents define can be defined differently;
     # each later definer's clauses for one are compared with the first's.
@@ -201,13 +198,12 @@ class SystemShape(NamedTuple):
 
 
 def superagent(sys: MultiAgentSystem) -> GroundProgram:
-    """The union rule base: every agent's clauses and atoms, united in one
-    pass.  Each agent's universe covers its clauses, so the union needs no
-    universe scan."""
+    """The union rule base: every agent's clauses over the union of the
+    agents' universes."""
     agents = sys.agents
     clauses = frozenset().union(*(a.clauses for a in agents))
     universe = frozenset().union(*(a.universe for a in agents))
-    return GroundProgram._unchecked(clauses, universe)
+    return GroundProgram(clauses, universe)
 
 
 def superagent_model(sys: MultiAgentSystem, stabilized_edb: frozenset) -> frozenset:
@@ -309,7 +305,8 @@ class Classification(NamedTuple):
     ``bounded`` is per-atom definition finiteness, vacuously true on a
     ground slice.  ``io_finite`` is empirical: when a probe is available,
     the I/O atoms are counted again at ``dmax + probe_delta`` and growth
-    counts as not IO-finite.
+    counts as not IO-finite.  ``probe_sizes`` holds the two counts, and
+    is empty when there was no probe.
     """
 
     io_acyclic: bool
@@ -318,7 +315,6 @@ class Classification(NamedTuple):
     idb_acyclic: bool
     io_nodes: int
     dmax: object = None
-    probed: bool = False
     probe_sizes: tuple = ()
     probe_delta: int = 0
 
@@ -354,7 +350,6 @@ def classify(sys, probe=None) -> Classification:
         idb_acyclic=idb_acyclic,
         io_nodes=len(sys.io_atoms),
         dmax=sys.dmax,
-        probed=probe is not None,
         probe_sizes=probe_sizes,
         probe_delta=probe_delta,
     )

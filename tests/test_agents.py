@@ -15,7 +15,7 @@ from agentlog.agents import (
     validate_agent,
 )
 from agentlog.logic import AcyclicPlan, GroundProgram, atom, stable_models_bruteforce
-from agentlog.runtime import _applied
+from agentlog.runtime import _applied, run_fair
 
 from .generators import agent_spec
 from .reference import clause as make_clause
@@ -189,6 +189,21 @@ def test_agent_records_are_immutable():
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+
+def test_routing5_records_hold_no_instance_dict(routing5_scenario, routing5_system):
+    trace = run_fair(routing5_system, max_rounds=2)
+    for record in (routing5_system.agents[0], trace, routing5_scenario):
+        with pytest.raises(TypeError):
+            vars(record)
+    assert "name" not in routing5_scenario._fields
+    for r in routing5_system.agents:
+        assert r.heads == frozenset(r.deps)
+        assert type(r.universe) is frozenset and type(r.hb) is frozenset
+        assert r.universe == frozenset(r.deps).union(*r.deps.values(), r.hbe, r.hin)
+        for s in routing5_system.agents:
+            dep = dependency(r, s)
+            assert type(dep) is frozenset and dep == r.hin & (frozenset(s.deps) | s.hbe)
 
 
 def test_agent_model_matches_bruteforce():

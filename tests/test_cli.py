@@ -334,7 +334,7 @@ def test_replay_empty_script(tmp_path, capsys):
 
     sc = builtin_scenario("example3")
     bare = Scenario(
-        name="bare", domain=sc.domain, agents=sc.agents,
+        domain=sc.domain, agents=sc.agents,
         script=(), schedule=(), max_rounds=None, track=(), output=sc.output,
     )
     path = tmp_path / "bare.scenario"

@@ -170,7 +170,7 @@ def _ring(ref):
     ring = Topology(nodes, frozenset((nodes[i], nodes[(i + 1) % n]) for i in range(n)))
     events = "" if ref.endswith("-steady") else (
         "\n[events]\n@round 2: fail link(R0,R1)\n@round 5: restore link(R0,R1)\n")
-    return parse_scenario(routing_scenario_text(ring) + events, name=ref)
+    return parse_scenario(routing_scenario_text(ring) + events)
 
 
 SCENARIOS = ["example3", "routing5", "routing5-example6-script"] + [

@@ -29,12 +29,12 @@ def routing(t, dmax=None):
 
 def test_builtin_example3_matches_paper_shape(example3_system):
     system = example3_system
-    a1 = system.agent("A1")
+    a1 = system.agents[system.index("A1")]
     assert a1.hbe == {atom("c")}
     assert a1.hin == {atom("b")}
     assert a1.initial.edb == {atom("c")}
     assert a1.initial.indb == frozenset()
-    a2 = system.agent("A2")
+    a2 = system.agents[system.index("A2")]
     assert a2.hbe == {atom("d"), atom("e")}
     assert a2.hin == {atom("a")}
 
@@ -69,6 +69,10 @@ def test_scenario_roundtrip_example3(example3_scenario):
     again = parse_scenario(text)
     assert again == example3_scenario
     assert serialize_scenario(again) == text
+    assert again._replace(max_rounds=7) != example3_scenario
+    for name in again._fields:
+        with pytest.raises(AttributeError):
+            setattr(again, name, None)
 
 
 def test_scenario_roundtrip_routing5(routing5_scenario):
@@ -100,7 +104,7 @@ def test_routing5_file_equals_generated(routing5_scenario):
 
 
 def test_routing_system_agent_interfaces(routing5_system):
-    a1 = routing5_system.agent("A1")
+    a1 = routing5_system.agents[routing5_system.index("A1")]
     assert a1.hbe == {atom("link", "A1", "A2"), atom("link", "A1", "A4")}
     assert a1.initial.edb == a1.hbe
     assert a1.initial.indb == frozenset()
@@ -162,17 +166,6 @@ def test_topology_canonicalizes_edges():
         t.edges = frozenset()
 
 
-def test_scenario_equality_ignores_the_name():
-    sc = builtin_scenario("example3")
-    renamed = sc._replace(name="copy")
-    assert renamed.name == "copy" and renamed == sc and not renamed != sc
-    assert hash(renamed) == hash(sc)
-    assert sc._replace(max_rounds=7) != sc and sc != tuple(sc)
-    for name in sc._fields:
-        with pytest.raises(AttributeError):
-            setattr(sc, name, None)
-
-
 def test_bfs_oracle_fig1():
     dist = bfs_oracle(FIG1_TOPOLOGY)
     assert dist[("A1", "A3")] == 2
@@ -197,7 +190,7 @@ def test_bfs_oracle_disconnection():
 def test_chain_idb_expansion():
     system = chain_scenario(3).build_system()
 
-    a2 = system.agent("A2")
+    a2 = system.agents[system.index("A2")]
     assert a2.idb.clauses == {
         parse_clause("r(0)."),
         parse_clause("r(1) :- s(0)."),
@@ -209,7 +202,7 @@ def test_chain_idb_expansion():
 def test_chain_bound_zero():
     system = chain_scenario(0).build_system()
 
-    assert system.agent("A2").idb.clauses == {parse_clause("r(0).")}
+    assert system.agents[system.index("A2")].idb.clauses == {parse_clause("r(0).")}
 
 
 def test_chain_superagent_model():
@@ -275,7 +268,7 @@ def test_gl_reduct_of_routing_slice_two_nodes_bruteforce():
 
     t = Topology(("A", "B"), frozenset([("A", "B")]))
     system = routing(t, 1)
-    agent = system.agent("A")
+    agent = system.agents[system.index("A")]
     program = agent.idb.with_facts(agent.initial.edb)
     models = stable_models_bruteforce(program)
     assert len(models) == 1
@@ -292,7 +285,7 @@ def test_gl_reduct_of_routing_slice_initial_state():
     from agentlog.logic import AcyclicPlan, gl_reduct, is_stable_model, least_model
 
     system = routing(FIG1_TOPOLOGY, 2)
-    agent = system.agent("A1")
+    agent = system.agents[system.index("A1")]
     program = agent.idb.with_facts(agent.initial.edb)
     model = AcyclicPlan(program.clauses).model()
     assert model == {

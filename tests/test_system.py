@@ -304,7 +304,7 @@ def test_io_graph_chain_grows_linearly():
 
 
 def test_classify_example3(example3_scenario, example3_system):
-    cls = classify(example3_system, example3_scenario.shape(example3_system.dmax + 2))
+    cls = classify(example3_system, next(example3_scenario.shapes([example3_system.dmax + 2])))
     assert not cls.io_acyclic
     assert cls.bounded
     assert cls.io_finite  # no integer domain: regrounding changes nothing
@@ -312,7 +312,7 @@ def test_classify_example3(example3_scenario, example3_system):
 
 
 def test_classify_routing(routing5_scenario, routing5_system):
-    cls = classify(routing5_system, routing5_scenario.shape(routing5_system.dmax + 2))
+    cls = classify(routing5_system, next(routing5_scenario.shapes([routing5_system.dmax + 2])))
     assert cls.io_acyclic
     assert cls.bounded
     assert not cls.io_finite  # I/O graph grows with the domain bound
@@ -325,7 +325,7 @@ def test_classify_chain():
     cls = classify(*sc.shapes([4, 6]))
     assert cls.io_acyclic
     assert not cls.io_finite
-    for record in (cls, sc.shape(4)):
+    for record in (cls, next(sc.shapes([4]))):
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
@@ -553,7 +553,7 @@ def _scenario(ref):
     links = {(nodes[i], nodes[(i + 1) % n]) for i in range(n)}
     if ref.endswith("+chord"):
         links.add((nodes[0], nodes[2]))
-    return parse_scenario(routing_scenario_text(Topology(nodes, frozenset(links))), name=ref)
+    return parse_scenario(routing_scenario_text(Topology(nodes, frozenset(links))))
 
 
 @pytest.mark.parametrize(
@@ -585,15 +585,15 @@ def built(request):
 def test_streamed_io_atoms_equal_the_built_systems(built):
     sc, systems = built
     for dmax, system in systems.items():
-        assert _shape(sc.shape(dmax)) == _shape(system)
+        assert _shape(next(sc.shapes([dmax]))) == _shape(system)
 
 
 def test_classify_reads_a_shape_as_the_built_system(built):
     sc, systems = built
-    shape, dmax = sc.shape(), sc.domain.distance_max
+    shape, dmax = next(sc.shapes([None])), sc.domain.distance_max
     for delta in (1, 2, 3):
-        assert classify(shape, sc.shape(dmax + delta)) == classify(*sc.shapes([dmax, dmax + delta]))
-        assert classify(shape, sc.shape(dmax + delta)) == classify(systems[dmax], systems[dmax + delta])
+        assert classify(shape, next(sc.shapes([dmax + delta]))) == classify(*sc.shapes([dmax, dmax + delta]))
+        assert classify(shape, next(sc.shapes([dmax + delta]))) == classify(systems[dmax], systems[dmax + delta])
 
 
 def _tables(system) -> tuple:
@@ -631,7 +631,7 @@ def _check_routes(sc, bounds):
     """Both routes from a sequence of bounds give, at each bound, what a
     build from scratch gives there: its tables, its shape or its breaches."""
     assert _by_route(sc.systems, bounds, _tables) == _from_scratch(sc.build_system, bounds, _tables)
-    assert _by_route(sc.shapes, bounds, _shape) == _from_scratch(sc.shape, bounds, _shape)
+    assert _by_route(sc.shapes, bounds, _shape) == _from_scratch(lambda d: next(sc.shapes([d])), bounds, _shape)
 
 
 def test_a_sequence_of_bounds_builds_what_each_bound_builds_alone(built):
@@ -664,10 +664,10 @@ def test_a_sequence_of_bounds_refuses_what_each_bound_refuses():
 
 def _check_agent_specs(sc, dmax, monkeypatch) -> tuple:
     """Check each agent ``_agent_spec`` grounds at ``dmax`` against
-    ``ground_program`` with ``deps`` by the definition, and that
-    ``sc.shape(dmax)`` gives clauses to exactly the agents that define a
-    head another agent defines too; return how many agents it gave
-    clauses and how many it did not."""
+    ``ground_program`` with ``deps`` by the definition, and that the
+    shape ``sc.shapes([dmax])`` yields gives clauses to exactly the
+    agents that define a head another agent defines too; return how many
+    agents it gave clauses and how many it did not."""
     dom = sc._domain(dmax)
     for ad in sc.agents:
         spec, bare = _agent_spec(ad, dom, clauses=True), _agent_spec(ad, dom, clauses=False)
@@ -688,7 +688,7 @@ def _check_agent_specs(sc, dmax, monkeypatch) -> tuple:
 
     with monkeypatch.context() as m:
         m.setattr(scenarios_module, "build_system", recording)
-        _outcome(lambda: sc.shape(dmax))
+        _outcome(lambda: next(sc.shapes([dmax])))
     definers = Counter(h for a in assembled for h in a.heads)
     shared = {h for h, n in definers.items() if n > 1}
     for ad, a in zip(sc.agents, assembled):
@@ -773,7 +773,7 @@ def test_streamed_io_atoms_validate_as_build_system_on_random_scenarios():
         dom = sc.domain
         for dmax in (dom.distance_max, dom.distance_max + 2):
             want = _outcome(lambda: _shape(sc.build_system(dmax)))
-            assert _outcome(lambda: _shape(sc.shape(dmax))) == want
+            assert _outcome(lambda: _shape(next(sc.shapes([dmax])))) == want
             if isinstance(want, tuple):
                 seen.add("I/O atoms" if want[0] else "no I/O atoms")
             else:
