@@ -27,9 +27,12 @@ and instantiates as early as it can:
 * Checks.  Every other constraint is checked, and every atom
   instantiated, at the first level where all its variables are bound.  A
   failed check skips the whole subtree.
-* Atoms.  An atom below a level whose variable it does not mention, as
-  ``sp(X,Y,D2)`` below ``D``, meets the same arguments again; the
-  compiled clause keeps each such atom it builds by its arguments.
+* Atoms.  Each compiled atom holds its predicate's intern table,
+  ``Atom._table[predicate]``, and finds each instance by its argument
+  tuple with one ``dict.get``, calling ``Atom`` only on a miss.  So an
+  atom below a level whose variable it does not mention, as
+  ``sp(X,Y,D2)`` below ``D``, costs one lookup each time it meets the
+  same arguments again.
 
 The order changes the work, not the output: the ground clauses, and so
 the program universes, are those of enumerating the full product of the
@@ -56,8 +59,8 @@ a floor passes, united with the grounding at ``f``, is the grounding at
 ``dmax``; it is not their difference.  Every sink deduplicates.
 
 Predicates listed in ``DomainSpec.symmetric`` have their two node
-arguments put in canonical (declared) order, so both orientations of an
-undirected edge denote the same atom.
+arguments put in canonical (declared) order before the table lookup, so
+both orientations of an undirected edge denote the same atom.
 """
 
 from __future__ import annotations
@@ -258,9 +261,12 @@ class _Enumeration:
     and instantiates the atoms whose variables are then all bound.  The
     innermost level passes the instance to a sink.  ``cuts`` lists each
     integer variable's level and its largest shift, for a floor.
+    ``node_rank`` maps each node constant to its declared position; the
+    first symmetric atom compiled fills it, for every clause of one
+    ``ground_stream`` call.
     """
 
-    def __init__(self, c: SchematicClause, dom: DomainSpec):
+    def __init__(self, c: SchematicClause, dom: DomainSpec, node_rank: dict):
         dmax = dom.distance_max
         names = sorted(c.variables())
         declared = [dom.var_domain(n) for n in names]
@@ -315,13 +321,13 @@ class _Enumeration:
             else:
                 levels[i][4].append((_OPS[k.op], slot[k.left], slot[k.right]))
         for j, sa in enumerate(atoms):
-            symmetric = sa.predicate in dom.symmetric and len(sa.args) == 2
             args = _tuple_getter([slot[t] for t in sa.args])
-            i = level_of(sa.variables())
-            # Under an enclosing variable it does not mention, the atom
-            # recurs with the same arguments: remember each one built.
-            memo = {} if len(set(sa.variables())) < i else None
-            levels[i][5].append((atom_slot + j, sa.predicate, args, symmetric, memo))
+            if sa.predicate in dom.symmetric and len(sa.args) == 2:
+                if not node_rank:
+                    node_rank.update((n, i) for i, n in enumerate(dom.node_constants))
+                args = _in_node_order(args, node_rank)
+            table = Atom._table.setdefault(sa.predicate, {})
+            levels[level_of(sa.variables())][5].append((atom_slot + j, sa.predicate, table, args))
         self.levels = [tuple(level) for level in levels]
         self.cuts = [(i, shift[n]) for i, n in enumerate(order, 1) if n in shift]
         self.env = env
@@ -340,7 +346,6 @@ class _Enumeration:
         split = 1 + len(c.pos)
         self.pos = body_getter(range(1, split))
         self.neg = body_getter(range(split, len(atoms)))
-        self.node_order = {n: i for i, n in enumerate(dom.node_constants)}
 
     def stream(self, sink, floor=None):
         """Pass every ground instance to ``sink``, or with a ``floor`` the
@@ -366,37 +371,58 @@ class _Enumeration:
                 values = (env[s],) if env[s] in values else ()
             else:
                 values = range(values.start, min(values.stop, env[s]))
-        innermost = i + 1 == len(levels)
+        # The innermost level runs its own copy of the loop, so that no
+        # value pays for the test or the sink's lookups: most values are
+        # bound there.
+        if i + 1 < len(levels):
+            for v in values:
+                env[var_slot] = v
+                if shifts:
+                    for s, k in shifts:
+                        env[s] = v + k
+                if checks and not _passes(checks, env):
+                    continue
+                for s, predicate, table, args in atoms:
+                    ga = args(env)
+                    env[s] = table.get(ga) or Atom(predicate, ga)
+                self._descend(levels, i + 1, sink)
+            return
+        h, pos, neg = self.head, self.pos, self.neg
         for v in values:
             env[var_slot] = v
-            for s, k in shifts:
-                env[s] = v + k
-            for op, a, b in checks:
-                if not op(env[a], env[b]):
-                    break
-            else:
-                for s, predicate, args, symmetric, memo in atoms:
-                    ga = args(env)
-                    if memo is not None:
-                        a = memo.get(ga)
-                        if a is None:
-                            a = memo[ga] = Atom(predicate, self._canonical(ga) if symmetric else ga)
-                        env[s] = a
-                    else:
-                        env[s] = Atom(predicate, self._canonical(ga) if symmetric else ga)
-                if innermost:
-                    sink(env[self.head], self.pos(env), self.neg(env))
-                else:
-                    self._descend(levels, i + 1, sink)
+            if shifts:
+                for s, k in shifts:
+                    env[s] = v + k
+            if checks and not _passes(checks, env):
+                continue
+            for s, predicate, table, args in atoms:
+                ga = args(env)
+                env[s] = table.get(ga) or Atom(predicate, ga)
+            sink(env[h], pos(env), neg(env))
 
-    def _canonical(self, pair: tuple) -> tuple:
-        """Symmetric arguments in declared node order."""
+
+def _passes(checks, env) -> bool:
+    """Whether every ``(op, a, b)`` of ``checks`` holds on ``env``."""
+    for op, a, b in checks:
+        if not op(env[a], env[b]):
+            return False
+    return True
+
+
+def _in_node_order(get, rank: dict):
+    """``get`` with the two arguments it reads put in declared node
+    order, for a symmetric predicate."""
+
+    def canonical(env) -> tuple:
+        pair = get(env)
         x, y = pair
-        ix = self.node_order.get(x)
-        iy = self.node_order.get(y)
+        ix = rank.get(x)
+        iy = rank.get(y)
         if ix is not None and iy is not None and iy < ix:
             return (y, x)
         return pair
+
+    return canonical
 
 
 def _ranged(level: tuple, start=None, stop=None) -> tuple:
@@ -462,8 +488,9 @@ def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink, flo
     ``floor`` below ``dom``'s bound, only the bindings above it are
     passed: with the instances at ``floor``, they make up the instances
     over ``dom``."""
+    node_rank = {}
     for c in clauses:
-        _Enumeration(c, dom).stream(sink, floor)
+        _Enumeration(c, dom, node_rank).stream(sink, floor)
 
 
 def expand_pattern(p: Pattern, dom: DomainSpec, floor=None) -> frozenset:

@@ -10,9 +10,10 @@ grounder hands its bodies over in that order, and the functions here
 only unpack clauses.  All operations are pure functions.  The only
 shared mutable state is the process-wide intern table of ``Atom``: each
 atom is made once and reused, so equality and hashing of atoms are by
-identity.  The table
-never shrinks, and it grows only through ``dict.setdefault``, which
-under the GIL gives every caller the same object for a value.
+identity.  It has two levels, a table per predicate keyed by argument
+tuples.  Neither level ever shrinks, and each grows only through
+``dict.setdefault``, which under the GIL gives every caller the same
+object for a value.
 
 Three evaluation routes are provided on purpose and are cross-checked by
 the test suite:
@@ -75,13 +76,6 @@ class CyclicProgramError(ValueError):
     """Raised when an operation that requires acyclicity meets a cycle."""
 
 
-def _arg_key(value) -> tuple:
-    # Integers sort before symbols; mixed argument tuples stay comparable.
-    if isinstance(value, int):
-        return (0, "", value)
-    return (1, value, 0)
-
-
 @total_ordering
 class Atom:
     """A fully ground atom: predicate symbol plus constant arguments.
@@ -89,22 +83,34 @@ class Atom:
     Interned: ``Atom(p, args)`` returns the one object with that predicate
     and ``tuple(args)``, so equal atoms are the same object, and ``==``
     and ``hash`` are the inherited identity versions, which run in C.
+    ``_table`` maps each predicate to its own table, from argument tuples
+    to atoms, which the grounder probes directly.
+
+    ``sort_key`` is one flat tuple ``(predicate, len(args), k0, v0, k1,
+    v1, ...)``, with each ``k`` 0 for an integer and 1 for a symbol:
+    integers sort before symbols, so mixed argument tuples stay
+    comparable, and two values are compared only when their kinds match.
     """
 
     __slots__ = ("predicate", "args", "_key")
     _table: dict = {}
 
     def __new__(cls, predicate: str, args=()):
-        value = (predicate, tuple(args))
-        self = cls._table.get(value)
+        args = tuple(args)
+        table = cls._table.get(predicate)
+        if table is None:
+            table = cls._table.setdefault(predicate, {})
+        self = table.get(args)
         if self is None:
-            predicate, args = value
+            key = [predicate, len(args)]
+            for a in args:
+                key.append(0 if isinstance(a, int) else 1)
+                key.append(a)
             self = object.__new__(cls)
-            object.__setattr__(self, "predicate", predicate)
-            object.__setattr__(self, "args", args)
-            key = (predicate, len(args), tuple(_arg_key(a) for a in args))
-            object.__setattr__(self, "_key", key)
-            self = cls._table.setdefault(value, self)
+            _set_predicate(self, predicate)
+            _set_args(self, args)
+            _set_key(self, tuple(key))
+            self = table.setdefault(args, self)
         return self
 
     def __setattr__(self, name, value):
@@ -127,6 +133,10 @@ class Atom:
 
     def __str__(self) -> str:
         return format_atom(self)
+
+
+# The slots' own setters, as ``Atom`` refuses ``setattr``.
+_set_predicate, _set_args, _set_key = (s.__set__ for s in (Atom.predicate, Atom.args, Atom._key))
 
 
 def atom(predicate: str, *args) -> Atom:

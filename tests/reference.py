@@ -5,8 +5,9 @@ dependency graph of a program, its acyclicity, the atoms relevant to
 an atom, the peel of a head -> body-atoms map from its sinks,
 breadth-first shortest paths on a topology, an agent's outgoing claims,
 the transitions of a global state, one event at a time, the agents'
-agreement at one point, one atom at a time, and a clause built from its
-atoms or read back from its text form.  The library reads the same facts off head -> body-atoms
+agreement at one point, one atom at a time, a clause built from its
+atoms or read back from its text form, and the order of atoms by a
+nested key per argument.  The library reads the same facts off head -> body-atoms
 maps and compiled plans, records a run as per-event deltas, and finds
 the agreement by set algebra, instead.
 """
@@ -185,6 +186,20 @@ def agreement(sys: MultiAgentSystem, models: tuple) -> tuple:
         elif true_in:
             split.append(a)
     return frozenset(agreed), frozenset(split)
+
+
+def arg_key(value) -> tuple:
+    """The order of one atom argument: integers sort before symbols, so
+    mixed argument tuples stay comparable."""
+    if isinstance(value, int):
+        return (0, "", value)
+    return (1, value, 0)
+
+
+def atom_key(a: Atom) -> tuple:
+    """The order of atoms: by predicate, then arity, then the arguments'
+    ``arg_key``s in turn."""
+    return (a.predicate, len(a.args), tuple(arg_key(v) for v in a.args))
 
 
 def clause(head: Atom, pos=(), neg=()) -> tuple:

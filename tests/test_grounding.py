@@ -563,3 +563,50 @@ def test_an_integer_constant_above_the_floor_passes_every_binding():
     assert len(_passed([c], dom, 2)) == 5
     assert expand_pattern(p, dom, 2) == expand_pattern(p, dom)
     _check_floors([c], [p], dom)
+
+
+def test_symmetric_atoms_follow_declared_node_order_when_it_is_not_sorted():
+    # Nodes declared C, A, B: the declared order, not the sorted one, puts
+    # link(C,A) first.  The first clause of the call has no symmetric atom.
+    dom = DomainSpec(("C", "A", "B"), 2, DOM2.node_vars, DOM2.int_vars, DOM2.symmetric)
+    # Interned before grounding, so a lookup of the written order would find them.
+    reversed_links = {atom("link", "A", "C"), atom("link", "B", "A"), atom("link", "B", "C")}
+    clauses = [
+        parse_schematic_clause("q(X,D) :- p(X), D < 2.", dom),
+        parse_schematic_clause("far(X,D+1) :- near(Y,D), link(X,Y).", dom),
+        parse_schematic_clause("hop(A) :- link(A,C), not link(B,A).", dom),
+    ]
+    patterns = [parse_pattern("link(X,Y) where X != Y", dom), parse_pattern("link(B,C)", dom)]
+    _agree(clauses, patterns, dom)
+    ground = ground_program(clauses, dom).clauses
+    links = {x for _, pos, neg in ground for x in pos + neg if x.predicate == "link"}
+    assert {atom("link", "C", "A"), atom("link", "A", "B")} <= links
+    assert links.isdisjoint(reversed_links)
+    assert expand_pattern(patterns[0], dom) == {
+        atom("link", "C", "A"), atom("link", "C", "B"), atom("link", "A", "B")
+    }
+    assert expand_pattern(patterns[1], dom) == {atom("link", "C", "B")}
+
+
+def _agent_atoms(clauses, patterns, dom) -> list:
+    """Every atom of an agent's ground clauses and of its patterns."""
+    atoms = [x for c in ground_program(clauses, dom).clauses for x in (c[0], *c[1], *c[2])]
+    return atoms + [x for p in patterns for x in expand_pattern(p, dom)]
+
+
+@pytest.mark.parametrize(
+    "name", ["example3", "routing5", "routing5-example6-script", "chain(6)", "ring-7"]
+)
+def test_grounded_atoms_are_the_interned_ones(name):
+    if name == "ring-7":
+        scenario = parse_scenario(routing_scenario_text(_ring(7)))
+    else:
+        scenario = builtin_scenario(name)
+    for clauses, patterns, dom in _scenario_cases(scenario, scenario.domain.distance_max):
+        atoms = _agent_atoms(clauses, patterns, dom)
+        assert atoms
+        for x in atoms:
+            assert Atom(x.predicate, x.args) is x
+            assert Atom._table[x.predicate][x.args] is x
+        # Grounding the agent again yields the same objects.
+        assert {id(x) for x in _agent_atoms(clauses, patterns, dom)} == {id(x) for x in atoms}

@@ -1,6 +1,7 @@
 """Unit tests for ground programs, reducts, stable models, and graphs."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -17,7 +18,6 @@ from agentlog.logic import (
     head_set,
     is_stable_model,
     least_model,
-    _arg_key,
     _peel,
     format_clause,
     parse_atom,
@@ -27,7 +27,7 @@ from agentlog.system import _union_dependencies
 
 from .generators import random_system
 from .reference import clause as make_clause
-from .reference import dependency_graph, is_acyclic, kahn_peel, parse_clause, relevant_atoms
+from .reference import atom_key, dependency_graph, is_acyclic, kahn_peel, parse_clause, relevant_atoms
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
 
@@ -368,16 +368,29 @@ def test_interned_repr():
 
 def test_atom_order_matches_definitional_key():
     rng = random.Random(7)
-    symbols = ["A1", "A2", "B", "a", "z9", "_x"]
+    symbols = ["A1", "A2", "B", "a", "z9", "_x", "", "-1"]
     atoms = []
     for _ in range(500):
         args = tuple(
-            rng.randrange(-3, 30) if rng.random() < 0.5 else rng.choice(symbols)
+            rng.randrange(-30, 30) if rng.random() < 0.5 else rng.choice(symbols)
             for _ in range(rng.randrange(4))
         )
         atoms.append(Atom(rng.choice(["p", "q", "sp", "link"]), args))
-    expected = sorted(
-        atoms, key=lambda x: (x.predicate, len(x.args), tuple(_arg_key(v) for v in x.args))
-    )
+    # One predicate and arity, with every mix of kinds at each position.
+    for kinds in itertools.product("is", repeat=3):
+        for _ in range(20):
+            args = tuple(rng.randrange(-5, 5) if k == "i" else rng.choice(symbols) for k in kinds)
+            atoms.append(Atom("r", args))
+    expected = sorted(atoms, key=atom_key)
     assert sorted(atoms) == expected
     assert sorted(atoms, key=Atom.sort_key) == expected
+    # Half of the pairs share a predicate and an arity, so their keys
+    # differ only in the arguments.
+    groups = {}
+    for x in atoms:
+        groups.setdefault((x.predicate, len(x.args)), []).append(x)
+    for _ in range(5000):
+        x = rng.choice(atoms)
+        y = rng.choice(groups[x.predicate, len(x.args)] if rng.random() < 0.5 else atoms)
+        assert (x.sort_key() < y.sort_key()) == (atom_key(x) < atom_key(y)) == (x < y)
+        assert (x.sort_key() == y.sort_key()) == (atom_key(x) == atom_key(y)) == (x is y)
