@@ -172,8 +172,10 @@ def cmd_replay(args) -> int:
     scenario, system = _load(args)
     out = _Output(args.out)
     if args.events:
+        # At the command's bound, at which an exported trace was written.
+        dom = scenario.domain._replace(distance_max=system.dmax)
         with open(args.events, encoding="utf-8") as fh:
-            events = events_from_export(fh)
+            events = events_from_export(fh, dom)
     else:
         events = scenario.script
     trace = run_scripted(system, events)

@@ -69,7 +69,7 @@ import operator
 import re
 from typing import Iterable, NamedTuple
 
-from .logic import Atom, GroundProgram, split_top_level
+from .logic import Atom, GroundProgram
 
 __all__ = [
     "GroundingError",
@@ -493,14 +493,14 @@ def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink, flo
         _Enumeration(c, dom, node_rank).stream(sink, floor)
 
 
-def expand_pattern(p: Pattern, dom: DomainSpec, floor=None) -> frozenset:
-    """The ground atoms matched by a pattern (used for HBE/HIN/EDB sets),
-    or with a ``floor``, those of the bindings above it, as
-    ``ground_stream``."""
+def expand_pattern(patterns: Iterable[Pattern], dom: DomainSpec, floor=None) -> frozenset:
+    """The ground atoms that ``patterns`` match, by one ``ground_stream``
+    call, as for an agent's HBE, HIN, EDB or IN listing; or with a
+    ``floor``, those of the bindings above it, as ``ground_stream``."""
     atoms = set()
     add = atoms.add
-    clause = SchematicClause(p.atom, constraints=p.constraints)
-    ground_stream([clause], dom, lambda h, pos, neg: add(h), floor)
+    clauses = (SchematicClause(p.atom, constraints=p.constraints) for p in patterns)
+    ground_stream(clauses, dom, lambda h, pos, neg: add(h), floor)
     return frozenset(atoms)
 
 
@@ -560,6 +560,25 @@ def _is_constraint(item: str) -> bool:
     return bool(re.search(r"!=|<|=", item))
 
 
+def split_top_level(text: str, sep: str = ",") -> list:
+    """Split on ``sep`` occurrences outside parentheses."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
 def parse_schematic_clause(text: str, dom: DomainSpec) -> SchematicClause:
     text = text.strip()
     if not text.endswith("."):
@@ -591,11 +610,14 @@ def parse_pattern(text: str, dom: DomainSpec) -> Pattern:
 
 
 def parse_ground_atom(text: str, dom: DomainSpec) -> Atom:
-    """Parse an atom that must be variable-free (event atoms, EDB listings)."""
+    """The atom ``text`` names over ``dom``, symmetric arguments in
+    declared order, for script, ``@round`` and events-file atoms; before
+    any atom is made, GroundingError for an undeclared symbol, a variable
+    or an integer outside ``0..distance_max``."""
     sa = parse_schematic_atom(text, dom)
     if set(sa.variables()):
         raise GroundingError(f"atom must be ground: {text!r}")
-    atoms = expand_pattern(Pattern(sa), dom)
+    atoms = expand_pattern([Pattern(sa)], dom)
     if not atoms:
         raise GroundingError(f"integer argument out of range in {text!r}")
     (a,) = atoms

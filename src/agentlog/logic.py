@@ -40,11 +40,13 @@ cycle come out in post-order, each after the heads in its body, which is
 the order ``AcyclicPlan`` and a system evaluate in, and the others are
 the heads that reach a cycle.  ``DependencyGraph`` is the value form of
 such a graph, and the I/O graph is the one built as one.
+
+Text is only written here (``format_atom``, ``format_clause``); atom
+text is read over a scenario's domain, by ``grounding.parse_ground_atom``.
 """
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict, deque
 from functools import total_ordering
 from heapq import heappop, heappush
@@ -65,7 +67,6 @@ __all__ = [
     "is_stable_model",
     "stable_models_bruteforce",
     "format_atom",
-    "parse_atom",
     "format_clause",
 ]
 
@@ -485,55 +486,13 @@ def _derive(true: set, order, rules: dict) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Text form: one clause per line, `head :- lit1, not lit2.`
-
-_NAME = r"[A-Za-z_]\w*"
-_ATOM_RE = re.compile(rf"({_NAME})\s*(?:\(\s*([^()]*?)\s*\))?$")
-_INT_RE = re.compile(r"-?\d+$")
-
-
-def split_top_level(text: str, sep: str = ",") -> list:
-    """Split on ``sep`` occurrences outside parentheses."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+# Text form, written only: one clause per line, `head :- lit1, not lit2.`
 
 
 def format_atom(a: Atom) -> str:
     if not a.args:
         return a.predicate
     return f"{a.predicate}({','.join(str(v) for v in a.args)})"
-
-
-def parse_atom(text: str) -> Atom:
-    m = _ATOM_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed atom: {text!r}")
-    name, arglist = m.groups()
-    if arglist is None:
-        return Atom(name)
-    args = []
-    for raw in arglist.split(","):
-        raw = raw.strip()
-        if _INT_RE.match(raw):
-            args.append(int(raw))
-        elif re.fullmatch(_NAME, raw):
-            args.append(raw)
-        else:
-            raise ValueError(f"malformed atom argument {raw!r} in {text!r}")
-    return Atom(name, tuple(args))
 
 
 def format_clause(c: tuple) -> str:

@@ -39,7 +39,8 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, env_delta
-from .logic import Atom, parse_atom
+from .grounding import parse_ground_atom
+from .logic import Atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
 from .system import superagent  # noqa: F401  perfbench/layertrace.py traces it here
 
@@ -571,15 +572,16 @@ def event_to_record(event):
     return {"type": "send", "from": event.sender, "to": event.receiver}
 
 
-def event_from_record(record):
-    """The event an exported record describes; ValueError for a record of
-    any other shape."""
+def event_from_record(record, dom):
+    """The event an exported record describes, its atoms read over the
+    domain ``dom`` by ``parse_ground_atom``; ValueError for a record of
+    any other shape or an atom outside ``dom``."""
     kind = record.get("type") if isinstance(record, dict) else None
     if kind == "env":
         lists = (record.get("true"), record.get("false"))
         if not all(isinstance(xs, list) and all(isinstance(x, str) for x in xs) for xs in lists):
             raise ValueError(f"env event needs 'true' and 'false' lists of atoms: {record!r}")
-        return EnvChange(*(frozenset(map(parse_atom, xs)) for xs in lists))
+        return EnvChange(*(frozenset(parse_ground_atom(x, dom) for x in xs) for xs in lists))
     if kind == "send":
         ends = (record.get("from"), record.get("to"))
         if not all(isinstance(end, str) for end in ends):
@@ -673,15 +675,17 @@ def export_trace(trace: Trace, verdict_value: Verdict = None) -> str:
     return "".join(lines)
 
 
-def events_from_export(lines) -> list:
+def events_from_export(lines, dom) -> list:
     """Recover the event list from an exported trace, given as an
-    iterable of its lines: an open file, or ``text.splitlines()``.
+    iterable of its lines: an open file, or ``text.splitlines()``, with
+    its atoms read over the domain ``dom`` (see ``event_from_record``).
 
     Each item is split again by ``str.splitlines``, so lines are numbered
     as in the whole text's ``splitlines()`` even where a file, which
     breaks only at newlines, yields a form feed or a U+2028 inside a
     line.  Raises ValueError, naming the line, for a line that is not a
-    JSON object or a point whose event is malformed.
+    JSON object or a point whose event is malformed or names an atom
+    outside ``dom``.
     """
     events = []
     split = (part for chunk in lines for part in chunk.splitlines() or ("",))
@@ -693,7 +697,7 @@ def events_from_export(lines) -> list:
             if not isinstance(record, dict):
                 raise ValueError(f"expected a JSON object, got {line.strip()!r}")
             if record.get("record") == "point" and record.get("event") is not None:
-                events.append(event_from_record(record["event"]))
+                events.append(event_from_record(record["event"], dom))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
     return events

@@ -61,10 +61,10 @@ from .grounding import (
     parse_ground_atom,
     parse_pattern,
     parse_schematic_clause,
+    split_top_level,
 )
 from .grounding import ground_program  # noqa: F401  perfbench/layertrace.py traces it here
-from .logic import split_top_level
-from .system import MultiAgentSystem, SystemShape, build_system
+from .system import MultiAgentSystem, SystemShape, build_system, defined_heads
 
 __all__ = [
     "ScenarioError",
@@ -158,11 +158,8 @@ class Scenario(NamedTuple):
                 floor, agents = None, [None] * len(self.agents)
             agents = [_agent_spec(ad, dom, clauses, floor, a) for ad, a in zip(self.agents, agents)]
             if not clauses:
-                defined, shared = set(), set()
-                for a in agents:
-                    shared |= defined.intersection(a.deps)
-                    defined.update(a.deps)
-                del defined  # not kept through assembly, where memory peaks
+                # Only the shared heads are kept through assembly, where memory peaks.
+                shared = defined_heads(agents)[1]
                 agents = [
                     a if a.clauses is not None or shared.isdisjoint(a.deps)
                     else _agent_spec(ad, dom, True)
@@ -189,8 +186,7 @@ def _atom_sets(ad: AgentDef, dom: DomainSpec, floor=None) -> tuple:
     """An agent block's HBE, HIN, initial EDB and initial IN over ``dom``,
     or with a ``floor``, the atoms of the bindings above it."""
     return tuple(
-        frozenset().union(*(expand_pattern(p, dom, floor) for p in patterns))
-        for patterns in (ad.hbe, ad.hin, ad.edb0, ad.in0)
+        expand_pattern(patterns, dom, floor) for patterns in (ad.hbe, ad.hin, ad.edb0, ad.in0)
     )
 
 

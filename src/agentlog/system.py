@@ -55,6 +55,7 @@ __all__ = [
     "SystemShape",
     "build_system",
     "system_violations",
+    "defined_heads",
     "superagent",
     "superagent_model",
     "io_graph",
@@ -133,20 +134,29 @@ class MultiAgentSystem:
         )
 
 
+def defined_heads(agents) -> tuple:
+    """``(defined, shared)``: the heads of the agents' ``deps`` maps, and
+    those that more than one agent defines."""
+    defined, shared = set(), set()
+    for a in agents:
+        shared |= defined.intersection(a.deps)
+        defined.update(a.deps)
+    return defined, shared
+
+
 def system_violations(system: MultiAgentSystem) -> list:
     """Every agent-level and system-level invariant breach, exhaustively,
     read off the assembled system's tables, in a fixed order; only agents
     that define a head another agent defines too are read for clauses."""
     agents = system.agents
     violations = []
-    seen, defined, shared = set(), set(), set()
+    seen = set()
     for a in agents:
         if a.id in seen:
             violations.append(f"duplicate agent id: {a.id}")
         seen.add(a.id)
         violations.extend(validate_agent(a, system.cyclic))
-        shared |= defined.intersection(a.deps)
-        defined.update(a.deps)
+    defined, shared = defined_heads(agents)
 
     # Only heads that several agents define can be defined differently;
     # each later definer's clauses for one are compared with the first's.

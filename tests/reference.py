@@ -5,17 +5,20 @@ dependency graph of a program, its acyclicity, the atoms relevant to
 an atom, the peel of a head -> body-atoms map from its sinks,
 breadth-first shortest paths on a topology, an agent's outgoing claims,
 the transitions of a global state, one event at a time, the agents'
-agreement at one point, one atom at a time, a clause built from its
-atoms or read back from its text form, and the order of atoms by a
-nested key per argument.  The library reads the same facts off head -> body-atoms
-maps and compiled plans, records a run as per-event deltas, and finds
+agreement at one point, one atom at a time, an atom or a clause read
+back from its text form over no domain, a clause built from its atoms,
+and the order of atoms by a nested key per argument.  The library reads
+the same facts off head -> body-atoms maps and compiled plans, records a
+run as per-event deltas, reads atom text only over a domain, and finds
 the agreement by set algebra, instead.
 """
 
+import re
 from collections import deque
 
 from agentlog.agents import AgentState, EnvChange, agent_model
-from agentlog.logic import Atom, DependencyGraph, GroundProgram, parse_atom, split_top_level
+from agentlog.grounding import split_top_level
+from agentlog.logic import Atom, DependencyGraph, GroundProgram
 from agentlog.runtime import _applied, _env_deltas, _send_dependency
 from agentlog.scenarios import Topology
 from agentlog.system import MultiAgentSystem
@@ -207,6 +210,31 @@ def clause(head: Atom, pos=(), neg=()) -> tuple:
     and in ``Atom.sort_key`` order, the form the grounder streams, so
     that structurally equal clauses are equal tuples."""
     return (head, *(tuple(sorted(set(body), key=Atom.sort_key)) for body in (pos, neg)))
+
+
+_NAME = r"[A-Za-z_]\w*"
+_ATOM_RE = re.compile(rf"({_NAME})\s*(?:\(\s*([^()]*?)\s*\))?$")
+
+
+def parse_atom(text: str) -> Atom:
+    """A ground atom from the text ``format_atom`` writes, over no domain:
+    any name is a symbol and any integer an argument."""
+    m = _ATOM_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"malformed atom: {text!r}")
+    name, arglist = m.groups()
+    if arglist is None:
+        return Atom(name)
+    args = []
+    for raw in arglist.split(","):
+        raw = raw.strip()
+        if re.fullmatch(r"-?\d+", raw):
+            args.append(int(raw))
+        elif re.fullmatch(_NAME, raw):
+            args.append(raw)
+        else:
+            raise ValueError(f"malformed atom argument {raw!r} in {text!r}")
+    return Atom(name, tuple(args))
 
 
 def parse_clause(text: str) -> tuple:

@@ -392,12 +392,13 @@ def test_criterion_9_replay_determinism():
                 system, env_schedule=failure, max_rounds=10, policy=policy, seed=seed
             )
             text = export_trace(trace)
-            replayed = run_scripted(system, events_from_export(text.splitlines()))
+            replayed = run_scripted(system, events_from_export(text.splitlines(), scenario.domain))
             assert export_trace(replayed) == text
 
         ex6 = builtin_scenario("routing5-example6-script")
         system6 = ex6.build_system()
         trace6 = run_fair(system6, max_rounds=8, prefix_events=ex6.script)
         text6 = export_trace(trace6)
-        assert export_trace(run_scripted(system6, events_from_export(text6.splitlines()))) == text6
+        events6 = events_from_export(text6.splitlines(), ex6.domain)
+        assert export_trace(run_scripted(system6, events6)) == text6
     report(9, "exported traces replay byte-identically from their event lists", t)

@@ -13,8 +13,10 @@ import pytest
 import agentlog
 from agentlog import scenarios
 from agentlog.cli import main
-from agentlog.logic import AcyclicPlan, Atom, CyclicProgramError, parse_atom
+from agentlog.logic import AcyclicPlan, Atom, CyclicProgramError
 from agentlog.scenarios import Topology, load_scenario, routing_scenario_text
+
+from .reference import parse_atom
 
 
 def run_cli(capsys, *argv):
@@ -413,6 +415,59 @@ def test_replay_rejects_a_send_naming_an_unknown_agent(tmp_path, capsys, sender,
     code, out, err = run_cli(capsys, "replay", "routing5", "--events", str(path))
     assert (code, out) == (2, "")
     assert err == "agentlog: error: event 1: unknown agent ZZ\n"
+
+
+def _failing(tmp_path, *atoms) -> str:
+    """An events file of one point, whose event fails ``atoms``."""
+    event = {"type": "env", "true": [], "false": list(atoms)}
+    path = tmp_path / f"fail-{len(list(tmp_path.iterdir()))}.ndjson"
+    path.write_text(json.dumps({"record": "point", "point": 0, "event": event}) + "\n")
+    return str(path)
+
+
+def test_replay_reads_a_reversed_link_in_an_events_file_as_the_canonical_one(tmp_path, capsys):
+    # Events-file atoms are read against the domain, as script atoms are:
+    # link is symmetric, so link(A2,A1) is link(A1,A2).
+    reversed_, canonical = (
+        run_cli(capsys, "replay", "routing5", "--events", _failing(tmp_path, x))
+        for x in ("link(A2,A1)", "link(A1,A2)"))
+    assert reversed_ == canonical and canonical[0] == 0 and canonical[2] == ""
+    from agentlog.scenarios import builtin_scenario, serialize_scenario
+
+    script = tmp_path / "script.scenario"
+    script.write_text(serialize_scenario(builtin_scenario("routing5")) + "\n[events]\nfail link(A2,A1).\n")
+    code, out, err = run_cli(capsys, "replay", str(script))
+    assert (code, err) == (0, "")
+    points = [r for r in records(out) if r["record"] == "point"]
+    assert points == [r for r in records(canonical[1]) if r["record"] == "point"]
+    assert points[0]["event"] == {"type": "env", "true": [], "false": ["link(A1,A2)"]}
+
+
+@pytest.mark.parametrize("text, error", [
+    ("link(A1,A9)", "line 1: undeclared symbol: 'A9'"),
+    ("link(A1,X)", "line 1: atom must be ground: 'link(A1,X)'"),
+    ("sp(A1,A2,99)", "line 1: integer argument out of range in 'sp(A1,A2,99)'"),
+    ("sp(A1,A2,1)", "event 0: environment change touches non-environment atoms: sp(A1,A2,1)"),
+], ids=("undeclared", "variable", "out-of-range", "not-environment"))
+def test_replay_refuses_an_events_file_atom_outside_the_domain_while_reading(tmp_path, capsys,
+                                                                             text, error):
+    # What the domain does not declare is refused with the line, before
+    # any atom is made; a declared atom that is not sensed, at replay.
+    assert run_cli(capsys, "replay", "routing5", "--events", _failing(tmp_path, text)) == (
+        2, "", f"agentlog: error: {error}\n")
+    assert ("A1", "A9") not in Atom._table["link"]
+
+
+def test_replay_reads_an_events_file_at_the_commands_bound(tmp_path, capsys):
+    # An export is written at the command's bound: d(6) is an atom at
+    # --dmax 7 and not at the file's own dmax 5.
+    path = str(DATA / "event-at-dmax.scenario")
+    events = _failing(tmp_path, "d(6)")
+    code, out, err = run_cli(capsys, "replay", path, "--events", events, "--dmax", "7")
+    assert (code, err) == (0, "")
+    assert records(out)[1]["event"] == {"type": "env", "true": [], "false": ["d(6)"]}
+    assert run_cli(capsys, "replay", path, "--events", events) == (
+        2, "", "agentlog: error: line 1: integer argument out of range in 'd(6)'\n")
 
 
 def test_run_and_sweep_never_build_the_trace_snapshots(monkeypatch, capsys):

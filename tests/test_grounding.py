@@ -183,13 +183,13 @@ def test_arithmetic_needs_integer_variable():
 
 def test_pattern_expansion_with_disequality():
     p = parse_pattern("sp(A2,Y,D) where Y != A1", DOM2)
-    atoms = expand_pattern(p, DOM2)
+    atoms = expand_pattern([p], DOM2)
     assert atoms == {atom("sp", "A2", "A2", d) for d in range(3)}
 
 
 def test_pattern_ground_atom():
     p = parse_pattern("link(A2,A1)", DOM2)
-    assert expand_pattern(p, DOM2) == {atom("link", "A1", "A2")}
+    assert expand_pattern([p], DOM2) == {atom("link", "A1", "A2")}
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +355,10 @@ def _agree(clauses, patterns, dom):
         assert instances(c, dom) == full_product_ground_clause(c, dom), str(c)
     extra = set()
     for p in patterns:
-        atoms = expand_pattern(p, dom)
+        atoms = expand_pattern([p], dom)
         assert atoms == full_product_expand_pattern(p, dom), str(p)
         extra |= atoms
+    assert expand_pattern(patterns, dom) == extra
     got = ground_program(clauses, dom, extra)
     want = full_product_ground_program(clauses, dom, extra)
     assert got.clauses == want.clauses
@@ -457,9 +458,9 @@ def test_symmetric_atom_below_a_variable_it_does_not_mention():
 
 def test_shift_only_in_a_constraint_is_range_checked():
     # D+3 lies outside 0..2 for every D, so no D qualifies, although 3 < 5.
-    assert expand_pattern(parse_pattern("s(D) where D+3 < 5", DOM2), DOM2) == frozenset()
+    assert expand_pattern([parse_pattern("s(D) where D+3 < 5", DOM2)], DOM2) == frozenset()
     # D2+1 <= 2 caps D2 at 1, so D < D2+1 leaves D at 0 or 1.
-    assert expand_pattern(parse_pattern("s(D) where D < D2+1", DOM2), DOM2) == {atom("s", 0), atom("s", 1)}
+    assert expand_pattern([parse_pattern("s(D) where D < D2+1", DOM2)], DOM2) == {atom("s", 0), atom("s", 1)}
 
 
 @pytest.mark.parametrize("name, count, digest", [
@@ -495,7 +496,7 @@ def _check_floors(clauses, patterns, dom) -> int:
     d = dom.distance_max
     at = [dom._replace(distance_max=f) for f in range(d + 1)]
     full = [_passed(clauses, x) for x in at]
-    atoms = [[expand_pattern(p, x) for p in patterns] for x in at]
+    atoms = [[expand_pattern([p], x) for p in patterns] for x in at]
     top = set(full[d])
     repeated = 0
     for f in range(d):
@@ -505,8 +506,9 @@ def _check_floors(clauses, patterns, dom) -> int:
         assert above <= top and below | above == top
         repeated += len(below & above)
         for p, below, want in zip(patterns, atoms[f], atoms[d]):
-            above = expand_pattern(p, dom, f)
+            above = expand_pattern([p], dom, f)
             assert above <= want and below | above == want, str(p)
+        assert expand_pattern(patterns, dom, f).union(*atoms[f]) == frozenset().union(*atoms[d])
     assert _passed(clauses, dom, d) == []
     return repeated
 
@@ -558,10 +560,10 @@ def test_an_integer_constant_above_the_floor_passes_every_binding():
     dom = dom_at(4)
     c = parse_schematic_clause("r(3) :- s(D).", dom)
     p = parse_pattern("u(3,D)", dom)
-    assert _passed([c], dom_at(2)) == [] and expand_pattern(p, dom_at(2)) == frozenset()
+    assert _passed([c], dom_at(2)) == [] and expand_pattern([p], dom_at(2)) == frozenset()
     assert _passed([c], dom, 2) == _passed([c], dom)
     assert len(_passed([c], dom, 2)) == 5
-    assert expand_pattern(p, dom, 2) == expand_pattern(p, dom)
+    assert expand_pattern([p], dom, 2) == expand_pattern([p], dom)
     _check_floors([c], [p], dom)
 
 
@@ -582,16 +584,16 @@ def test_symmetric_atoms_follow_declared_node_order_when_it_is_not_sorted():
     links = {x for _, pos, neg in ground for x in pos + neg if x.predicate == "link"}
     assert {atom("link", "C", "A"), atom("link", "A", "B")} <= links
     assert links.isdisjoint(reversed_links)
-    assert expand_pattern(patterns[0], dom) == {
+    assert expand_pattern(patterns[:1], dom) == {
         atom("link", "C", "A"), atom("link", "C", "B"), atom("link", "A", "B")
     }
-    assert expand_pattern(patterns[1], dom) == {atom("link", "C", "B")}
+    assert expand_pattern(patterns[1:2], dom) == {atom("link", "C", "B")}
 
 
 def _agent_atoms(clauses, patterns, dom) -> list:
     """Every atom of an agent's ground clauses and of its patterns."""
     atoms = [x for c in ground_program(clauses, dom).clauses for x in (c[0], *c[1], *c[2])]
-    return atoms + [x for p in patterns for x in expand_pattern(p, dom)]
+    return atoms + list(expand_pattern(patterns, dom))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from agentlog.grounding import DomainSpec, parse_ground_atom
 from agentlog.logic import (
     AcyclicPlan,
     Atom,
@@ -20,7 +21,6 @@ from agentlog.logic import (
     least_model,
     _peel,
     format_clause,
-    parse_atom,
     stable_models_bruteforce,
 )
 from agentlog.system import _union_dependencies
@@ -313,11 +313,15 @@ def test_atom_ordering_mixed_args():
     ]
 
 
+# A domain that declares the constants of the atoms read back below.
+TEXT_DOM = DomainSpec(node_constants=("A1", "A5"), distance_max=2)
+
+
 def test_atom_text_roundtrip():
     for x in (atom("a"), atom("sp", "A1", "A5", 2), atom("r", 0)):
-        assert parse_atom(str(x)) == x
+        assert parse_ground_atom(str(x), TEXT_DOM) == x
     with pytest.raises(ValueError):
-        parse_atom("bad atom(")
+        parse_ground_atom("bad atom(", TEXT_DOM)
 
 
 def test_clause_text_roundtrip():
@@ -335,7 +339,7 @@ def test_atoms_are_interned():
     assert Atom("sp", ["A1", 2]) is x
     assert Atom("sp", iter(("A1", 2))) is x
     assert atom("sp", "A1", 2) is x
-    assert parse_atom("sp(A1,2)") is x
+    assert parse_ground_atom("sp(A1,2)", TEXT_DOM) is x
     assert Atom("sp", ("A1", 3)) is not x
     assert Atom("a") is a and Atom("a", []) is a
 

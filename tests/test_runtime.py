@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from agentlog.agents import AgentState, CommEvent, EnvChange
+from agentlog.grounding import DomainSpec
 from agentlog.logic import AcyclicPlan, atom
 from agentlog.runtime import (
     AgentChange,
@@ -413,14 +414,14 @@ def test_divergence_probe_matches_a_per_point_reading_of_hand_built_values():
     assert _probe(trace, ("p", (None,))) == _naive_probe(trace, ("p", (None,))) == "ambiguous [2, 7]"
 
 
-def test_replay_determinism_byte_identical(example3_system):
+def test_replay_determinism_byte_identical(example3_scenario, example3_system):
     trace = run_fair(
         example3_system,
         env_schedule=[(1, EnvChange(frozenset(), frozenset([e])))],
         max_rounds=10,
     )
     text = export_trace(trace)
-    events = events_from_export(text.splitlines())
+    events = events_from_export(text.splitlines(), example3_scenario.domain)
     again = run_scripted(example3_system, events)
     assert export_trace(again) == text
 
@@ -436,7 +437,7 @@ _SEND = '{"record":"point","event":{"type":"send","from":"A2","to":"A1"}}'
 
 def _events_or_error(lines):
     try:
-        return events_from_export(lines)
+        return events_from_export(lines, DomainSpec())
     except ValueError as exc:
         return str(exc)
 
