@@ -10,20 +10,53 @@ Instantiations producing an integer outside ``0..distance_max`` are
 silently dropped; on a bounded universe such ground atoms simply do not
 exist.
 
-Each clause compiles once into a nested loop with one level per variable;
-a pattern is a clause with a head only.  The loop binds, narrows, checks
-and instantiates as early as it can:
+Each clause compiles once per shape into a nested loop with one level per
+variable; a pattern is a clause with a head only.
+
+* Shapes.  A clause's shape is the clause with its ``i``-th distinct node
+  constant (head, then ``pos``, ``neg`` and constraints, left to right)
+  replaced by a slot, ``_Constant(i)``, so clauses that differ only in
+  the nodes they name, as a ring's routers do, have one shape.  The
+  compiled form of a shape depends on it and on the domain's node
+  constants, variable types and symmetric predicates, never on the
+  bound.  ``_Enumeration._table`` interns the compiled forms, one
+  process-wide table as ``Atom._table`` is: per domain, its node-rank
+  map (each node constant's declared position) and its compiled forms by
+  shape.  ``ground_stream``, and through it ``expand_pattern``,
+  ``parse_ground_atom`` and every agent and bound of
+  ``Scenario.systems`` and ``shapes``, compiles only a shape the table
+  lacks.
+* Per stream.  The bound enters only here.  Each stream copies the
+  compiled value array and puts the clause's node constants in their
+  slots, computes each integer variable's range and its floor cuts, and
+  passes nothing when an integer constant of the clause lies outside
+  ``0..dmax``: at that bound alone, the clause has no instance.  A
+  compiled form keeps no mutable state of its own, so streams of one
+  form, at any bounds and in any interleaving, write nothing another
+  reads but the atom tables, which only grow.
+* No lock.  Both levels of the table grow only through ``dict.setdefault``
+  on keys built of tuples, strings, integers and frozensets, whose hashes
+  and comparisons run no Python code, so each insertion is atomic.  Two
+  threads that miss on one shape both compile it, and the first form
+  stored is kept; the two are equal and never written, so either serves.
+
+The loop binds, narrows, checks and instantiates as early as it can:
 
 * Order.  A variable bounded by ``V = t`` or ``V < t`` is bound after the
   variables of ``t``.  Otherwise the next variable is the one that
-  completes the most atoms and constraints, then the one with the smaller
-  range, then the smaller name.  ``spl(A1,Y,D+1) :- link(A1,X),
-  sp(X,Y,D2), D2 < D`` binds X, Y, D, D2.
-* Narrowing.  The largest ``V+k`` anywhere in the clause caps an integer
-  variable at ``dmax - k``, so no term can leave ``0..dmax``; a constant
-  outside that range leaves the clause without instances.  ``V < t``
-  gives ``V`` the range below the value of ``t``, and ``V = t`` that one
-  value.
+  completes the most atoms and constraints, then a node variable before
+  an integer one, then the integer one with the larger ``shift + lo``,
+  then the smaller name.  ``spl(A1,Y,D+1) :- link(A1,X), sp(X,Y,D2),
+  D2 < D`` binds X, Y, D, D2.  The rule reads no bound.  Where every
+  integer range is wider than the node domain, as on the builtins at
+  their own bounds, it is the order of the smaller range first; at
+  smaller bounds it changes the work, not the output.
+* Narrowing.  The largest ``V+k`` anywhere in the clause, ``shift``,
+  caps an integer variable at ``dmax - shift``, and the most negative
+  one, ``V+(-lo)``, raises its least value to ``lo``, so no term can
+  leave ``0..dmax``; a constant outside that range leaves the clause
+  without instances.  ``V < t`` gives ``V`` the range below the value of
+  ``t``, and ``V = t`` that one value.
 * Checks.  Every other constraint is checked, and every atom
   instantiated, at the first level where all its variables are bound.  A
   failed check skips the whole subtree.
@@ -250,47 +283,69 @@ def _tuple_getter(slots):
     return operator.itemgetter(*slots)
 
 
+class _Constant(NamedTuple):
+    """The slot of a shape that holds its ``index``-th distinct node constant."""
+
+    index: int
+
+
+def _shape(c: SchematicClause) -> tuple:
+    """``(shape, constants)``: ``c`` with its ``i``-th distinct node
+    constant, in the order of its atoms' arguments and then its
+    constraints' sides, replaced by ``_Constant(i)``, and those constants."""
+    seen = {}
+
+    def term(t):
+        return _Constant(seen.setdefault(t, len(seen))) if type(t) is str else t
+
+    def atom(a: SchematicAtom) -> SchematicAtom:
+        return SchematicAtom(a.predicate, tuple(map(term, a.args)))
+
+    head, pos, neg = atom(c.head), tuple(map(atom, c.pos)), tuple(map(atom, c.neg))
+    constraints = tuple(Constraint(k.op, term(k.left), term(k.right)) for k in c.constraints)
+    return SchematicClause(head, pos, neg, constraints), tuple(seen)
+
+
 class _Enumeration:
-    """One schematic clause compiled to one nested loop per variable.
+    """One clause shape compiled to one nested loop per variable, for
+    every bound of one domain.
 
     Every term reads a slot of one value array: a slot per variable, per
     ``VAR+k`` shift and per constant, and one per ground atom.  Level 0
     binds nothing and holds what mentions no variable; level ``i`` binds
-    the ``i``-th variable of the order over its narrowed range, fills its
-    shift slots, checks the constraints whose variables are then all bound
-    and instantiates the atoms whose variables are then all bound.  The
-    innermost level passes the instance to a sink.  ``cuts`` lists each
-    integer variable's level and its largest shift, for a floor.
-    ``node_rank`` maps each node constant to its declared position; the
-    first symmetric atom compiled fills it, for every clause of one
-    ``ground_stream`` call.
+    the ``i``-th variable of the order, fills its shift slots, checks the
+    constraints whose variables are then all bound and instantiates the
+    atoms whose variables are then all bound.  The innermost level passes
+    the instance to a sink.  A node variable ranges over the domain's
+    node constants.  An integer variable's level holds no values:
+    ``spans`` lists its level, ``lo`` and largest shift, from which each
+    stream computes its range and its floor cut.  ``env`` is the value
+    array with the integer constants filled in, which each stream copies
+    and completes with the node constants at ``fill``.  ``rank`` is the
+    domain's node-rank map, made once with its table entry.
     """
 
-    def __init__(self, c: SchematicClause, dom: DomainSpec, node_rank: dict):
-        dmax = dom.distance_max
-        names = sorted(c.variables())
-        declared = [dom.var_domain(n) for n in names]
-        atoms = [c.head, *c.pos, *c.neg]
+    # (node constants, node variables, integer variables, symmetric
+    # predicates) -> (node rank, {shape: compiled form})
+    _table: dict = {}
+
+    def __init__(self, shape: SchematicClause, dom: DomainSpec, rank: dict):
+        names = sorted(shape.variables())
+        atoms = [shape.head, *shape.pos, *shape.neg]
         terms = [t for a in atoms for t in a.args]
-        terms += [t for k in c.constraints for t in (k.left, k.right)]
-        self.levels = ()
-        # A term outside 0..dmax fails the assignment.  A constant there
-        # fails them all; a ``V+k`` there narrows the range of ``V``.
-        constants = [t for t in terms if type(t) is int]
-        if any(not 0 <= t <= dmax for t in constants):
-            return
-        static, shift = {}, {}
-        for n, domain in zip(names, declared):
-            if n in dom.int_vars:
-                offsets = [t.offset for t in terms if isinstance(t, Shift) and t.name == n]
-                lo = max([0] + [-k for k in offsets])
-                shift[n] = max([0] + offsets)
-                domain = range(lo, max(lo, dmax - shift[n] + 1))
-            static[n] = domain
-        order = _binding_order(names, static, atoms, c.constraints, dom)
-        # Below its largest integer constant the clause has no instance,
-        # so a floor there passes every binding.
-        self.top = max(constants, default=-1)
+        terms += [t for k in shape.constraints for t in (k.left, k.right)]
+        integers = [t for t in terms if type(t) is int]
+        self.low, self.top = min(integers, default=0), max(integers, default=-1)
+        span = {}
+        for n in names:
+            if n not in dom.int_vars:
+                dom.var_domain(n)  # a node variable, or GroundingError
+                continue
+            # A ``V+k`` outside 0..dmax fails the assignment: the range of
+            # ``V`` starts at ``lo`` and ends ``shift`` below the bound.
+            offsets = [t.offset for t in terms if isinstance(t, Shift) and t.name == n]
+            span[n] = (max([0] + [-k for k in offsets]), max([0] + offsets))
+        order = _binding_order(names, span, atoms, shape.constraints, dom)
 
         # Variable ``order[i]`` is bound at level ``i + 1`` into slot ``i + 1``.
         position = {n: i + 1 for i, n in enumerate(order)}
@@ -301,7 +356,7 @@ class _Enumeration:
         atom_slot = len(slot)
         env = [None] * (atom_slot + len(atoms))
         for t, s in slot.items():
-            if not isinstance(t, (Var, Shift)):
+            if type(t) is int:
                 env[s] = t
 
         def level_of(variables) -> int:
@@ -309,11 +364,12 @@ class _Enumeration:
 
         # slot, values, narrowing, shifts, checks, atoms
         levels = [[0, (None,), None, [], [], []]]
-        levels += [[position[n], static[n], None, [], [], []] for n in order]
+        levels += [[position[n], None if n in span else dom.node_constants, None, [], [], []]
+                   for n in order]
         for t, s in slot.items():
             if isinstance(t, Shift):
                 levels[level_of([t.name])][3].append((s, t.offset))
-        for k in c.constraints:
+        for k in shape.constraints:
             i = level_of(k.variables())
             narrowed = _narrowed(k, dom)
             if narrowed is not None and narrowed[0] == order[i - 1] and levels[i][2] is None:
@@ -323,14 +379,15 @@ class _Enumeration:
         for j, sa in enumerate(atoms):
             args = _tuple_getter([slot[t] for t in sa.args])
             if sa.predicate in dom.symmetric and len(sa.args) == 2:
-                if not node_rank:
-                    node_rank.update((n, i) for i, n in enumerate(dom.node_constants))
-                args = _in_node_order(args, node_rank)
+                args = _in_node_order(args, rank)
             table = Atom._table.setdefault(sa.predicate, {})
             levels[level_of(sa.variables())][5].append((atom_slot + j, sa.predicate, table, args))
-        self.levels = [tuple(level) for level in levels]
-        self.cuts = [(i, shift[n]) for i, n in enumerate(order, 1) if n in shift]
-        self.env = env
+        self.levels = tuple(map(tuple, levels))
+        self.spans = tuple((i, *span[n]) for i, n in enumerate(order, 1) if n in span)
+        self.env = tuple(env)
+        # ``_shape`` numbers the node constants in the order of ``terms``,
+        # so their slots come in that order.
+        self.fill = tuple(s for t, s in slot.items() if type(t) is _Constant)
         self.head = atom_slot
 
         def body_getter(js):
@@ -343,27 +400,37 @@ class _Enumeration:
                 return get
             return lambda env: tuple(sorted(set(get(env)), key=Atom.sort_key))
 
-        split = 1 + len(c.pos)
+        split = 1 + len(shape.pos)
         self.pos = body_getter(range(1, split))
         self.neg = body_getter(range(split, len(atoms)))
 
-    def stream(self, sink, floor=None):
-        """Pass every ground instance to ``sink``, or with a ``floor`` the
-        instances of the bindings above it, as ``ground_stream``."""
-        if not self.levels:
+    def stream(self, constants: tuple, dmax: int, sink, floor=None):
+        """Pass every ground instance of the clause with node constants
+        ``constants`` at the bound ``dmax`` to ``sink``, or with a
+        ``floor`` the instances of the bindings above it, as
+        ``ground_stream``."""
+        # An integer constant outside 0..dmax fails every assignment.
+        if self.low < 0 or self.top > dmax:
             return
+        levels = list(self.levels)
+        for i, lo, shift in self.spans:
+            levels[i] = (levels[i][0], range(lo, max(lo, dmax - shift + 1)), *levels[i][2:])
+        env = list(self.env)
+        for s, v in zip(self.fill, constants):
+            env[s] = v
+        # Below its largest integer constant the clause has no instance,
+        # so a floor there passes every binding.
         if floor is None or self.top > floor:
-            self._descend(self.levels, 0, sink)
+            self._descend(levels, 0, env, sink)
             return
-        for j, (i, shift) in enumerate(self.cuts):
-            levels = list(self.levels)
-            for h, m in self.cuts[:j]:
-                levels[h] = _ranged(levels[h], stop=floor - m + 1)
-            levels[i] = _ranged(levels[i], start=floor - shift + 1)
-            self._descend(levels, 0, sink)
+        for j, (i, _, shift) in enumerate(self.spans):
+            cut = list(levels)
+            for h, _, m in self.spans[:j]:
+                cut[h] = _ranged(cut[h], stop=floor - m + 1)
+            cut[i] = _ranged(cut[i], start=floor - shift + 1)
+            self._descend(cut, 0, env, sink)
 
-    def _descend(self, levels, i: int, sink):
-        env = self.env
+    def _descend(self, levels, i: int, env: list, sink):
         var_slot, values, narrowing, shifts, checks, atoms = levels[i]
         if narrowing is not None:
             op, s = narrowing
@@ -385,7 +452,7 @@ class _Enumeration:
                 for s, predicate, table, args in atoms:
                     ga = args(env)
                     env[s] = table.get(ga) or Atom(predicate, ga)
-                self._descend(levels, i + 1, sink)
+                self._descend(levels, i + 1, env, sink)
             return
         h, pos, neg = self.head, self.pos, self.neg
         for v in values:
@@ -434,13 +501,16 @@ def _ranged(level: tuple, start=None, stop=None) -> tuple:
     return (level[0], range(start, stop), *level[2:])
 
 
-def _binding_order(names, static, atoms, constraints, dom) -> list:
-    """The variables in the order the enumeration binds them.
+def _binding_order(names, span, atoms, constraints, dom) -> list:
+    """The variables in the order the enumeration binds them, whatever
+    the bound; ``span`` maps each integer variable to its ``lo`` and its
+    largest shift.
 
     A variable that a constraint can narrow (``V = t``, ``V < t``) follows
     the variables of ``t``.  Among the rest, the next one completes the
-    most atoms and constraints, then has the smaller range, then the
-    smaller name.
+    most atoms and constraints, then is a node variable rather than an
+    integer one, then has the larger ``shift + lo``, then the smaller
+    name.
     """
     groups = [set(sa.variables()) for sa in atoms]
     groups += [set(k.variables()) for k in constraints]
@@ -453,7 +523,7 @@ def _binding_order(names, static, atoms, constraints, dom) -> list:
 
     def rank(n):
         completes = sum(1 for g in groups if n in g and g - bound == {n})
-        return (-completes, len(static[n]), n)
+        return (-completes, n in span, -sum(span.get(n, ())), n)
 
     while len(order) < len(names):
         free = [n for n in names if n not in bound]
@@ -487,10 +557,21 @@ def ground_stream(clauses: Iterable[SchematicClause], dom: DomainSpec, sink, flo
     several clauses or bindings yield is passed once for each.  With a
     ``floor`` below ``dom``'s bound, only the bindings above it are
     passed: with the instances at ``floor``, they make up the instances
-    over ``dom``."""
-    node_rank = {}
+    over ``dom``.  Each clause's shape is compiled only when
+    ``_Enumeration._table`` lacks it."""
+    key = (dom.node_constants, dom.node_vars, dom.int_vars, dom.symmetric)
+    entry = _Enumeration._table.get(key)
+    if entry is None:
+        rank = {n: i for i, n in enumerate(dom.node_constants)}
+        entry = _Enumeration._table.setdefault(key, (rank, {}))
+    rank, compiled = entry
+    dmax = dom.distance_max
     for c in clauses:
-        _Enumeration(c, dom, node_rank).stream(sink, floor)
+        shape, constants = _shape(c)
+        form = compiled.get(shape)
+        if form is None:
+            form = compiled.setdefault(shape, _Enumeration(shape, dom, rank))
+        form.stream(constants, dmax, sink, floor)
 
 
 def expand_pattern(patterns: Iterable[Pattern], dom: DomainSpec, floor=None) -> frozenset:

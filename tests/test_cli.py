@@ -835,6 +835,9 @@ _PINNED_OUTPUT = [
     ("oracle-check example3", 0, "300d664bf7cf75c17780e75d56c32d0f76050f14b39fd7f9f0530a0557d222ed"),
     ("sweep chain(1) --param n --range 1:8", 0, "47518a36f7af38307aa3262ecbbf9fd1edfcf513b9724bcc51b63845c8cff76e"),
     ("sweep routing5 --param dmax --range 3:5", 0, "fe31a21f3c5b6a9ce0fe0d9a43b109b97b1406b0e91843908506e7c8dd2e364b"),
+    # Bounds below the node count: integer ranges narrower than the node domain.
+    ("sweep routing5 --param dmax --range 0:8", 0, "95c0ec1086573b2cab86477492b218faef8c6b99a743a2ae41a417fc3d6d2cab"),
+    ("analyze routing5 --dmax 2", 0, "788fc3ae482fcca90a231196e902454c70dffe3a77b91d42f66ec9216d0e635e"),
     ("run chain(300)", 0, "dabd5ba71ea220dcd60e8aa53b227313cbe1fea0c245b4ab55fe2ff2f7a3fc52"),
     ("run chain(40) --policy shuffled --seed 5", 0, "89f332fc727c9e86a062a0b9fdfcd78c4ea4912342b4c1481e5ad7345331002d"),
     # Named relative to tests/data, the test's working directory: the header echoes the path.

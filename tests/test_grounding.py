@@ -3,10 +3,12 @@
 import hashlib
 import itertools
 import random
+from contextlib import contextmanager
 from typing import Iterable
 
 import pytest
 
+from agentlog import grounding
 from agentlog.grounding import (
     Constraint,
     DomainSpec,
@@ -23,7 +25,7 @@ from agentlog.grounding import (
     parse_schematic_clause,
 )
 from agentlog.logic import Atom, GroundProgram, atom, format_clause
-from agentlog.scenarios import Topology, builtin_scenario, parse_scenario, routing_scenario_text
+from agentlog.scenarios import Topology, builtin_scenario, load_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_schematic_scenario
 from .reference import clause, dependency_graph, is_acyclic, parse_clause
@@ -612,3 +614,152 @@ def test_grounded_atoms_are_the_interned_ones(name):
             assert Atom._table[x.predicate][x.args] is x
         # Grounding the agent again yields the same objects.
         assert {id(x) for x in _agent_atoms(clauses, patterns, dom)} == {id(x) for x in atoms}
+
+
+# Compiled shapes: one compilation per shape, for every bound, constant and stream.
+
+
+@contextmanager
+def _fresh_table():
+    """An empty table of compiled shapes inside the block, so that each
+    shape grounded there compiles anew; the shared table after it."""
+    shared, grounding._Enumeration._table = grounding._Enumeration._table, {}
+    try:
+        yield
+    finally:
+        grounding._Enumeration._table = shared
+
+
+def _from_scratch(clauses, dom, floor=None) -> list:
+    """``_passed`` with every shape compiled at this bound."""
+    with _fresh_table():
+        return _passed(clauses, dom, floor)
+
+
+def _compiled_shapes(dom) -> int:
+    """How many compiled forms the table holds over ``dom``'s domain."""
+    key = (dom.node_constants, dom.node_vars, dom.int_vars, dom.symmetric)
+    return len(grounding._Enumeration._table[key][1])
+
+
+def test_shared_compiled_shapes_match_fresh_compiles_on_random_schematic_scenarios(monkeypatch):
+    # Each clause and pattern is grounded at rising and then falling
+    # bounds, in full and above floors, through one table: each stream
+    # passes what a compilation at its own bound passes, in the same order.
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    rng = random.Random(3303)
+    checked = 0
+    for _ in range(40):
+        dom, cs, ps = random_schematic_scenario(rng)
+        clauses = list(cs) + [SchematicClause(p.atom, constraints=p.constraints) for p in ps]
+        top = dom.distance_max + 2
+        bounds = [*range(top + 1), *range(top - 1, -1, -1)]
+        for c in clauses:
+            for d in bounds:
+                at = dom._replace(distance_max=d)
+                for floor in (None, *sorted({0, d // 2, d - 1} & set(range(d)))):
+                    assert _passed([c], at, floor) == _from_scratch([c], at, floor), (str(c), d, floor)
+                    checked += 1
+    assert checked > 4000
+
+
+def test_an_integer_constant_above_the_first_bound_is_instance_free_at_that_bound_only(monkeypatch):
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    c = parse_schematic_clause("p(5).", dom_at(6))
+    p5 = [(atom("p", 5), (), ())]
+    assert _passed([c], dom_at(3)) == []
+    assert _passed([c], dom_at(6)) == p5
+    assert _passed([c], dom_at(6), 3) == p5  # above the floor's bound: every binding
+    assert _passed([c], dom_at(6), 5) == []
+    assert _passed([c], dom_at(3)) == []
+    assert expand_pattern([parse_pattern("p(5)", dom_at(6))], dom_at(4)) == frozenset()
+    assert expand_pattern([parse_pattern("p(5)", dom_at(6))], dom_at(5)) == {atom("p", 5)}
+    assert _compiled_shapes(dom_at(3)) == 1
+
+
+def test_ring_agents_share_their_compiled_shapes(monkeypatch):
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    scenario = parse_scenario(routing_scenario_text(_ring(5)))
+    shapes = set()
+    for clauses, patterns, dom in _scenario_cases(scenario, 3):
+        clauses = list(clauses) + [SchematicClause(p.atom, constraints=p.constraints) for p in patterns]
+        assert _passed(clauses, dom) == _from_scratch(clauses, dom)
+        shapes |= {grounding._shape(c)[0] for c in clauses}
+    assert _compiled_shapes(dom) == len(shapes) < len(clauses)
+
+
+def test_clauses_that_differ_only_in_node_constants_ground_their_own_constants(monkeypatch):
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    # A symmetric atom under a declared node order that is not sorted:
+    # each clause puts its own constant in canonical order.
+    dom = DomainSpec(("C", "A", "B"), 2, DOM2.node_vars, DOM2.int_vars, DOM2.symmetric)
+    hops = [parse_schematic_clause(f"hop({n},X) :- link({n},X).", dom) for n in dom.node_constants]
+    links = {n: {x for _, pos, _ in _passed([c], dom) for x in pos}
+             for n, c in zip(dom.node_constants, hops)}
+    assert links["A"] == {atom("link", "C", "A"), atom("link", "A", "A"), atom("link", "A", "B")}
+    assert links["B"] == {atom("link", "C", "B"), atom("link", "A", "B"), atom("link", "B", "B")}
+    assert _passed(hops, dom) == _from_scratch(hops, dom)
+    assert _compiled_shapes(dom) == 1
+    # A disequality with a constant: each clause leaves its own node out.
+    nodes = ("R0", "R1", "R2")
+    dom = DomainSpec(nodes, 1, DOM2.node_vars, DOM2.int_vars, DOM2.symmetric)
+    others = [parse_schematic_clause(f"q(Y) :- p(Y), Y != {n}.", dom) for n in nodes]
+    for n, c in zip(nodes, others):
+        assert {head for head, _, _ in _passed([c], dom)} == {atom("q", m) for m in nodes if m != n}
+    assert _passed(others, dom) == _from_scratch(others, dom)
+    assert _compiled_shapes(dom) == 1
+
+
+def _snapshot(system) -> tuple:
+    """What a system holds, read before the next one of its generator is
+    drawn, which extends the agents' maps in place."""
+    agents = tuple(
+        (a.id, frozenset(a.clauses), {h: frozenset(b) for h, b in a.deps.items()}, a.hbe, a.hin, a.initial)
+        for a in system.agents
+    )
+    return agents, system.dependent_pairs, system.io_atoms, system.cyclic
+
+
+def test_alternating_systems_generators_each_match_their_own_from_scratch_build(monkeypatch):
+    # Two generators over one scenario share the compiled shapes but no
+    # stream's values: one rising, one that falls and rises again.
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    sc = builtin_scenario("routing5")
+    bounds = ([1, 2, 4, 5], [5, 3, 6, 2])
+    generators = [sc.systems(b) for b in bounds]
+    got = [[], []]
+    for _ in bounds[0]:
+        for g, out in zip(generators, got):
+            out.append(_snapshot(next(g)))
+    for b, out in zip(bounds, got):
+        with _fresh_table():
+            assert out == [_snapshot(sc.build_system(dmax=d)) for d in b]
+
+
+def _ring_run_text() -> str:
+    """A 7-node routing ring with a chord and a link that fails at round 2."""
+    nodes = tuple(f"R{i}" for i in range(7))
+    links = {(nodes[i], nodes[(i + 1) % 7]) for i in range(7)} | {("R0", "R3")}
+    return routing_scenario_text(Topology(nodes, frozenset(links))) + "\n[events]\n@round 2: fail link(R1,R2)\n"
+
+
+@pytest.mark.parametrize("name, build, count", [
+    ("chain-sweep", lambda: list(load_scenario("chain(1)").systems(range(1, 101))), 6),
+    ("ring-run", lambda: parse_scenario(_ring_run_text()).build_system(), 7),
+    ("ctinf-analyze", lambda: list(load_scenario("routing5-example6-script").shapes([20, 22])), 7),
+    ("chain-trace", lambda: load_scenario("chain(300)").build_system(), 6),
+])
+def test_each_shape_compiles_once(monkeypatch, name, build, count):
+    # Loading and grounding a workload's scenario, from an empty table,
+    # compiles each clause shape once, whatever the agents and bounds.
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    compiled = []
+    init = grounding._Enumeration.__init__
+
+    def counted(self, *args):
+        compiled.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(grounding._Enumeration, "__init__", counted)
+    build()
+    assert len(compiled) == len(set(compiled)) == count
