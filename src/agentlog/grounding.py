@@ -16,7 +16,9 @@ variable; a pattern is a clause with a head only.
 * Shapes.  A clause's shape is the clause with its ``i``-th distinct node
   constant (head, then ``pos``, ``neg`` and constraints, left to right)
   replaced by a slot, ``_Constant(i)``, so clauses that differ only in
-  the nodes they name, as a ring's routers do, have one shape.  The
+  the nodes they name, as a ring's routers do, have one shape, and the
+  ground atoms read from a scenario or an events file leave one form per
+  predicate and pattern of repeated nodes, not one per atom.  The
   compiled form of a shape depends on it and on the domain's node
   constants, variable types and symmetric predicates, never on the
   bound.  ``_Enumeration._table`` interns the compiled forms, one
@@ -292,17 +294,27 @@ class _Constant(NamedTuple):
 def _shape(c: SchematicClause) -> tuple:
     """``(shape, constants)``: ``c`` with its ``i``-th distinct node
     constant, in the order of its atoms' arguments and then its
-    constraints' sides, replaced by ``_Constant(i)``, and those constants."""
+    constraints' sides, replaced by ``_Constant(i)``, and those constants.
+    A clause that names no node constant is its own shape."""
     seen = {}
-
-    def term(t):
-        return _Constant(seen.setdefault(t, len(seen))) if type(t) is str else t
+    for a in (c.head, *c.pos, *c.neg):
+        for t in a.args:
+            if type(t) is str:
+                seen.setdefault(t, len(seen))
+    for k in c.constraints:
+        for t in (k.left, k.right):
+            if type(t) is str:
+                seen.setdefault(t, len(seen))
+    if not seen:
+        return c, ()
+    term = {t: _Constant(i) for t, i in seen.items()}.get
 
     def atom(a: SchematicAtom) -> SchematicAtom:
-        return SchematicAtom(a.predicate, tuple(map(term, a.args)))
+        return SchematicAtom(a.predicate, tuple(map(term, a.args, a.args)))
 
     head, pos, neg = atom(c.head), tuple(map(atom, c.pos)), tuple(map(atom, c.neg))
-    constraints = tuple(Constraint(k.op, term(k.left), term(k.right)) for k in c.constraints)
+    constraints = tuple(Constraint(k.op, term(k.left, k.left), term(k.right, k.right))
+                        for k in c.constraints)
     return SchematicClause(head, pos, neg, constraints), tuple(seen)
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .agents import _few, validate_agent
+from .agents import _few, dependency, validate_agent
 from .logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
@@ -93,7 +93,14 @@ class MultiAgentSystem:
         deps = _union_dependencies(self.agents)
         self.order, self.cyclic = _peel(deps)
         self.io_atoms = _io_atoms(self.agents, deps)
-        self._deps = _pair_dependencies(self.agents)
+        self._deps = {}
+        for recv in self.agents:
+            for sender in self.agents:
+                if recv.id == sender.id:
+                    continue
+                d = dependency(recv, sender)
+                if d:
+                    self._deps[(recv.id, sender.id)] = d
         # Canonical fair order: by receiver id, then sender id.
         self.dependent_pairs = tuple(sorted(self._deps))
 
@@ -278,27 +285,6 @@ def _union_dependencies(agents) -> dict:
             mine = deps.get(h)
             deps[h] = body if mine is None else mine | body
     return deps
-
-
-def _pair_dependencies(agents) -> dict:
-    """``(receiver id, sender id)`` -> ``agents.dependency(receiver,
-    sender)``, for every pair of distinct agents where it is not empty.
-
-    Each HIN atom is indexed by the agents that produce it, those that
-    define it (``deps``) or sense it (``hbe``), and the pairs are read off
-    that index: linear in the agents' atoms, not in the number of pairs."""
-    wanted = frozenset().union(*(a.hin for a in agents))
-    produced = [a.deps.keys() & wanted | a.hbe & wanted for a in agents]
-    producers = {}
-    for i, atoms in enumerate(produced):
-        for x in atoms:
-            producers.setdefault(x, []).append(i)
-    pairs = {}
-    for r in agents:
-        for i in {i for x in r.hin for i in producers.get(x, ())}:
-            if agents[i].id != r.id:
-                pairs[(r.id, agents[i].id)] = r.hin & produced[i]
-    return pairs
 
 
 def _io_atoms(agents, deps: dict) -> frozenset:

@@ -4,21 +4,19 @@ Each follows the paper's definition over plain values: the atom
 dependency graph of a program, its acyclicity, the atoms relevant to
 an atom, the peel of a head -> body-atoms map from its sinks,
 breadth-first shortest paths on a topology, an agent's outgoing claims,
-the dependency of every ordered pair of agents, the transitions of a
-global state, one event at a time, the agents' agreement at one point,
-one atom at a time, an atom or a clause read back from its text form
-over no domain, a clause built from its atoms, and the order of atoms by
-a nested key per argument.  The library reads the same facts off head ->
-body-atoms maps and compiled plans, reads the dependent pairs off an
-index of each received atom's producers, records a run as per-event
-deltas, reads atom text only over a domain, and finds the agreement by
-set algebra, instead.
+the transitions of a global state, one event at a time, the agents'
+agreement at one point, one atom at a time, an atom or a clause read
+back from its text form over no domain, a clause built from its atoms,
+and the order of atoms by a nested key per argument.  The library reads
+the same facts off head -> body-atoms maps and compiled plans, records a
+run as per-event deltas, reads atom text only over a domain, and finds
+the agreement by set algebra, instead.
 """
 
 import re
 from collections import deque
 
-from agentlog.agents import AgentState, EnvChange, agent_model, dependency
+from agentlog.agents import AgentState, EnvChange, agent_model
 from agentlog.grounding import split_top_level
 from agentlog.logic import Atom, DependencyGraph, GroundProgram
 from agentlog.runtime import _applied, _env_deltas, _send_dependency
@@ -167,20 +165,6 @@ def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str
     if not delta[0] and not delta[1]:
         return gs
     return gs[:r_idx] + (AgentState(old.edb, _applied(old.indb, delta)),) + gs[r_idx + 1:]
-
-
-def pair_dependencies(agents) -> dict:
-    """``(receiver id, sender id)`` -> ``dependency(receiver, sender)``,
-    over all ordered pairs of distinct agents, for each pair where it is
-    not empty."""
-    pairs = {}
-    for recv in agents:
-        for sender in agents:
-            if recv.id != sender.id:
-                d = dependency(recv, sender)
-                if d:
-                    pairs[(recv.id, sender.id)] = d
-    return pairs
 
 
 def holders(sys: MultiAgentSystem) -> dict:

@@ -21,6 +21,7 @@ from agentlog.grounding import (
     expand_pattern,
     ground_program,
     ground_stream,
+    parse_ground_atom,
     parse_pattern,
     parse_schematic_clause,
 )
@@ -708,6 +709,20 @@ def test_clauses_that_differ_only_in_node_constants_ground_their_own_constants(m
         assert {head for head, _, _ in _passed([c], dom)} == {atom("q", m) for m in nodes if m != n}
     assert _passed(others, dom) == _from_scratch(others, dom)
     assert _compiled_shapes(dom) == 1
+
+
+def test_reading_ground_atoms_adds_a_shape_per_pattern_of_repeats_not_per_atom(monkeypatch):
+    # The table outlives every stream, so the atoms read from a scenario or
+    # an events file must not each leave a compiled form in it.
+    monkeypatch.setattr(grounding._Enumeration, "_table", {})
+    nodes = tuple(f"R{i}" for i in range(7))
+    dom = DomainSpec(nodes[::-1], 2, DOM2.node_vars, DOM2.int_vars, DOM2.symmetric)
+    read = [parse_ground_atom(f"link({x},{y})", dom) for x in nodes for y in nodes]
+    assert read == [atom("link", *sorted((x, y), reverse=True)) for x in nodes for y in nodes]
+    assert _compiled_shapes(dom) == 2  # link(x,y) and link(x,x)
+    read = [parse_ground_atom(f"sp({x},{y},{d})", dom) for x in nodes for y in nodes for d in (1, 2)]
+    assert read == [atom("sp", x, y, d) for x in nodes for y in nodes for d in (1, 2)]
+    assert _compiled_shapes(dom) == 2 + 4
 
 
 def _snapshot(system) -> tuple:

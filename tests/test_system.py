@@ -55,7 +55,7 @@ from .generators import (
     with_clauses,
 )
 from .reference import clause as make_clause
-from .reference import bfs_oracle, dependency_graph, is_acyclic, pair_dependencies, relevant_atoms, successors
+from .reference import bfs_oracle, dependency_graph, is_acyclic, relevant_atoms, successors
 from .test_cli import _PROBE_INVALID
 
 a, b, c, d, e, f = (atom(x) for x in "abcdef")
@@ -566,32 +566,6 @@ def test_classify_and_io_graph_match_definition_route_on_scenarios(ref):
     sc = _scenario(ref)
     system = sc.build_system()
     _check_against_definition(system, sc.build_system(dmax=system.dmax + 2))
-
-
-def _check_pair_dependencies(system):
-    pairs = pair_dependencies(system.agents)
-    assert system.dependent_pairs == tuple(sorted(pairs))
-    for r in system.ids:
-        for s in system.ids:
-            assert system.dependency(r, s) == pairs.get((r, s), frozenset())
-
-
-def test_dependent_pairs_match_all_pairs_on_random_systems():
-    rng = random.Random(3303)
-    for k in range(60):
-        _check_pair_dependencies(random_system(rng, io_acyclic=k % 2 == 0)[0])
-
-
-@pytest.mark.parametrize(
-    "ref",
-    [name for name in builtin_names() if name != "chain(N)"] + ["chain(4)", "ring6+chord"],
-)
-def test_dependent_pairs_match_all_pairs_on_builtins(ref):
-    sc = _scenario(ref)
-    system = sc.build_system()
-    assert system.dependent_pairs
-    _check_pair_dependencies(system)
-    _check_pair_dependencies(sc.build_system(dmax=system.dmax + 2))
 
 
 @pytest.fixture(
