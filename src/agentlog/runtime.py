@@ -10,11 +10,14 @@ full communication round under a quiescent environment changes no state
 at any step, determinism guarantees every continuation repeats the state,
 which makes the point-h-onwards definitions decidable.
 
-A run is recorded as per-event deltas.  The recorder keeps one current
-state and every agent's current model as mutable sets, and an event
-touches only the agents it changes: a send reads only the slice atoms
-whose truth changed since the pair's last send, and re-derives only the
-receiver's heads downstream of the atoms that moved.  What the event
+A run is recorded as per-event deltas.  The recorder derives the
+dependent pairs, each with the slice of atoms its receiver takes from
+its sender, once from the agents (``dependent_pairs``): no system keeps
+them, as only a run reads them.  It keeps one current state and every
+agent's current model as mutable sets, and an event touches only the
+agents it changes: a send reads only the slice atoms whose truth
+changed since the pair's last send, and re-derives only the receiver's
+heads downstream of the atoms that moved.  What the event
 added and removed is all the ``Trace`` keeps of it, plus the last point.
 Verdicts read the last point: a fair run stops at its certificate, and
 only environment changes move an EDB, so the models at the fixpoint and
@@ -38,7 +41,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, env_delta
+from .agents import AgentState, CommEvent, EnvChange, _few, agent_model, dependency, env_delta
 from .grounding import parse_ground_atom
 from .logic import Atom
 from .system import MultiAgentSystem, NoUniqueModelError, superagent_model
@@ -52,6 +55,7 @@ __all__ = [
     "DivergenceReport",
     "InvalidEventError",
     "initial_state",
+    "dependent_pairs",
     "run_scripted",
     "run_fair",
     "detect_fixpoint",
@@ -177,16 +181,19 @@ def _env_deltas(sys: MultiAgentSystem, change: EnvChange, edbs):
             yield i, delta
 
 
-def _send_dependency(sys: MultiAgentSystem, sender: str, receiver: str) -> frozenset:
-    """The atoms the receiver takes from the sender; InvalidEventError for
-    an unknown agent or a receiver that takes none."""
-    dep = sys.dependency(receiver, sender)
-    if not dep:
-        unknown = [x for x in (sender, receiver) if x not in sys.ids]
-        if unknown:
-            raise InvalidEventError(f"unknown agent {unknown[0]}")
-        raise InvalidEventError(f"{receiver} does not depend on {sender}")
-    return dep
+def dependent_pairs(sys: MultiAgentSystem) -> list:
+    """``(receiver index, sender index, slice)`` for each pair of distinct
+    agents where the receiver takes some atoms from the sender, the slice
+    ``agents.dependency`` gives, in canonical order: by receiver id, then
+    sender id.  Only a run reads these, so a system does not keep them."""
+    agents = sys.agents
+    by_id = sorted(range(len(agents)), key=lambda i: agents[i].id)
+    return [
+        (r, s, dep)
+        for r in by_id
+        for s in by_id
+        if r != s and (dep := dependency(agents[r], agents[s]))
+    ]
 
 
 class _Recorder:
@@ -194,13 +201,14 @@ class _Recorder:
     for each event, what it changed; only an agent whose facts an event
     changes has its model updated, in place, through the system's plans.
 
-    Each dependent pair keeps its stale set: the slice atoms on which the
-    receiver's IN may differ from the sender's model, at first the whole
-    slice.  A change of an agent's model marks the changed atoms stale on
-    every pair that reads from it, and a send that changes the receiver's
-    IN marks them stale on the receiver's other pairs whose slice holds
-    them (two senders may define one head).  A send compares the stale
-    atoms only, then clears them.
+    Each pair of ``dependent_pairs`` keeps its stale set: the slice
+    atoms on which the receiver's IN may differ from the sender's model,
+    at first the whole slice.  A change of an agent's model marks the
+    changed atoms stale on every pair that reads from it, and a send that
+    changes the receiver's IN marks them stale on the receiver's other
+    pairs whose slice holds them (two senders may define one head).  A
+    send compares the stale atoms only, then clears them.  A replayed
+    send between agents that are not a dependent pair is refused.
     """
 
     def __init__(self, sys: MultiAgentSystem):
@@ -215,10 +223,12 @@ class _Recorder:
         self.models = [set(m) for m in self.start_models]
         self.readers = [[] for _ in sys.agents]  # per sender: (slice, stale atoms) of each pair
         self.inputs = [{} for _ in sys.agents]  # per receiver: sender index -> the same
-        for receiver, sender in sys.dependent_pairs:
-            r, s, dep = sys.index(receiver), sys.index(sender), sys.dependency(receiver, sender)
+        self.sends = []  # each dependent pair's send, in canonical order
+        ids = sys.ids
+        for r, s, dep in dependent_pairs(sys):
             self.inputs[r][s] = pair = (dep, set(dep))
             self.readers[s].append(pair)
+            self.sends.append((CommEvent(ids[s], ids[r]), r, s))
         self.events = []
         self.changes = []
         self.quiet_from = 0  # the point after the last environment change
@@ -280,8 +290,13 @@ class _Recorder:
                 if isinstance(event, EnvChange):
                     self.apply_env(event)
                 elif isinstance(event, CommEvent):
-                    _send_dependency(self.sys, event.sender, event.receiver)
-                    self.send(event, self.sys.index(event.receiver), self.sys.index(event.sender))
+                    try:
+                        s, r = self.sys.index(event.sender), self.sys.index(event.receiver)
+                    except KeyError as exc:
+                        raise InvalidEventError(f"unknown agent {exc.args[0]}") from None
+                    if s not in self.inputs[r]:
+                        raise InvalidEventError(f"{event.receiver} does not depend on {event.sender}")
+                    self.send(event, r, s)
                 else:
                     raise InvalidEventError(f"unknown event: {event!r}")
             except ValueError as exc:
@@ -340,9 +355,6 @@ def run_fair(
     rng = random.Random(seed)
     rec = _Recorder(sys)
     rec.replay(prefix_events, "prefix event")
-    # Each dependent pair's send, built once, in canonical order.
-    sends = [(CommEvent(s, r), sys.index(r), sys.index(s)) for r, s in sys.dependent_pairs]
-
     pending = sorted(env_schedule, key=lambda e: e[0])
 
     def fire_due(round_no: int):
@@ -355,10 +367,10 @@ def run_fair(
     certified = False
     for number in range(1, max_rounds + 1):
         if policy == "shuffled":
-            order = sends.copy()
+            order = rec.sends.copy()
             rng.shuffle(order)
         else:
-            order = sends
+            order = rec.sends
         start = rec.point
         changed = False
         for event, r, s in order:

@@ -64,7 +64,7 @@ from .grounding import (
     split_top_level,
 )
 from .grounding import ground_program  # noqa: F401  perfbench/layertrace.py traces it here
-from .system import MultiAgentSystem, SystemShape, build_system, defined_heads
+from .system import MultiAgentSystem, build_system, defined_heads
 
 __all__ = [
     "ScenarioError",
@@ -133,18 +133,21 @@ class Scenario(NamedTuple):
             yield build_system(agents, dmax=dom.distance_max)
 
     def shapes(self, bounds):
-        """The ``SystemShape`` of each system ``systems(bounds)`` yields,
-        from the same grounding by floors.
+        """The system at each of ``bounds`` that ``systems(bounds)``
+        yields, from the same grounding by floors, but with clauses only
+        where validation needs them: what ``classify`` reads.
 
         Each agent is grounded into its head -> body-atoms map alone; only
         agents that define a head another agent defines too are grounded
         with their clauses, so their definitions can be compared.  An
         agent that first needs them at a later bound is grounded there in
         full.  Raises ValidationError where ``systems`` would, with the
-        same breaches.  Each system is summarised before it is returned,
-        so its tables are not kept."""
+        same breaches.  A system whose agents lack clauses can be
+        classified but not run.  Drawing the next system extends the
+        agents' maps in place, as with ``systems``; the I/O atoms, cyclic
+        atoms and bound that ``classify`` reads stay as they were."""
         for dom, agents in self._grounded(bounds, clauses=False):
-            yield _shape_of(build_system(agents, dmax=dom.distance_max))
+            yield build_system(agents, dmax=dom.distance_max)
 
     def _grounded(self, bounds, clauses: bool):
         """Each bound's domain and agents, each agent extended from its
@@ -175,11 +178,6 @@ class Scenario(NamedTuple):
 
     def families(self) -> tuple:
         return tuple(family_of(p, self.domain) for p in self.track)
-
-
-def _shape_of(system: MultiAgentSystem) -> SystemShape:
-    """What ``classify`` reads of ``system``, without its tables."""
-    return SystemShape(system.io_atoms, system.cyclic, system.dmax)
 
 
 def _atom_sets(ad: AgentDef, dom: DomainSpec, floor=None) -> tuple:

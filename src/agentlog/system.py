@@ -27,8 +27,10 @@ kind of violation comes in agent order, and within an agent by sorted
 atom.
 
 Classification reads only three things of a system: its I/O atoms, its
-cyclic atoms and its bound, which a ``SystemShape`` holds without the
-system.
+cyclic atoms and its bound, so it takes a system whose agents carry no
+clauses as well as one whose agents do.  Which agent takes which atoms
+from which is not kept: only a run reads it, and derives it once (see
+``runtime.dependent_pairs``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .agents import _few, dependency, validate_agent
+from .agents import _few, validate_agent
 from .logic import (
     BRUTEFORCE_CAP,
     AcyclicPlan,
@@ -52,7 +54,6 @@ __all__ = [
     "Classification",
     "ValidationError",
     "NoUniqueModelError",
-    "SystemShape",
     "build_system",
     "system_violations",
     "defined_heads",
@@ -93,22 +94,9 @@ class MultiAgentSystem:
         deps = _union_dependencies(self.agents)
         self.order, self.cyclic = _peel(deps)
         self.io_atoms = _io_atoms(self.agents, deps)
-        self._deps = {}
-        for recv in self.agents:
-            for sender in self.agents:
-                if recv.id == sender.id:
-                    continue
-                d = dependency(recv, sender)
-                if d:
-                    self._deps[(recv.id, sender.id)] = d
-        # Canonical fair order: by receiver id, then sender id.
-        self.dependent_pairs = tuple(sorted(self._deps))
 
     def index(self, agent_id: str) -> int:
         return self._index[agent_id]
-
-    def dependency(self, receiver_id: str, sender_id: str) -> frozenset:
-        return self._deps.get((receiver_id, sender_id), frozenset())
 
     @cached_property
     def rules(self) -> dict:
@@ -182,7 +170,7 @@ def system_violations(system: MultiAgentSystem) -> list:
             violations.append(f"agent {a.id}: no producer for input atoms: {_few(uncovered)}")
 
     for a in agents:
-        headed_env = system.env_atoms & a.heads
+        headed_env = system.env_atoms.intersection(a.heads)
         if headed_env:
             violations.append(f"agent {a.id}: environment atoms appear as heads: {_few(headed_env)}")
     return violations
@@ -195,16 +183,6 @@ def build_system(specs, dmax=None) -> MultiAgentSystem:
     if violations:
         raise ValidationError(violations)
     return system
-
-
-class SystemShape(NamedTuple):
-    """What ``classify`` reads of a ``MultiAgentSystem``: its I/O atoms,
-    the atoms that reach a cycle of its union rule base, and its bound,
-    without the agents and their tables."""
-
-    io_atoms: frozenset
-    cyclic: frozenset
-    dmax: object
 
 
 def superagent(sys: MultiAgentSystem) -> GroundProgram:
@@ -310,7 +288,7 @@ def io_graph(sys: MultiAgentSystem) -> DependencyGraph:
 
 class Classification(NamedTuple):
     """IO-acyclicity and friends, as measured on one grounding of a
-    system, or of its ``SystemShape``.
+    system.
 
     ``bounded`` is per-atom definition finiteness, vacuously true on a
     ground slice.  ``io_finite`` is empirical: when a probe is available,
@@ -329,10 +307,10 @@ class Classification(NamedTuple):
     probe_delta: int = 0
 
 
-def classify(sys, probe=None) -> Classification:
-    """Classify a ``MultiAgentSystem`` or its ``SystemShape``; only
-    ``io_atoms``, ``cyclic`` and ``dmax`` are read.  ``probe`` is the
-    system or shape at a larger bound, such as the second that
+def classify(sys: MultiAgentSystem, probe: MultiAgentSystem = None) -> Classification:
+    """Classify a ``MultiAgentSystem``; only its ``io_atoms``, ``cyclic``
+    and ``dmax`` are read, so its agents need no clauses.  ``probe`` is
+    the system at a larger bound, such as the second that
     ``Scenario.shapes`` yields; its I/O atoms are counted.
 
     Both acyclicity flags are reported as measured.  A system can be

@@ -16,10 +16,10 @@ the agreement by set algebra, instead.
 import re
 from collections import deque
 
-from agentlog.agents import AgentState, EnvChange, agent_model
+from agentlog.agents import AgentState, EnvChange, agent_model, dependency
 from agentlog.grounding import split_top_level
 from agentlog.logic import Atom, DependencyGraph, GroundProgram
-from agentlog.runtime import _applied, _env_deltas, _send_dependency
+from agentlog.runtime import InvalidEventError, _applied, _env_deltas
 from agentlog.scenarios import Topology
 from agentlog.system import MultiAgentSystem
 
@@ -156,9 +156,13 @@ def input_delta(indb, dep: frozenset, sender_model) -> tuple:
 
 def comm_transition(sys: MultiAgentSystem, gs: tuple, sender: str, receiver: str) -> tuple:
     """The sender pushes its dependency slice, computed from its current
-    state, and the receiver replaces that slice of its input database."""
-    dep = _send_dependency(sys, sender, receiver)
+    state, and the receiver replaces that slice of its input database.
+    A send between an agent and itself, or to a receiver that takes
+    nothing from the sender, raises InvalidEventError."""
     s_idx, r_idx = sys.index(sender), sys.index(receiver)
+    dep = dependency(sys.agents[r_idx], sys.agents[s_idx])
+    if s_idx == r_idx or not dep:
+        raise InvalidEventError(f"{receiver} does not depend on {sender}")
     sender_model = agent_model(sys.agents[s_idx], gs[s_idx], sys.plans[s_idx])
     old = gs[r_idx]
     delta = input_delta(old.indb, dep, sender_model)

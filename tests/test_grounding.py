@@ -26,6 +26,7 @@ from agentlog.grounding import (
     parse_schematic_clause,
 )
 from agentlog.logic import Atom, GroundProgram, atom, format_clause
+from agentlog.runtime import dependent_pairs
 from agentlog.scenarios import Topology, builtin_scenario, load_scenario, parse_scenario, routing_scenario_text
 
 from .generators import random_schematic_scenario
@@ -732,7 +733,7 @@ def _snapshot(system) -> tuple:
         (a.id, frozenset(a.clauses), {h: frozenset(b) for h, b in a.deps.items()}, a.hbe, a.hin, a.initial)
         for a in system.agents
     )
-    return agents, system.dependent_pairs, system.io_atoms, system.cyclic
+    return agents, dependent_pairs(system), system.io_atoms, system.cyclic
 
 
 def test_alternating_systems_generators_each_match_their_own_from_scratch_build(monkeypatch):

@@ -2,12 +2,14 @@
 
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from agentlog.agents import AgentState, CommEvent, EnvChange
+from agentlog import cli
+from agentlog.agents import AgentState, CommEvent, EnvChange, dependency
 from agentlog.grounding import DomainSpec
 from agentlog.logic import AcyclicPlan, atom
 from agentlog.runtime import (
@@ -16,6 +18,7 @@ from agentlog.runtime import (
     InvalidEventError,
     Trace,
     _agreement,
+    dependent_pairs,
     detect_fixpoint,
     divergence_probe,
     events_from_export,
@@ -29,7 +32,7 @@ from agentlog.runtime import (
     write_trace,
 )
 from agentlog.scenarios import builtin_names, builtin_scenario, load_scenario, parse_scenario
-from agentlog.system import io_graph
+from agentlog.system import MultiAgentSystem, io_graph
 
 from .generators import agent_spec, random_system
 from .reference import agreement, clause, comm_transition, env_transition, output_projection
@@ -147,6 +150,74 @@ def test_run_scripted_empty(example3_system):
 def test_run_scripted_reports_bad_event_position(example3_system):
     with pytest.raises(InvalidEventError, match="event 1"):
         run_scripted(example3_system, (CommEvent("A2", "A1"), CommEvent("A2", "A2")))
+
+
+@pytest.mark.parametrize("sender, receiver, message", [
+    ("ZZ", "A1", "unknown agent ZZ"),
+    ("A2", "ZZ", "unknown agent ZZ"),
+    ("YY", "ZZ", "unknown agent YY"),
+    ("A1", "A1", "A1 does not depend on A1"),
+    ("A3", "A1", "A1 does not depend on A3"),
+])
+def test_replay_refuses_a_send_off_the_dependent_pairs(routing5_system, sender, receiver, message):
+    script = (CommEvent("A2", "A1"), CommEvent(sender, receiver))
+    with pytest.raises(InvalidEventError) as refused:
+        run_scripted(routing5_system, script)
+    assert str(refused.value) == f"event 1: {message}"
+    with pytest.raises(InvalidEventError) as refused:
+        run_fair(routing5_system, prefix_events=script)
+    assert str(refused.value) == f"prefix event 1: {message}"
+
+
+def _all_pairs(system) -> list:
+    """``((receiver id, sender id), slice)`` of every ordered pair of
+    distinct agents whose slice is not empty, by the definition, in
+    canonical order."""
+    agents = system.agents
+    pairs = [((r.id, s.id), dependency(r, s)) for r in agents for s in agents if r.id != s.id]
+    return sorted((ids, dep) for ids, dep in pairs if dep)
+
+
+def _pairs_by_id(system) -> list:
+    ids = system.ids
+    return [((ids[r], ids[s]), dep) for r, s, dep in dependent_pairs(system)]
+
+
+def test_dependent_pairs_are_the_all_pairs_formula_on_random_systems():
+    # In system order and shuffled, so the canonical order is by id, not by index.
+    rng = random.Random(3407)
+    for k in range(200):
+        system, _ = random_system(rng, io_acyclic=k % 2 == 0)
+        shuffled = MultiAgentSystem(rng.sample(system.agents, len(system.agents)))
+        for s in (system, shuffled):
+            assert _pairs_by_id(s) == _all_pairs(s)
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "chain(N)"] + ["chain(6)"])
+def test_dependent_pairs_are_the_all_pairs_formula_on_builtins(name):
+    system = builtin_scenario(name).build_system()
+    assert _pairs_by_id(system) == _all_pairs(system) != []
+
+
+def test_only_a_run_derives_the_dependent_pairs(monkeypatch, capsys):
+    # ``analyze`` never asks which agent takes what from which; one fair
+    # run asks once per ordered pair of distinct agents.
+    calls = []
+
+    def counted(receiver, sender):
+        calls.append((receiver.id, sender.id))
+        return dependency(receiver, sender)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "agentlog" and hasattr(module, "dependency"):
+            monkeypatch.setattr(module, "dependency", counted)
+    assert cli.main(["analyze", "routing5-example6-script"]) == 0
+    assert capsys.readouterr().err == "" and calls == []
+    system = builtin_scenario("routing5").build_system()
+    assert calls == []
+    run_fair(system, max_rounds=3)
+    n = len(system.agents)
+    assert len(calls) == len(set(calls)) == n * (n - 1)
 
 
 def test_run_scripted_routing_link_failure_table(routing5_system):
@@ -772,7 +843,7 @@ send B -> A.
 def test_a_send_marks_an_overlapping_slice_of_the_receiver_stale():
     scenario = parse_scenario(_OVERLAPPING_SLICES)
     system = scenario.build_system()
-    assert system.dependency("A", "B") == system.dependency("A", "C") == {atom("p")}
+    assert dependent_pairs(system) == [(0, 1, {atom("p")}), (0, 2, {atom("p")}), (2, 1, {atom("e")})]
     trace = run_scripted(system, scenario.script)
     _assert_points_match_the_fold(system, trace)
     # The last send from B restores p, which C's send took from A's IN.

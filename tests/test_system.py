@@ -19,7 +19,7 @@ from agentlog.logic import (
     least_model,
     stable_models_bruteforce,
 )
-from agentlog.runtime import run_fair, verdict
+from agentlog.runtime import dependent_pairs, run_fair, verdict
 from agentlog import scenarios as scenarios_module
 from agentlog.grounding import ground_program
 from agentlog.scenarios import (
@@ -73,9 +73,7 @@ def clause(head, *body):
 def test_build_example3_system(example3_system):
     assert example3_system.ids == ("A1", "A2")
     assert example3_system.env_atoms == {c, d, e}
-    assert example3_system.dependency("A1", "A2") == {b}
-    assert example3_system.dependency("A2", "A1") == {a}
-    assert example3_system.dependent_pairs == (("A1", "A2"), ("A2", "A1"))
+    assert dependent_pairs(example3_system) == [(0, 1, {b}), (1, 0, {a})]
 
 
 def test_shared_definition_violation():
@@ -325,10 +323,13 @@ def test_classify_chain():
     cls = classify(*sc.shapes([4, 6]))
     assert cls.io_acyclic
     assert not cls.io_finite
-    for record in (cls, next(sc.shapes([4]))):
-        for name in record._fields:
-            with pytest.raises(AttributeError):
-                setattr(record, name, None)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(cls, name, None)
+    # A shape is the validated system itself, its agents without clauses.
+    shape = next(sc.shapes([4]))
+    assert type(shape) is MultiAgentSystem and shape.dmax == 4
+    assert [a.clauses for a in shape.agents] == [None] * len(sc.agents)
 
 
 def _with_own_cycle(rng, spec):
@@ -588,6 +589,14 @@ def test_streamed_io_atoms_equal_the_built_systems(built):
         assert _shape(next(sc.shapes([dmax]))) == _shape(system)
 
 
+def test_a_shape_has_the_dependent_pairs_of_the_built_system(built):
+    # The pairs read only ``deps``, ``hbe`` and ``hin``, never the clauses
+    # that most of a shape's agents lack.
+    sc, systems = built
+    for dmax, system in systems.items():
+        assert dependent_pairs(next(sc.shapes([dmax]))) == dependent_pairs(system) != []
+
+
 def test_classify_reads_a_shape_as_the_built_system(built):
     sc, systems = built
     shape, dmax = next(sc.shapes([None])), sc.domain.distance_max
@@ -597,11 +606,12 @@ def test_classify_reads_a_shape_as_the_built_system(built):
 
 
 def _tables(system) -> tuple:
-    """What a system holds after assembly, agent by agent; a copy, as a
-    system drawn from a sequence of bounds shares its maps with the next."""
+    """What a system holds after assembly, agent by agent, and the
+    dependent pairs a run derives from it; a copy, as a system drawn from
+    a sequence of bounds shares its maps with the next."""
     agents = [(a.id, {h: frozenset(body) for h, body in a.deps.items()}, set(a.clauses),
                a.hbe, a.hin, a.initial) for a in system.agents]
-    return (system.io_atoms, system.cyclic, system.dmax, system.dependent_pairs,
+    return (system.io_atoms, system.cyclic, system.dmax, dependent_pairs(system),
             system.env_atoms, agents)
 
 
@@ -817,8 +827,9 @@ def test_mixed_systems_derive_the_tables_of_their_spec_systems():
             for s in specs
         ]
         want, got = MultiAgentSystem(specs), MultiAgentSystem(mixed)
-        for name in ("env_atoms", "io_atoms", "cyclic", "dependent_pairs"):
+        for name in ("env_atoms", "io_atoms", "cyclic"):
             assert getattr(got, name) == getattr(want, name)
+        assert dependent_pairs(got) == dependent_pairs(want)
         assert set(got.order) == set(want.order)
         position = {h: i for i, h in enumerate(got.order)}
         for s in specs:
